@@ -29,7 +29,7 @@ for (a, b), poly in sorted(op.a.items()):
     print(f"  A[{a},{b}] = {poly}")
 for a, poly in sorted(op.b.items()):
     print(f"  B[{a}]   = {poly}")
-print("The A[6,6] entry is reconstructed, not transcribed; see demo 03.")
+print("The A[6,6] entry is missing from the printed table; demo 03 re-derives it.")
 
 print("\n== Flag preservation ==")
 for n in (2, 4, 8):

@@ -143,6 +143,13 @@ def parse_charvec(text: str):
     return make_charvec(a3, a4, a6)
 
 
+def parse_flag_request(args):
+    """Validate --level and --charvec, ahead of any operator build."""
+    if args.level < 0:
+        raise UsageError("--level must be non-negative")
+    return parse_charvec(args.charvec)
+
+
 def build_operator(args, params: ModelParams):
     if args.model == RATIONAL:
         if getattr(args, "frame", "native") == "rho":
@@ -167,8 +174,8 @@ def cmd_spectrum(args) -> int:
     from .spectral import attach_closed_form, fit_energy_affine, spectrum_from_matrix
 
     params = load_params(args)
+    f = parse_flag_request(args)
     op = build_operator(args, params)
-    f = parse_charvec(args.charvec)
     spectrum = spectrum_from_matrix(op, f, args.level)
     lines = attach_closed_form(spectrum.lines, args.model, params)
 
@@ -242,8 +249,8 @@ def cmd_eigenfunctions(args) -> int:
     from .spectral import eigenfunctions
 
     params = load_params(args)
+    f = parse_flag_request(args)
     op = build_operator(args, params)
-    f = parse_charvec(args.charvec)
     report = eigenfunctions(op, f, args.level)
     payload = {
         "model": args.model,

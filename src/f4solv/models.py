@@ -2,10 +2,12 @@
 
 ``build_rational_operator`` and ``build_trig_operator`` return the
 gauge-rotated Hamiltonians as second-order operators with polynomial
-coefficients in the invariant frames ("t" and "tau").  The coefficient
-tables are hard-coded up to one gap: the diagonal t6 entry of the
-rational model is reconstructed on first use by two independent routes
-(see ``oracle.derive_missing_a66``) which must agree exactly.
+coefficients in the invariant frames ("t" and "tau").  Both coefficient
+tables are complete and hard-coded.  The diagonal t6 entry of the
+rational model, which the printed table leaves out, is tabulated as
+A[6,6] = -6 t3 t4^2 - 3 t1 t4 t6; ``oracle.derive_missing_a66``
+re-derives it by two independent routes as a check, never on the build
+path.
 
 Couplings follow the model conventions
 
@@ -94,7 +96,11 @@ def _tau(terms) -> MPoly:
 
 
 def rational_a_table() -> dict[tuple[int, int], MPoly]:
-    """Second-order coefficients of the rational operator, minus the (6,6) entry."""
+    """Second-order coefficients of the rational operator (complete).
+
+    The (6,6) entry is absent from the printed table; its value here is
+    the one ``oracle.derive_missing_a66`` reconstructs.
+    """
     return {
         (1, 1): _t({(1, 0, 0, 0): 2}),
         (1, 3): _t({(0, 1, 0, 0): 6}),
@@ -105,6 +111,7 @@ def rational_a_table() -> dict[tuple[int, int], MPoly]:
         (3, 6): _t({(0, 0, 2, 0): 8, (2, 0, 0, 1): -1}),
         (4, 4): _t({(0, 1, 1, 0): -2, (1, 0, 0, 1): -1}),
         (4, 6): _t({(1, 0, 2, 0): -2, (0, 1, 0, 1): -3}),
+        (6, 6): _t({(0, 1, 2, 0): -6, (1, 0, 1, 1): -3}),
     }
 
 
@@ -119,13 +126,9 @@ def rational_b_table(params: ModelParams) -> dict[int, MPoly]:
 
 
 def build_rational_operator(params: ModelParams) -> SecondOrderOp:
-    """The rational-model operator in the t frame, diagonal t6 entry included."""
-    from .oracle import rational_a66  # deferred: the derivation needs calibration
-
+    """The rational-model operator in the t frame."""
     _warn_windows(RATIONAL, params)
-    a = rational_a_table()
-    a[(6, 6)] = rational_a66(params)
-    return SecondOrderOp("t", a, rational_b_table(params))
+    return SecondOrderOp("t", rational_a_table(), rational_b_table(params))
 
 
 def trig_a_table(beta2: Fraction) -> dict[tuple[int, int], MPoly]:

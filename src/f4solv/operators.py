@@ -207,9 +207,3 @@ def op_matrix(op: SecondOrderOp, basis) -> MatrixResult:
                 continue
             mat.data[i][j] = coeff
     return MatrixResult(mat, closed, witness)
-
-
-def op_image_terms(op: SecondOrderOp, exp: Exp) -> list[tuple[Exp, Fraction]]:
-    """Sorted term list of the operator image of a single monomial."""
-    image = op.apply(MPoly.monomial(op.frame, exp))
-    return sorted(image.terms.items())

@@ -17,9 +17,10 @@ of the Gaussian drift term (the tables correspond to a drift +omega x,
 the sign-flipped companion of the normalizable ground state; fitting
 with the decaying orientation fails for every candidate scale).
 
-The same machinery reconstructs the one coefficient missing from the
-rational table, the diagonal t6 entry, along two independent routes
-that must agree exactly.
+The same machinery re-derives the one coefficient the printed rational
+table leaves out, the diagonal t6 entry, along two independent routes.
+``models.rational_a_table`` tabulates that entry; the derivation is a
+check on it (``f4solv verify --suite a66``), not part of the build.
 """
 
 from __future__ import annotations
@@ -173,11 +174,6 @@ def raw_oracle_trig(params: ModelParams, composed: MPoly, x: Sequence, ctx=None)
     return TrigOracleEvaluator(params, None, ctx=ctx, composed=composed).raw(x)
 
 
-def _partial_rational_operator(params: ModelParams) -> SecondOrderOp:
-    # calibration probes constants and t1 only, which never reach the (6,6) entry
-    return SecondOrderOp("t", rational_a_table(), rational_b_table(params))
-
-
 def calibrate_normalization(
     model: str, params: ModelParams, seed: int = 0
 ) -> Calibration:
@@ -194,7 +190,8 @@ def calibrate_normalization(
 
 
 def _calibrate_rational(params: ModelParams, seed: int) -> Calibration:
-    op = _partial_rational_operator(params)
+    # built directly: build_rational_operator would repeat its window warning
+    op = SecondOrderOp("t", rational_a_table(), rational_b_table(params))
     sampler = SeededSampler(seed, height=4)
     points = [sampler.point() for _ in range(8)]
     one = MPoly.one("t")
@@ -368,9 +365,7 @@ def invariant_reduce(
     return result
 
 
-# -- the missing diagonal coefficient ------------------------------------------
-
-_A66_CACHE: Optional[MPoly] = None
+# -- the diagonal coefficient missing from the printed table --------------------
 
 
 def derive_missing_a66(params: ModelParams, seed: int = 0) -> MPoly:
@@ -381,6 +376,8 @@ def derive_missing_a66(params: ModelParams, seed: int = 0) -> MPoly:
     Route two takes the beta^2 -> 0 limit of the complete trigonometric
     table and rescales it by the (exact) table-to-table ratio.  The two
     results must be identical or the whole correctness story fails.
+    Neither route reads the tabulated (6,6) entry, so the result can be
+    checked against it.
     """
     rat_params = params if params.omega is not None else replace(params, omega=Fraction(1))
     cal = calibrate_normalization(RATIONAL, rat_params, seed)
@@ -411,6 +408,7 @@ def derive_missing_a66(params: ModelParams, seed: int = 0) -> MPoly:
 def _rational_to_trig_ratio() -> Fraction:
     """The constant relating the rational table to the beta^2 = 0 trig table."""
     rat = rational_a_table()
+    del rat[(6, 6)]  # the entry under test must not vouch for itself
     limit = trig_a_table(Fraction(0))
     ratio = None
     for key, rpoly in sorted(rat.items()):
@@ -424,14 +422,6 @@ def _rational_to_trig_ratio() -> Fraction:
                 f"tables are not proportional at entry {key}: ratio {r} vs {ratio}"
             )
     return ratio
-
-
-def rational_a66(params: ModelParams) -> MPoly:
-    """Cached canonical value of the reconstructed (6,6) coefficient."""
-    global _A66_CACHE
-    if _A66_CACHE is None:
-        _A66_CACHE = derive_missing_a66(params)
-    return _A66_CACHE
 
 
 # -- oracle sweeps -------------------------------------------------------------

@@ -144,15 +144,6 @@ class MPoly:
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
-    def support_slots(self) -> set[int]:
-        """Slots of variables that actually occur."""
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(i)
-        return used
-
     def sorted_terms(self, weights: Sequence[int] = DISPLAY_WEIGHTS):
         return sorted(
             self.terms.items(),

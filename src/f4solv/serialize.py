@@ -10,9 +10,6 @@ from .operators import A_PAIRS, SecondOrderOp
 from .poly import MPoly
 from .spectral import SpectralLine
 
-PUBLIC_FRAMES = ("t", "tau", "rho")
-
-
 def format_fraction(value: Fraction) -> str:
     value = Fraction(value)
     if value.denominator == 1:

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
+
+import mpmath
 
 from .errors import ClosureError, F4SolvError
 from .flags import GradedBasis, enumerate_basis, preserves_flag
@@ -184,8 +187,11 @@ def _rational_eigenvalues(
     poly = coeffs
     for lam in _rational_root_candidates(coeffs):
         mult = 0
-        while len(poly) > 1 and _poly_eval(poly, lam) == 0:
-            poly = _deflate(poly, lam)
+        while len(poly) > 1:
+            quot, rem = _poly_divmod(poly, [Fraction(1), -lam])  # Horner
+            if rem:
+                break
+            poly = quot
             mult += 1
         if mult:
             roots.append((lam, mult))
@@ -195,57 +201,61 @@ def _rational_eigenvalues(
     return roots, leftover
 
 
-def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
+def _poly_divmod(
+    a: list[Fraction], b: list[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a / b, leading coefficients first."""
+    quot, rem = [], list(a)
+    while len(rem) >= len(b):
+        f = rem[0] / b[0]
+        quot.append(f)
+        rem = [r - f * c for r, c in zip(rem[1:], b[1:])] + rem[len(b):]
+    while rem and rem[0] == 0:
+        rem.pop(0)
+    return quot, rem
 
 
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(out[-1] * root + c)
-    return out
+def _rational_root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
+    """Candidates that include every rational root of the monic polynomial.
 
-
-def _rational_root_candidates(coeffs: list[Fraction]):
-    from math import gcd
-
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in coeffs]
-    lead = abs(ints[0])
-    # strip trailing zeros: zero roots
-    const = 0
-    for c in reversed(ints):
-        if c:
-            const = abs(c)
-            break
-    yield Fraction(0)
-    seen = {Fraction(0)}
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in seen:
-                    seen.add(cand)
-                    yield cand
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
+    With D the lcm of the denominators, D^n p(y / D) is a monic integer
+    polynomial, so each rational root is k / D for an integer root k.
+    The roots of the square-free part are isolated numerically and
+    rounded to k; the caller accepts a candidate only on exact
+    evaluation.  If the isolation does not converge there are no
+    candidates, and the caller reports the polynomial as unfactored.
+    """
+    n = len(coeffs) - 1
+    denom = lcm(*(c.denominator for c in coeffs))
+    a, b = coeffs, [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+    while b:  # Euclid: a ends as gcd(p, p')
+        a, b = b, _poly_divmod(a, b)[1]
+    squarefree = _poly_divmod(coeffs, a)[0]
+    m = len(squarefree) - 1
+    # integer coefficients: symmetric functions of the algebraic integers D x
+    q = [int(c / squarefree[0] * denom**i) for i, c in enumerate(squarefree)]
+    # Durand-Kerner from mpmath's fixed start points stalls on the tight,
+    # far-off root clusters of these blocks: centre the roots on their
+    # mean (exact Taylor shift) and scale them into the unit disc
+    centre = -q[1] // m
+    for i in range(m):
+        for j in range(1, m + 1 - i):
+            q[j] += centre * q[j - 1]
+    exp2 = 1 + max(
+        (-(-abs(c).bit_length() // i) for i, c in enumerate(q) if i and c), default=0
+    )
+    ctx = mpmath.mp.clone()
+    ctx.prec = exp2 + 64
+    try:
+        roots = ctx.polyroots(
+            [ctx.ldexp(c, -exp2 * i) for i, c in enumerate(q)],
+            maxsteps=400,
+            extraprec=ctx.prec,
+        )
+    except ctx.NoConvergence:
         return []
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    ks = {int(ctx.nint(ctx.ldexp(ctx.re(z), exp2))) + centre for z in roots}
+    return [Fraction(k, denom) for k in sorted(ks)]
 
 
 @dataclass(frozen=True)
@@ -272,11 +282,8 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
     basis = spectrum.basis
     mat = spectrum.matrix
     algebraic: dict[Fraction, int] = {}
-    labels: dict[Fraction, list[Exp]] = {}
     for line in spectrum.lines:
         algebraic[line.eigenvalue] = algebraic.get(line.eigenvalue, 0) + 1
-        if line.quantum_numbers is not None:
-            labels.setdefault(line.eigenvalue, []).append(line.quantum_numbers)
 
     out: list[SpectralLine] = []
     defects = []
@@ -290,7 +297,6 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
                     "geometric_multiplicity": len(kernel),
                 }
             )
-        lam_labels = labels.get(lam, [])
         for vec in kernel:
             psi = MPoly(
                 op.frame,
@@ -299,12 +305,12 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
             residual = op.apply(psi) - psi * lam
             if not residual.is_zero():  # pragma: no cover - defensive
                 raise F4SolvError(f"nonzero residual for eigenvalue {lam}")
-            label = _leading_label(vec, basis, lam_labels)
+            label = _leading_label(vec, basis)
             out.append(SpectralLine(label, lam, eigenfunction=psi))
     return EigenReport(tuple(out), tuple(defects), basis)
 
 
-def _leading_label(vec, basis: GradedBasis, lam_labels) -> Optional[Exp]:
+def _leading_label(vec, basis: GradedBasis) -> Optional[Exp]:
     # triangular structure puts each eigenvector's top coordinate at its label
     lead = max((i for i, c in enumerate(vec) if c), default=None)
     if lead is None:

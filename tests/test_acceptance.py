@@ -24,6 +24,7 @@ from f4solv.models import (
     build_rational_operator,
     build_rho_map,
     build_trig_operator,
+    rational_a_table,
 )
 from f4solv.oracle import (
     calibrate_normalization,
@@ -184,6 +185,7 @@ def test_criterion_5_cartesian_oracle():
 
 def test_criterion_6_missing_coefficient_recovery():
     expected = MPoly("t", {(0, 1, 2, 0): -6, (1, 0, 1, 1): -3})
+    assert rational_a_table()[(6, 6)] == expected
     for params in RATIONAL_SETS:
         assert derive_missing_a66(params) == expected
     # the completed operator stands up to the oracle on inputs that
@@ -198,10 +200,10 @@ def test_criterion_6_missing_coefficient_recovery():
     assert is_triangular(op, MINIMAL, 6).strict
     report(
         6,
-        "pullback reduction and trigonometric limit produce the identical "
-        "t6-diagonal coefficient (-6 t3 t4^2 - 3 t1 t4 t6) for three parameter "
-        "sets; the completed operator passes flag, triangularity, and oracle "
-        "checks including t6^2 inputs",
+        "pullback reduction and trigonometric limit both reproduce the "
+        "tabulated t6-diagonal coefficient (-6 t3 t4^2 - 3 t1 t4 t6) for three "
+        "parameter sets; the completed operator passes flag, triangularity, "
+        "and oracle checks including t6^2 inputs",
     )
 
 

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from f4solv import cli, models, oracle, verify
 from f4solv.cli import main
+from f4solv.models import rational_a_table
 from f4solv.poly import MPoly
 from f4solv.serialize import (
     format_fraction,
@@ -11,6 +13,7 @@ from f4solv.serialize import (
     mpoly_to_json,
     parse_fraction,
 )
+from tests.conftest import RATIONAL_SETS
 
 
 def run(capsys, *argv):
@@ -155,6 +158,37 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["passed"]
 
+    @pytest.mark.parametrize("params", RATIONAL_SETS, ids=["set0", "set1", "set2"])
+    def test_a66_suite_rederives_the_tabulated_entry(self, capsys, params):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "a66",
+            "--nu", str(params.nu), "--mu", str(params.mu), "--omega", str(params.omega),
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"]
+        expected = MPoly("t", {(0, 1, 2, 0): -6, (1, 0, 1, 1): -3})
+        assert mpoly_from_json(report["table_entry"]) == expected
+        assert {c["name"]: c["passed"] for c in report["checks"]}[
+            "both routes equal the tabulated entry"
+        ]
+
+    def test_a66_suite_fails_on_a_wrong_table_entry(self, capsys, monkeypatch):
+        def wrong_table():
+            table = rational_a_table()
+            table[(6, 6)] = MPoly("t", {(0, 1, 2, 0): -6, (1, 0, 1, 1): -2})
+            return table
+
+        for module in (models, oracle, verify):
+            monkeypatch.setattr(module, "rational_a_table", wrong_table)
+        code, out, _ = run(capsys, "verify", "--suite", "a66")
+        assert code == 2
+        report = json.loads(out)
+        assert report["passed"] is False
+        checks = {c["name"]: c["passed"] for c in report["checks"]}
+        assert checks["pullback route and trigonometric limit agree exactly"]
+        assert not checks["both routes equal the tabulated entry"]
+
 
 class TestUsageErrors:
     def test_unknown_suite(self, capsys):
@@ -172,6 +206,17 @@ class TestUsageErrors:
 
     def test_bad_fraction(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--nu", "one-third")
+        assert code == 64
+
+    def test_reported_before_any_operator_is_built(self, capsys, monkeypatch):
+        def forbidden(params):
+            raise AssertionError("operator built before the usage check")
+
+        monkeypatch.setattr(cli, "build_rational_operator", forbidden)
+        code, _, err = run(capsys, "spectrum", "--level", "-1")
+        assert code == 64
+        assert "--level" in err
+        code, _, _ = run(capsys, "eigenfunctions", "--charvec", "1,2")
         assert code == 64
 
 
@@ -197,6 +242,6 @@ class TestDumpOperator:
         payload = json.loads(out)
         assert payload["frame"] == "t"
         pairs = {(rec["a"], rec["b"]) for rec in payload["A"]}
-        assert (6, 6) in pairs  # reconstructed entry is included
+        assert (6, 6) in pairs  # the entry missing from the printed table
         a11 = next(r for r in payload["A"] if (r["a"], r["b"]) == (1, 1))
         assert a11["poly"]["terms"] == [{"coeff": "2", "exponents": [1, 0, 0, 0]}]

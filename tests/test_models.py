@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from f4solv import oracle
 from f4solv.errors import SingularMapError
 from f4solv.invariants import (
     half_sum_reflection,
@@ -11,6 +12,7 @@ from f4solv.invariants import (
 from f4solv.models import (
     ModelParams,
     ambiguity_map,
+    build_rational_operator,
     build_rho_map,
     build_trig_operator,
     rational_a_table,
@@ -47,7 +49,17 @@ class TestCoefficientTables:
         assert a[(1, 1)] == MPoly("t", {(1, 0, 0, 0): 2})
         assert a[(3, 6)] == MPoly("t", {(0, 0, 2, 0): 8, (2, 0, 0, 1): -1})
         assert a[(4, 6)] == MPoly("t", {(1, 0, 2, 0): -2, (0, 1, 0, 1): -3})
-        assert (6, 6) not in a  # reconstructed separately
+        assert len(a) == 10
+        assert a[(6, 6)] == MPoly("t", {(0, 1, 2, 0): -6, (1, 0, 1, 1): -3})
+
+    def test_rational_build_derives_nothing(self, monkeypatch, rational_params):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the build path must not derive or calibrate")
+
+        monkeypatch.setattr(oracle, "derive_missing_a66", forbidden)
+        monkeypatch.setattr(oracle, "calibrate_normalization", forbidden)
+        op = build_rational_operator(rational_params)
+        assert op.a_entry(6, 6) == rational_a_table()[(6, 6)]
 
     def test_reconstructed_diagonal_entry(self, rational_op):
         assert rational_op.a_entry(6, 6) == MPoly(

@@ -4,7 +4,8 @@ import pytest
 
 from f4solv.errors import ReductionError
 from f4solv.invariants import t_polys, variables_rational
-from f4solv.models import RATIONAL, TRIG, ModelParams
+from f4solv import oracle
+from f4solv.models import RATIONAL, TRIG, ModelParams, rational_a_table
 from f4solv.oracle import (
     calibrate_normalization,
     candidate_monomials,
@@ -105,8 +106,19 @@ class TestInvariantReduce:
 class TestMissingCoefficient:
     def test_reconstruction_matches_both_routes(self):
         expected = MPoly("t", {(0, 1, 2, 0): -6, (1, 0, 1, 1): -3})
+        assert rational_a_table()[(6, 6)] == expected
         for params in RATIONAL_SETS:
             assert derive_missing_a66(params) == expected
+
+    def test_limit_route_ignores_the_tabulated_entry(self, monkeypatch):
+        # route two must not compare the tabulated (6,6) entry with itself
+        def wrong_table():
+            table = rational_a_table()
+            table[(6, 6)] = MPoly("t", {(0, 1, 2, 0): 5})
+            return table
+
+        monkeypatch.setattr(oracle, "rational_a_table", wrong_table)
+        assert oracle._rational_to_trig_ratio() == F(1, 2)
 
     def test_completed_operator_passes_heavy_oracle(self, rational_params):
         heavy = [

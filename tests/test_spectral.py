@@ -159,13 +159,14 @@ class TestSpectrum:
             assert fit.offset == closed_form_energy_trig((0, 0, 0, 0), params)
 
     def test_block_spectrum_of_tau_frame_matches_rho_diagonal(self, trig_op, rho_op):
-        blocks = spectrum_from_matrix(trig_op, MINIMAL, 4)
-        strict = spectrum_from_matrix(rho_op, MINIMAL, 4)
-        assert not blocks.strict
-        assert sorted(l.eigenvalue for l in blocks.lines) == sorted(
-            l.eigenvalue for l in strict.lines
-        )
-        assert blocks.irreducible_blocks == ()
+        for level in (4, 5, 6):
+            blocks = spectrum_from_matrix(trig_op, MINIMAL, level)
+            strict = spectrum_from_matrix(rho_op, MINIMAL, level)
+            assert not blocks.strict
+            assert sorted(l.eigenvalue for l in blocks.lines) == sorted(
+                l.eigenvalue for l in strict.lines
+            )
+            assert blocks.irreducible_blocks == ()
 
     def test_unpreserved_flag_raises_closure_error(self, rational_op):
         with pytest.raises(ClosureError):
@@ -242,6 +243,19 @@ class TestBlockSolver:
         roots, leftover = _rational_eigenvalues([[F(2), F(1)], [F(2), F(3)]])
         assert leftover is None
         assert sorted(roots) == [(F(1), 1), (F(4), 1)]
+
+    def test_large_constant_term_is_solved_exactly(self):
+        # trial division of the 61-bit constant term would not finish
+        roots, leftover = _rational_eigenvalues([[F(2**61 - 1), F(1)], [F(0), F(3)]])
+        assert leftover is None
+        assert sorted(roots) == [(F(3), 1), (F(2**61 - 1), 1)]
+
+    def test_repeated_and_fractional_roots(self):
+        jordan = [[F(3), F(1), F(0)], [F(0), F(3), F(1)], [F(0), F(0), F(3)]]
+        assert _rational_eigenvalues(jordan) == ([(F(3), 3)], None)
+        roots, leftover = _rational_eigenvalues([[F(1, 3), F(1)], [F(0), F(-7, 5)]])
+        assert leftover is None
+        assert sorted(roots) == [(F(-7, 5), 1), (F(1, 3), 1)]
 
     def test_irrational_block_reported_not_approximated(self):
         roots, leftover = _rational_eigenvalues([[F(0), F(1)], [F(2), F(0)]])
