@@ -315,12 +315,18 @@ COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # one line per warning: no source path, no echoed source line
+    print(f"f4solv: warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         with warnings.catch_warnings():
             warnings.simplefilter("always")
+            warnings.showwarning = _show_warning
             return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -69,7 +69,8 @@ class RatMatrix:
     def minus_scalar_identity(self, lam: Fraction) -> "RatMatrix":
         if self.rows != self.cols:
             raise ValueError("square matrix required")
-        out = RatMatrix(self.data)
+        out = RatMatrix.__new__(RatMatrix)  # entries are Fractions already
+        out.rows, out.cols, out.data = self.rows, self.cols, [row[:] for row in self.data]
         for i in range(self.rows):
             out.data[i][i] = out.data[i][i] - lam
         return out

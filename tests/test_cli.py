@@ -220,6 +220,21 @@ class TestUsageErrors:
         assert code == 64
 
 
+class TestWarnings:
+    TRIG_DEFAULT_MU = ("spectrum", "--model", "trig", "--level", "2", "--format", "json")
+
+    def test_window_warning_is_one_line(self, capsys, monkeypatch):
+        code, out, err = run(capsys, *self.TRIG_DEFAULT_MU)  # default --mu 1/5
+        assert code == 0
+        assert err == (
+            "f4solv: warning: trig coupling g1 = -4/25 outside the physical window"
+            " g1 > -1/8\n"
+        )
+        monkeypatch.setattr(models, "_warn_windows", lambda model, params: None)
+        quiet = run(capsys, *self.TRIG_DEFAULT_MU)
+        assert quiet == (code, out, "")  # warnings never reach stdout
+
+
 class TestParamsFile:
     def test_overrides_flags(self, capsys, tmp_path):
         cfg = tmp_path / "params.json"

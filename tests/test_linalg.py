@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f4solv.linalg import RatMatrix, nullspace, rank, solve, solve_with_rank
+from f4solv.spectral import _triangular_kernel
 
 
 def fractions():
@@ -24,6 +26,48 @@ def matrices(max_dim=5):
             ).map(RatMatrix)
         )
     )
+
+
+@st.composite
+def upper_triangular(draw, max_dim=6):
+    """Diagonal from 2-3 values, so eigenvalues repeat and some are defective."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    values = draw(st.lists(fractions(), min_size=2, max_size=3, unique=True))
+    above = st.one_of(st.just(F(0)), fractions())  # zeros keep some repeats whole
+    return RatMatrix(
+        [
+            [draw(above) if j > i else F(0) for j in range(i)]
+            + [draw(st.sampled_from(values))]
+            + [draw(above) for _ in range(i + 1, n)]
+            for i in range(n)
+        ]
+    )
+
+
+def gauss_jordan_kernel(m):
+    """Reference kernel: reduced row echelon form over Fraction, no scaling tricks."""
+    rows = [list(r) for r in m.data]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        v = [F(0)] * m.cols
+        v[free] = F(1)
+        for k, c in enumerate(pivots):
+            v[c] = -rows[k][free]
+        basis.append((free, v))
+    return basis
 
 
 def test_identity_solve_returns_rhs():
@@ -61,6 +105,44 @@ def test_nullspace_vectors_annihilate(m):
     for v in basis:
         assert all(val == 0 for val in m.mul_vector(v))
     assert len(basis) == m.cols - rank(m)
+
+
+@settings(max_examples=60)
+@given(m=matrices())
+def test_nullspace_matches_gauss_jordan(m):
+    got = nullspace(m)
+    expected = gauss_jordan_kernel(m)
+    assert len(got) == len(expected)
+    for v, (free, ref) in zip(got, expected):
+        # the same vector up to scale, as coprime integers with a positive lead
+        assert v == [v[free] * x for x in ref]
+        assert all(x.denominator == 1 for x in v)
+        lead = next(x for x in v if x)
+        assert lead > 0
+        g = 0
+        for x in v:
+            g = gcd(g, x.numerator)
+        assert g == 1
+
+
+@settings(max_examples=150)
+@given(m=upper_triangular())
+def test_triangular_kernel_is_the_nullspace_or_reports_a_defect(m):
+    diagonal = [m[i, i] for i in range(m.rows)]
+    for lam in set(diagonal):
+        kernel = nullspace(m.minus_scalar_identity(lam))
+        got = _triangular_kernel(m, lam)
+        if len(kernel) < diagonal.count(lam):
+            assert got is None
+        else:
+            assert got == kernel
+
+
+def test_minus_scalar_identity_copies_rows():
+    m = RatMatrix([[1, 2], [0, 3]])
+    shifted = m.minus_scalar_identity(F(1, 2))
+    assert shifted == RatMatrix([[F(1, 2), 2], [0, F(5, 2)]])
+    assert m == RatMatrix([[1, 2], [0, 3]])
 
 
 @settings(max_examples=60)

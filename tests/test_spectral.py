@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
+from f4solv import spectral
 from f4solv.errors import ClosureError
 from f4solv.flags import flag_dimension
-from f4solv.linalg import RatMatrix
+from f4solv.linalg import RatMatrix, nullspace
 from f4solv.models import (
     ModelParams,
     build_rational_operator,
@@ -23,6 +24,7 @@ from f4solv.spectral import (
     fit_energy_affine,
     spectrum_from_matrix,
     weighted_level,
+    _eigenspace,
     _rational_eigenvalues,
 )
 from tests.conftest import RATIONAL_SETS, TRIG_SETS
@@ -173,6 +175,16 @@ class TestSpectrum:
             spectrum_from_matrix(rational_op, (1, 1, 1, 1), 4)
 
 
+@pytest.fixture
+def no_nullspace(monkeypatch):
+    # strictly triangular frames back-substitute; the general nullspace is
+    # only for the block path and defective eigenvalues
+    def refuse(matrix):
+        raise AssertionError("nullspace called in a strictly triangular frame")
+
+    monkeypatch.setattr(spectral, "nullspace", refuse)
+
+
 class TestEigenfunctions:
     def test_ground_line(self, rational_op):
         report = eigenfunctions(rational_op, MINIMAL, 0)
@@ -191,19 +203,49 @@ class TestEigenfunctions:
         # the residual identity pins the shift sign
         assert (rational_op.apply(scaled) - 2 * w * scaled).is_zero()
 
-    def test_all_residuals_vanish_rational(self, rational_op):
+    def test_all_residuals_vanish_rational(self, rational_op, no_nullspace):
         report = eigenfunctions(rational_op, MINIMAL, 6)
         assert not report.defective
         for line in report.lines:
             residual = rational_op.apply(line.eigenfunction) - line.eigenvalue * line.eigenfunction
             assert residual.is_zero()
 
-    def test_all_residuals_vanish_trig_rho(self, rho_op):
+    def test_all_residuals_vanish_trig_rho(self, rho_op, no_nullspace):
         report = eigenfunctions(rho_op, MINIMAL, 4)
         assert not report.defective
         for line in report.lines:
             residual = rho_op.apply(line.eigenfunction) - line.eigenvalue * line.eigenfunction
             assert residual.is_zero()
+
+    def test_tau_frame_uses_the_general_nullspace(self, trig_op, monkeypatch):
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return nullspace(matrix)
+
+        monkeypatch.setattr(spectral, "nullspace", counted)
+        report = eigenfunctions(trig_op, MINIMAL, 4)
+        assert not report.defective
+        assert len(report.lines) == flag_dimension(MINIMAL, 4)
+        assert len(calls) == len({l.eigenvalue for l in report.lines})
+        for line in report.lines:
+            residual = trig_op.apply(line.eigenfunction) - line.eigenvalue * line.eigenfunction
+            assert residual.is_zero()
+
+    def test_defective_eigenvalue_is_reported(self):
+        # a Jordan block: back-substitution fails, the nullspace gives the record
+        kernel, defect = _eigenspace(RatMatrix([[3, 1], [0, 3]]), F(3), 2, strict=True)
+        assert kernel == [[F(1), F(0)]]
+        assert defect == {
+            "eigenvalue": "3",
+            "algebraic_multiplicity": 2,
+            "geometric_multiplicity": 1,
+        }
+        assert _eigenspace(RatMatrix([[3, 0], [0, 3]]), F(3), 2, strict=True) == (
+            [[F(1), F(0)], [F(0), F(1)]],
+            None,
+        )
 
     def test_eigenfunction_count_equals_dimension(self, rational_op):
         report = eigenfunctions(rational_op, MINIMAL, 6)
