@@ -9,7 +9,9 @@ the operator matrices around level 8.
 
 ``solve`` returns ``None`` for inconsistent systems (a no-solution
 signal, not an exception); ``nullspace`` returns a full exact basis,
-possibly empty.
+possibly empty.  The kernel of an upper-triangular matrix, such as
+``M - lam I`` in a triangular frame, is found by back-substitution
+without elimination.
 """
 
 from __future__ import annotations
@@ -76,9 +78,7 @@ class RatMatrix:
         return out
 
     def is_upper_triangular(self) -> bool:
-        return all(
-            not self.data[i][j] for i in range(self.rows) for j in range(min(i, self.cols))
-        )
+        return all(not any(row[:i]) for i, row in enumerate(self.data))
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
@@ -167,8 +167,53 @@ def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
     """Exact basis of the kernel of ``matrix`` (empty list for full column rank).
 
     Basis vectors are normalized to coprime integers with a positive
-    first nonzero entry, one per free column, in column order.
+    first nonzero entry, one per free column, in column order.  A square
+    upper-triangular matrix is solved by back-substitution when that
+    gives the whole kernel, and any other matrix by elimination; both
+    routes return the same basis.
     """
+    if matrix.rows == matrix.cols and matrix.is_upper_triangular():
+        basis = _triangular_nullspace(matrix.data)
+        if basis is not None:
+            return basis
+    return _echelon_nullspace(matrix)
+
+
+def _triangular_nullspace(data: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
+    """Kernel basis of a square upper-triangular matrix by back-substitution.
+
+    A column with a nonzero diagonal entry is independent of the columns
+    before it, so the free columns lie among the zero-diagonal ones.  For
+    each zero-diagonal column f this solves for the kernel vector with 1
+    at f and 0 at every other zero-diagonal column: it vanishes past f,
+    and rows f-1 down to 0 each fix one entry.  When every such vector
+    exists the free columns are exactly the zero-diagonal ones and these
+    are the vectors elimination returns.  Returns None when a zero-diagonal
+    row cannot be met, which happens exactly when the nullity is below
+    the number of zero diagonal entries.
+    """
+    n = len(data)
+    basis = []
+    for f in range(n):
+        if data[f][f]:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        support = [f]  # indices of the nonzero entries of v
+        for i in range(f - 1, -1, -1):
+            row = data[i]
+            acc = sum(row[j] * v[j] for j in support if row[j])
+            if row[i]:
+                if acc:
+                    v[i] = -acc / row[i]
+                    support.append(i)
+            elif acc:
+                return None
+        basis.append(_normalize_primitive(v))
+    return basis
+
+
+def _echelon_nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
     n = matrix.cols
     if n == 0:
         return []

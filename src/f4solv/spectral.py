@@ -6,10 +6,10 @@ Block-triangular matrices (grade-non-increasing, with coupling inside a
 grade) are handled per diagonal block: rational eigenvalues are
 extracted exactly from the block's characteristic polynomial and any
 irrational remainder is returned as data, never approximated.
-Eigenfunctions in a strictly triangular frame come from exact
-back-substitution, one vector per diagonal entry; block-triangular
-frames and defective eigenvalues use the exact nullspace.  Every
-returned pair is re-verified to have an identically zero residual.
+Eigenfunctions come from exact nullspaces, which in a strictly
+triangular frame are found by back-substitution, one vector per
+diagonal entry.  Every returned pair is re-verified to have an
+identically zero residual.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import mpmath
 from .errors import ClosureError, F4SolvError
 from .flags import GradedBasis, enumerate_basis, preserves_flag
 from .invariants import DEGREE_WEIGHTS
-from .linalg import RatMatrix, _normalize_primitive, nullspace
+from .linalg import RatMatrix, nullspace
 from .models import ModelParams
 from .operators import SecondOrderOp, op_matrix
 from .poly import Exp, MPoly, weighted_grade
@@ -276,11 +276,11 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
 
     Every eigenvalue's full eigenspace is returned (degenerate spaces as
     whole nullspaces, no preferred basis).  In a strictly triangular
-    frame each space comes from back-substitution; the block path and
-    defective eigenvalues use the general nullspace.  Residuals are
-    re-checked symbolically; a nonzero residual is a library bug and
-    raises.  Defective eigenvalues (geometric < algebraic multiplicity)
-    are reported per value, not fatal.
+    frame ``nullspace`` finds each space by back-substitution; the
+    block path eliminates.  Residuals are re-checked symbolically; a
+    nonzero residual is a library bug and raises.  Defective eigenvalues
+    (geometric < algebraic multiplicity) are reported per value, not
+    fatal.
     """
     spectrum = spectrum_from_matrix(op, f, n)
     basis = spectrum.basis
@@ -292,7 +292,7 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
     out: list[SpectralLine] = []
     defects = []
     for lam in sorted(algebraic):
-        kernel, defect = _eigenspace(mat, lam, algebraic[lam], spectrum.strict)
+        kernel, defect = _eigenspace(mat, lam, algebraic[lam])
         if defect:
             defects.append(defect)
         for vec in kernel:
@@ -309,12 +309,10 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
 
 
 def _eigenspace(
-    mat: RatMatrix, lam: Fraction, multiplicity: int, strict: bool
+    mat: RatMatrix, lam: Fraction, multiplicity: int
 ) -> tuple[list[list[Fraction]], Optional[dict]]:
     """Kernel basis of ``mat - lam I`` and, if it is short, a defect record."""
-    kernel = _triangular_kernel(mat, lam) if strict else None
-    if kernel is None:  # block path, or lam is defective
-        kernel = nullspace(mat.minus_scalar_identity(lam))
+    kernel = nullspace(mat.minus_scalar_identity(lam))
     if len(kernel) < multiplicity:
         return kernel, {
             "eigenvalue": str(lam),
@@ -322,39 +320,6 @@ def _eigenspace(
             "geometric_multiplicity": len(kernel),
         }
     return kernel, None
-
-
-def _triangular_kernel(mat: RatMatrix, lam: Fraction) -> Optional[list[list[Fraction]]]:
-    """``nullspace(mat.minus_scalar_identity(lam))`` for upper-triangular ``mat``.
-
-    A column whose diagonal is not lam is independent of the columns
-    before it, so the free columns lie among the lam columns, and are
-    all of them unless lam is defective.  The basis vector of a free
-    column f is then the kernel vector with 1 at f and 0 at every other
-    lam column: it vanishes past f, and rows f-1 down to 0 each fix one
-    entry by back-substitution.  Returns None when a lam row cannot be
-    met, which happens exactly when lam is defective.
-    """
-    data = mat.data
-    basis = []
-    for f in range(mat.rows):
-        if data[f][f] != lam:
-            continue
-        v = [Fraction(0)] * mat.cols
-        v[f] = Fraction(1)
-        support = [f]  # indices of the nonzero entries of v
-        for i in range(f - 1, -1, -1):
-            row = data[i]
-            acc = sum(row[j] * v[j] for j in support if row[j])
-            pivot = row[i] - lam
-            if pivot:
-                if acc:
-                    v[i] = -acc / pivot
-                    support.append(i)
-            elif acc:
-                return None
-        basis.append(_normalize_primitive(v))
-    return basis
 
 
 def _leading_label(vec, basis: GradedBasis) -> Optional[Exp]:

@@ -4,10 +4,10 @@ from itertools import product
 
 import pytest
 
-from f4solv import spectral
+from f4solv import linalg, spectral
 from f4solv.errors import ClosureError
 from f4solv.flags import flag_dimension
-from f4solv.linalg import RatMatrix, nullspace
+from f4solv.linalg import RatMatrix
 from f4solv.models import (
     ModelParams,
     build_rational_operator,
@@ -176,13 +176,13 @@ class TestSpectrum:
 
 
 @pytest.fixture
-def no_nullspace(monkeypatch):
-    # strictly triangular frames back-substitute; the general nullspace is
-    # only for the block path and defective eigenvalues
-    def refuse(matrix):
-        raise AssertionError("nullspace called in a strictly triangular frame")
+def no_elimination(monkeypatch):
+    # strictly triangular frames back-substitute; elimination is only for
+    # the block path and defective eigenvalues
+    def refuse(rows):
+        raise AssertionError("elimination in a strictly triangular frame")
 
-    monkeypatch.setattr(spectral, "nullspace", refuse)
+    monkeypatch.setattr(linalg, "_bareiss_echelon", refuse)
 
 
 class TestEigenfunctions:
@@ -203,28 +203,31 @@ class TestEigenfunctions:
         # the residual identity pins the shift sign
         assert (rational_op.apply(scaled) - 2 * w * scaled).is_zero()
 
-    def test_all_residuals_vanish_rational(self, rational_op, no_nullspace):
+    def test_all_residuals_vanish_rational(self, rational_op, no_elimination):
         report = eigenfunctions(rational_op, MINIMAL, 6)
         assert not report.defective
         for line in report.lines:
             residual = rational_op.apply(line.eigenfunction) - line.eigenvalue * line.eigenfunction
             assert residual.is_zero()
 
-    def test_all_residuals_vanish_trig_rho(self, rho_op, no_nullspace):
+    def test_all_residuals_vanish_trig_rho(self, rho_op, no_elimination):
         report = eigenfunctions(rho_op, MINIMAL, 4)
         assert not report.defective
         for line in report.lines:
             residual = rho_op.apply(line.eigenfunction) - line.eigenvalue * line.eigenfunction
             assert residual.is_zero()
 
-    def test_tau_frame_uses_the_general_nullspace(self, trig_op, monkeypatch):
+    def test_tau_frame_goes_through_elimination(self, trig_op, monkeypatch):
         calls = []
+        eliminate = linalg._bareiss_echelon
 
-        def counted(matrix):
-            calls.append(matrix)
-            return nullspace(matrix)
+        def counted(rows):
+            calls.append(rows)
+            return eliminate(rows)
 
-        monkeypatch.setattr(spectral, "nullspace", counted)
+        # the block-triangular matrix is not upper triangular: every
+        # eigenspace goes through elimination
+        monkeypatch.setattr(linalg, "_bareiss_echelon", counted)
         report = eigenfunctions(trig_op, MINIMAL, 4)
         assert not report.defective
         assert len(report.lines) == flag_dimension(MINIMAL, 4)
@@ -234,15 +237,15 @@ class TestEigenfunctions:
             assert residual.is_zero()
 
     def test_defective_eigenvalue_is_reported(self):
-        # a Jordan block: back-substitution fails, the nullspace gives the record
-        kernel, defect = _eigenspace(RatMatrix([[3, 1], [0, 3]]), F(3), 2, strict=True)
+        # a Jordan block: back-substitution fails, elimination gives the record
+        kernel, defect = _eigenspace(RatMatrix([[3, 1], [0, 3]]), F(3), 2)
         assert kernel == [[F(1), F(0)]]
         assert defect == {
             "eigenvalue": "3",
             "algebraic_multiplicity": 2,
             "geometric_multiplicity": 1,
         }
-        assert _eigenspace(RatMatrix([[3, 0], [0, 3]]), F(3), 2, strict=True) == (
+        assert _eigenspace(RatMatrix([[3, 0], [0, 3]]), F(3), 2) == (
             [[F(1), F(0)], [F(0), F(1)]],
             None,
         )
