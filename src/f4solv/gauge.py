@@ -71,15 +71,17 @@ def grad_log_ground_state_rational(
     return tuple(grad)
 
 
-def grad_log_ground_state_trig(params: ModelParams, x: Sequence, beta) -> list:
+def grad_log_ground_state_trig(params: ModelParams, x: Sequence, beta, ctx=None) -> list:
     """Gradient of log Psi0 for the periodic model, as mpmath numbers.
 
     Component k collects nu beta cot(beta (x_k +- x_i)), 2 mu beta
     cot(2 beta x_k), and mu beta cot of the eight half-sum arguments.
+    The values belong to ``ctx`` (by default a fresh working-precision
+    context).
     """
-    ctx = mp_context()
-    beta = ctx.mpf(beta) if not isinstance(beta, mpmath.mpf) else beta
-    xs = [ctx.mpf(v) if not isinstance(v, mpmath.mpf) else v for v in x]
+    ctx = ctx or mp_context()
+    beta = ctx.convert(beta)
+    xs = [ctx.convert(v) for v in x]
     nu, mu = params.nu, params.mu
     tiny = ctx.mpf(2) ** (-(ctx.prec // 2))
 

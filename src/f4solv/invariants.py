@@ -15,6 +15,7 @@ evaluation path (``Fraction`` or ``mpf`` arguments).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -124,24 +125,27 @@ def variables_rational(x: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fract
     return tuple(t_from_sigma(elem_sym_values(u)))
 
 
+def sine_squares(x: Sequence, beta) -> list:
+    """The squared scaled sines s_i = sin^2(beta x_i) / beta^2 at a numeric point.
+
+    Floats use ``math.sin``; mpmath numbers use the sine of their own
+    context, so the result follows the operand precision.
+    """
+    out = []
+    for v in x:
+        arg = beta * v
+        ctx = getattr(arg, "context", math)
+        out.append((ctx.sin(arg) / beta) ** 2)
+    return out
+
+
 def variables_trig(x: Sequence, beta) -> tuple:
     """Invariant values of the periodic model at a numeric point.
 
     ``x`` entries and ``beta`` may be floats or mpmath numbers; the
     computation follows the operand precision.
     """
-    s = [(_sin(beta * v) / beta) ** 2 for v in x]
-    return tuple(tau_from_sigma(elem_sym_values(s), beta * beta))
-
-
-def _sin(v):
-    import mpmath
-
-    if isinstance(v, mpmath.mpf):
-        return mpmath.sin(v)
-    import math
-
-    return math.sin(v)
+    return tuple(tau_from_sigma(elem_sym_values(sine_squares(x, beta)), beta * beta))
 
 
 # -- singular set and reflection helpers -------------------------------------

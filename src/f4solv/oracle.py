@@ -17,6 +17,11 @@ of the Gaussian drift term (the tables correspond to a drift +omega x,
 the sign-flipped companion of the normalizable ground state; fitting
 with the decaying orientation fails for every candidate scale).
 
+``PreparedOracle`` does each model's per-polynomial work (composition,
+derivatives) and per-point work (squares or sines, the gradient, the
+invariants) once; calibration, ``cartesian_oracle`` and both sweeps
+share it.
+
 The same machinery re-derives the one coefficient the printed rational
 table leaves out, the diagonal t6 entry, along two independent routes.
 ``models.rational_a_table`` tabulates that entry; the derivation is a
@@ -27,31 +32,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import CalibrationError, DerivationError, ReductionError
-from .gauge import grad_log_ground_state_trig, mp_context
+from .flags import enumerate_basis
+from .gauge import grad_log_ground_state_rational, grad_log_ground_state_trig, mp_context
 from .invariants import (
     DEGREE_WEIGHTS,
-    HALF_SUM_SIGNS,
-    elem_sym_values,
+    sine_squares,
     t_polys,
     t_varmap,
-    tau_from_sigma,
     tau_varmap,
     variables_rational,
+    variables_trig,
 )
 from .linalg import RatMatrix, solve_with_rank
 from .models import (
     RATIONAL,
     TRIG,
     ModelParams,
+    build_rational_operator,
+    build_trig_operator,
     rational_a_table,
     rational_b_table,
     trig_a_table,
+    trig_b_table,
 )
 from .operators import SecondOrderOp
-from .poly import MPoly, term_order_key
+from .poly import EvalPlan, Exp, MPoly, PowerTable
 from .sampling import SeededSampler, alcove_points
 
 SCALE_CANDIDATES = (
@@ -74,197 +82,164 @@ class Calibration:
     drift_sign: int  # +1: drift -omega x (decaying gauge); -1: drift +omega x
 
 
-def _pole_gradient(params: ModelParams, x: Sequence[Fraction]) -> list[Fraction]:
-    """The coupling poles of grad log Psi0, without the Gaussian term."""
-    nu, mu = params.nu, params.mu
-    half_sums = [sum(s * v for s, v in zip(signs, x)) for signs in HALF_SUM_SIGNS]
-    grad = []
-    for k in range(4):
-        acc = Fraction(0)
-        for i in range(4):
-            if i != k:
-                acc += nu * (1 / (x[k] + x[i]) + 1 / (x[k] - x[i]))
-        acc += mu / x[k]
-        for signs, h in zip(HALF_SUM_SIGNS, half_sums):
-            acc += mu * signs[k] / h
-        grad.append(acc)
-    return grad
+@dataclass(frozen=True)
+class OraclePoly:
+    """A polynomial P, and the derivatives of P o map, as evaluation plans."""
+
+    p: EvalPlan
+    first: list  # d/ds_k of the composition
+    second: list  # d^2/ds_k^2 of the composition
 
 
-def raw_oracle_rational(
-    params: ModelParams,
-    composed: MPoly,
-    x: Sequence[Fraction],
-    drift_sign: int = 1,
-) -> Fraction:
-    """Exact gauge-identity value for a polynomial already composed into x2 frame."""
-    omega = params.require_omega()
-    x = [Fraction(v) for v in x]
-    u = [v * v for v in x]
-    poles = _pole_gradient(params, x)
-    first = [composed.derivative(k) for k in range(4)]
-    acc = Fraction(0)
-    for k in range(4):
-        qk = first[k].eval_exact(u)
-        qkk = first[k].derivative(k).eval_exact(u)
-        acc += 2 * qk + 4 * u[k] * qkk  # Laplacian through u_k = x_k^2
-        grad_k = poles[k] - drift_sign * omega * x[k]
-        acc += 2 * grad_k * 2 * x[k] * qk
-    return acc
+@dataclass(frozen=True)
+class OraclePoint:
+    """What the gauge identity needs at one point, computed once.
 
+    Along axis k the Cartesian frame variable is s_k(x_k) (x_k^2, or
+    sin^2(beta x_k)/beta^2), so by the chain rule the identity reads
 
-class TrigOracleEvaluator:
-    """Prepared oracle for one polynomial of the periodic model.
+        raw = sum_k Q_kk a_k + Q_k b_k + 2 G_k Q_k c_k
 
-    Composition into the sine frame and the derivative polynomials are
-    computed once; evaluation at a point is then pure arithmetic.
+    with a = (s')^2, b = s'', c = s', Q = P o map and G = grad log Psi0.
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        p: Optional[MPoly],
-        calibration: Optional["Calibration"] = None,
-        ctx=None,
-        composed: Optional[MPoly] = None,
-    ):
-        self.ctx = ctx or mp_context()
-        self.params = params
-        beta2 = params.require_beta2()
-        self.beta = self.ctx.sqrt(self.ctx.mpf(beta2.numerator) / beta2.denominator)
-        self.p = p
-        if composed is None:
-            composed = p.substitute(tau_varmap(beta2))
-        self.composed = composed
-        self.first = [composed.derivative(k) for k in range(4)]
-        self.second = [self.first[k].derivative(k) for k in range(4)]
-        self.calibration = calibration
+    cart: tuple  # the frame variables s_k
+    inv: PowerTable  # the invariants, where P and its image are evaluated
+    a: list
+    b: list
+    c: list
+    grads: dict  # drift sign -> G
 
-    def tau_values(self, x: Sequence) -> tuple:
-        ctx, beta = self.ctx, self.beta
-        s_vals = [(ctx.sin(beta * v) / beta) ** 2 for v in x]
-        return tuple(tau_from_sigma(elem_sym_values(s_vals), beta * beta))
 
-    def raw(self, x: Sequence):
-        ctx, beta = self.ctx, self.beta
-        xs = [ctx.mpf(v) if not hasattr(v, "_mpf_") else v for v in x]
-        s_vals = [(ctx.sin(beta * v) / beta) ** 2 for v in xs]
-        s1 = [ctx.sin(2 * beta * v) / beta for v in xs]
-        s2 = [2 * ctx.cos(2 * beta * v) for v in xs]
-        grad = grad_log_ground_state_trig(self.params, xs, beta)
-        acc = ctx.mpf(0)
-        for k in range(4):
-            qk = self.first[k].eval_float(s_vals)
-            qkk = self.second[k].eval_float(s_vals)
-            acc += qkk * s1[k] ** 2 + qk * s2[k]
-            acc += 2 * grad[k] * qk * s1[k]
-        return acc
+class PreparedOracle:
+    """The gauge identity of one model, prepared per polynomial and per point.
 
-    def value(self, x: Sequence):
-        if self.calibration is None:
-            raise ValueError("evaluator built without a calibration")
-        raw = self.raw(x)
-        return self.calibration.scale * raw + self.calibration.offset * self.p.eval_float(
-            self.tau_values(x)
+    ``poly`` composes P into the Cartesian frame and differentiates it
+    once; ``point`` evaluates the squares and the gradient (rational) or
+    the sines, cosines and gradient (periodic), and the invariants, once.
+    ``raw`` and ``value`` are then products of cached powers.  Periodic
+    values belong to the oracle's own mpmath context, and periodic
+    coefficients are converted to it once per polynomial.
+    """
+
+    def __init__(self, model: str, params: ModelParams, ctx=None):
+        self.model, self.params = model, params
+        if model == RATIONAL:
+            self.omega = params.require_omega()
+            self.varmap, self.convert, self.zero = t_varmap(), None, Fraction(0)
+        elif model == TRIG:
+            self.ctx = ctx = ctx or mp_context()
+            beta2 = params.require_beta2()
+            self.beta = ctx.sqrt(ctx.mpf(beta2.numerator) / beta2.denominator)
+            self.varmap, self.convert, self.zero = tau_varmap(beta2), ctx.convert, ctx.mpf(0)
+        else:
+            raise ValueError(f"unknown model {model!r}")
+
+    def plan(self, p: MPoly) -> EvalPlan:
+        return EvalPlan(p, self.convert)
+
+    def poly(self, p: MPoly) -> OraclePoly:
+        composed = p.substitute(self.varmap)
+        first = [composed.derivative(k) for k in range(4)]
+        return OraclePoly(
+            self.plan(p),
+            [self.plan(f) for f in first],
+            [self.plan(f.derivative(k)) for k, f in enumerate(first)],
         )
 
+    def point(self, x: Sequence) -> OraclePoint:
+        if self.model == RATIONAL:
+            x = [Fraction(v) for v in x]
+            grad = grad_log_ground_state_rational(self.params, x)
+            # drift sign -1 flips the Gaussian term -omega x of the gradient
+            flipped = [g + 2 * self.omega * v for g, v in zip(grad, x)]
+            return OraclePoint(
+                tuple(v * v for v in x),
+                PowerTable(variables_rational(x)),
+                [4 * v * v for v in x],
+                [2] * 4,
+                [2 * v for v in x],
+                {1: grad, -1: flipped},
+            )
+        ctx, beta = self.ctx, self.beta
+        xs = [ctx.convert(v) for v in x]
+        s1 = [ctx.sin(2 * beta * v) / beta for v in xs]
+        return OraclePoint(
+            tuple(sine_squares(xs, beta)),
+            PowerTable(variables_trig(xs, beta)),
+            [v**2 for v in s1],
+            [2 * ctx.cos(2 * beta * v) for v in xs],
+            s1,
+            {1: grad_log_ground_state_trig(self.params, xs, beta, ctx)},
+        )
 
-def raw_oracle_trig(params: ModelParams, composed: MPoly, x: Sequence, ctx=None):
-    """Gauge-identity value for the periodic model, in working precision."""
-    return TrigOracleEvaluator(params, None, ctx=ctx, composed=composed).raw(x)
+    def raw(self, poly: OraclePoly, point: OraclePoint, drift_sign: int = 1):
+        """Lap(P o map) + 2 grad(log Psi0) . grad(P o map) at the point."""
+        grad = point.grads[drift_sign]
+        # one table per call: its monomials are shared by the eight
+        # derivatives, and are not kept once the value is known
+        cart = PowerTable(point.cart)
+        acc = self.zero
+        for k in range(4):
+            qk = poly.first[k](cart)
+            qkk = poly.second[k](cart)
+            acc += qkk * point.a[k] + qk * point.b[k]
+            acc += 2 * grad[k] * qk * point.c[k]
+        return acc
+
+    def value(self, poly: OraclePoly, point: OraclePoint, cal: Calibration):
+        raw = self.raw(poly, point, cal.drift_sign)
+        return cal.scale * raw + cal.offset * poly.p(point.inv)
 
 
 def calibrate_normalization(
     model: str, params: ModelParams, seed: int = 0
 ) -> Calibration:
-    """Fit (scale, offset) on P = 1 and the first invariant at three points.
+    """Fit (scale, offset) on P = 1 and the first invariant at seeded points.
 
-    The scale must land in {+-1, +-2, +-1/2}; the fit is then re-verified
-    on extra points and fails loudly otherwise.
+    The scale must land in {+-1, +-2, +-1/2} and hold at every point:
+    exactly for the rational model (eight points, either drift
+    orientation), to 60% of the working digits for the periodic one (ten
+    points).  Otherwise the fit fails loudly.
     """
+    oracle = PreparedOracle(model, params)
+    # built directly: the model builders would repeat their window warning
     if model == RATIONAL:
-        return _calibrate_rational(params, seed)
-    if model == TRIG:
-        return _calibrate_trig(params, seed)
-    raise ValueError(f"unknown model {model!r}")
-
-
-def _calibrate_rational(params: ModelParams, seed: int) -> Calibration:
-    # built directly: build_rational_operator would repeat its window warning
-    op = SecondOrderOp("t", rational_a_table(), rational_b_table(params))
-    sampler = SeededSampler(seed, height=4)
-    points = [sampler.point() for _ in range(8)]
-    one = MPoly.one("t")
-    p1 = MPoly.variable("t", 0)
-    comp_one = one.substitute(t_varmap())
-    comp_p1 = p1.substitute(t_varmap())
-
-    offsets = {op.apply(one).eval_exact(variables_rational(x)) for x in points}
-    if len(offsets) != 1:
-        raise CalibrationError(f"offset is not constant across points: {offsets}")
-    offset = offsets.pop()
-
-    alg = [op.apply(p1).eval_exact(variables_rational(x)) for x in points]
-    tvals = [p1.eval_exact(variables_rational(x)) for x in points]
-    for drift_sign in (1, -1):
-        raws = [raw_oracle_rational(params, comp_p1, x, drift_sign) for x in points]
-        for s in SCALE_CANDIDATES:
-            if all(
-                s * raw + offset * tv == val
-                for raw, tv, val in zip(raws, tvals, alg)
-            ):
-                # P = 1 consistency: raw vanishes on constants
-                assert all(
-                    raw_oracle_rational(params, comp_one, x, drift_sign) == 0
-                    for x in points[:3]
-                )
-                return Calibration(RATIONAL, s, offset, drift_sign)
-    raise CalibrationError(
-        "no admissible scale matches the rational operator; "
-        f"first point diagnostics: alg={alg[0]}, raw(+)={raw_oracle_rational(params, comp_p1, points[0], 1)}, "
-        f"raw(-)={raw_oracle_rational(params, comp_p1, points[0], -1)}"
-    )
-
-
-def _calibrate_trig(params: ModelParams, seed: int) -> Calibration:
-    from .models import build_trig_operator
-
-    ctx = mp_context()
-    beta2 = params.require_beta2()
-    beta = ctx.sqrt(ctx.mpf(beta2.numerator) / beta2.denominator)
-    op = build_trig_operator(params)
-    points = alcove_points(seed, 10, beta, ctx)
-    one = MPoly.one("tau")
-    p1 = MPoly.variable("tau", 0)
-    vm = tau_varmap(beta2)
-    comp_p1 = p1.substitute(vm)
-
-    def tau_values(x):
-        s_vals = [(ctx.sin(beta * v) / beta) ** 2 for v in x]
-        return tuple(tau_from_sigma(elem_sym_values(s_vals), beta * beta))
+        op = SecondOrderOp("t", rational_a_table(), rational_b_table(params))
+        sampler = SeededSampler(seed, height=4)
+        xs = [sampler.point() for _ in range(8)]
+        tol, drift_signs = 0, (1, -1)
+    else:
+        op = SecondOrderOp("tau", trig_a_table(params.require_beta2()), trig_b_table(params))
+        xs = alcove_points(seed, 10, oracle.beta, oracle.ctx)
+        tol, drift_signs = oracle.ctx.mpf(10) ** (-int(oracle.ctx.dps * 0.6)), (1,)
+    points = [oracle.point(x) for x in xs]
+    one, p1 = MPoly.one(op.frame), MPoly.variable(op.frame, 0)
 
     offset_poly = op.apply(one)
     if not offset_poly.is_constant():
         raise CalibrationError("operator image of 1 is not constant")
     offset = offset_poly.constant_value()
 
-    tol = ctx.mpf(10) ** (-int(ctx.dps * 0.6))
-    alg = [op.apply(p1).eval_float(tau_values(x)) for x in points]
-    raws = [raw_oracle_trig(params, comp_p1, x, ctx) for x in points]
-    tvals = [tau_values(x)[0] for x in points]
-    for s in SCALE_CANDIDATES:
-        ok = True
-        for raw, tv, val in zip(raws, tvals, alg):
-            predicted = s * raw + offset * tv
-            scale_ref = max(abs(val), abs(predicted), ctx.mpf(1))
-            if abs(predicted - val) > tol * scale_ref:
-                ok = False
-                break
-        if ok:
-            return Calibration(TRIG, s, offset, 1)
+    image = oracle.plan(op.apply(p1))
+    alg = [image(pt.inv) for pt in points]
+    tvals = [pt.inv.point[0] for pt in points]
+    prep_one, prep_p1 = oracle.poly(one), oracle.poly(p1)
+    for drift_sign in drift_signs:
+        raws = [oracle.raw(prep_p1, pt, drift_sign) for pt in points]
+        for s in SCALE_CANDIDATES:
+            if all(
+                abs(s * raw + offset * tv - val)
+                <= tol * max(abs(val), abs(s * raw + offset * tv), 1)
+                for raw, tv, val in zip(raws, tvals, alg)
+            ):
+                # P = 1 consistency: raw vanishes on constants
+                assert all(oracle.raw(prep_one, pt, drift_sign) == 0 for pt in points[:3])
+                return Calibration(model, s, offset, drift_sign)
+    diag = ", ".join(f"raw({d:+d})={oracle.raw(prep_p1, points[0], d)}" for d in drift_signs)
     raise CalibrationError(
-        "no admissible scale matches the trigonometric operator; "
-        f"ratio at first point: {alg[0] / raws[0]}"
+        f"no admissible scale matches the {model} operator; "
+        f"first point diagnostics: alg={alg[0]}, {diag}"
     )
 
 
@@ -282,38 +257,16 @@ def cartesian_oracle(
     """
     if calibration is None:
         calibration = calibrate_normalization(model, params)
-    if model == RATIONAL:
-        composed = p.substitute(t_varmap())
-        raw = raw_oracle_rational(params, composed, x, calibration.drift_sign)
-        return calibration.scale * raw + calibration.offset * p.eval_exact(
-            variables_rational(x)
-        )
-    if model == TRIG:
-        ctx = mp_context()
-        beta2 = params.require_beta2()
-        composed = p.substitute(tau_varmap(beta2))
-        raw = raw_oracle_trig(params, composed, x, ctx)
-        beta = ctx.sqrt(ctx.mpf(beta2.numerator) / beta2.denominator)
-        s_vals = [(ctx.sin(beta * ctx.mpf(v)) / beta) ** 2 for v in x]
-        tau_vals = tau_from_sigma(elem_sym_values(s_vals), beta * beta)
-        return calibration.scale * raw + calibration.offset * p.eval_float(tau_vals)
-    raise ValueError(f"unknown model {model!r}")
+    oracle = PreparedOracle(model, params)
+    return oracle.value(oracle.poly(p), oracle.point(x), calibration)
 
 
 # -- expressing invariants in the t frame -------------------------------------
 
 
-def candidate_monomials(degree_bound: int) -> list[tuple[int, int, int, int]]:
+def candidate_monomials(degree_bound: int) -> list[Exp]:
     """t-frame monomials of squared-coordinate degree at most the bound."""
-    out = []
-    _, w3, w4, w6 = DEGREE_WEIGHTS
-    for p6 in range(degree_bound // w6 + 1):
-        for p4 in range((degree_bound - w6 * p6) // w4 + 1):
-            for p3 in range((degree_bound - w6 * p6 - w4 * p4) // w3 + 1):
-                for p1 in range(degree_bound - w6 * p6 - w4 * p4 - w3 * p3 + 1):
-                    out.append((p1, p3, p4, p6))
-    out.sort(key=lambda e: term_order_key(e, DEGREE_WEIGHTS))
-    return out
+    return list(enumerate_basis(DEGREE_WEIGHTS, degree_bound).monomials)
 
 
 def invariant_reduce(
@@ -345,11 +298,11 @@ def invariant_reduce(
         seen_t.add(tv)
         points.append(x)
 
+    plans = [EvalPlan(MPoly.monomial("t", exp)) for exp in candidates]
+
     def row(x):
-        tv = variables_rational(x)
-        return [
-            MPoly.monomial("t", exp).eval_exact(tv) for exp in candidates
-        ]
+        table = PowerTable(variables_rational(x))
+        return [plan(table) for plan in plans]
 
     matrix = RatMatrix([row(x) for x in points[:n_fit]])
     rhs = [evaluator(x) for x in points[:n_fit]]
@@ -427,6 +380,21 @@ def _rational_to_trig_ratio() -> Fraction:
 # -- oracle sweeps -------------------------------------------------------------
 
 
+def _comparisons(
+    oracle: PreparedOracle,
+    op: SecondOrderOp,
+    cal: Calibration,
+    polys: Sequence[MPoly],
+    points: Sequence,
+) -> Iterator[tuple]:
+    """(poly index, point, algebraic value, oracle value), polynomial by polynomial."""
+    prepared = [oracle.point(x) for x in points]
+    for pi, p in enumerate(polys):
+        image, prep = oracle.plan(op.apply(p)), oracle.poly(p)
+        for x, pt in zip(points, prepared):
+            yield pi, x, image(pt.inv), oracle.value(prep, pt, cal)
+
+
 def oracle_sweep_rational(
     params: ModelParams,
     n_points: int = 20,
@@ -440,9 +408,6 @@ def oracle_sweep_rational(
     Returns a JSON-ready report; ``passed`` is true only if every single
     comparison is an exact equality.
     """
-    from .flags import enumerate_basis
-    from .models import build_rational_operator
-
     op = build_rational_operator(params)
     cal = calibrate_normalization(RATIONAL, params, seed)
     basis = enumerate_basis((1, 2, 2, 3), level)
@@ -451,22 +416,18 @@ def oracle_sweep_rational(
         sampler.polynomial("t", basis.monomials) for _ in range(n_polys)
     ] + list(extra_polys)
     points = [sampler.point() for _ in range(n_points)]
+    oracle = PreparedOracle(RATIONAL, params)
     failures = []
-    for pi, p in enumerate(polys):
-        image = op.apply(p)
-        for x in points:
-            tv = variables_rational(x)
-            lhs = image.eval_exact(tv)
-            rhs = cartesian_oracle(RATIONAL, params, p, x, cal)
-            if lhs != rhs:
-                failures.append(
-                    {
-                        "poly_index": pi,
-                        "point": [str(v) for v in x],
-                        "algebraic": str(lhs),
-                        "oracle": str(rhs),
-                    }
-                )
+    for pi, x, lhs, rhs in _comparisons(oracle, op, cal, polys, points):
+        if lhs != rhs:
+            failures.append(
+                {
+                    "poly_index": pi,
+                    "point": [str(v) for v in x],
+                    "algebraic": str(lhs),
+                    "oracle": str(rhs),
+                }
+            )
     return {
         "model": RATIONAL,
         "scale": str(cal.scale),
@@ -492,38 +453,29 @@ def oracle_sweep_trig(
 
     Relative error must stay below ``rel_tol`` at every point.
     """
-    from .flags import enumerate_basis
-    from .models import build_trig_operator
-
-    ctx = mp_context()
-    beta2 = params.require_beta2()
-    beta = ctx.sqrt(ctx.mpf(beta2.numerator) / beta2.denominator)
     op = build_trig_operator(params)
     cal = calibrate_normalization(TRIG, params, seed)
+    oracle = PreparedOracle(TRIG, params)
+    ctx = oracle.ctx
     basis = enumerate_basis((1, 2, 2, 3), level)
     sampler = SeededSampler(seed, height=4)
     polys = [sampler.polynomial("tau", basis.monomials) for _ in range(n_polys)]
-    points = alcove_points(seed + 1, n_points, beta, ctx)
+    points = alcove_points(seed + 1, n_points, oracle.beta, ctx)
     tol = ctx.mpf(rel_tol)
     worst = ctx.mpf(0)
     failures = []
-    for pi, p in enumerate(polys):
-        image = op.apply(p)
-        evaluator = TrigOracleEvaluator(params, p, cal, ctx)
-        for x in points:
-            lhs = image.eval_float(evaluator.tau_values(x))
-            rhs = evaluator.value(x)
-            scale_ref = max(abs(lhs), abs(rhs), ctx.mpf(1))
-            rel = abs(lhs - rhs) / scale_ref
-            worst = max(worst, rel)
-            if rel > tol:
-                failures.append(
-                    {
-                        "poly_index": pi,
-                        "point": [ctx.nstr(v, 20) for v in x],
-                        "rel_error": ctx.nstr(rel, 8),
-                    }
-                )
+    for pi, x, lhs, rhs in _comparisons(oracle, op, cal, polys, points):
+        scale_ref = max(abs(lhs), abs(rhs), ctx.mpf(1))
+        rel = abs(lhs - rhs) / scale_ref
+        worst = max(worst, rel)
+        if rel > tol:
+            failures.append(
+                {
+                    "poly_index": pi,
+                    "point": [ctx.nstr(v, 20) for v in x],
+                    "rel_error": ctx.nstr(rel, 8),
+                }
+            )
     return {
         "model": TRIG,
         "scale": str(cal.scale),

@@ -258,15 +258,9 @@ class MPoly:
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point."""
-        vals = [Fraction(v) for v in point]
-        acc = Fraction(0)
-        for exp, coeff in self.terms.items():
-            prod = coeff
-            for v, e in zip(vals, exp):
-                if e:
-                    prod *= v**e
-            acc += prod
-        return acc
+        if not self.terms:
+            return Fraction(0)
+        return EvalPlan(self)(PowerTable(Fraction(v) for v in point))
 
     def eval_float(self, point: Sequence) -> object:
         """Value at a point of arbitrary numeric type (floats, mpf, ...).
@@ -274,18 +268,7 @@ class MPoly:
         Fraction coefficients are multiplied in unreduced, so mpmath
         operands convert them at working precision.
         """
-        acc = None
-        for exp, coeff in self.terms.items():
-            prod = None
-            for v, e in zip(point, exp):
-                if e:
-                    p = v**e
-                    prod = p if prod is None else prod * p
-            val = coeff if prod is None else prod * coeff
-            acc = val if acc is None else acc + val
-        if acc is None:
-            return 0
-        return acc
+        return EvalPlan(self)(PowerTable(point))
 
     # -- equality, hashing, display -----------------------------------------
 
@@ -334,6 +317,64 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self.frame!r}, {self})"
+
+
+class PowerTable:
+    """Powers of one point's coordinates, each computed once as ``v**e``,
+    and the monomials built from them.
+
+    Both fill on demand, so one table serves every polynomial evaluated
+    at the point.
+    """
+
+    __slots__ = ("point", "powers", "monomials")
+
+    def __init__(self, point: Sequence):
+        self.point = tuple(point)
+        self.powers: dict[tuple[int, int], object] = {}  # (slot, exponent) -> power
+        self.monomials: dict[Exp, object] = {}
+
+
+class EvalPlan:
+    """A polynomial's terms laid out for evaluation at many power tables.
+
+    Each term keeps its exponents, its nonzero ``(slot, exponent)``
+    factors in slot order and its coefficient, passed through ``convert``
+    once (an mpmath context's ``convert`` gives the value that
+    ``mpf * Fraction`` would convert at every point).  A value is each
+    term's monomial, the product of its powers left to right, times the
+    coefficient, with the terms summed in dict order: the operation
+    order of evaluating term by term, so floating-point results are
+    bit-identical to it.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, poly: MPoly, convert=None):
+        self.terms = [
+            (
+                exp,
+                tuple((s, e) for s, e in enumerate(exp) if e),
+                coeff if convert is None else convert(coeff),
+            )
+            for exp, coeff in poly.terms.items()
+        ]
+
+    def __call__(self, table: PowerTable):
+        point, powers, monomials = table.point, table.powers, table.monomials
+        acc = None
+        for exp, factors, coeff in self.terms:
+            prod = monomials.get(exp)
+            if prod is None and factors:
+                for f in factors:
+                    p = powers.get(f)
+                    if p is None:
+                        p = powers[f] = point[f[0]] ** f[1]
+                    prod = p if prod is None else prod * p
+                monomials[exp] = prod
+            val = coeff if prod is None else prod * coeff
+            acc = val if acc is None else acc + val
+        return 0 if acc is None else acc
 
 
 class VarMap:

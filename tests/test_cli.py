@@ -234,6 +234,17 @@ class TestWarnings:
         quiet = run(capsys, *self.TRIG_DEFAULT_MU)
         assert quiet == (code, out, "")  # warnings never reach stdout
 
+    def test_trig_oracle_warns_once(self, capsys):
+        # the calibration builds its own operator and must not warn again
+        code, out, err = run(
+            capsys, "verify", "--suite", "oracle", "--model", "trig", "--points", "2"
+        )
+        assert code == 0 and json.loads(out)["passed"]
+        assert err == (
+            "f4solv: warning: trig coupling g1 = -4/25 outside the physical window"
+            " g1 > -1/8\n"
+        )
+
 
 class TestParamsFile:
     def test_overrides_flags(self, capsys, tmp_path):

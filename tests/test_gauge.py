@@ -96,6 +96,16 @@ class TestTrigGradient:
         for a, b in zip(base, moved):
             assert abs(a - b) <= ctx.mpf("1e-20") * max(1, abs(a))
 
+    def test_given_context(self, trig_params):
+        ctx = mp_context()
+        beta = ctx.sqrt(ctx.mpf(1) / 4)
+        xs = [ctx.mpf(v) / 10 for v in (1, 3, 6, 9)]
+        fresh = grad_log_ground_state_trig(trig_params, xs, beta)
+        shared = grad_log_ground_state_trig(trig_params, xs, beta, ctx)
+        assert [g._mpf_ for g in shared] == [g._mpf_ for g in fresh]
+        assert all(type(g) is ctx.mpf for g in shared)
+        assert not any(type(g) is ctx.mpf for g in fresh)
+
     def test_pole_detection(self, trig_params):
         ctx = mp_context()
         beta = ctx.mpf(1) / 2

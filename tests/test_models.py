@@ -123,6 +123,19 @@ class TestInvariantMaps:
     def test_trig_map_vanishes_at_origin(self):
         assert variables_trig((0.0, 0.0, 0.0, 0.0), 0.5) == (0, 0, 0, 0)
 
+    def test_trig_map_follows_operand_precision(self):
+        import mpmath
+
+        ctx, fine = mpmath.mp.clone(), mpmath.mp.clone()
+        ctx.prec, fine.prec = 200, 400
+        beta = ctx.mpf(1) / 3
+        x = [ctx.mpf(v) / 7 for v in (1, 2, 3, 5)]
+        tau = variables_trig(x, beta)
+        ref = variables_trig([fine.convert(v) for v in x], fine.convert(beta))
+        assert all(type(v) is ctx.mpf for v in tau)
+        for a, b in zip(tau, ref):
+            assert abs(a - b) <= fine.mpf(2) ** -190 * max(1, abs(b))
+
     def test_trig_map_periodicity(self):
         import mpmath
 

@@ -2,8 +2,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from f4solv.errors import ReductionError
-from f4solv.invariants import t_polys, variables_rational
+from f4solv.errors import PoleError, ReductionError
+from f4solv.gauge import (
+    grad_log_ground_state_rational,
+    grad_log_ground_state_trig,
+    mp_context,
+)
+from f4solv.invariants import (
+    elem_sym_values,
+    t_polys,
+    t_varmap,
+    tau_from_sigma,
+    tau_varmap,
+    variables_rational,
+)
 from f4solv import oracle
 from f4solv.models import RATIONAL, TRIG, ModelParams, rational_a_table
 from f4solv.oracle import (
@@ -17,6 +29,70 @@ from f4solv.oracle import (
 )
 from f4solv.poly import MPoly
 from tests.conftest import RATIONAL_SETS, TRIG_SETS
+
+
+# -- an unprepared reference: everything recomputed at every point -------------
+
+
+def term_by_term(p, point):
+    acc = None
+    for exp, coeff in p.terms.items():
+        prod = None
+        for v, e in zip(point, exp):
+            if e:
+                q = v**e
+                prod = q if prod is None else prod * q
+        val = coeff if prod is None else prod * coeff
+        acc = val if acc is None else acc + val
+    return 0 if acc is None else acc
+
+
+def reference_rational(params, p, x, cal):
+    composed = p.substitute(t_varmap())
+    x = [F(v) for v in x]
+    u = [v * v for v in x]
+    grad = grad_log_ground_state_rational(params, x)  # drift -omega x
+    acc = F(0)
+    for k in range(4):
+        qk = term_by_term(composed.derivative(k), u)
+        qkk = term_by_term(composed.derivative(k).derivative(k), u)
+        acc += 2 * qk + 4 * u[k] * qkk
+        g = grad[k] + (1 - cal.drift_sign) * params.omega * x[k]
+        acc += 2 * g * 2 * x[k] * qk
+    return cal.scale * acc + cal.offset * term_by_term(p, variables_rational(x))
+
+
+def reference_trig(params, p, x, cal):
+    ctx = mp_context()
+    beta2 = params.beta2
+    beta = ctx.sqrt(ctx.mpf(beta2.numerator) / beta2.denominator)
+    composed = p.substitute(tau_varmap(beta2))
+    s = [(ctx.sin(beta * v) / beta) ** 2 for v in x]
+    s1 = [ctx.sin(2 * beta * v) / beta for v in x]
+    s2 = [2 * ctx.cos(2 * beta * v) for v in x]
+    grad = grad_log_ground_state_trig(params, x, beta)
+    acc = ctx.mpf(0)
+    for k in range(4):
+        qk = term_by_term(composed.derivative(k), s)
+        qkk = term_by_term(composed.derivative(k).derivative(k), s)
+        acc += qkk * s1[k] ** 2 + qk * s2[k]
+        acc += 2 * grad[k] * qk * s1[k]
+    tau = tau_from_sigma(elem_sym_values(s), beta * beta)
+    return tau, cal.scale * acc + cal.offset * term_by_term(p, tau)
+
+
+def spy_on_comparisons(monkeypatch):
+    """Record (polynomial, point, calibration, algebraic, oracle) per comparison."""
+    seen = []
+    real = oracle._comparisons
+
+    def spy(orc, op, cal, polys, points):
+        for pi, x, lhs, rhs in real(orc, op, cal, polys, points):
+            seen.append((op, polys[pi], x, cal, lhs, rhs))
+            yield pi, x, lhs, rhs
+
+    monkeypatch.setattr(oracle, "_comparisons", spy)
+    return seen
 
 
 class TestCalibration:
@@ -60,6 +136,43 @@ class TestCartesianOracle:
         report = oracle_sweep_rational(rational_params, n_points=20, n_polys=5)
         assert report["passed"]
         assert report["failures"] == []
+
+    def test_singular_point_raises_pole_error(self, rational_params):
+        cal = calibrate_normalization(RATIONAL, rational_params)
+        with pytest.raises(PoleError):
+            cartesian_oracle(
+                RATIONAL, rational_params, MPoly.variable("t", 0), (F(1), F(1), F(2), F(3)), cal
+            )
+
+    def test_trig_point_equals_reference(self, trig_params):
+        cal = calibrate_normalization(TRIG, trig_params)
+        ctx = mp_context()
+        x = [ctx.mpf(v) / 10 for v in (1, 3, 6, 9)]
+        p = MPoly.variable("tau", 0) ** 2 - 3 * MPoly.variable("tau", 3)
+        value = cartesian_oracle(TRIG, trig_params, p, x, cal)
+        assert value._mpf_ == reference_trig(trig_params, p, x, cal)[1]._mpf_
+
+    @pytest.mark.parametrize("params", RATIONAL_SETS, ids=["set0", "set1", "set2"])
+    def test_rational_sweep_values_equal_reference(self, monkeypatch, params):
+        seen = spy_on_comparisons(monkeypatch)
+        heavy = [MPoly.monomial("t", (0, 1, 0, 2))]
+        report = oracle_sweep_rational(
+            params, n_points=5, n_polys=2, seed=3, extra_polys=heavy
+        )
+        assert report["passed"] and len(seen) == 15
+        for op, p, x, cal, lhs, rhs in seen:
+            assert rhs == reference_rational(params, p, x, cal)
+            assert lhs == term_by_term(op.apply(p), variables_rational(x))
+
+    @pytest.mark.parametrize("params", TRIG_SETS, ids=["set0", "set1", "set2"])
+    def test_trig_sweep_values_equal_reference(self, monkeypatch, params):
+        seen = spy_on_comparisons(monkeypatch)
+        report = oracle_sweep_trig(params, n_points=4, n_polys=2, seed=3)
+        assert report["passed"] and len(seen) == 8
+        for op, p, x, cal, lhs, rhs in seen:
+            tau, expected = reference_trig(params, p, x, cal)
+            assert rhs._mpf_ == expected._mpf_
+            assert lhs._mpf_ == term_by_term(op.apply(p), tau)._mpf_
 
     def test_trig_sweep_within_tolerance(self, trig_params):
         report = oracle_sweep_trig(trig_params, n_points=20, n_polys=5)

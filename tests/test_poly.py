@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f4solv.errors import FrameError, MapError
-from f4solv.poly import MPoly, VarMap, build_triangular_map, is_inverse_pair
+from f4solv.poly import (
+    EvalPlan,
+    MPoly,
+    PowerTable,
+    VarMap,
+    build_triangular_map,
+    is_inverse_pair,
+)
 
 T1 = MPoly.variable("t", 0)
 T3 = MPoly.variable("t", 1)
@@ -92,6 +99,47 @@ class TestEval:
 
     def test_zero_eval(self):
         assert MPoly.zero("t").eval_exact((1, 2, 3, 4)) == 0
+
+    @settings(max_examples=60)
+    @given(p=polys(), point=st.tuples(*[fractions(3, 3)] * 4))
+    def test_eval_exact_equals_term_by_term(self, p, point):
+        expected = F(0)
+        for exp, coeff in p.terms.items():
+            term = coeff
+            for v, e in zip(point, exp):
+                term *= v**e
+            expected += term
+        assert p.eval_exact(point) == expected
+        # one table shared with other polynomials gives the same value
+        table = PowerTable(point)
+        EvalPlan(p * p + T6**4)(table)
+        assert EvalPlan(p)(table) == expected
+
+    def test_eval_float_is_the_per_term_formula_bit_for_bit(self):
+        import mpmath
+
+        def per_term(p, point):  # the formula before the power table
+            acc = None
+            for exp, coeff in p.terms.items():
+                prod = None
+                for v, e in zip(point, exp):
+                    if e:
+                        q = v**e
+                        prod = q if prod is None else prod * q
+                val = coeff if prod is None else prod * coeff
+                acc = val if acc is None else acc + val
+            return 0 if acc is None else acc
+
+        ctx = mpmath.mp.clone()
+        ctx.prec = 200
+        point = [ctx.sqrt(v) / 7 for v in (2, 3, 5, 11)]
+        p = (F(3, 7) * T1**3 * T6**5 - F(1, 3) * T3 * T4**7 + F(2, 9)) * (T1 - F(5, 11) * T4**2) ** 3
+        for q in (p, p * T3**2 - F(1, 3), MPoly.constant("t", F(1, 3)) + T6):
+            expected = per_term(q, point)
+            assert q.eval_float(point)._mpf_ == expected._mpf_
+            converted = EvalPlan(q, ctx.convert)(PowerTable(point))
+            assert converted._mpf_ == expected._mpf_
+        assert MPoly.zero("t").eval_float(point) == 0
 
     @settings(max_examples=30)
     @given(a=polys(), b=polys(), point=st.tuples(*[fractions(3, 3)] * 4))
