@@ -393,6 +393,7 @@ def _comparisons(
         image, prep = oracle.plan(op.apply(p)), oracle.poly(p)
         for x, pt in zip(points, prepared):
             yield pi, x, image(pt.inv), oracle.value(prep, pt, cal)
+        del image, prep  # before the next polynomial's plans are built
 
 
 def oracle_sweep_rational(

@@ -338,39 +338,34 @@ class PowerTable:
 class EvalPlan:
     """A polynomial's terms laid out for evaluation at many power tables.
 
-    Each term keeps its exponents, its nonzero ``(slot, exponent)``
-    factors in slot order and its coefficient, passed through ``convert``
-    once (an mpmath context's ``convert`` gives the value that
-    ``mpf * Fraction`` would convert at every point).  A value is each
-    term's monomial, the product of its powers left to right, times the
-    coefficient, with the terms summed in dict order: the operation
-    order of evaluating term by term, so floating-point results are
-    bit-identical to it.
+    Coefficients pass through ``convert`` once (an mpmath context's
+    ``convert`` gives the value that ``mpf * Fraction`` would convert at
+    every point).  A value is each term's monomial, the product of its
+    powers in slot order, times the coefficient, with the terms summed
+    in dict order: the operation order of evaluating term by term, so
+    floating-point results are bit-identical to it.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, poly: MPoly, convert=None):
-        self.terms = [
-            (
-                exp,
-                tuple((s, e) for s, e in enumerate(exp) if e),
-                coeff if convert is None else convert(coeff),
-            )
+        self.terms = tuple(
+            (exp, coeff if convert is None else convert(coeff))
             for exp, coeff in poly.terms.items()
-        ]
+        )
 
     def __call__(self, table: PowerTable):
         point, powers, monomials = table.point, table.powers, table.monomials
         acc = None
-        for exp, factors, coeff in self.terms:
+        for exp, coeff in self.terms:
             prod = monomials.get(exp)
-            if prod is None and factors:
-                for f in factors:
-                    p = powers.get(f)
-                    if p is None:
-                        p = powers[f] = point[f[0]] ** f[1]
-                    prod = p if prod is None else prod * p
+            if prod is None:
+                for s, e in enumerate(exp):
+                    if e:
+                        p = powers.get((s, e))
+                        if p is None:
+                            p = powers[s, e] = point[s] ** e
+                        prod = p if prod is None else prod * p
                 monomials[exp] = prod
             val = coeff if prod is None else prod * coeff
             acc = val if acc is None else acc + val
