@@ -104,7 +104,7 @@ class OraclePoint:
     """
 
     cart: tuple  # the frame variables s_k
-    inv: PowerTable  # the invariants, where P and its image are evaluated
+    inv: tuple  # the invariants, where P and its image are evaluated
     a: list
     b: list
     c: list
@@ -155,7 +155,7 @@ class PreparedOracle:
             flipped = [g + 2 * self.omega * v for g, v in zip(grad, x)]
             return OraclePoint(
                 tuple(v * v for v in x),
-                PowerTable(variables_rational(x)),
+                variables_rational(x),
                 [4 * v * v for v in x],
                 [2] * 4,
                 [2 * v for v in x],
@@ -166,7 +166,7 @@ class PreparedOracle:
         s1 = [ctx.sin(2 * beta * v) / beta for v in xs]
         return OraclePoint(
             tuple(sine_squares(xs, beta)),
-            PowerTable(variables_trig(xs, beta)),
+            variables_trig(xs, beta),
             [v**2 for v in s1],
             [2 * ctx.cos(2 * beta * v) for v in xs],
             s1,
@@ -176,8 +176,8 @@ class PreparedOracle:
     def raw(self, poly: OraclePoly, point: OraclePoint, drift_sign: int = 1):
         """Lap(P o map) + 2 grad(log Psi0) . grad(P o map) at the point."""
         grad = point.grads[drift_sign]
-        # one table per call: its monomials are shared by the eight
-        # derivatives, and are not kept once the value is known
+        # tables live for one call: their monomials are shared by the eight
+        # derivatives, and nothing allocated here outlives the value
         cart = PowerTable(point.cart)
         acc = self.zero
         for k in range(4):
@@ -189,7 +189,7 @@ class PreparedOracle:
 
     def value(self, poly: OraclePoly, point: OraclePoint, cal: Calibration):
         raw = self.raw(poly, point, cal.drift_sign)
-        return cal.scale * raw + cal.offset * poly.p(point.inv)
+        return cal.scale * raw + cal.offset * poly.p(PowerTable(point.inv))
 
 
 def calibrate_normalization(
@@ -222,8 +222,8 @@ def calibrate_normalization(
     offset = offset_poly.constant_value()
 
     image = oracle.plan(op.apply(p1))
-    alg = [image(pt.inv) for pt in points]
-    tvals = [pt.inv.point[0] for pt in points]
+    alg = [image(PowerTable(pt.inv)) for pt in points]
+    tvals = [pt.inv[0] for pt in points]
     prep_one, prep_p1 = oracle.poly(one), oracle.poly(p1)
     for drift_sign in drift_signs:
         raws = [oracle.raw(prep_p1, pt, drift_sign) for pt in points]
@@ -392,7 +392,7 @@ def _comparisons(
     for pi, p in enumerate(polys):
         image, prep = oracle.plan(op.apply(p)), oracle.poly(p)
         for x, pt in zip(points, prepared):
-            yield pi, x, image(pt.inv), oracle.value(prep, pt, cal)
+            yield pi, x, image(PowerTable(pt.inv)), oracle.value(prep, pt, cal)
         del image, prep  # before the next polynomial's plans are built
 
 
