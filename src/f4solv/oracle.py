@@ -122,13 +122,13 @@ class PreparedOracle:
     coefficients are converted to it once per polynomial.
     """
 
-    def __init__(self, model: str, params: ModelParams, ctx=None):
+    def __init__(self, model: str, params: ModelParams):
         self.model, self.params = model, params
         if model == RATIONAL:
             self.omega = params.require_omega()
             self.varmap, self.convert, self.zero = t_varmap(), None, Fraction(0)
         elif model == TRIG:
-            self.ctx = ctx = ctx or mp_context()
+            self.ctx = ctx = mp_context()
             beta2 = params.require_beta2()
             self.beta = ctx.sqrt(ctx.mpf(beta2.numerator) / beta2.denominator)
             self.varmap, self.convert, self.zero = tau_varmap(beta2), ctx.convert, ctx.mpf(0)
