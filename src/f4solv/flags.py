@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .operators import SecondOrderOp, op_matrix
-from .poly import Exp, MPoly, term_order_key, weighted_grade
+from .poly import Exp, term_order_key, weighted_grade
 
 CharVector = tuple[int, int, int, int]
 
@@ -85,15 +85,20 @@ def enumerate_basis(f: Sequence[int], n: int, frame: str = "t") -> GradedBasis:
     return GradedBasis(f, n, tuple(monos), frame)
 
 
-def flag_dimension(f: Sequence[int], n: int) -> int:
-    """dim P_n by weighted-partition counting (no enumeration)."""
+def grade_counts(f: Sequence[int], n: int) -> list[int]:
+    """Number of monomials of each f-grade 0..n (weighted-partition counting)."""
     validate_charvec(f)
     counts = [0] * (n + 1)
     counts[0] = 1
     for w in tuple(f):
         for g in range(w, n + 1):
             counts[g] += counts[g - w]
-    return sum(counts)
+    return counts
+
+
+def flag_dimension(f: Sequence[int], n: int) -> int:
+    """dim P_n by weighted-partition counting (no enumeration)."""
+    return sum(grade_counts(f, n))
 
 
 @dataclass(frozen=True)
@@ -112,25 +117,29 @@ def preserves_flag(op: SecondOrderOp, f: Sequence[int], n: int) -> FlagVerdict:
     image escapes its grade, together with the escaping term.
     """
     f = tuple(int(c) for c in f)
-    basis = enumerate_basis(f, n)
-    for m in basis.monomials:
+    escape = _first_escape(op, enumerate_basis(f, n).monomials, f)
+    if escape is None:
+        return FlagVerdict(True)
+    witness, grade, term_grade = escape
+    return FlagVerdict(False, {**witness, "grade": grade, "term_grade": term_grade})
+
+
+def _first_escape(
+    op: SecondOrderOp, monomials: Iterable[Exp], f: CharVector
+) -> Optional[tuple[dict, int, int]]:
+    """The first image term, in monomial order and then in sorted term order,
+    whose f-grade exceeds its monomial's: (witness, grade, term grade)."""
+    for m in monomials:
         g = weighted_grade(m, f)
-        image = op.apply(MPoly.monomial(op.frame, m))
-        for exp, coeff in sorted(image.terms.items()):
-            if weighted_grade(exp, f) > g:
-                return FlagVerdict(
-                    False,
-                    {
-                        "monomial": list(m),
-                        "offending_term": {
-                            "exponents": list(exp),
-                            "coeff": str(coeff),
-                        },
-                        "grade": g,
-                        "term_grade": weighted_grade(exp, f),
-                    },
-                )
-    return FlagVerdict(True)
+        for exp, coeff in op.image(m):
+            term_grade = weighted_grade(exp, f)
+            if term_grade > g:
+                witness = {
+                    "monomial": list(m),
+                    "offending_term": {"exponents": list(exp), "coeff": str(coeff)},
+                }
+                return witness, g, term_grade
+    return None
 
 
 @dataclass(frozen=True)
@@ -199,47 +208,29 @@ def scan_characteristic_vectors(
 ) -> ScanResult:
     """All vectors with components <= bound whose flag the operator preserves.
 
-    Image terms are cached per monomial across candidate vectors; every
-    candidate's basis is a subset of the unit-weight basis at the same
-    level.
+    Every candidate's basis is a subset of the unit-weight basis at the
+    same level, and the operator's memoized images serve every candidate.
     """
     if bound < 3:
         raise ValueError("bound must be at least 3")
     if n < 4:
         raise ValueError("scan level must be at least 4")
-    union = enumerate_basis((1, 1, 1, 1), n)
-    images: dict[Exp, list[tuple[Exp, Fraction]]] = {}
-    for m in union.monomials:
-        images[m] = sorted(op.apply(MPoly.monomial(op.frame, m)).terms.items())
-
+    union = enumerate_basis((1, 1, 1, 1), n).monomials
     preserved = []
     witnesses = {}
     for a3 in range(1, bound + 1):
         for a4 in range(1, bound + 1):
             for a6 in range(1, bound + 1):
                 f = (1, a3, a4, a6)
-                verdict = _scan_one(images, f, n)
-                if verdict is None:
+                in_flag = (m for m in union if weighted_grade(m, f) <= n)
+                escape = _first_escape(op, in_flag, f)
+                if escape is None:
                     preserved.append(f)
                 else:
-                    witnesses[f] = verdict
+                    witnesses[f] = escape[0]
     preserved.sort()
     minimal = _minimal_antichain(preserved)
     return ScanResult(tuple(preserved), tuple(minimal), witnesses)
-
-
-def _scan_one(images, f: CharVector, n: int) -> Optional[dict]:
-    for m, terms in images.items():
-        g = weighted_grade(m, f)
-        if g > n:
-            continue
-        for exp, coeff in terms:
-            if weighted_grade(exp, f) > g:
-                return {
-                    "monomial": list(m),
-                    "offending_term": {"exponents": list(exp), "coeff": str(coeff)},
-                }
-    return None
 
 
 def _minimal_antichain(vectors: Iterable[CharVector]) -> list[CharVector]:

@@ -39,14 +39,23 @@ class RatMatrix:
         self.data = rows
 
     @classmethod
+    def _of(cls, data: list[list[Fraction]]) -> "RatMatrix":
+        """A matrix on rows that already hold Fractions: no copy, no checks."""
+        out = cls.__new__(cls)
+        out.rows, out.cols, out.data = len(data), len(data[0]) if data else 0, data
+        return out
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
+        zero = Fraction(0)  # shared: Fractions are immutable, writers replace entries
+        return cls._of([[zero] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         m = cls.zero(n, n)
+        one = Fraction(1)
         for i in range(n):
-            m.data[i][i] = Fraction(1)
+            m.data[i][i] = one
         return m
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
@@ -71,8 +80,7 @@ class RatMatrix:
     def minus_scalar_identity(self, lam: Fraction) -> "RatMatrix":
         if self.rows != self.cols:
             raise ValueError("square matrix required")
-        out = RatMatrix.__new__(RatMatrix)  # entries are Fractions already
-        out.rows, out.cols, out.data = self.rows, self.cols, [row[:] for row in self.data]
+        out = RatMatrix._of([row[:] for row in self.data])
         for i in range(self.rows):
             out.data[i][i] = out.data[i][i] - lam
         return out

@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 from .errors import FrameError, MapError
 from .linalg import RatMatrix
-from .poly import SLOT, VAR_IDS, Exp, MPoly, VarMap, is_inverse_pair
+from .poly import SLOT, VAR_IDS, Exp, MPoly, VarMap, is_inverse_pair, merge_terms
 
 #: upper-triangle index pairs in canonical order
 A_PAIRS = tuple((a, b) for i, a in enumerate(VAR_IDS) for b in VAR_IDS[i:])
@@ -27,7 +27,7 @@ A_PAIRS = tuple((a, b) for i, a in enumerate(VAR_IDS) for b in VAR_IDS[i:])
 class SecondOrderOp:
     """Immutable second-order operator with exact polynomial coefficients."""
 
-    __slots__ = ("frame", "a", "b", "c")
+    __slots__ = ("frame", "a", "b", "c", "_images")
 
     def __init__(
         self,
@@ -62,11 +62,12 @@ class SecondOrderOp:
         object.__setattr__(self, "a", a_clean)
         object.__setattr__(self, "b", b_clean)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_images", {})  # monomial -> image terms
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("SecondOrderOp is immutable")
 
-    def __eq__(self, other) -> bool:
+    def __eq__(self, other) -> bool:  # the image memo is not compared
         return (
             isinstance(other, SecondOrderOp)
             and self.frame == other.frame
@@ -86,26 +87,34 @@ class SecondOrderOp:
     # -- application ------------------------------------------------------
 
     def apply(self, p: MPoly) -> MPoly:
-        """Exact image of ``p`` under the operator."""
+        """Exact image of ``p`` under the operator.
+
+        The coefficient products are merged into one term dict in table
+        order: the term order of summing them as polynomials, which the
+        trig oracle's floating-point sums follow.
+        """
         if p.frame != self.frame:
             raise FrameError(f"operator frame {self.frame!r}, polynomial {p.frame!r}")
+        acc: dict[Exp, Fraction] = {}
         first = [p.derivative(s) for s in range(4)]
-        acc = MPoly.zero(self.frame)
         for (i, j), coeff in self.a.items():
             d2 = first[SLOT[i]].derivative(SLOT[j])
-            if d2.is_zero():
-                continue
-            term = coeff * d2
-            if i != j:  # symmetric table entry acts on both derivative orders
-                term = term * 2
-            acc = acc + term
+            if d2.terms:  # a symmetric table entry acts on both derivative orders
+                merge_terms(acc, ((coeff if i == j else coeff * 2) * d2).terms)
         for i, coeff in self.b.items():
-            d1 = first[SLOT[i]]
-            if not d1.is_zero():
-                acc = acc + coeff * d1
-        if not self.c.is_zero():
-            acc = acc + self.c * p
-        return acc
+            merge_terms(acc, (coeff * first[SLOT[i]]).terms)
+        merge_terms(acc, (self.c * p).terms)
+        return MPoly._trusted(self.frame, acc)
+
+    def image(self, m: Exp) -> tuple[tuple[Exp, Fraction], ...]:
+        """Sorted ``(exponent, coefficient)`` terms of the image of monomial
+        ``m``, computed through ``apply`` once per operator and shared."""
+        m = tuple(m)
+        terms = self._images.get(m)
+        if terms is None:
+            image = self.apply(MPoly.monomial(self.frame, m))
+            terms = self._images[m] = tuple(sorted(image.terms.items()))
+        return terms
 
     # -- change of variables -----------------------------------------------
 
@@ -197,8 +206,7 @@ def op_matrix(op: SecondOrderOp, basis) -> MatrixResult:
     closed = True
     witness = None
     for j, m in enumerate(monos):
-        image = op.apply(MPoly.monomial(op.frame, m))
-        for exp, coeff in sorted(image.terms.items()):
+        for exp, coeff in op.image(m):
             i = index.get(exp)
             if i is None:
                 if closed:

@@ -103,6 +103,15 @@ class MPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, frame: str, terms: dict[Exp, Fraction]) -> "MPoly":
+        """Arithmetic results only: ``terms`` is clean and owned, so no checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "frame", frame)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "_hash", None)
+        return out
+
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("MPoly is immutable")
 
@@ -161,18 +170,13 @@ class MPoly:
             other = MPoly.constant(self.frame, other)
         self._check_frame(other)
         out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = out.get(exp, 0) + coeff
-            if acc:
-                out[exp] = acc
-            else:
-                out.pop(exp, None)
-        return MPoly(self.frame, out)
+        merge_terms(out, other.terms)
+        return MPoly._trusted(self.frame, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.frame, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.frame, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["MPoly", Scalar]) -> "MPoly":
         if not isinstance(other, MPoly):
@@ -187,18 +191,16 @@ class MPoly:
             c = Fraction(other)
             if not c:
                 return MPoly.zero(self.frame)
-            return MPoly(self.frame, {e: k * c for e, k in self.terms.items()})
+            return MPoly._trusted(self.frame, {e: k * c for e, k in self.terms.items()})
         self._check_frame(other)
         out: dict[Exp, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-                acc = out.get(exp, 0) + ca * cb
-                if acc:
-                    out[exp] = acc
-                else:
-                    out.pop(exp, None)
-        return MPoly(self.frame, out)
+        for ea, ca in self.terms.items():  # one row's exponents are distinct
+            row = {
+                (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3]): ca * cb
+                for eb, cb in other.terms.items()
+            }
+            merge_terms(out, row)
+        return MPoly._trusted(self.frame, out)
 
     __rmul__ = __mul__
 
@@ -226,7 +228,7 @@ class MPoly:
             new = list(exp)
             new[slot] = e - 1
             out[tuple(new)] = coeff * e
-        return MPoly(self.frame, out)
+        return MPoly._trusted(self.frame, out)
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -317,6 +319,21 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self.frame!r}, {self})"
+
+
+def merge_terms(acc: dict[Exp, Fraction], terms: Mapping[Exp, Fraction]) -> None:
+    """Add clean ``terms`` into ``acc`` in place and in order: a new exponent
+    goes to the end, one whose sum is zero is removed."""
+    for exp, coeff in terms.items():
+        old = acc.get(exp)
+        if old is None:
+            acc[exp] = coeff
+        else:
+            coeff = old + coeff
+            if coeff:
+                acc[exp] = coeff
+            else:
+                del acc[exp]
 
 
 class PowerTable:

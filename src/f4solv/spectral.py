@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import mpmath
 
 from .errors import ClosureError, F4SolvError
-from .flags import GradedBasis, enumerate_basis, preserves_flag
+from .flags import GradedBasis, enumerate_basis, grade_counts, preserves_flag
 from .invariants import DEGREE_WEIGHTS
 from .linalg import RatMatrix, nullspace
 from .models import ModelParams
@@ -63,13 +63,7 @@ def degeneracy_count(n: int) -> int:
     """Number of quantum-number quadruples at weighted level n."""
     if n < 0:
         raise ValueError("level must be non-negative")
-    count = 0
-    _, w3, w4, w6 = DEGREE_WEIGHTS
-    for p6 in range(n // w6 + 1):
-        for p4 in range((n - w6 * p6) // w4 + 1):
-            rem = n - w6 * p6 - w4 * p4
-            count += rem // w3 + 1
-    return count
+    return grade_counts(DEGREE_WEIGHTS, n)[n]
 
 
 @dataclass(frozen=True)
@@ -301,7 +295,7 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
                 {m: c for m, c in zip(basis.monomials, vec) if c},
             )
             residual = op.apply(psi) - psi * lam
-            if not residual.is_zero():  # pragma: no cover - defensive
+            if not residual.is_zero():
                 raise F4SolvError(f"nonzero residual for eigenvalue {lam}")
             label = _leading_label(vec, basis)
             out.append(SpectralLine(label, lam, eigenfunction=psi))

@@ -83,6 +83,16 @@ def test_identity_solve_returns_rhs():
     assert solve(m, rhs) == rhs
 
 
+def test_zero_and_identity_rows_are_independent():
+    z = RatMatrix.zero(3, 2)
+    assert (z.rows, z.cols) == (3, 2)
+    assert z == RatMatrix([[0, 0]] * 3)
+    z.data[0][1] = F(5)
+    assert z.column(1) == [5, 0, 0]
+    assert RatMatrix.identity(3) == RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert all(type(v) is F for row in RatMatrix.identity(3).data for v in row)
+
+
 def test_zero_matrix_nullspace_is_full():
     basis = nullspace(RatMatrix.zero(3, 3))
     assert len(basis) == 3

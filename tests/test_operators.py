@@ -8,7 +8,7 @@ from f4solv.errors import FrameError, MapError
 from f4solv.flags import enumerate_basis
 from f4solv.models import ambiguity_map
 from f4solv.operators import SecondOrderOp, op_matrix
-from f4solv.poly import MPoly, VarMap
+from f4solv.poly import SLOT, MPoly, VarMap
 
 T1 = MPoly.variable("t", 0)
 T3 = MPoly.variable("t", 1)
@@ -22,12 +22,45 @@ def fractions():
     )
 
 
-def polys():
+def polys(frame="t", max_size=4):
     return st.dictionaries(
         st.tuples(*[st.integers(min_value=0, max_value=2)] * 4),
         fractions(),
-        max_size=4,
-    ).map(lambda terms: MPoly("t", terms))
+        max_size=max_size,
+    ).map(lambda terms: MPoly(frame, terms))
+
+
+def reference_apply(op, p):
+    """The operator action summed as whole polynomials, product by product:
+    the former ``apply``, kept as the reference for the term order."""
+    first = [p.derivative(s) for s in range(4)]
+    acc = MPoly.zero(op.frame)
+    for (i, j), coeff in op.a.items():
+        d2 = first[SLOT[i]].derivative(SLOT[j])
+        if d2.is_zero():
+            continue
+        term = coeff * d2
+        if i != j:
+            term = term * 2
+        acc = acc + term
+    for i, coeff in op.b.items():
+        d1 = first[SLOT[i]]
+        if not d1.is_zero():
+            acc = acc + coeff * d1
+    if not op.c.is_zero():
+        acc = acc + op.c * p
+    return acc
+
+
+@pytest.fixture(scope="module")
+def moved_op(rational_op):
+    fwd, inv = ambiguity_map(a=F(1, 2), b2=F(-1), c3=F(2, 3))
+    return rational_op.change_variables(fwd, inv)
+
+
+@pytest.fixture(scope="module")
+def frame_ops(rational_op, trig_op, rho_op, moved_op):
+    return {"rational": rational_op, "trig": trig_op, "rho": rho_op, "moved": moved_op}
 
 
 class TestApply:
@@ -55,12 +88,75 @@ class TestApply:
         op_diag = SecondOrderOp("t", {(1, 1): MPoly.one("t")}, {})
         assert op_diag.apply(T1**2) == MPoly.constant("t", 2)
 
+    @settings(max_examples=60)
+    @given(
+        name=st.sampled_from(["rational", "trig", "rho", "moved"]),
+        terms=st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * 4),
+            st.integers(min_value=-2, max_value=2).filter(bool),
+            max_size=8,
+        ),
+    )
+    def test_term_order_is_the_reference_order(self, frame_ops, name, terms):
+        # the trig oracle sums image terms in dict order, so the order is pinned
+        op = frame_ops[name]
+        p = MPoly(op.frame, terms)
+        got, want = op.apply(p), reference_apply(op, p)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+
+    def test_term_order_after_a_cancelled_partial_sum(self):
+        # b1 leaves -t1 in the sum; the c product's first t1 contribution
+        # cancels it, its second one brings it back: t1 keeps its place
+        op = SecondOrderOp("t", {}, {1: -T1}, 1 + T1)
+        p = T1 + 1 + T3
+        got = op.apply(p)
+        assert list(got.terms) == list(reference_apply(op, p).terms)
+        assert list(got.terms) == [
+            (1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0)
+        ]
+
     @settings(max_examples=25)
     @given(p=polys(), q=polys(), a=fractions(), b=fractions())
     def test_linearity(self, rational_op, p, q, a, b):
         lhs = rational_op.apply(a * p + b * q)
         rhs = a * rational_op.apply(p) + b * rational_op.apply(q)
         assert lhs == rhs
+
+
+class TestImage:
+    @settings(max_examples=60)
+    @given(
+        name=st.sampled_from(["rational", "trig", "rho", "moved"]),
+        m=st.tuples(*[st.integers(min_value=0, max_value=4)] * 4),
+    )
+    def test_image_is_the_sorted_apply(self, frame_ops, name, m):
+        op = frame_ops[name]
+        image = op.image(m)
+        assert image == tuple(sorted(op.apply(MPoly.monomial(op.frame, m)).terms.items()))
+        assert op.image(m) is image
+        assert op.image(list(m)) is image
+
+    def test_image_is_computed_once(self, monkeypatch):
+        op = SecondOrderOp("t", {(1, 1): T1}, {3: T1 * T3}, MPoly.constant("t", 2))
+        calls = []
+        apply = SecondOrderOp.apply
+
+        def counted(self, p):
+            calls.append(p)
+            return apply(self, p)
+
+        monkeypatch.setattr(SecondOrderOp, "apply", counted)
+        basis = enumerate_basis((1, 2, 2, 3), 4)
+        first = op_matrix(op, basis)
+        assert op_matrix(op, basis) == first
+        assert len(calls) == len(basis)
+
+    def test_equality_ignores_the_memo(self, rational_op, moved_op):
+        fwd, inv = ambiguity_map(a=F(1, 2), b2=F(-1), c3=F(2, 3))
+        fresh = rational_op.change_variables(fwd, inv)
+        moved_op.image((1, 1, 0, 0))
+        assert fresh == moved_op
 
 
 class TestMatrix:

@@ -71,6 +71,42 @@ class TestArithmetic:
         assert a * (b + c) == a * b + a * c
 
 
+def assert_clean(p):
+    # the invariants MPoly.__init__ establishes, also for unchecked results
+    for exp, coeff in p.terms.items():
+        assert type(coeff) is F and coeff != 0
+        assert type(exp) is tuple and len(exp) == 4
+        assert all(type(e) is int and e >= 0 for e in exp)
+    assert p == MPoly(p.frame, p.terms)
+
+
+class TestTrustedResults:
+    @settings(max_examples=60)
+    @given(a=polys(), b=polys(), k=fractions(), n=st.integers(-3, 3))
+    def test_results_keep_the_invariants(self, a, b, k, n):
+        results = [a + b, a - b, -a, a * b, a * k, k * a, a * n, a + n, n - a, a**2]
+        results += [a.derivative(s) for s in range(4)]
+        for r in results:
+            assert_clean(r)
+        assert_clean(a - a)
+        assert (a - a).is_zero() and not (a - a).terms
+
+    @settings(max_examples=40)
+    @given(a=polys(), b=polys(), k=fractions())
+    def test_identities_and_inverses(self, a, b, k):
+        zero, one = MPoly.zero("t"), MPoly.one("t")
+        assert a + zero == a and a * one == a and (a * zero).is_zero()
+        assert a + (-a) == zero and a - b == -(b - a)
+        assert (a + b) * k == a * k + b * k
+        assert (a * b).derivative(0) == a.derivative(0) * b + a * b.derivative(0)
+
+    def test_results_are_independent_of_their_operands(self):
+        a = T1 + T3
+        total = a + MPoly.zero("t")
+        assert total.terms is not a.terms
+        assert (a * 1).terms is not a.terms
+
+
 class TestCalculus:
     def test_derivative_power_rule(self):
         assert (T1**2 * T3).derivative(0) == 2 * T1 * T3

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from f4solv import linalg, spectral
-from f4solv.errors import ClosureError
+from f4solv.errors import ClosureError, F4SolvError
 from f4solv.flags import flag_dimension
 from f4solv.linalg import RatMatrix
 from f4solv.models import (
@@ -93,6 +93,10 @@ class TestDegeneracy:
     @pytest.mark.parametrize("n", range(12))
     def test_against_brute_force(self, n):
         assert degeneracy_count(n) == brute_force_degeneracy(n)
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError):
+            degeneracy_count(-1)
 
 
 class TestSpectrum:
@@ -216,6 +220,14 @@ class TestEigenfunctions:
         for line in report.lines:
             residual = rho_op.apply(line.eigenfunction) - line.eigenvalue * line.eigenfunction
             assert residual.is_zero()
+
+    def test_wrong_eigenvector_fails_the_residual_certificate(self, rational_op, monkeypatch):
+        def wrong(mat, lam, multiplicity):
+            return [[F(1)] * mat.rows], None  # not an eigenvector
+
+        monkeypatch.setattr(spectral, "_eigenspace", wrong)
+        with pytest.raises(F4SolvError, match="nonzero residual"):
+            eigenfunctions(rational_op, MINIMAL, 2)
 
     def test_tau_frame_goes_through_elimination(self, trig_op, monkeypatch):
         calls = []
