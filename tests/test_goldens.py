@@ -1,0 +1,69 @@
+"""Stdout goldens: exact bytes of cheap CLI runs, pinned by sha256.
+
+A refactor that keeps behaviour keeps these digests.  The periodic
+oracle at a non-dyadic beta (beta^2 = 1/8, 3/7) is included because
+there multiplying by beta rounds, so its worst relative error changes
+with the association of the gradient's terms; the pool parameter sets
+all have dyadic beta and cannot see that.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from f4solv.cli import main
+
+TRIG = ("--nu", "1/3", "--mu", "1/8", "--beta2", "1/4")
+
+GOLDENS = [
+    (("spectrum", "--model", "rational", "--level", "4"),
+     "59f97fe53b7eee8da51b9941a79a6ccba8abfb31dd34e6264204528b4458c470"),
+    (("spectrum", "--model", "trig", "--frame", "rho", *TRIG, "--level", "4"),
+     "1c9bfa80153b65d9251b5bd0bd305132283b3eeb2aa64d1f63b036d0efc83031"),
+    (("spectrum", "--model", "trig", "--frame", "native", *TRIG, "--level", "4"),
+     "a5885383cecfae2a9b519784a17a07434333d056d768516a4aeda4e5ee335d63"),
+    (("eigenfunctions", "--model", "rational", "--level", "3"),
+     "00c433559c1105f121a674b588b5e8675876301d7a17458aa79d9c69d0642191"),
+    (("verify", "--suite", "triangular", "--model", "trig", "--frame", "native", *TRIG),
+     "ea83f95d1eea4ca17c2ce566456cd616c776976d2b1565394622e7e0ad7264b8"),
+    (("verify", "--suite", "triangular", "--model", "rational"),
+     "91b484985593b308bdaba40dc82a4a2330fb8d96e3c180440a5d671f7ace6763"),
+    (("verify", "--suite", "limit"),
+     "30b8fb5cba29c0c7570417307ca2cb8c3bbd5a2ecbf4f16fcfda558810764385"),
+    (("verify", "--suite", "oracle", "--model", "rational", "--points", "5"),
+     "60890517034fc28e9e7352a14473643fa0cfd630068c243bb30b192f43c43713"),
+    (("verify", "--suite", "oracle", "--model", "trig", *TRIG, "--points", "5"),
+     "b0e2ec25b736ca7a472992839f228c5e99b12b03df6d593a54386118c2caf2d6"),
+    (("scan-flags", "--ambiguity-search", "--model", "rational"),
+     "36a6f8cb5d379c66363c03a053bcf170265877e6e2aae0d5684f5cdcdfa8ed01"),
+    (("verify", "--suite", "scan"),
+     "291d0a179accfc8ba0950189f51ca416f457a9504af508ff716d43816ef7a372"),
+    (("verify", "--suite", "oracle", "--model", "trig", "--nu", "2", "--mu", "3", "--beta2", "3/7"),
+     "1b3709fc00a3f574213520db2dc9bc86131c97c44ccf64c0a1ce198eb6492f04"),
+]
+
+
+def run(capsys, monkeypatch, argv):
+    monkeypatch.delenv("F4SOLV_PRECISION", raising=False)
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,digest", GOLDENS, ids=[" ".join(a) for a, _ in GOLDENS])
+def test_stdout_digest(capsys, monkeypatch, argv, digest):
+    code, out = run(capsys, monkeypatch, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_trig_oracle_worst_error_at_non_dyadic_beta(capsys, monkeypatch):
+    # each gradient term is ((g alpha_k) beta) cot(beta alpha.x); the other
+    # association, g alpha_k (beta cot), reads 4.2815149e-59 here
+    argv = ("verify", "--suite", "oracle", "--model", "trig",
+            "--nu", "1/3", "--mu", "1/8", "--beta2", "1/8")
+    code, out = run(capsys, monkeypatch, argv)
+    assert code == 0
+    assert '"worst_rel_error": "4.3654662e-59"' in out
+    sweep = json.loads(out)["sweep"]
+    assert (sweep["points"], sweep["polynomials"]) == (20, 5)
