@@ -117,6 +117,8 @@ def load_params(args) -> ModelParams:
 
         with open(args.params) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict) or not {"nu", "mu"} <= data.keys():
+            raise UsageError("--params expects a JSON object with at least nu and mu")
         model = data.get("model", model)
         nu = parse_fraction(data["nu"])
         mu = parse_fraction(data["mu"])
@@ -171,35 +173,14 @@ def emit(args, text: str) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    from .spectral import attach_closed_form, fit_energy_affine, spectrum_from_matrix
+    from .spectral import compare_closed_form, spectrum_from_matrix
 
     params = load_params(args)
     f = parse_flag_request(args)
     op = build_operator(args, params)
     spectrum = spectrum_from_matrix(op, f, args.level)
-    lines = attach_closed_form(spectrum.lines, args.model, params)
-
-    if spectrum.strict:
-        fit = fit_energy_affine(lines)
-    else:
-        # block mode has no per-line labels: compare spectra as multisets
-        from .spectral import (
-            closed_form_energy_rational,
-            closed_form_energy_trig,
-            match_energy_multisets,
-        )
-
-        energy = (
-            closed_form_energy_rational
-            if args.model == RATIONAL
-            else closed_form_energy_trig
-        )
-        fit = match_energy_multisets(
-            [l.eigenvalue for l in lines],
-            [energy(m, params) for m in spectrum.basis.monomials],
-        )
-    ok = fit.exact
-    scale, offset = fit.scale, fit.offset
+    lines, fit = compare_closed_form(spectrum, args.model, params)
+    ok, scale, offset = fit.exact, fit.scale, fit.offset
 
     if args.format == "csv":
         emit(args, spectrum_csv(lines, scale, offset))
@@ -284,11 +265,7 @@ def cmd_scan_flags(args) -> int:
     from .flags import ambiguity_search, scan_characteristic_vectors
 
     params = load_params(args)
-    op = (
-        build_rational_operator(params)
-        if args.model == RATIONAL
-        else build_trig_operator(params)
-    )
+    op = build_operator(args, params)
     scan = scan_characteristic_vectors(op, args.bound, args.level)
     payload = scan.to_json()
     if args.ambiguity_search:

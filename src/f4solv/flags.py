@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Optional, Sequence
 
+from .linalg import RatMatrix
 from .operators import SecondOrderOp, op_matrix
 from .poly import Exp, term_order_key, weighted_grade
 
@@ -153,38 +155,44 @@ class TriangularVerdict:
         return self.strict
 
 
+def flag_matrix(
+    op: SecondOrderOp, f: Sequence[int], n: int
+) -> tuple[FlagVerdict, Optional[GradedBasis], Optional[RatMatrix]]:
+    """The closure verdict, then the frame basis of P_n and the operator's
+    matrix on it (both None when the flag is not preserved)."""
+    flag = preserves_flag(op, f, n)
+    if not flag:
+        return flag, None, None
+    basis = enumerate_basis(f, n, op.frame)
+    return flag, basis, op_matrix(op, basis).matrix
+
+
 def is_triangular(op: SecondOrderOp, f: Sequence[int], n: int) -> TriangularVerdict:
     """Strict upper-triangularity of the operator matrix in canonical order.
 
     Requires flag preservation first; without it the verdict is
-    vacuously false and the violation carries the closure witness.
-    Block triangularity (never increasing the grade) is reported
-    separately: a strict verdict needs every below-diagonal entry to
-    vanish, a block verdict only those that cross into a higher grade.
+    vacuously false and the violation carries the closure witness.  A
+    preserved flag never lets an entry raise the grade, so the matrix is
+    then block triangular, and ``block`` equals ``preserved``.
     """
-    f = tuple(int(c) for c in f)
-    flag = preserves_flag(op, f, n)
+    flag, basis, mat = flag_matrix(op, f, n)
     if not flag:
         return TriangularVerdict(False, False, False, flag.witness)
-    basis = enumerate_basis(f, n, op.frame)
-    result = op_matrix(op, basis)
-    mat = result.matrix
-    grades = basis.grades()
-    violation = None
-    block = True
-    for j, m in enumerate(basis.monomials):
-        for i in range(j + 1, len(basis.monomials)):
-            value = mat.data[i][j]
-            if value:
-                if grades[i] > grades[j]:
-                    block = False
-                if violation is None:
-                    violation = {
-                        "row_monomial": list(basis.monomials[i]),
-                        "col_monomial": list(m),
-                        "value": str(value),
-                    }
-    return TriangularVerdict(violation is None, block, True, violation)
+    monos = basis.monomials
+    violation = next(
+        (
+            {
+                "row_monomial": list(monos[i]),
+                "col_monomial": list(monos[j]),
+                "value": str(mat.data[i][j]),
+            }
+            for j in range(len(monos))
+            for i in range(j + 1, len(monos))
+            if mat.data[i][j]
+        ),
+        None,
+    )
+    return TriangularVerdict(violation is None, True, True, violation)
 
 
 @dataclass(frozen=True)
@@ -258,6 +266,19 @@ def _grid_values(height: int) -> list[Fraction]:
     return sorted(values, key=lambda v: (max(abs(v.numerator), v.denominator), v < 0, abs(v)))
 
 
+def _redefinitions(single_height: int, pair_height: int) -> Iterator[tuple[Fraction, ...]]:
+    """The search grid: every single-parameter shear, then parameter pairs."""
+    singles = _grid_values(single_height)
+    for slot in range(7):
+        for v in singles:
+            yield tuple(v if k == slot else Fraction(0) for k in range(7))
+    pair_vals = _grid_values(pair_height)
+    for i, j in combinations(range(7), 2):
+        for vi in pair_vals:
+            for vj in pair_vals:
+                yield tuple(vi if k == i else vj if k == j else Fraction(0) for k in range(7))
+
+
 @dataclass(frozen=True)
 class AmbiguityFinding:
     parameters: tuple[Fraction, ...]  # (a, b1, b2, c1, c2, c3, c4)
@@ -293,50 +314,14 @@ def ambiguity_search(
     targets = set(KNOWN_CHARACTERISTIC_VECTORS) - {(1, 2, 2, 3)}
     findings: list[AmbiguityFinding] = []
     tried = 0
-
-    def attempt(values: tuple[Fraction, ...]) -> bool:
-        nonlocal tried
+    for values in _redefinitions(single_height, pair_height):
         tried += 1
         fwd, inv = ambiguity_map(*values)
-        moved = op.change_variables(fwd, inv)
-        scan = scan_characteristic_vectors(moved, bound, n)
+        scan = scan_characteristic_vectors(op.change_variables(fwd, inv), bound, n)
         hits = tuple(f for f in scan.preserved if f in targets)
         if hits:
             findings.append(AmbiguityFinding(values, hits))
-            return True
-        return False
-
-    singles = _grid_values(single_height)
-    done = False
-    for slot in range(7):
-        for v in singles:
-            values = tuple(
-                v if k == slot else Fraction(0) for k in range(7)
-            )
-            if attempt(values) and stop_at_first:
-                done = True
-                break
-        if done:
-            break
-
-    if not done:
-        pair_vals = _grid_values(pair_height)
-        for i in range(7):
-            for j in range(i + 1, 7):
-                for vi in pair_vals:
-                    for vj in pair_vals:
-                        values = tuple(
-                            vi if k == i else vj if k == j else Fraction(0)
-                            for k in range(7)
-                        )
-                        if attempt(values) and stop_at_first:
-                            done = True
-                            break
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
+            if stop_at_first:
                 break
 
     return {

@@ -2,9 +2,21 @@
 
 Only the gradient of log Psi0 enters the gauge-rotated operators, so the
 ground states themselves are never evaluated at non-rational powers.
-The rational-model gradient is a sum of simple poles plus the Gaussian
-drift and is computed exactly; the periodic-model gradient is a sum of
-cotangents evaluated in high-precision floating point (mpmath).
+Both ground states are products over the 24 positive roots of F4
+(``invariants.POSITIVE_ROOTS``), so component k of either gradient is
+
+    sum over the roots alpha of  g_alpha alpha_k pole(alpha . x)
+
+with one pole per root and point: 1/y for the rational model (exact,
+plus the Gaussian drift -omega x_k) and beta cot(beta y) for the
+periodic model (mpmath).  The periodic sum is reproducible bit for bit
+because it keeps one floating-point order:
+
+* each term is ((g alpha_k) beta) cot(beta (alpha . x)), in that
+  order of association;
+* component k adds its partners x_k +- x_i by i (+ before -), then its
+  short root, then the half-sums in ``HALF_SUM_SIGNS`` order, which is
+  the order of the root table.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from typing import Sequence
 import mpmath
 
 from .errors import PoleError
-from .invariants import HALF_SUM_SIGNS, singular_factors
+from .invariants import HALF_SUM_SIGNS, POSITIVE_ROOTS, singular_factors
 from .models import ModelParams
 
 DEFAULT_PRECISION_BITS = 200
@@ -38,10 +50,26 @@ def mp_context() -> mpmath.MPContext:
     return ctx
 
 
-def check_nonsingular(x: Sequence[Fraction]) -> None:
-    for name, value in singular_factors(x):
+def check_nonsingular(x: Sequence[Fraction]) -> list:
+    """The values alpha . x of the positive roots; PoleError names a zero."""
+    factors = singular_factors(x)
+    for name, value in factors:
         if value == 0:
             raise PoleError(name, tuple(x))
+    return [value for _, value in factors]
+
+
+def _pole_sum(params: ModelParams, poles: Sequence, beta, zero) -> list:
+    """Component k: the sum over the positive roots of ((g alpha_k) beta) pole,
+    with one pole per root in table order (beta = 1 for the rational model)."""
+    grad = []
+    for k in range(4):
+        acc = zero
+        for (coupling, alpha, _), pole in zip(POSITIVE_ROOTS, poles):
+            if alpha[k]:
+                acc += getattr(params, coupling) * alpha[k] * beta * pole
+        grad.append(acc)
+    return grad
 
 
 def grad_log_ground_state_rational(
@@ -49,63 +77,35 @@ def grad_log_ground_state_rational(
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact gradient of log Psi0 for the rational model.
 
-    Component k collects nu-weighted poles on x_k +- x_i, mu-weighted
-    poles on x_k and on the eight half-sum hyperplanes, minus the
-    Gaussian term omega x_k.
+    Component k collects the simple poles g alpha_k / (alpha . x) of the
+    positive roots, minus the Gaussian term omega x_k.
     """
     x = [Fraction(v) for v in x]
-    check_nonsingular(x)
-    nu, mu, omega = params.nu, params.mu, params.require_omega()
-    half_sums = [sum(s * v for s, v in zip(signs, x)) for signs in HALF_SUM_SIGNS]
-    grad = []
-    for k in range(4):
-        acc = Fraction(0)
-        for i in range(4):
-            if i != k:
-                acc += nu * (1 / (x[k] + x[i]) + 1 / (x[k] - x[i]))
-        acc += mu / x[k]
-        for signs, h in zip(HALF_SUM_SIGNS, half_sums):
-            acc += mu * signs[k] / h
-        acc -= omega * x[k]
-        grad.append(acc)
-    return tuple(grad)
+    poles = [1 / v for v in check_nonsingular(x)]
+    omega = params.require_omega()
+    grad = _pole_sum(params, poles, 1, Fraction(0))
+    return tuple(g - omega * v for g, v in zip(grad, x))
 
 
 def grad_log_ground_state_trig(params: ModelParams, x: Sequence, beta, ctx=None) -> list:
     """Gradient of log Psi0 for the periodic model, as mpmath numbers.
 
-    Component k collects nu beta cot(beta (x_k +- x_i)), 2 mu beta
-    cot(2 beta x_k), and mu beta cot of the eight half-sum arguments.
-    The values belong to ``ctx`` (by default a fresh working-precision
-    context).
+    Component k collects g alpha_k beta cot(beta alpha . x) over the
+    positive roots; each root's cotangent is evaluated once.  The values
+    belong to ``ctx`` (by default a fresh working-precision context).
     """
     ctx = ctx or mp_context()
     beta = ctx.convert(beta)
     xs = [ctx.convert(v) for v in x]
-    nu, mu = params.nu, params.mu
     tiny = ctx.mpf(2) ** (-(ctx.prec // 2))
-
-    def cot(arg, factor_name):
+    cots = []
+    for name, value in singular_factors(xs):
+        arg = beta * value
         s = ctx.sin(arg)
         if abs(s) < tiny:
-            raise PoleError(factor_name, tuple(float(v) for v in xs))
-        return ctx.cos(arg) / s
-
-    half_args = [
-        beta * sum(s * v for s, v in zip(signs, xs)) for signs in HALF_SUM_SIGNS
-    ]
-    grad = []
-    for k in range(4):
-        acc = ctx.mpf(0)
-        for i in range(4):
-            if i != k:
-                acc += nu * beta * cot(beta * (xs[k] + xs[i]), f"x{k + 1}+x{i + 1}")
-                acc += nu * beta * cot(beta * (xs[k] - xs[i]), f"x{k + 1}-x{i + 1}")
-        acc += 2 * mu * beta * cot(2 * beta * xs[k], f"x{k + 1}")
-        for signs, arg in zip(HALF_SUM_SIGNS, half_args):
-            acc += mu * signs[k] * beta * cot(arg, "half-sum")
-        grad.append(acc)
-    return grad
+            raise PoleError(name, tuple(float(v) for v in xs))
+        cots.append(ctx.cos(arg) / s)
+    return _pole_sum(params, cots, beta, ctx.mpf(0))
 
 
 def log_abs_ground_state_rational(params: ModelParams, x: Sequence, ctx=None):

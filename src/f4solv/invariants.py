@@ -59,26 +59,16 @@ def t_from_sigma(sig: Sequence):
 
 
 def tau_from_sigma(sig: Sequence, beta2):
-    """Invariant variables of the periodic model from symmetric functions.
-
-    At ``beta2 = 0`` this reduces term by term to ``t_from_sigma``.
-    """
+    """Invariant variables of the periodic model from symmetric functions:
+    ``t_from_sigma`` plus the explicit beta^2 terms of tau1 and tau3."""
     s1, s2, s3, s4 = sig
-    tau1 = s1 - Fraction(2, 3) * beta2 * s2
-    tau3 = (
-        s3
-        - Fraction(1, 6) * s1 * s2
-        - 2 * beta2 * (s4 - Fraction(1, 36) * s2 * s2)
-    )
-    tau4 = s4 - Fraction(1, 4) * s1 * s3 + Fraction(1, 12) * s2 * s2
-    tau6 = (
-        s4 * s2
-        - Fraction(1, 36) * s2 * s2 * s2
-        - Fraction(3, 8) * s3 * s3
-        + Fraction(1, 8) * s1 * s2 * s3
-        - Fraction(3, 8) * s1 * s1 * s4
-    )
-    return [tau1, tau3, tau4, tau6]
+    t1, t3, t4, t6 = t_from_sigma(sig)
+    return [
+        t1 - Fraction(2, 3) * beta2 * s2,
+        t3 - 2 * beta2 * (s4 - Fraction(1, 36) * s2 * s2),
+        t4,
+        t6,
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -154,25 +144,33 @@ def variables_trig(x: Sequence, beta) -> tuple:
 HALF_SUM_SIGNS = tuple((1,) + signs for signs in product((1, -1), repeat=3))
 
 
-def half_sum_values(x: Sequence) -> list:
-    return [sum(s * v for s, v in zip(signs, x)) for signs in HALF_SUM_SIGNS]
+def _root(coupling: str, alpha: tuple) -> tuple[str, tuple, str]:
+    name = "".join(("+" if a > 0 else "-") + f"x{k + 1}" for k, a in enumerate(alpha) if a)
+    return coupling, alpha, name.lstrip("+")
+
+
+#: the 24 positive roots of the ground-state product as (coupling, alpha,
+#: factor name): e_i +- e_j weighted by nu, 2 e_k and the eight half-sums
+#: weighted by mu.  Component k of a gradient sums its roots in table
+#: order: partners x_k +- x_i by i (+ before -), its short root, then the
+#: half-sums in ``HALF_SUM_SIGNS`` order.
+POSITIVE_ROOTS = (
+    tuple(
+        _root("nu", tuple(1 if m == i else s if m == j else 0 for m in range(4)))
+        for i, j in combinations(range(4), 2)
+        for s in (1, -1)
+    )
+    + tuple(_root("mu", tuple(2 * (m == k) for m in range(4))) for k in range(4))
+    + tuple(_root("mu", signs) for signs in HALF_SUM_SIGNS)
+)
 
 
 def singular_factors(x: Sequence) -> list[tuple[str, object]]:
-    """All ground-state factor values whose zeros bound the configuration space."""
-    out = []
-    for i in range(4):
-        out.append((f"x{i + 1}", x[i]))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            out.append((f"x{i + 1}-x{j + 1}", x[i] - x[j]))
-            out.append((f"x{i + 1}+x{j + 1}", x[i] + x[j]))
-    for signs, value in zip(HALF_SUM_SIGNS, half_sum_values(x)):
-        name = "x1" + "".join(
-            ("+" if s > 0 else "-") + f"x{k + 2}" for k, s in enumerate(signs[1:])
-        )
-        out.append((name, value))
-    return out
+    """(factor name, alpha . x) for every positive root, in table order."""
+    return [
+        (name, sum(a * x[k] for k, a in enumerate(alpha) if a))
+        for _, alpha, name in POSITIVE_ROOTS
+    ]
 
 
 def is_singular_point(x: Sequence[Fraction]) -> bool:

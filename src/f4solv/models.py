@@ -21,7 +21,7 @@ only; the algebraic operators are well defined beyond them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -64,6 +64,10 @@ class ModelParams:
         if self.omega is None:
             raise ValueError("rational model needs omega")
         return self.omega
+
+    def with_omega(self) -> "ModelParams":
+        """These couplings for a rational-model check: omega defaults to 1."""
+        return self if self.omega is not None else replace(self, omega=Fraction(1))
 
     def require_beta2(self) -> Fraction:
         if self.beta2 is None:

@@ -30,7 +30,7 @@ check on it (``f4solv verify --suite a66``), not part of the build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -39,12 +39,13 @@ from .flags import enumerate_basis
 from .gauge import grad_log_ground_state_rational, grad_log_ground_state_trig, mp_context
 from .invariants import (
     DEGREE_WEIGHTS,
+    elem_sym_values,
     sine_squares,
     t_polys,
+    tau_from_sigma,
     t_varmap,
     tau_varmap,
     variables_rational,
-    variables_trig,
 )
 from .linalg import RatMatrix, solve_with_rank
 from .models import (
@@ -130,6 +131,8 @@ class PreparedOracle:
         elif model == TRIG:
             self.ctx = ctx = mp_context()
             beta2 = params.require_beta2()
+            if beta2 == 0:  # the harmonic limit has no period to sample
+                raise ValueError("the periodic oracle needs beta2 != 0")
             self.beta = ctx.sqrt(ctx.mpf(beta2.numerator) / beta2.denominator)
             self.varmap, self.convert, self.zero = tau_varmap(beta2), ctx.convert, ctx.mpf(0)
         else:
@@ -164,9 +167,10 @@ class PreparedOracle:
         ctx, beta = self.ctx, self.beta
         xs = [ctx.convert(v) for v in x]
         s1 = [ctx.sin(2 * beta * v) / beta for v in xs]
+        cart = tuple(sine_squares(xs, beta))
         return OraclePoint(
-            tuple(sine_squares(xs, beta)),
-            variables_trig(xs, beta),
+            cart,
+            tuple(tau_from_sigma(elem_sym_values(cart), beta * beta)),
             [v**2 for v in s1],
             [2 * ctx.cos(2 * beta * v) for v in xs],
             s1,
@@ -332,8 +336,7 @@ def derive_missing_a66(params: ModelParams, seed: int = 0) -> MPoly:
     Neither route reads the tabulated (6,6) entry, so the result can be
     checked against it.
     """
-    rat_params = params if params.omega is not None else replace(params, omega=Fraction(1))
-    cal = calibrate_normalization(RATIONAL, rat_params, seed)
+    cal = calibrate_normalization(RATIONAL, params.with_omega(), seed)
 
     t6_u = t_polys()[3]
     grads = [t6_u.derivative(k) for k in range(4)]
@@ -396,6 +399,11 @@ def _comparisons(
         del image, prep  # before the next polynomial's plans are built
 
 
+def _require_points(n_points: int) -> None:
+    if n_points < 1:  # a sweep without points would pass vacuously
+        raise ValueError(f"an oracle sweep needs at least one point, not {n_points}")
+
+
 def oracle_sweep_rational(
     params: ModelParams,
     n_points: int = 20,
@@ -409,6 +417,7 @@ def oracle_sweep_rational(
     Returns a JSON-ready report; ``passed`` is true only if every single
     comparison is an exact equality.
     """
+    _require_points(n_points)
     op = build_rational_operator(params)
     cal = calibrate_normalization(RATIONAL, params, seed)
     basis = enumerate_basis((1, 2, 2, 3), level)
@@ -454,6 +463,7 @@ def oracle_sweep_trig(
 
     Relative error must stay below ``rel_tol`` at every point.
     """
+    _require_points(n_points)
     op = build_trig_operator(params)
     cal = calibrate_normalization(TRIG, params, seed)
     oracle = PreparedOracle(TRIG, params)

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .invariants import is_singular_point, variables_rational
+from .invariants import elem_sym_values, is_singular_point, t_polys, tau_from_sigma, variables_rational
 from .poly import MPoly
 
 
@@ -69,16 +69,10 @@ def limit_deviation_linear(x) -> list[Fraction]:
     the combination formulas plus the first sine-series correction of
     each squared coordinate.
     """
-    from .invariants import elem_sym_values, t_polys
-
     u = [Fraction(v) ** 2 for v in x]
-    s1, s2, s3, s4 = elem_sym_values(u)
-    explicit = [
-        -Fraction(2, 3) * s2,
-        -2 * (s4 - Fraction(1, 36) * s2 * s2),
-        Fraction(0),
-        Fraction(0),
-    ]
+    sig = elem_sym_values(u)
+    # the combination formulas are linear in beta^2
+    explicit = [a - b for a, b in zip(tau_from_sigma(sig, 1), tau_from_sigma(sig, 0))]
     ds = [-v * v / 3 for v in u]  # d s_k / d beta^2 at 0
     out = []
     for n, t_poly in enumerate(t_polys()):

@@ -18,6 +18,8 @@ def format_fraction(value: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational written num/den, not {text!r}")
     return Fraction(text.strip())
 
 

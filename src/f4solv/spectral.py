@@ -14,7 +14,7 @@ identically zero residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -22,11 +22,11 @@ from typing import Optional, Sequence
 import mpmath
 
 from .errors import ClosureError, F4SolvError
-from .flags import GradedBasis, enumerate_basis, grade_counts, preserves_flag
+from .flags import GradedBasis, flag_matrix, grade_counts
 from .invariants import DEGREE_WEIGHTS
 from .linalg import RatMatrix, nullspace
-from .models import ModelParams
-from .operators import SecondOrderOp, op_matrix
+from .models import RATIONAL, ModelParams
+from .operators import SecondOrderOp
 from .poly import Exp, MPoly, weighted_grade
 
 QuantumNumbers = Exp
@@ -94,12 +94,9 @@ class SpectrumResult:
 def spectrum_from_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> SpectrumResult:
     """Exact spectrum of the operator restricted to the flag member P_n."""
     f = tuple(int(c) for c in f)
-    verdict = preserves_flag(op, f, n)
+    verdict, basis, mat = flag_matrix(op, f, n)
     if not verdict:
         raise ClosureError(f"flag {f} is not preserved: witness {verdict.witness}")
-    basis = enumerate_basis(f, n, op.frame)
-    result = op_matrix(op, basis)
-    mat = result.matrix
     if mat.is_upper_triangular():
         lines = tuple(
             SpectralLine(m, mat.data[j][j]) for j, m in enumerate(basis.monomials)
@@ -109,14 +106,8 @@ def spectrum_from_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> Spectru
 
 
 def _block_spectrum(basis: GradedBasis, mat: RatMatrix) -> SpectrumResult:
+    # the preserved flag makes the matrix block triangular in the graded order
     grades = basis.grades()
-    # block triangularity: no entry may cross from a lower to a higher grade
-    for j in range(len(basis)):
-        for i in range(len(basis)):
-            if mat.data[i][j] and grades[i] > grades[j]:
-                raise ClosureError(
-                    "matrix is not even block triangular in the graded order"
-                )
     lines: list[SpectralLine] = []
     irreducible = []
     start = 0
@@ -324,26 +315,48 @@ def _leading_label(vec, basis: GradedBasis) -> Optional[Exp]:
     return basis.monomials[lead]
 
 
+def closed_form_energy(model: str, p: Sequence[int], params: ModelParams) -> Fraction:
+    """The closed-form energy of the quantum numbers ``p`` in either model."""
+    if model == RATIONAL:
+        return closed_form_energy_rational(p, params)
+    return closed_form_energy_trig(p, params)
+
+
 def attach_closed_form(
     lines: Sequence[SpectralLine], model: str, params: ModelParams
 ) -> list[SpectralLine]:
     """Pair each labeled line with its closed-form energy."""
-    from .models import RATIONAL
-
-    out = []
-    for line in lines:
-        if line.quantum_numbers is None:
-            energy = None
-        elif model == RATIONAL:
-            energy = closed_form_energy_rational(line.quantum_numbers, params)
-        else:
-            energy = closed_form_energy_trig(line.quantum_numbers, params)
-        out.append(
-            SpectralLine(
-                line.quantum_numbers, line.eigenvalue, energy, line.eigenfunction
-            )
+    return [
+        replace(
+            line,
+            closed_form_energy=None
+            if line.quantum_numbers is None
+            else closed_form_energy(model, line.quantum_numbers, params),
         )
-    return out
+        for line in lines
+    ]
+
+
+def compare_closed_form(
+    spectrum: SpectrumResult, model: str, params: ModelParams
+) -> tuple[list[SpectralLine], "AffineFit"]:
+    """The spectrum's lines with their closed-form energies, and the one
+    affine relation between the two: fitted on labeled lines in a strictly
+    triangular frame, matched as multisets in a block frame (no labels)."""
+    lines = attach_closed_form(spectrum.lines, model, params)
+    if spectrum.strict:
+        return lines, fit_energy_affine(lines)
+    energies = [closed_form_energy(model, m, params) for m in spectrum.basis.monomials]
+    return lines, match_energy_multisets([l.eigenvalue for l in lines], energies)
+
+
+def _two_point_fit(pairs: Sequence[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
+    """(scale, offset) of energy = scale * eigenvalue + offset through the
+    first pair and the first pair with another eigenvalue (scale 1 if none)."""
+    g0, p0 = pairs[0]
+    other = next(((g, p) for g, p in pairs if g != g0), None)
+    scale = Fraction(1) if other is None else (other[1] - p0) / (other[0] - g0)
+    return scale, p0 - scale * g0
 
 
 def match_energy_multisets(
@@ -360,20 +373,12 @@ def match_energy_multisets(
         raise ValueError("spectra have different sizes")
     got = sorted(eigenvalues)
     ascending = sorted(energies)
-    last = (Fraction(1), Fraction(0))
     for predicted in (ascending, ascending[::-1]):
         pairs = list(zip(got, predicted))
-        g0, p0 = pairs[0]
-        other = next(((g, p) for g, p in pairs if g != g0), None)
-        if other is None:
-            scale, offset = Fraction(1), p0 - g0
-        else:
-            scale = (other[1] - p0) / (other[0] - g0)
-            offset = p0 - scale * g0
+        scale, offset = _two_point_fit(pairs)
         if all(scale * g + offset == p for g, p in pairs):
             return AffineFit(scale, offset, True)
-        last = (scale, offset)
-    return AffineFit(last[0], last[1], False)
+    return AffineFit(scale, offset, False)
 
 
 @dataclass(frozen=True)
@@ -389,17 +394,7 @@ def fit_energy_affine(lines: Sequence[SpectralLine]) -> AffineFit:
     labeled = [l for l in lines if l.closed_form_energy is not None]
     if not labeled:
         raise ValueError("no labeled lines to fit")
-    base = labeled[0]
-    other = next(
-        (l for l in labeled if l.eigenvalue != base.eigenvalue), None
-    )
-    if other is None:
-        scale = Fraction(1)
-    else:
-        scale = (other.closed_form_energy - base.closed_form_energy) / (
-            other.eigenvalue - base.eigenvalue
-        )
-    offset = base.closed_form_energy - scale * base.eigenvalue
+    scale, offset = _two_point_fit([(l.eigenvalue, l.closed_form_energy) for l in labeled])
     mismatches = []
     for l in labeled:
         predicted = scale * l.eigenvalue + offset

@@ -8,8 +8,6 @@ for the tau-frame triangularity means passing on *finding* a violation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DerivationError
 from .flags import (
     ambiguity_search,
@@ -21,7 +19,6 @@ from .models import (
     RATIONAL,
     ModelParams,
     build_rational_operator,
-    build_rho_map,
     build_trig_operator,
     rational_a_table,
 )
@@ -51,71 +48,44 @@ def verify_flag(args, params: ModelParams) -> dict:
     from .cli import parse_charvec
 
     f = parse_charvec(args.charvec)
-    checks = []
     if args.model == RATIONAL:
-        op = build_rational_operator(params)
-        levels = max(args.level, 8)
-        verdict = preserves_flag(op, f, levels)
-        checks.append(
-            _check(
-                f"rational operator preserves the {f} flag through level {levels}",
-                verdict.preserved,
-                witness=verdict.witness,
-            )
-        )
+        op, what, levels = build_rational_operator(params), "rational operator", max(args.level, 8)
     else:
-        op = build_trig_operator(params)
-        levels = max(args.level, 6)
-        verdict = preserves_flag(op, f, levels)
-        checks.append(
-            _check(
-                f"trig operator (tau frame) preserves the {f} flag through level {levels}",
-                verdict.preserved,
-                witness=verdict.witness,
-            )
-        )
-    return _report("flag", checks, model=args.model)
+        op, what, levels = build_trig_operator(params), "trig operator (tau frame)", max(args.level, 6)
+    verdict = preserves_flag(op, f, levels)
+    check = _check(
+        f"{what} preserves the {f} flag through level {levels}",
+        verdict.preserved,
+        witness=verdict.witness,
+    )
+    return _report("flag", [check], model=args.model)
 
 
 def verify_triangular(args, params: ModelParams) -> dict:
-    from .cli import parse_charvec
+    from .cli import build_operator, parse_charvec
 
     f = parse_charvec(args.charvec)
     n = max(args.level, 6)
-    checks = []
     if args.model == RATIONAL:
-        op = build_rational_operator(params)
-        verdict = is_triangular(op, f, n)
-        checks.append(
-            _check(
-                f"rational operator is strictly triangular at level {n}",
-                verdict.strict,
-                violation=verdict.violation,
-            )
-        )
+        op, what = build_rational_operator(params), "rational operator"
     elif getattr(args, "frame", "native") == "rho":
-        op = build_trig_operator(params)
-        fwd, inv = build_rho_map(params.require_beta2())
-        verdict = is_triangular(op.change_variables(fwd, inv), f, n)
-        checks.append(
-            _check(
-                f"sheared trig operator (rho frame) is strictly triangular at level {n}",
-                verdict.strict,
-                violation=verdict.violation,
-            )
-        )
+        op, what = build_operator(args, params), "sheared trig operator (rho frame)"
     else:
-        op = build_trig_operator(params)
-        verdict = is_triangular(op, f, min(n, 4))
-        checks.append(
-            _check(
-                "trig operator (tau frame) is NOT strictly triangular",
-                not verdict.strict,
-                violating_entry=verdict.violation,
-                block_triangular=verdict.block,
-            )
+        verdict = is_triangular(build_trig_operator(params), f, min(n, 4))
+        check = _check(
+            "trig operator (tau frame) is NOT strictly triangular",
+            not verdict.strict,
+            violating_entry=verdict.violation,
+            block_triangular=verdict.block,
         )
-    return _report("triangular", checks, model=args.model)
+        return _report("triangular", [check], model=args.model)
+    verdict = is_triangular(op, f, n)
+    check = _check(
+        f"{what} is strictly triangular at level {n}",
+        verdict.strict,
+        violation=verdict.violation,
+    )
+    return _report("triangular", [check], model=args.model)
 
 
 def verify_oracle(args, params: ModelParams) -> dict:
@@ -165,11 +135,7 @@ def verify_limit(args, params: ModelParams) -> dict:
 
 
 def verify_a66(args, params: ModelParams) -> dict:
-    rat_params = (
-        params
-        if params.omega is not None
-        else ModelParams(nu=params.nu, mu=params.mu, omega=Fraction(1))
-    )
+    rat_params = params.with_omega()
     table_entry = rational_a_table()[(6, 6)]
     checks = []
     try:
@@ -209,12 +175,7 @@ def verify_a66(args, params: ModelParams) -> dict:
 
 
 def verify_scan(args, params: ModelParams) -> dict:
-    rat_params = (
-        params
-        if params.omega is not None
-        else ModelParams(nu=params.nu, mu=params.mu, omega=Fraction(1))
-    )
-    op = build_rational_operator(rat_params)
+    op = build_rational_operator(params.with_omega())
     bound = getattr(args, "bound", 6)
     n = max(args.level, 6)
     scan = scan_characteristic_vectors(op, bound, n)

@@ -271,3 +271,44 @@ class TestDumpOperator:
         assert (6, 6) in pairs  # the entry missing from the printed table
         a11 = next(r for r in payload["A"] if (r["a"], r["b"]) == (1, 1))
         assert a11["poly"]["terms"] == [{"coeff": "2", "exponents": [1, 0, 0, 0]}]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "content",
+        ['[1, 2]', '"nu"', '{"nu": "1/3"}', '{"mu": "1/5", "omega": "1"}', '{"nu": 1, "mu": "1/5"}'],
+        ids=["list", "string", "no-mu", "no-nu", "number"],
+    )
+    def test_params_file_is_a_usage_error(self, capsys, tmp_path, content):
+        cfg = tmp_path / "params.json"
+        cfg.write_text(content)
+        code, out, err = run(capsys, "spectrum", "--params", str(cfg), "--level", "0")
+        assert code == 64 and out == ""
+        assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("model", ["rational", "trig"])
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_oracle_without_points_is_rejected_before_any_build(
+        self, capsys, monkeypatch, model, points
+    ):
+        def forbidden(params):
+            raise AssertionError("operator built before the usage check")
+
+        for name in ("build_rational_operator", "build_trig_operator"):
+            monkeypatch.setattr(oracle, name, forbidden)
+        code, out, err = run(
+            capsys, "verify", "--suite", "oracle", "--model", model,
+            "--nu", "1/3", "--mu", "1/8", "--points", points,
+        )
+        assert code == 64 and out == ""
+        assert "at least one point" in err
+
+    def test_periodic_oracle_at_beta2_zero(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--suite", "oracle", "--model", "trig",
+            "--nu", "1/3", "--mu", "1/8", "--beta2", "0", "--points", "2",
+        )
+        assert code == 64 and out == ""
+        assert "beta2" in err
+        # the harmonic limit of the table stays available to the a66 route
+        assert models.trig_a_table(F(0))[(6, 6)]
