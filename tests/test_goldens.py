@@ -41,6 +41,8 @@ GOLDENS = [
      "291d0a179accfc8ba0950189f51ca416f457a9504af508ff716d43816ef7a372"),
     (("verify", "--suite", "oracle", "--model", "trig", "--nu", "2", "--mu", "3", "--beta2", "3/7"),
      "1b3709fc00a3f574213520db2dc9bc86131c97c44ccf64c0a1ce198eb6492f04"),
+    (("verify", "--suite", "a66"),
+     "2168c51940702aca08f4aeb441f2beb034a75b8cc10aef506c0bda9508b85b5c"),
 ]
 
 
