@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import F4SolvError
 from .models import (
+    MODELS,
     RATIONAL,
     TRIG,
     ModelParams,
@@ -60,7 +61,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, frame=True):
-        p.add_argument("--model", choices=[RATIONAL, TRIG], default=RATIONAL)
+        p.add_argument("--model", choices=MODELS, default=RATIONAL)
         p.add_argument("--nu", default="1/3", help="coupling parameter (num/den)")
         p.add_argument("--mu", default="1/5", help="coupling parameter (num/den)")
         p.add_argument("--omega", default="1", help="oscillator frequency (rational model)")
@@ -120,6 +121,8 @@ def load_params(args) -> ModelParams:
         if not isinstance(data, dict) or not {"nu", "mu"} <= data.keys():
             raise UsageError("--params expects a JSON object with at least nu and mu")
         model = data.get("model", model)
+        if model not in MODELS:
+            raise UsageError(f"--params names an unknown model {model!r}")
         nu = parse_fraction(data["nu"])
         mu = parse_fraction(data["mu"])
         if "omega" in data:

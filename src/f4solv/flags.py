@@ -309,6 +309,8 @@ def ambiguity_search(
     characteristic vector other than the minimal one.  Whatever the grid
     yields is reported; exhaustion without a hit is a valid outcome.
     """
+    if op.frame != "t":
+        raise ValueError("the redefinition search is defined in the t frame")
     from .models import ambiguity_map
 
     targets = set(KNOWN_CHARACTERISTIC_VECTORS) - {(1, 2, 2, 3)}

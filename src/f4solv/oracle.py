@@ -22,17 +22,18 @@ derivatives) and per-point work (squares or sines, the gradient, the
 invariants) once; calibration, ``cartesian_oracle`` and both sweeps
 share it.
 
-The same machinery re-derives the one coefficient the printed rational
-table leaves out, the diagonal t6 entry, along two independent routes.
-``models.rational_a_table`` tabulates that entry; the derivation is a
-check on it (``f4solv verify --suite a66``), not part of the build.
+The one coefficient the printed rational table leaves out, the diagonal
+t6 entry, is re-derived along two independent routes: the calibrated
+pullback of t6, matched coefficient by coefficient in u = x^2, and the
+beta^2 -> 0 limit of the periodic table.  ``models.rational_a_table``
+tabulates that entry; the derivation checks it (``verify --suite a66``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import CalibrationError, DerivationError, ReductionError
 from .flags import enumerate_basis
@@ -47,7 +48,7 @@ from .invariants import (
     tau_varmap,
     variables_rational,
 )
-from .linalg import RatMatrix, solve_with_rank
+from .linalg import RatMatrix, solve
 from .models import (
     RATIONAL,
     TRIG,
@@ -60,7 +61,7 @@ from .models import (
     trig_b_table,
 )
 from .operators import SecondOrderOp
-from .poly import EvalPlan, Exp, MPoly, PowerTable
+from .poly import EvalPlan, MPoly, PowerTable
 from .sampling import SeededSampler, alcove_points
 
 SCALE_CANDIDATES = (
@@ -268,58 +269,39 @@ def cartesian_oracle(
 # -- expressing invariants in the t frame -------------------------------------
 
 
-def candidate_monomials(degree_bound: int) -> list[Exp]:
-    """t-frame monomials of squared-coordinate degree at most the bound."""
-    return list(enumerate_basis(DEGREE_WEIGHTS, degree_bound).monomials)
+def invariant_reduce(target: MPoly) -> MPoly:
+    """Express a polynomial in u = x^2 as a polynomial in t1, t3, t4, t6.
 
-
-def invariant_reduce(
-    evaluator: Callable[[Sequence[Fraction]], Fraction],
-    degree_bound: int,
-    seed: int = 0,
-    holdout: int = 10,
-) -> MPoly:
-    """Express a reflection-invariant function of x as a t-frame polynomial.
-
-    Fits coefficients over all candidate monomials of squared-coordinate
-    degree <= bound by exact linear solve on twice as many sample points
-    as candidates, then verifies on a disjoint holdout set.  Any
-    inconsistency (including a non-invariant input) surfaces as
-    ``ReductionError``.
+    The basic invariants are algebraically independent (Chevalley), so
+    an invariant target has exactly one such expression.  Every
+    t-monomial up to the target's degree is expanded in u, coefficients
+    are matched on the non-increasing exponent vectors (one per orbit of
+    the coordinate permutations), and the system is solved exactly.  The
+    result stands only if it expands back to the target: that check
+    proves the identity, and any other target (not symmetric, not
+    invariant) raises ``ReductionError``.
     """
-    candidates = candidate_monomials(degree_bound)
-    sampler = SeededSampler(seed)
-    n_fit = 2 * len(candidates)
-    # integer points, deduplicated by invariant values: the reflection
-    # group identifies many points, and repeated rows cost rank
-    points: list[tuple[Fraction, ...]] = []
-    seen_t: set = set()
-    while len(points) < n_fit + holdout:
-        x = sampler.integer_point()
-        tv = variables_rational(x)
-        if tv in seen_t:
-            continue
-        seen_t.add(tv)
-        points.append(x)
-
-    plans = [EvalPlan(MPoly.monomial("t", exp)) for exp in candidates]
-
-    def row(x):
-        table = PowerTable(variables_rational(x))
-        return [plan(table) for plan in plans]
-
-    matrix = RatMatrix([row(x) for x in points[:n_fit]])
-    rhs = [evaluator(x) for x in points[:n_fit]]
-    coeffs, matrix_rank = solve_with_rank(matrix, rhs)
-    if coeffs is None:
-        raise ReductionError("no polynomial in the invariants matches the function")
-    if matrix_rank < len(candidates):
-        raise ReductionError("sample points do not separate the candidate monomials")
-    result = MPoly("t", dict(zip(candidates, coeffs)))
-    for x in points[n_fit:]:
-        if result.eval_exact(variables_rational(x)) != evaluator(x):
-            raise ReductionError("holdout point mismatch after fitting")
-    return result
+    degree = max(map(sum, target.terms), default=0)
+    candidates = enumerate_basis(DEGREE_WEIGHTS, degree).monomials
+    # each candidate's expansion is a lower one's times one image, grade by grade
+    images, expanded = t_varmap().images, {}
+    for exp in candidates:
+        k = next((k for k, e in enumerate(exp) if e), None)
+        lower = tuple(e - (j == k) for j, e in enumerate(exp))
+        expanded[exp] = MPoly.one("x2") if k is None else expanded[lower] * images[k]
+    expansions = list(expanded.values())
+    rows = sorted(
+        {e for p in (target, *expansions) for e in p.terms if list(e) == sorted(e, reverse=True)}
+    )
+    coeffs = solve(
+        RatMatrix([[p.coefficient(e) for p in expansions] for e in rows]),
+        [target.coefficient(e) for e in rows],
+    )
+    if coeffs is not None:
+        result = MPoly("t", dict(zip(candidates, coeffs)))
+        if result.substitute(t_varmap()) == target:
+            return result
+    raise ReductionError("no polynomial in the invariants expands to the target")
 
 
 # -- the diagonal coefficient missing from the printed table --------------------
@@ -328,8 +310,10 @@ def invariant_reduce(
 def derive_missing_a66(params: ModelParams, seed: int = 0) -> MPoly:
     """Reconstruct the rational-model (6,6) coefficient by two routes.
 
-    Route one reduces the calibrated pullback of the t6 direction
-    against itself, scale * sum_k (d t6 / d x_k)^2, to the t frame.
+    Route one builds the calibrated pullback of the t6 direction against
+    itself, scale * sum_k (d t6 / d x_k)^2 = scale * sum_k 4 u_k
+    (d t6 / d u_k)^2, as a polynomial in u = x^2, and ``invariant_reduce``
+    matches its coefficients exactly in the t frame.
     Route two takes the beta^2 -> 0 limit of the complete trigonometric
     table and rescales it by the (exact) table-to-table ratio.  The two
     results must be identical or the whole correctness story fails.
@@ -337,17 +321,9 @@ def derive_missing_a66(params: ModelParams, seed: int = 0) -> MPoly:
     checked against it.
     """
     cal = calibrate_normalization(RATIONAL, params.with_omega(), seed)
-
-    t6_u = t_polys()[3]
-    grads = [t6_u.derivative(k) for k in range(4)]
-
-    def evaluator(x):
-        u = [Fraction(v) ** 2 for v in x]
-        return cal.scale * sum(
-            4 * u[k] * grads[k].eval_exact(u) ** 2 for k in range(4)
-        )
-
-    route_reduce = invariant_reduce(evaluator, 11, seed=seed)
+    t6 = t_polys()[3]
+    target = cal.scale * sum(4 * MPoly.variable("x2", k) * t6.derivative(k) ** 2 for k in range(4))
+    route_reduce = invariant_reduce(target)
 
     ratio = _rational_to_trig_ratio()
     limit_table = trig_a_table(Fraction(0))[(6, 6)]

@@ -38,15 +38,6 @@ class SeededSampler:
             if not is_singular_point(x):
                 return x
 
-    def integer_point(self, bound: int = 40) -> tuple[Fraction, ...]:
-        """A nonsingular point with distinct positive integer components."""
-        while True:
-            x = tuple(
-                Fraction(self.rng.randrange(1, bound + 1)) for _ in range(4)
-            )
-            if not is_singular_point(x):
-                return x
-
     def polynomial(self, frame: str, monomials: Sequence, max_terms: int = 6) -> MPoly:
         """A random nonzero polynomial supported on the given monomials."""
         while True:

@@ -276,8 +276,11 @@ class TestDumpOperator:
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "content",
-        ['[1, 2]', '"nu"', '{"nu": "1/3"}', '{"mu": "1/5", "omega": "1"}', '{"nu": 1, "mu": "1/5"}'],
-        ids=["list", "string", "no-mu", "no-nu", "number"],
+        [
+            '[1, 2]', '"nu"', '{"nu": "1/3"}', '{"mu": "1/5", "omega": "1"}',
+            '{"nu": 1, "mu": "1/5"}', '{"model": "foo", "nu": "1/3", "mu": "1/8"}',
+        ],
+        ids=["list", "string", "no-mu", "no-nu", "number", "unknown-model"],
     )
     def test_params_file_is_a_usage_error(self, capsys, tmp_path, content):
         cfg = tmp_path / "params.json"
@@ -302,6 +305,14 @@ class TestMalformedInput:
         )
         assert code == 64 and out == ""
         assert "at least one point" in err
+
+    def test_trig_redefinition_search_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "scan-flags", "--model", "trig", "--ambiguity-search",
+            "--nu", "1/3", "--mu", "1/8", "--beta2", "1/4",
+        )
+        assert code == 64 and out == ""
+        assert "t frame" in err
 
     def test_periodic_oracle_at_beta2_zero(self, capsys):
         code, out, err = run(

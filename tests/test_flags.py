@@ -190,6 +190,10 @@ class TestScan:
         assert (1, 3, 3, 5) in scan.preserved
         assert MINIMAL not in scan.preserved
 
+    def test_ambiguity_search_refuses_other_frames(self, trig_op):
+        with pytest.raises(ValueError, match="t frame"):
+            ambiguity_search(trig_op)
+
     def test_ambiguity_search_finds_alternative(self, rational_op):
         report = ambiguity_search(rational_op, bound=6, n=6)
         assert not report["not_found"]

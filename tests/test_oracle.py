@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f4solv.errors import PoleError, ReductionError
 from f4solv.gauge import (
@@ -8,7 +10,9 @@ from f4solv.gauge import (
     grad_log_ground_state_trig,
     mp_context,
 )
+from f4solv.flags import enumerate_basis
 from f4solv.invariants import (
+    DEGREE_WEIGHTS,
     elem_sym_values,
     t_polys,
     t_varmap,
@@ -20,7 +24,6 @@ from f4solv import oracle
 from f4solv.models import RATIONAL, TRIG, ModelParams, rational_a_table
 from f4solv.oracle import (
     calibrate_normalization,
-    candidate_monomials,
     cartesian_oracle,
     derive_missing_a66,
     invariant_reduce,
@@ -180,40 +183,51 @@ class TestCartesianOracle:
         assert float(report["worst_rel_error"]) <= 1e-9
 
 
+U = [MPoly.variable("x2", k) for k in range(4)]  # u_i = x_i^2
+
+
+def weighted_t_polys(max_degree=8):
+    """Random t-polynomials of squared-coordinate degree at most the bound."""
+    monomials = enumerate_basis(DEGREE_WEIGHTS, max_degree).monomials
+    return st.dictionaries(
+        st.sampled_from(monomials),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        max_size=5,
+    ).map(lambda terms: MPoly("t", terms))
+
+
 class TestInvariantReduce:
     def test_first_symmetric_function(self):
-        result = invariant_reduce(
-            lambda x: sum(F(v) ** 2 for v in x), 1
-        )
-        assert result == MPoly.variable("t", 0)
+        assert invariant_reduce(sum(U)) == MPoly.variable("t", 0)
 
     def test_gradient_square_of_t1(self):
-        result = invariant_reduce(
-            lambda x: sum(4 * F(v) ** 2 for v in x), 1
-        )
-        assert result == 4 * MPoly.variable("t", 0)
+        assert invariant_reduce(4 * sum(U)) == 4 * MPoly.variable("t", 0)
 
     def test_square_consistency(self):
-        result = invariant_reduce(
-            lambda x: sum(F(v) ** 2 for v in x) ** 2, 2
-        )
-        assert result == MPoly.variable("t", 0) ** 2
+        assert invariant_reduce(sum(U) ** 2) == MPoly.variable("t", 0) ** 2
 
     def test_degree_six_invariant_roundtrip(self):
-        t6 = t_polys()[3]
-        result = invariant_reduce(
-            lambda x: t6.eval_exact([F(v) ** 2 for v in x]), 6
-        )
-        assert result == MPoly.variable("t", 3)
+        assert invariant_reduce(t_polys()[3]) == MPoly.variable("t", 3)
 
     def test_non_invariant_input_fails(self):
         with pytest.raises(ReductionError):
-            invariant_reduce(lambda x: F(x[0]), 2)
+            invariant_reduce(U[0])
+
+    def test_symmetric_but_not_invariant_input_fails(self):
+        # e2(u) is symmetric, but the only invariant of degree two is t1^2 = e1(u)^2
+        e2 = sum(U[i] * U[j] for i in range(4) for j in range(i + 1, 4))
+        with pytest.raises(ReductionError):
+            invariant_reduce(e2)
 
     def test_candidate_enumeration_bound(self):
-        cands = candidate_monomials(6)
+        cands = enumerate_basis(DEGREE_WEIGHTS, 6).monomials
         assert (0, 0, 0, 1) in cands
         assert all(p1 + 3 * p3 + 4 * p4 + 6 * p6 <= 6 for p1, p3, p4, p6 in cands)
+
+    @settings(max_examples=25)
+    @given(p=weighted_t_polys())
+    def test_expansion_round_trip(self, p):
+        assert invariant_reduce(p.substitute(t_varmap())) == p
 
 
 class TestMissingCoefficient:
