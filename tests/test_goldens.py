@@ -43,6 +43,13 @@ GOLDENS = [
      "1b3709fc00a3f574213520db2dc9bc86131c97c44ccf64c0a1ce198eb6492f04"),
     (("verify", "--suite", "a66"),
      "2168c51940702aca08f4aeb441f2beb034a75b8cc10aef506c0bda9508b85b5c"),
+    (("eigenfunctions", "--model", "trig", "--frame", "rho", *TRIG, "--level", "4"),
+     "cb80c37e0e424ec4c2b6029a282d1f7d7dd58d3b5fe9ff781e64b8c4ba1715c2"),
+    # the tau-frame elimination and the block characteristic polynomial
+    (("eigenfunctions", "--model", "trig", "--frame", "native", *TRIG, "--level", "4"),
+     "7647f8c0519b04d99a7e6224646fe4d19df00865d125d0ce2856b4bcf6fc5146"),
+    (("spectrum", "--model", "trig", "--frame", "native", *TRIG, "--level", "5"),
+     "99915b0ccf1e3f35d224e07940ecbbfb0e0284b4c8bd37f5a4f423c1492e911e"),
 ]
 
 
