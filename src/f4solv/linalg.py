@@ -1,11 +1,11 @@
 """Exact dense linear algebra over the rationals.
 
-Systems are solved by fraction-free (Bareiss) elimination: each row is
-first scaled to integers, after which the two-by-two cross elimination
-step divides exactly by the previous pivot.  This keeps intermediate
-entries at determinant size instead of letting numerators and
-denominators blow up independently, which is the main cost driver for
-the operator matrices around level 8.
+Every kernel runs over ``int``; ``Fraction`` is only taken and returned.
+Systems are solved by fraction-free (Bareiss) elimination on rows scaled
+to coprime integers: the two-by-two cross elimination step divides
+exactly by the previous pivot, which keeps intermediate entries at
+determinant size.  Back-substitution keeps the vector it solves for
+integral by scaling it wherever a division would leave the integers.
 
 ``solve`` returns ``None`` for inconsistent systems (a no-solution
 signal, not an exception); ``nullspace`` returns a full exact basis,
@@ -16,34 +16,46 @@ without elimination.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 
 class RatMatrix:
-    """Dense row-major matrix of exact rationals."""
+    """Dense row-major matrix of exact rationals.
 
-    __slots__ = ("rows", "cols", "data")
+    Entries are written only while a matrix is filled: its integer form
+    and its triangularity are found once, on first use, and a shift by
+    ``minus_scalar_identity`` derives both from them (its Fraction rows
+    are built only if read).
+    """
+
+    __slots__ = ("rows", "cols", "_data", "_scaled", "_upper")
 
     def __init__(self, data: Sequence[Sequence[Fraction]]):
         rows = [list(map(Fraction, row)) for row in data]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        self.rows = len(rows)
-        self.cols = width
-        self.data = rows
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
+        self.rows, self.cols, self._data = len(rows), width, rows
+        self._scaled = self._upper = None
 
     @classmethod
     def _of(cls, data: list[list[Fraction]]) -> "RatMatrix":
         """A matrix on rows that already hold Fractions: no copy, no checks."""
         out = cls.__new__(cls)
-        out.rows, out.cols, out.data = len(data), len(data[0]) if data else 0, data
+        out.rows, out.cols, out._data = len(data), len(data[0]) if data else 0, data
+        out._scaled = out._upper = None
         return out
+
+    @property
+    def data(self) -> list[list[Fraction]]:
+        if self._data is None:
+            d, ints = self._scaled
+            self._data = [[Fraction(v, d) for v in row] for row in ints]
+        return self._data
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
@@ -52,11 +64,8 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        m = cls.zero(n, n)
-        one = Fraction(1)
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        zero, one = Fraction(0), Fraction(1)
+        return cls._of([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.data[ij[0]][ij[1]]
@@ -77,37 +86,54 @@ class RatMatrix:
             raise ValueError("dimension mismatch")
         return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0)) for row in self.data]
 
+    def integer_form(self) -> tuple[int, list[list[int]]]:
+        """``(d, d * self)`` with a common denominator d, as int rows."""
+        if self._scaled is None:
+            self._scaled = _integer_rows(self.data)
+        return self._scaled
+
     def minus_scalar_identity(self, lam: Fraction) -> "RatMatrix":
         if self.rows != self.cols:
             raise ValueError("square matrix required")
-        out = RatMatrix._of([row[:] for row in self.data])
+        d, ints = self.integer_form()
+        k = lam.denominator // gcd(d, lam.denominator)  # makes d * k * lam integral
+        shift = lam.numerator * (d * k // lam.denominator)
+        ints = [row[:] for row in ints] if k == 1 else [[k * v for v in row] for row in ints]
         for i in range(self.rows):
-            out.data[i][i] = out.data[i][i] - lam
+            ints[i][i] -= shift
+        out = RatMatrix.__new__(RatMatrix)
+        out.rows = out.cols = self.rows
+        out._data, out._scaled, out._upper = None, (d * k, ints), self._upper  # same shape
         return out
 
     def is_upper_triangular(self) -> bool:
-        return all(not any(row[:i]) for i, row in enumerate(self.data))
+        if self._upper is None:
+            self._upper = _upper_triangular(self.data if self._scaled is None else self._scaled[1])
+        return self._upper
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
-def _integer_rows(data: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in data:
-        scale = lcm(*(c.denominator for c in row)) if row else 1
-        ints = [int(c * scale) for c in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+def _upper_triangular(data: Sequence[Sequence]) -> bool:
+    return all(not any(row[:i]) for i, row in enumerate(data))
 
 
-def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free row echelon; returns (matrix, pivot columns)."""
+def _integer_rows(data: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(d, d * data)`` as int rows, d the lcm of every denominator."""
+    d = lcm(*(c.denominator for row in data for c in row))
+    return d, [[c.numerator * (d // c.denominator) for c in row] for row in data]
+
+
+def _divide_content(v: list[int]) -> list[int]:
+    g = gcd(*v) or 1
+    return [x // g for x in v]
+
+
+def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon of the rows divided by their contents:
+    (echelon rows, pivot columns)."""
+    m = [_divide_content(row) for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     pivots: list[int] = []
@@ -153,22 +179,13 @@ def solve_with_rank(
     if len(rhs) != matrix.rows:
         raise ValueError("dimension mismatch")
     aug = [list(row) + [Fraction(v)] for row, v in zip(matrix.data, rhs)]
-    if not aug:
-        return [], 0
-    echelon, pivots = _bareiss_echelon(_integer_rows(aug))
+    echelon, pivots = _bareiss_echelon(_integer_rows(aug)[1])
     n = matrix.cols
     if n in pivots:
         return None, len(pivots) - 1  # pivot in the right-hand column
-    x = [Fraction(0)] * n
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        row = echelon[k]
-        acc = Fraction(row[n])
-        for j in range(c + 1, n):
-            if row[j]:
-                acc -= row[j] * x[j]
-        x[c] = acc / row[c]
-    return x, len(pivots)
+    v = [0] * n + [-1]  # (x, -1) spans the kernel of (matrix | rhs) with x free = 0
+    _back_substitute(echelon[: len(pivots)], pivots, v)
+    return [Fraction(c, -v[n]) for c in v[:n]], len(pivots)
 
 
 def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
@@ -181,91 +198,77 @@ def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
     routes return the same basis.
     """
     if matrix.rows == matrix.cols and matrix.is_upper_triangular():
-        basis = _triangular_nullspace(matrix.data)
+        basis = _triangular_nullspace(matrix.integer_form()[1])
         if basis is not None:
             return basis
     return _echelon_nullspace(matrix)
 
 
-def _triangular_nullspace(data: list[list[Fraction]]) -> Optional[list[list[Fraction]]]:
-    """Kernel basis of a square upper-triangular matrix by back-substitution.
+def _back_substitute(rows: Sequence[list[int]], leads: Sequence[int], v: list[int]) -> bool:
+    """Fill ``v`` in place, last row first, so that every row annihilates it.
 
-    A column with a nonzero diagonal entry is independent of the columns
-    before it, so the free columns lie among the zero-diagonal ones.  For
-    each zero-diagonal column f this solves for the kernel vector with 1
-    at f and 0 at every other zero-diagonal column: it vanishes past f,
-    and rows f-1 down to 0 each fix one entry.  When every such vector
-    exists the free columns are exactly the zero-diagonal ones and these
-    are the vectors elimination returns.  Returns None when a zero-diagonal
-    row cannot be met, which happens exactly when the nullity is below
-    the number of zero diagonal entries.
+    Row k is zero left of column ``leads[k]``, and ``v`` is zero past its
+    end.  A nonzero lead entry d sets ``v[leads[k]]``, after scaling all of
+    ``v`` by |d| / gcd(acc, d) where d would not divide.  A row with a zero
+    lead entry must already annihilate ``v``, else this returns False.
     """
-    n = len(data)
-    basis = []
-    for f in range(n):
-        if data[f][f]:
+    end = len(v)
+    for k in range(len(rows) - 1, -1, -1):
+        c, row = leads[k], rows[k]
+        acc = sum(map(mul, row[c + 1:end], v[c + 1:]))
+        if not acc:
             continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        support = [f]  # indices of the nonzero entries of v
-        for i in range(f - 1, -1, -1):
-            row = data[i]
-            acc = sum(row[j] * v[j] for j in support if row[j])
-            if row[i]:
-                if acc:
-                    v[i] = -acc / row[i]
-                    support.append(i)
-            elif acc:
-                return None
-        basis.append(_normalize_primitive(v))
-    return basis
+        d = row[c]
+        if not d:
+            return False
+        s = abs(d) // gcd(acc, d)
+        if s > 1:
+            v[:] = [s * x for x in v]
+            acc *= s
+        v[c] = -acc // d
+    return True
+
+
+def _triangular_nullspace(rows: list[list[int]]) -> Optional[list[list[Fraction]]]:
+    """Kernel basis of a square upper-triangular integer matrix by back-substitution.
+
+    The free columns lie among the zero-diagonal ones.  For each such
+    column f this solves for the kernel vector with 1 at f and 0 at every
+    other zero-diagonal column, which vanishes past f.  When every such
+    vector exists these are the vectors elimination returns.  Returns None
+    when a zero-diagonal row cannot be met, which happens exactly when the
+    nullity is below the number of zero diagonal entries.
+    """
+    n = len(rows)
+    return _kernel_basis(rows, range(n), [f for f in range(n) if not rows[f][f]], n)
 
 
 def _echelon_nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
-    n = matrix.cols
-    if n == 0:
-        return []
-    if matrix.rows == 0:
-        rows, pivots = [], []
-    else:
-        rows, pivots = _bareiss_echelon(_integer_rows(matrix.data))
-    pivot_set = set(pivots)
-    basis: list[list[Fraction]] = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            if c > free:
-                continue
-            row = rows[k]
-            acc = Fraction(0)
-            for j in range(c + 1, n):
-                if row[j] and v[j]:
-                    acc += row[j] * v[j]
-            v[c] = -acc / row[c]
-        basis.append(_normalize_primitive(v))
+    rows, pivots = _bareiss_echelon(matrix.integer_form()[1])
+    free = sorted(set(range(matrix.cols)) - set(pivots))
+    return _kernel_basis(rows, pivots, free, matrix.cols)
+
+
+def _kernel_basis(rows, leads, free: list[int], n: int) -> Optional[list[list[Fraction]]]:
+    """For each free column f, the kernel vector with 1 at f and 0 at every
+    other free column, by back-substitution on the rows that lead left of f."""
+    basis = []
+    for f in free:
+        k = bisect_left(leads, f)
+        v = [0] * f + [1]
+        if not _back_substitute(rows[:k], leads[:k], v):
+            return None
+        basis.append(_normalize_primitive(v + [0] * (n - f - 1)))
     return basis
 
 
-def _normalize_primitive(v: list[Fraction]) -> list[Fraction]:
-    scale = lcm(*(c.denominator for c in v))
-    ints = [int(c * scale) for c in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
+def _normalize_primitive(v: list[int]) -> list[Fraction]:
+    """Coprime integers with a positive first nonzero entry, as Fractions."""
+    v = _divide_content(v)
+    if next((x for x in v if x), 0) < 0:
+        v = [-x for x in v]
+    return [Fraction(x) for x in v]
 
 
 def rank(matrix: RatMatrix) -> int:
-    if matrix.rows == 0 or matrix.cols == 0:
-        return 0
-    _, pivots = _bareiss_echelon(_integer_rows(matrix.data))
-    return len(pivots)
+    return len(_bareiss_echelon(_integer_rows(matrix.data)[1])[1])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from .errors import FrameError, MapError
@@ -115,6 +116,20 @@ class SecondOrderOp:
             image = self.apply(MPoly.monomial(self.frame, m))
             terms = self._images[m] = tuple(sorted(image.terms.items()))
         return terms
+
+    def scaled_to_integers(self) -> tuple[int, "SecondOrderOp"]:
+        """``(d, d * self)``, d the lcm of the coefficient denominators: the
+        scaled operator maps ``int`` coefficients to ``int`` coefficients."""
+        polys = (*self.a.values(), *self.b.values(), self.c)
+        d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+
+        def scaled(p: MPoly) -> MPoly:
+            terms = {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}
+            return MPoly._trusted(self.frame, terms)
+
+        a = {k: scaled(p) for k, p in self.a.items()}
+        b = {k: scaled(p) for k, p in self.b.items()}
+        return d, SecondOrderOp(self.frame, a, b, scaled(self.c))
 
     # -- change of variables -----------------------------------------------
 

@@ -5,9 +5,10 @@ A polynomial is a mapping from exponent vectors to rational coefficients:
     terms = {(p1, p3, p4, p6): Fraction, ...}
 
 Exponent vectors are 4-tuples of non-negative ints and every coefficient
-is a ``fractions.Fraction``, so arithmetic is exact and two polynomials
-are equal exactly when their canonical term maps are equal.  Zero
-coefficients are never stored; the zero polynomial is the empty map.
+is a ``fractions.Fraction`` (an ``int`` in the integer-scaled copies that
+the residual certificates use), so arithmetic is exact and two polynomials
+are equal exactly when their term maps are equal.  Zero coefficients are
+never stored; the zero polynomial is the empty map.
 
 Each polynomial carries a *frame* tag naming the variable set it lives
 in.  Mixing frames silently is always a bug (the sheared frames grade
@@ -188,7 +189,7 @@ class MPoly:
 
     def __mul__(self, other: Union["MPoly", Scalar]) -> "MPoly":
         if not isinstance(other, MPoly):
-            c = Fraction(other)
+            c = other if type(other) is int else Fraction(other)  # int stays int
             if not c:
                 return MPoly.zero(self.frame)
             return MPoly._trusted(self.frame, {e: k * c for e, k in self.terms.items()})

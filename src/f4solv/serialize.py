@@ -11,10 +11,7 @@ from .poly import MPoly
 from .spectral import SpectralLine
 
 def format_fraction(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))  # "n" or "n/d"
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -71,30 +68,17 @@ def spectrum_csv(
     s = format_fraction(scale) if scale is not None else ""
     o = format_fraction(offset) if offset is not None else ""
     for line in lines:
-        if line.quantum_numbers is not None:
-            p = list(line.quantum_numbers)
-            level = str(line.level)
-        else:
-            p = ["", "", "", ""]
-            level = ""
-        energy = (
-            format_fraction(line.closed_form_energy)
-            if line.closed_form_energy is not None
-            else ""
-        )
-        rows.append(
-            ",".join(
-                [str(v) for v in p]
-                + [level, format_fraction(line.eigenvalue), energy, s, o]
-            )
-        )
+        labeled = line.quantum_numbers is not None
+        p = [str(v) for v in line.quantum_numbers] if labeled else ["", "", "", ""]
+        level = str(line.level) if labeled else ""
+        e = line.closed_form_energy
+        energy = "" if e is None else format_fraction(e)
+        rows.append(",".join(p + [level, format_fraction(line.eigenvalue), energy, s, o]))
     return "\n".join(rows) + "\n"
 
 
 def spectral_line_json(line: SpectralLine) -> dict:
-    obj = {
-        "eigenvalue": format_fraction(line.eigenvalue),
-    }
+    obj = {"eigenvalue": format_fraction(line.eigenvalue)}
     if line.quantum_numbers is not None:
         obj["quantum_numbers"] = list(line.quantum_numbers)
         obj["level"] = line.level

@@ -9,14 +9,17 @@ irrational remainder is returned as data, never approximated.
 Eigenfunctions come from exact nullspaces, which in a strictly
 triangular frame are found by back-substitution, one vector per
 diagonal entry.  Every returned pair is re-verified to have an
-identically zero residual.
+identically zero residual.  The characteristic polynomials, the kernels
+and the residuals run over ``int``; ``Fraction`` appears only in results.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 import mpmath
@@ -24,7 +27,7 @@ import mpmath
 from .errors import ClosureError, F4SolvError
 from .flags import GradedBasis, flag_matrix, grade_counts
 from .invariants import DEGREE_WEIGHTS
-from .linalg import RatMatrix, nullspace
+from .linalg import RatMatrix, _integer_rows, nullspace
 from .models import RATIONAL, ModelParams
 from .operators import SecondOrderOp
 from .poly import Exp, MPoly, weighted_grade
@@ -98,9 +101,7 @@ def spectrum_from_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> Spectru
     if not verdict:
         raise ClosureError(f"flag {f} is not preserved: witness {verdict.witness}")
     if mat.is_upper_triangular():
-        lines = tuple(
-            SpectralLine(m, mat.data[j][j]) for j, m in enumerate(basis.monomials)
-        )
+        lines = tuple(SpectralLine(m, mat.data[j][j]) for j, m in enumerate(basis.monomials))
         return SpectrumResult(lines, True, basis, mat)
     return _block_spectrum(basis, mat)
 
@@ -116,9 +117,7 @@ def _block_spectrum(basis: GradedBasis, mat: RatMatrix) -> SpectrumResult:
         stop = start
         while stop < len(basis) and grades[stop] == g:
             stop += 1
-        block = [
-            [mat.data[i][j] for j in range(start, stop)] for i in range(start, stop)
-        ]
+        block = [row[start:stop] for row in mat.data[start:stop]]
         roots, leftover = _rational_eigenvalues(block)
         for lam, mult in roots:
             lines.extend(SpectralLine(None, lam) for _ in range(mult))
@@ -137,26 +136,27 @@ def _block_spectrum(basis: GradedBasis, mat: RatMatrix) -> SpectrumResult:
 
 
 def _char_poly(block: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial, leading coefficient first (Faddeev-LeVerrier)."""
+    """Characteristic polynomial, leading coefficient first (Faddeev-LeVerrier).
+
+    Runs on the integer matrix ``d * block``, whose traces divide exactly
+    by k, and maps its k-th coefficient back as c_k / d^k.
+    """
     n = len(block)
-    coeffs = [Fraction(1)]
-    m = [row[:] for row in block]
+    d, a = _integer_rows(block)
+    coeffs = [1]
+    m = [row[:] for row in a]
     for k in range(1, n + 1):
-        trace = sum(m[i][i] for i in range(n))
-        ck = -trace / k
+        ck, rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        if rem:  # integer Faddeev-LeVerrier divides exactly; anything else is a bug
+            raise ArithmeticError("characteristic polynomial lost exactness")
         coeffs.append(ck)
         if k == n:
             break
         for i in range(n):
             m[i][i] += ck
-        m = [
-            [
-                sum(block[i][r] * m[r][j] for r in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    return coeffs
+        cols = list(zip(*m))
+        m = [[sum(map(mul, row, col)) for col in cols] for row in a]
+    return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
 
 
 def _rational_eigenvalues(
@@ -268,28 +268,31 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
     fatal.
     """
     spectrum = spectrum_from_matrix(op, f, n)
-    basis = spectrum.basis
-    mat = spectrum.matrix
-    algebraic: dict[Fraction, int] = {}
-    for line in spectrum.lines:
-        algebraic[line.eigenvalue] = algebraic.get(line.eigenvalue, 0) + 1
+    basis, mat = spectrum.basis, spectrum.matrix
+    algebraic = Counter(line.eigenvalue for line in spectrum.lines)
 
+    # the certificate applies d * op afresh, never its image memo, to the
+    # integer eigenvector; d * lam is an integer because d * mat is
+    scale, scaled_op = op.scaled_to_integers()
     out: list[SpectralLine] = []
     defects = []
     for lam in sorted(algebraic):
+        scaled_lam = lam * scale
+        if scaled_lam.denominator != 1:
+            raise F4SolvError(f"eigenvalue {lam} of the operator times {scale} is not an integer")
         kernel, defect = _eigenspace(mat, lam, algebraic[lam])
         if defect:
             defects.append(defect)
         for vec in kernel:
-            psi = MPoly(
-                op.frame,
-                {m: c for m, c in zip(basis.monomials, vec) if c},
-            )
-            residual = op.apply(psi) - psi * lam
+            terms = {m: c for m, c in zip(basis.monomials, vec) if c}
+            den = lcm(*(c.denominator for c in terms.values()))  # 1 for nullspace vectors
+            ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+            ints = MPoly._trusted(op.frame, ints)
+            residual = scaled_op.apply(ints) - ints * scaled_lam.numerator
             if not residual.is_zero():
                 raise F4SolvError(f"nonzero residual for eigenvalue {lam}")
-            label = _leading_label(vec, basis)
-            out.append(SpectralLine(label, lam, eigenfunction=psi))
+            psi = MPoly._trusted(op.frame, terms)
+            out.append(SpectralLine(_leading_label(vec, basis), lam, eigenfunction=psi))
     return EigenReport(tuple(out), tuple(defects), basis)
 
 
@@ -310,9 +313,7 @@ def _eigenspace(
 def _leading_label(vec, basis: GradedBasis) -> Optional[Exp]:
     # triangular structure puts each eigenvector's top coordinate at its label
     lead = max((i for i, c in enumerate(vec) if c), default=None)
-    if lead is None:
-        return None
-    return basis.monomials[lead]
+    return None if lead is None else basis.monomials[lead]
 
 
 def closed_form_energy(model: str, p: Sequence[int], params: ModelParams) -> Fraction:

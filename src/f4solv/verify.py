@@ -33,15 +33,11 @@ from .serialize import mpoly_to_json
 
 
 def _check(name: str, passed: bool, **details) -> dict:
-    out = {"name": name, "passed": bool(passed)}
-    out.update(details)
-    return out
+    return {"name": name, "passed": bool(passed), **details}
 
 
 def _report(suite: str, checks: list[dict], **extra) -> dict:
-    rep = {"suite": suite, "passed": all(c["passed"] for c in checks), "checks": checks}
-    rep.update(extra)
-    return rep
+    return {"suite": suite, "passed": all(c["passed"] for c in checks), "checks": checks, **extra}
 
 
 def verify_flag(args, params: ModelParams) -> dict:

@@ -149,12 +149,27 @@ def test_triangular_kernel_is_the_nullspace_or_reports_a_defect(m):
     for lam in set(diagonal):
         shifted = m.minus_scalar_identity(lam)
         kernel = _echelon_nullspace(shifted)
-        got = _triangular_nullspace(shifted.data)
+        got = _triangular_nullspace(shifted.integer_form()[1])
         if len(kernel) < diagonal.count(lam):
             assert got is None
         else:
             assert got == kernel
         assert nullspace(shifted) == kernel
+
+
+@settings(max_examples=100)
+@given(m=st.one_of(upper_triangular(), matrices(4).filter(lambda m: m.rows == m.cols)),
+       lam=fractions())
+def test_shift_is_derived_over_the_integers(m, lam):
+    # the shift's integer form comes from m's; it must be that of M - lam I
+    shifted = m.minus_scalar_identity(lam)
+    expected = [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m.data)]
+    d, rows = shifted.integer_form()
+    assert all(type(x) is int for row in rows for x in row)
+    assert rows == [[d * x for x in row] for row in expected]
+    assert shifted.data == expected
+    assert shifted.is_upper_triangular() == m.is_upper_triangular()
+    assert nullspace(shifted) == nullspace(RatMatrix(expected))
 
 
 def test_minus_scalar_identity_copies_rows():

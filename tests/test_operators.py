@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,43 @@ class TestApply:
         lhs = rational_op.apply(a * p + b * q)
         rhs = a * rational_op.apply(p) + b * rational_op.apply(q)
         assert lhs == rhs
+
+
+#: fractional coefficients in every part, the potential term C included
+POTENTIAL = SecondOrderOp(
+    "t", {(1, 3): F(1, 2) * T1, (4, 4): F(-2, 3) * T3}, {6: F(3, 4) * T1}, F(5, 7) * T1 + F(1, 6)
+)
+
+
+class TestIntegerScaling:
+    @settings(max_examples=60)
+    @given(name=st.sampled_from(["rational", "trig", "rho", "potential"]), data=st.data())
+    def test_scaled_operator_gives_the_scaled_image(self, frame_ops, name, data):
+        # t, tau and rho frames
+        op = POTENTIAL if name == "potential" else frame_ops[name]
+        d, scaled = op.scaled_to_integers()
+        p = data.draw(polys(op.frame, max_size=6))
+        assert scaled.apply(p) == op.apply(p) * d
+        ints = data.draw(
+            st.dictionaries(
+                st.tuples(*[st.integers(min_value=0, max_value=3)] * 4),
+                st.integers(min_value=-9, max_value=9).filter(bool),
+                max_size=6,
+            )
+        )
+        image = scaled.apply(MPoly._trusted(op.frame, ints))
+        assert all(type(c) is int for c in image.terms.values())
+        assert image == op.apply(MPoly(op.frame, ints)) * d
+
+    def test_scale_is_the_lcm_of_the_denominators(self, rho_op):
+        d, scaled = rho_op.scaled_to_integers()
+
+        def coefficients(op):
+            return [c for p in (*op.a.values(), *op.b.values(), op.c) for c in p.terms.values()]
+
+        assert d == lcm(*(c.denominator for c in coefficients(rho_op))) > 1
+        assert all(type(c) is int for c in coefficients(scaled))
+        assert coefficients(scaled) == [d * c for c in coefficients(rho_op)]
 
 
 class TestImage:

@@ -100,6 +100,13 @@ class TestTrustedResults:
         assert (a + b) * k == a * k + b * k
         assert (a * b).derivative(0) == a.derivative(0) * b + a * b.derivative(0)
 
+    def test_int_scalar_keeps_int_coefficients(self):
+        p = MPoly._trusted("t", {(1, 0, 0, 0): 3, (0, 0, 0, 0): -2})
+        q = p * 4
+        assert q.terms == {(1, 0, 0, 0): 12, (0, 0, 0, 0): -8}
+        assert all(type(c) is int for c in q.terms.values())
+        assert all(type(c) is F for c in (T1 * 4 + F(1, 2)).terms.values())
+
     def test_results_are_independent_of_their_operands(self):
         a = T1 + T3
         total = a + MPoly.zero("t")

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from f4solv import linalg, spectral
 from f4solv.errors import ClosureError, F4SolvError
@@ -24,6 +26,7 @@ from f4solv.spectral import (
     fit_energy_affine,
     spectrum_from_matrix,
     weighted_level,
+    _char_poly,
     _eigenspace,
     _rational_eigenvalues,
 )
@@ -318,6 +321,73 @@ class TestBlockSolver:
         roots, leftover = _rational_eigenvalues([[F(0), F(1)], [F(2), F(0)]])
         assert roots == []
         assert leftover is not None  # x^2 - 2 has no rational roots
+
+
+def fraction_char_poly(block):
+    """Reference: Faddeev-LeVerrier over Fraction, the former implementation."""
+    n = len(block)
+    coeffs = [F(1)]
+    m = [row[:] for row in block]
+    for k in range(1, n + 1):
+        ck = -sum(m[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        if k == n:
+            break
+        for i in range(n):
+            m[i][i] += ck
+        m = [[sum(block[i][r] * m[r][j] for r in range(n)) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+@st.composite
+def coupled_blocks(draw, max_dim=6):
+    """Square blocks with fractional entries and a nonzero entry below the diagonal."""
+    n = draw(st.integers(min_value=2, max_value=max_dim))
+    entry = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+    block = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    assume(any(block[i][j] for i in range(n) for j in range(i)))
+    return block
+
+
+@settings(max_examples=80)
+@given(block=coupled_blocks())
+def test_integer_char_poly_matches_the_fraction_reference(block):
+    assert _char_poly(block) == fraction_char_poly(block)
+
+
+class TestResidualCertificate:
+    # a fresh operator each time: the tests below corrupt its image memo
+    def corrupt_diagonal(self, params, shift):
+        op = build_rational_operator(params)
+        m = (1, 0, 0, 0)  # t1, eigenvalue 2 omega
+        terms = op.image(m)
+        assert m in dict(terms)
+        op._images[m] = tuple((e, c + shift if e == m else c) for e, c in terms)
+        return op
+
+    def test_residual_does_not_read_the_image_memo(self, rational_params):
+        # the matrix comes from the corrupt memo, the residual from the operator
+        op = self.corrupt_diagonal(rational_params, F(1))
+        with pytest.raises(F4SolvError, match="nonzero residual"):
+            eigenfunctions(op, MINIMAL, 2)
+
+    def test_eigenvalue_must_be_integral_over_the_operator(self, rational_params):
+        op = self.corrupt_diagonal(rational_params, F(1, 7))
+        assert op.scaled_to_integers()[0] % 7
+        with pytest.raises(F4SolvError, match="not an integer"):
+            eigenfunctions(op, MINIMAL, 2)
+
+    def test_matrix_is_converted_and_scanned_once(self, rho_op, monkeypatch):
+        calls = {"_integer_rows": 0, "_upper_triangular": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(linalg, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(linalg, name, counted)
+        report = eigenfunctions(rho_op, MINIMAL, 6)
+        assert len({line.eigenvalue for line in report.lines}) > 20
+        assert calls == {"_integer_rows": 1, "_upper_triangular": 1}
 
 
 def test_multiset_match_handles_negative_scale():
