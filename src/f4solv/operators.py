@@ -122,14 +122,9 @@ class SecondOrderOp:
         scaled operator maps ``int`` coefficients to ``int`` coefficients."""
         polys = (*self.a.values(), *self.b.values(), self.c)
         d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-
-        def scaled(p: MPoly) -> MPoly:
-            terms = {e: c.numerator * (d // c.denominator) for e, c in p.terms.items()}
-            return MPoly._trusted(self.frame, terms)
-
-        a = {k: scaled(p) for k, p in self.a.items()}
-        b = {k: scaled(p) for k, p in self.b.items()}
-        return d, SecondOrderOp(self.frame, a, b, scaled(self.c))
+        a = {k: p._times_int(d) for k, p in self.a.items()}
+        b = {k: p._times_int(d) for k, p in self.b.items()}
+        return d, SecondOrderOp(self.frame, a, b, self.c._times_int(d))
 
     # -- change of variables -----------------------------------------------
 

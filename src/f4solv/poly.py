@@ -205,6 +205,12 @@ class MPoly:
 
     __rmul__ = __mul__
 
+    def _times_int(self, d: int) -> "MPoly":
+        """``d * self`` with ``int`` coefficients; d clears every denominator."""
+        return MPoly._trusted(
+            self.frame, {e: c.numerator * (d // c.denominator) for e, c in self.terms.items()}
+        )
+
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
             raise ValueError("negative power")

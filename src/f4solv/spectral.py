@@ -284,14 +284,12 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
         if defect:
             defects.append(defect)
         for vec in kernel:
-            terms = {m: c for m, c in zip(basis.monomials, vec) if c}
-            den = lcm(*(c.denominator for c in terms.values()))  # 1 for nullspace vectors
-            ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-            ints = MPoly._trusted(op.frame, ints)
+            psi = MPoly._trusted(op.frame, {m: c for m, c in zip(basis.monomials, vec) if c})
+            # nullspace vectors are integral (lcm 1); any other vector is scaled exactly
+            ints = psi._times_int(lcm(*(c.denominator for c in psi.terms.values())))
             residual = scaled_op.apply(ints) - ints * scaled_lam.numerator
             if not residual.is_zero():
                 raise F4SolvError(f"nonzero residual for eigenvalue {lam}")
-            psi = MPoly._trusted(op.frame, terms)
             out.append(SpectralLine(_leading_label(vec, basis), lam, eigenfunction=psi))
     return EigenReport(tuple(out), tuple(defects), basis)
 

@@ -135,7 +135,7 @@ class TestIntegerScaling:
     @settings(max_examples=60)
     @given(name=st.sampled_from(["rational", "trig", "rho", "potential"]), data=st.data())
     def test_scaled_operator_gives_the_scaled_image(self, frame_ops, name, data):
-        # t, tau and rho frames
+        # the t, tau and rho frames, and a potential term
         op = POTENTIAL if name == "potential" else frame_ops[name]
         d, scaled = op.scaled_to_integers()
         p = data.draw(polys(op.frame, max_size=6))

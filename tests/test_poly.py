@@ -106,6 +106,9 @@ class TestTrustedResults:
         assert q.terms == {(1, 0, 0, 0): 12, (0, 0, 0, 0): -8}
         assert all(type(c) is int for c in q.terms.values())
         assert all(type(c) is F for c in (T1 * 4 + F(1, 2)).terms.values())
+        r = (F(1, 2) * T1 - F(2, 3))._times_int(12)
+        assert r.terms == {(1, 0, 0, 0): 6, (0, 0, 0, 0): -8}
+        assert all(type(c) is int for c in r.terms.values())
 
     def test_results_are_independent_of_their_operands(self):
         a = T1 + T3
