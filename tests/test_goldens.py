@@ -50,6 +50,9 @@ GOLDENS = [
      "7647f8c0519b04d99a7e6224646fe4d19df00865d125d0ce2856b4bcf6fc5146"),
     (("spectrum", "--model", "trig", "--frame", "native", *TRIG, "--level", "5"),
      "99915b0ccf1e3f35d224e07940ecbbfb0e0284b4c8bd37f5a4f423c1492e911e"),
+    # grade-8 blocks are 24 x 24: the block root search where blocks are large
+    (("spectrum", "--model", "trig", "--frame", "native", *TRIG, "--level", "8"),
+     "5187f7d2e5096f5ddcec2564242ae9139375ea0c4afeded69e5e85daae884e4c"),
 ]
 
 
