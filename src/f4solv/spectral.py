@@ -3,26 +3,27 @@
 In a strictly triangular frame the eigenvalues sit on the matrix
 diagonal, labeled by the quantum numbers of their basis monomials.
 Block-triangular matrices (grade-non-increasing, with coupling inside a
-grade) are handled per diagonal block: rational eigenvalues are
-extracted exactly from the block's characteristic polynomial and any
-irrational remainder is returned as data, never approximated.
-Eigenfunctions come from exact nullspaces, which in a strictly
-triangular frame are found by back-substitution, one vector per
-diagonal entry.  Every returned pair is re-verified to have an
-identically zero residual.  The characteristic polynomials, the kernels
-and the residuals run over ``int``; ``Fraction`` appears only in results.
+grade) are handled per diagonal block: each rational eigenvalue is k / d
+for an integer root k of the characteristic polynomial of ``d * block``,
+found modulo a prime and kept only on exact division; any irrational
+remainder is returned as data, never approximated.  Eigenfunctions come
+from exact nullspaces, found by back-substitution in a strictly
+triangular frame.  Every returned pair is re-verified to have an
+identically zero residual.  The characteristic polynomials, the root
+search, the kernels and the residuals run over ``int``; ``Fraction``
+appears only in results.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
-
-import mpmath
 
 from .errors import ClosureError, F4SolvError
 from .flags import GradedBasis, flag_matrix, grade_counts
@@ -135,14 +136,10 @@ def _block_spectrum(basis: GradedBasis, mat: RatMatrix) -> SpectrumResult:
     return SpectrumResult(tuple(lines), False, basis, mat, tuple(irreducible))
 
 
-def _char_poly(block: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial, leading coefficient first (Faddeev-LeVerrier).
-
-    Runs on the integer matrix ``d * block``, whose traces divide exactly
-    by k, and maps its k-th coefficient back as c_k / d^k.
-    """
-    n = len(block)
-    d, a = _integer_rows(block)
+def _char_poly(a: list[list[int]]) -> list[int]:
+    """Characteristic polynomial of an integer matrix, leading coefficient
+    first (Faddeev-LeVerrier, whose traces divide exactly by k over int)."""
+    n = len(a)
     coeffs = [1]
     m = [row[:] for row in a]
     for k in range(1, n + 1):
@@ -156,7 +153,7 @@ def _char_poly(block: list[list[Fraction]]) -> list[Fraction]:
             m[i][i] += ck
         cols = list(zip(*m))
         m = [[sum(map(mul, row, col)) for col in cols] for row in a]
-    return [Fraction(c, d**k) for k, c in enumerate(coeffs)]
+    return coeffs
 
 
 def _rational_eigenvalues(
@@ -164,85 +161,88 @@ def _rational_eigenvalues(
 ) -> tuple[list[tuple[Fraction, int]], Optional[list[Fraction]]]:
     """Rational roots (with multiplicity) of the block's characteristic polynomial.
 
-    Returns (roots, leftover) where leftover is the unfactored remainder
-    polynomial when some eigenvalues are irrational, else None.
+    The integer matrix ``d * block`` has a monic integer characteristic
+    polynomial q; each rational eigenvalue is k / d for a root k of q with
+    |k| at most the row-sum bound of ``d * block`` (Gershgorin).  Roots of
+    q modulo a prime are accepted only by exact division.  Returns (roots,
+    leftover), leftover the unfactored remainder when some eigenvalues
+    are irrational, else None.
     """
-    if len(block) == 1:
-        return [(block[0][0], 1)], None
-    coeffs = _char_poly(block)
+    d, a = _integer_rows(block)
+    poly = _char_poly(a)
     roots: list[tuple[Fraction, int]] = []
-    poly = coeffs
-    for lam in _rational_root_candidates(coeffs):
+    for k in _roots_mod_p(poly, max(sum(map(abs, row)) for row in a)):
         mult = 0
         while len(poly) > 1:
-            quot, rem = _poly_divmod(poly, [Fraction(1), -lam])  # Horner
+            *quot, rem = accumulate(poly, lambda acc, c: acc * k + c)  # Horner
             if rem:
                 break
-            poly = quot
-            mult += 1
+            poly, mult = quot, mult + 1
         if mult:
-            roots.append((lam, mult))
-        if len(poly) == 1:
-            break
-    leftover = poly if len(poly) > 1 else None
+            roots.append((Fraction(k, d), mult))
+    leftover = [Fraction(c, d**i) for i, c in enumerate(poly)] if len(poly) > 1 else None
     return roots, leftover
 
 
-def _poly_divmod(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of a / b, leading coefficients first."""
-    quot, rem = [], list(a)
-    while len(rem) >= len(b):
-        f = rem[0] / b[0]
-        quot.append(f)
-        rem = [r - f * c for r, c in zip(rem[1:], b[1:])] + rem[len(b):]
-    while rem and rem[0] == 0:
-        rem.pop(0)
-    return quot, rem
+#: exponents e of the Mersenne primes 2^e - 1 that serve as moduli
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
 
-def _rational_root_candidates(coeffs: list[Fraction]) -> list[Fraction]:
-    """Candidates that include every rational root of the monic polynomial.
+def _roots_mod_p(q: list[int], bound: int) -> list[int]:
+    """Sorted roots in (-p/2, p/2) of the monic q modulo a prime p > 2 * bound:
+    gcd(q, x^p - x) over GF(p), split by Cantor-Zassenhaus with a fixed seed."""
+    p = next((2**e - 1 for e in _MERSENNE_EXPONENTS if 2**e - 1 > 2 * bound), None)
+    if p is None:
+        raise F4SolvError(f"eigenvalue bound of {bound.bit_length()} bits exceeds every modulus")
+    xp = [0, 0] + _pow_mod(0, p, q, p)
+    xp[-2] -= 1
+    rng, found, pending = random.Random(0), [], [_gcd_mod(q, xp, p)]
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            found.append((p // 2 - g[1]) % p - p // 2)
+        elif len(g) > 2:
+            h = _pow_mod(rng.randrange(p), p // 2, g, p)
+            h[-1] -= 1
+            f = _gcd_mod(g, h, p)
+            pending += [f, _divmod_mod(g, f, p)[0]] if 1 < len(f) < len(g) else [g]
+    return sorted(found)
 
-    With D the lcm of the denominators, D^n p(y / D) is a monic integer
-    polynomial, so each rational root is k / D for an integer root k.
-    The roots of the square-free part are isolated numerically and
-    rounded to k; the caller accepts a candidate only on exact
-    evaluation.  If the isolation does not converge there are no
-    candidates, and the caller reports the polynomial as unfactored.
-    """
-    n = len(coeffs) - 1
-    denom = lcm(*(c.denominator for c in coeffs))
-    a, b = coeffs, [c * (n - i) for i, c in enumerate(coeffs[:-1])]
-    while b:  # Euclid: a ends as gcd(p, p')
-        a, b = b, _poly_divmod(a, b)[1]
-    squarefree = _poly_divmod(coeffs, a)[0]
-    m = len(squarefree) - 1
-    # integer coefficients: symmetric functions of the algebraic integers D x
-    q = [int(c / squarefree[0] * denom**i) for i, c in enumerate(squarefree)]
-    # Durand-Kerner from mpmath's fixed start points stalls on the tight,
-    # far-off root clusters of these blocks: centre the roots on their
-    # mean (exact Taylor shift) and scale them into the unit disc
-    centre = -q[1] // m
-    for i in range(m):
-        for j in range(1, m + 1 - i):
-            q[j] += centre * q[j - 1]
-    exp2 = 1 + max(
-        (-(-abs(c).bit_length() // i) for i, c in enumerate(q) if i and c), default=0
-    )
-    ctx = mpmath.mp.clone()
-    ctx.prec = exp2 + 64
-    try:
-        roots = ctx.polyroots(
-            [ctx.ldexp(c, -exp2 * i) for i, c in enumerate(q)],
-            maxsteps=400,
-            extraprec=ctx.prec,
-        )
-    except ctx.NoConvergence:
-        return []
-    ks = {int(ctx.nint(ctx.ldexp(ctx.re(z), exp2))) + centre for z in roots}
-    return [Fraction(k, denom) for k in sorted(ks)]
+
+def _divmod_mod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic m over GF(p), leading
+    coefficients first; the remainder keeps any leading zeros."""
+    a = list(a)
+    for i in range(len(a) - len(m) + 1):
+        a[i] %= p
+        for j in range(1, len(m)):
+            a[i + j] -= a[i] * m[j]
+    split = max(len(a) - len(m) + 1, 0)
+    return a[:split], [c % p for c in a[split:]]
+
+
+def _pow_mod(c: int, e: int, m: list[int], p: int) -> list[int]:
+    """(x + c)^e modulo the monic m over GF(p), by left-to-right squaring."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        prod = [0] * (2 * len(out) - 1)
+        for i, u in enumerate(out):
+            for j, v in enumerate(out):
+                prod[i + j] += u * v
+        if bit == "1":  # times x + c
+            prod = [u + c * v for u, v in zip(prod + [0], [0] + prod)]
+        out = _divmod_mod(prod, m, p)[1]
+    return out
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of the monic a and of b over GF(p)."""
+    while any(c % p for c in b):
+        b = [c % p for c in b[next(i for i, c in enumerate(b) if c % p):]]
+        inv = pow(b[0], -1, p)
+        a, b = [c * inv % p for c in b], a
+        b = _divmod_mod(b, a, p)[1]
+    return a
 
 
 @dataclass(frozen=True)

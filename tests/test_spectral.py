@@ -168,7 +168,7 @@ class TestSpectrum:
             assert fit.offset == closed_form_energy_trig((0, 0, 0, 0), params)
 
     def test_block_spectrum_of_tau_frame_matches_rho_diagonal(self, trig_op, rho_op):
-        for level in (4, 5, 6):
+        for level in (4, 5, 6, 8):
             blocks = spectrum_from_matrix(trig_op, MINIMAL, level)
             strict = spectrum_from_matrix(rho_op, MINIMAL, level)
             assert not blocks.strict
@@ -310,6 +310,10 @@ class TestBlockSolver:
         assert leftover is None
         assert sorted(roots) == [(F(3), 1), (F(2**61 - 1), 1)]
 
+    def test_roots_near_the_modulus_are_read_in_the_symmetric_range(self):
+        # row-sum bound 2^61 - 2: the modulus must exceed twice it, so not 2^61 - 1
+        assert _rational_eigenvalues([[F(2 - 2**61)]]) == ([(F(2 - 2**61), 1)], None)
+
     def test_repeated_and_fractional_roots(self):
         jordan = [[F(3), F(1), F(0)], [F(0), F(3), F(1)], [F(0), F(0), F(3)]]
         assert _rational_eigenvalues(jordan) == ([(F(3), 3)], None)
@@ -321,6 +325,27 @@ class TestBlockSolver:
         roots, leftover = _rational_eigenvalues([[F(0), F(1)], [F(2), F(0)]])
         assert roots == []
         assert leftover is not None  # x^2 - 2 has no rational roots
+
+    def test_far_off_cluster_is_solved_exactly(self):
+        # four close roots near 7.6e14 and one near -1.2e15; a numerical
+        # root isolation left all five in an unfactored quintic
+        c = 755153512521398
+        block = [
+            [c + 1, 8, 4, 3, -4],
+            [0, c, 4, 1, 2],
+            [0, -2, c - 3, -1, 0],
+            [0, -4000000000000000, -8, c - 2000000000000002, -2],
+            [0, 0, 0, 0, c],
+        ]
+        roots, leftover = _rational_eigenvalues([[F(v) for v in row] for row in block])
+        assert leftover is None
+        assert roots == [(F(k), 1) for k in (c - 2000000000000000, c - 3, c - 2, c, c + 1)]
+
+    def test_eigenvalue_bound_past_the_largest_modulus_raises(self):
+        # the moduli end at 2^4423 - 1, which must exceed twice the row-sum bound
+        with pytest.raises(F4SolvError, match="bound of 4424 bits"):
+            _rational_eigenvalues([[F(2**4423), F(0)], [F(0), F(1)]])
+        assert _rational_eigenvalues([[F(2**4421)]]) == ([(F(2**4421), 1)], None)
 
 
 def fraction_char_poly(block):
@@ -340,10 +365,10 @@ def fraction_char_poly(block):
 
 
 @st.composite
-def coupled_blocks(draw, max_dim=6):
+def coupled_blocks(draw, max_dim=6, denominators=tuple(range(1, 13))):
     """Square blocks with fractional entries and a nonzero entry below the diagonal."""
     n = draw(st.integers(min_value=2, max_value=max_dim))
-    entry = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+    entry = st.builds(F, st.integers(-9, 9), st.sampled_from(denominators))
     block = [[draw(entry) for _ in range(n)] for _ in range(n)]
     assume(any(block[i][j] for i in range(n) for j in range(i)))
     return block
@@ -352,7 +377,71 @@ def coupled_blocks(draw, max_dim=6):
 @settings(max_examples=80)
 @given(block=coupled_blocks())
 def test_integer_char_poly_matches_the_fraction_reference(block):
-    assert _char_poly(block) == fraction_char_poly(block)
+    d, ints = linalg._integer_rows(block)
+    assert [F(c, d**k) for k, c in enumerate(_char_poly(ints))] == fraction_char_poly(block)
+
+
+@st.composite
+def conjugated_triangular_blocks(draw, max_dim=6):
+    """(E T E^-1, diagonal of T): T upper triangular, its rational diagonal
+    a tight cluster at 10^k, outliers offset by 10^j and repeats; E a
+    product of integer shears."""
+    small = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+    centre = draw(st.integers(-1, 1)) * 10 ** draw(st.integers(0, 16))
+    offset = draw(st.integers(-2, 2)) * 10 ** draw(st.integers(0, 16))
+    cluster = draw(st.lists(small, min_size=1, max_size=5, unique=True))
+    values = [centre + v for v in cluster]
+    values += [centre + offset + v for v in draw(st.lists(small, max_size=2))]
+    repeats = draw(st.lists(st.sampled_from(values), max_size=2))
+    diagonal = draw(st.permutations(values + repeats))[:max_dim]
+    n = len(diagonal)
+    block = [[diagonal[i] if i == j else draw(small) if i < j else F(0) for j in range(n)]
+             for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-3, 3))
+        # E = I + c e_ij: row i gains c row j, then column j loses c column i
+        block[i] = [u + c * v for u, v in zip(block[i], block[j])]
+        for row in block:
+            row[j] -= c * row[i]
+    return block, diagonal
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=conjugated_triangular_blocks())
+def test_block_roots_are_the_triangular_diagonal(case):
+    block, diagonal = case
+    roots, leftover = _rational_eigenvalues(block)
+    assert leftover is None
+    assert sorted(lam for lam, mult in roots for _ in range(mult)) == sorted(diagonal)
+
+
+def poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(block=coupled_blocks(max_dim=5, denominators=(1, 2, 3, 4)))
+def test_roots_times_leftover_is_the_char_poly(block):
+    roots, leftover = _rational_eigenvalues(block)
+    product = leftover or [F(1)]
+    for lam, mult in roots:
+        for _ in range(mult):
+            product = poly_mul(product, [F(1), -lam])
+    assert product == fraction_char_poly(block)
+    if leftover:
+        # no integer root k of d^i leftover_i, the polynomial of d * block,
+        # lies within the row-sum bound of d * block
+        d, ints = linalg._integer_rows(block)
+        bound = max(sum(map(abs, row)) for row in ints)
+        scaled = [c * d**i for i, c in enumerate(leftover)]
+        assert all(c.denominator == 1 for c in scaled)
+        for k in range(-bound, bound + 1):
+            assert sum(c * k ** (len(scaled) - 1 - i) for i, c in enumerate(scaled)) != 0
 
 
 class TestResidualCertificate:
