@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Sequence
-
-import mpmath
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import PoleError
 from .invariants import HALF_SUM_SIGNS, POSITIVE_ROOTS, singular_factors
 from .models import ModelParams
+
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_PRECISION_BITS = 200
 
@@ -45,6 +46,10 @@ def precision_bits() -> int:
 
 
 def mp_context() -> mpmath.MPContext:
+    """A fresh mpmath context at the working precision.  mpmath is loaded
+    here, so only the periodic paths pay for it."""
+    import mpmath
+
     ctx = mpmath.mp.clone()
     ctx.prec = precision_bits()
     return ctx

@@ -29,6 +29,7 @@ labels to tuple positions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence, Union
 
 from .errors import FrameError, MapError
@@ -344,19 +345,51 @@ def merge_terms(acc: dict[Exp, Fraction], terms: Mapping[Exp, Fraction]) -> None
 
 
 class PowerTable:
-    """Powers of one point's coordinates, each computed once as ``v**e``,
-    and the monomials built from them.
+    """Powers of one point's coordinates, each computed once, and the
+    monomials built from them.
 
     Both fill on demand, so one table serves every polynomial evaluated
-    at the point.
+    at the point.  The coordinates' number type decides what they hold:
+
+    * ints and Fractions: integer numerators (``values``) over one
+      common ``denominator``, so exact plans never build a Fraction;
+    * mpf numbers of one mpmath ``context``: their raw ``_mpf_`` values;
+    * anything else (floats, mixed types): the coordinates as given.
+
+    ``plain()`` is the table of the coordinates as given, for plans that
+    do not match the point's form.
     """
 
-    __slots__ = ("point", "powers", "monomials")
+    __slots__ = (
+        "point", "values", "denominator", "fraction_slots", "context",
+        "powers", "monomials", "_plain",
+    )
 
     def __init__(self, point: Sequence):
-        self.point = tuple(point)
+        self.point = self.values = point = tuple(point)
+        self.denominator = self.context = self._plain = None
         self.powers: dict[tuple[int, int], object] = {}  # (slot, exponent) -> power
         self.monomials: dict[Exp, object] = {}
+        if all(type(v) is int or type(v) is Fraction for v in point):
+            d = self.denominator = lcm(*(v.denominator for v in point))
+            self.values = tuple(v.numerator * (d // v.denominator) for v in point)
+            # bit s set: coordinate s is a Fraction, so a term using it is one
+            self.fraction_slots = sum(1 << s for s, v in enumerate(point) if type(v) is Fraction)
+            return
+        ctx = getattr(type(point[0]), "context", None)
+        if ctx is not None and all(type(v) is ctx.mpf for v in point):
+            self.context = ctx
+            self.values = tuple(v._mpf_ for v in point)
+
+    def plain(self) -> "PowerTable":
+        if self.denominator is None and self.context is None:
+            return self
+        if self._plain is None:
+            plain = self._plain = object.__new__(PowerTable)
+            plain.point = plain.values = self.point
+            plain.denominator = plain.context = plain._plain = None
+            plain.powers, plain.monomials = {}, {}
+        return self._plain
 
 
 class EvalPlan:
@@ -364,22 +397,103 @@ class EvalPlan:
 
     Coefficients pass through ``convert`` once (an mpmath context's
     ``convert`` gives the value that ``mpf * Fraction`` would convert at
-    every point).  A value is each term's monomial, the product of its
-    powers in slot order, times the coefficient, with the terms summed
-    in dict order: the operation order of evaluating term by term, so
-    floating-point results are bit-identical to it.
+    every point).  Three loops share the table's caches:
+
+    * exact: a plan with int and Fraction coefficients (no ``convert``)
+      at a table of ints and Fractions.  The coefficients are integer
+      numerators c_e over one denominator C, grouped by total degree d
+      up to the top degree m.  With the table's numerators a over D the
+      value is ``Fraction(sum_d D^(m-d) sum_{|e|=d} c_e a^e, C D^m)``,
+      summed by Horner's rule in D: one reduction per value, and the
+      value and type of summing the terms as Fractions.
+    * mpf: a plan converted by an mpmath context's ``convert``, at a
+      table of that context's numbers.  It runs the generic loop on raw
+      ``_mpf_`` values with ``mpf_pow_int``, ``mpf_mul`` and ``mpf_add``
+      at the context's precision and rounding, the functions the
+      ``mpf`` operators call, so every value is bit-identical to it.
+    * generic, for every other pairing: each term's monomial, the
+      product of its powers ``v**e`` in slot order, times the
+      coefficient, with the terms summed in dict order.  That is the
+      operation order of evaluating term by term, so floating-point
+      results are bit-identical to it.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "denominator", "by_degree", "int_slots", "context", "raw")
 
     def __init__(self, poly: MPoly, convert=None):
-        self.terms = tuple(
+        self.terms = terms = tuple(
             (exp, coeff if convert is None else convert(coeff))
             for exp, coeff in poly.terms.items()
         )
+        self.denominator = self.by_degree = self.int_slots = self.context = self.raw = None
+        if convert is None:
+            if all(type(c) is int or type(c) is Fraction for _, c in terms):
+                d = self.denominator = lcm(*(c.denominator for _, c in terms))
+                by_degree: list[list] = [[] for _ in range(max(map(sum, poly.terms), default=0) + 1)]
+                for exp, c in terms:
+                    by_degree[sum(exp)].append((exp, c.numerator * (d // c.denominator)))
+                self.by_degree = tuple(map(tuple, by_degree))
+                if all(type(c) is int for _, c in terms):  # bit s set: some term uses slot s
+                    self.int_slots = sum(1 << s for s in range(4) if any(e[s] for e, _ in terms))
+            return
+        ctx = getattr(convert, "__self__", None)
+        if ctx is not None and all(type(c) is ctx.mpf for _, c in terms):
+            self.context = ctx
+            self.raw = tuple((exp, c._mpf_) for exp, c in terms)
 
     def __call__(self, table: PowerTable):
-        point, powers, monomials = table.point, table.powers, table.monomials
+        if self.denominator is not None and table.denominator is not None:
+            return self._exact(table)
+        if self.context is not None and self.context is table.context:
+            return self._mpf(table)
+        return self._generic(table.plain())
+
+    def _exact(self, table: PowerTable):
+        if not self.terms:
+            return 0
+        values, powers, monomials, d = table.values, table.powers, table.monomials, table.denominator
+        acc = 0
+        for group in self.by_degree:
+            acc *= d
+            for exp, c in group:
+                prod = monomials.get(exp)
+                if prod is None:
+                    prod = 1
+                    for s, e in enumerate(exp):
+                        if e:
+                            p = powers.get((s, e))
+                            if p is None:
+                                p = powers[s, e] = values[s] ** e
+                            prod *= p
+                    monomials[exp] = prod
+                acc += c * prod
+        value = Fraction(acc, self.denominator * d ** (len(self.by_degree) - 1))
+        if self.int_slots is not None and not self.int_slots & table.fraction_slots:
+            return value.numerator  # every term is an int, so their sum is
+        return value
+
+    def _mpf(self, table: PowerTable):
+        from mpmath.libmp import mpf_add, mpf_mul, mpf_pow_int
+
+        prec, rounding = self.context._prec_rounding
+        values, powers, monomials = table.values, table.powers, table.monomials
+        acc = None
+        for exp, coeff in self.raw:
+            prod = monomials.get(exp)
+            if prod is None:
+                for s, e in enumerate(exp):
+                    if e:
+                        p = powers.get((s, e))
+                        if p is None:
+                            p = powers[s, e] = mpf_pow_int(values[s], e, prec, rounding)
+                        prod = p if prod is None else mpf_mul(prod, p, prec, rounding)
+                monomials[exp] = prod
+            val = coeff if prod is None else mpf_mul(prod, coeff, prec, rounding)
+            acc = val if acc is None else mpf_add(acc, val, prec, rounding)
+        return 0 if acc is None else self.context.make_mpf(acc)
+
+    def _generic(self, table: PowerTable):
+        values, powers, monomials = table.values, table.powers, table.monomials
         acc = None
         for exp, coeff in self.terms:
             prod = monomials.get(exp)
@@ -388,7 +502,7 @@ class EvalPlan:
                     if e:
                         p = powers.get((s, e))
                         if p is None:
-                            p = powers[s, e] = point[s] ** e
+                            p = powers[s, e] = values[s] ** e
                         prod = p if prod is None else prod * p
                 monomials[exp] = prod
             val = coeff if prod is None else prod * coeff

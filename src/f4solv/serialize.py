@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -11,7 +12,22 @@ from .poly import MPoly
 from .spectral import SpectralLine
 
 def format_fraction(value: Fraction) -> str:
-    return str(Fraction(value))  # "n" or "n/d"
+    """The value as "n" or "n/d", in full.
+
+    Exact results can have more digits than Python's int-to-str limit
+    (4300 by default), so the limit is lifted for them while they are
+    formatted; parsing keeps it.
+    """
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def parse_fraction(text: str) -> Fraction:

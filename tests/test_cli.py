@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +222,63 @@ class TestUsageErrors:
         assert "--level" in err
         code, _, _ = run(capsys, "eigenfunctions", "--charvec", "1,2")
         assert code == 64
+
+
+class TestLongOutput:
+    # nu = 10^3000: eigenvalues of about 3000 digits, energies of about 6000
+    HUGE = ("spectrum", "--model", "trig", "--frame", "native", "--nu", "1e3000",
+            "--mu", "1/8", "--beta2", "1/4", "--level", "1")
+
+    def test_result_longer_than_the_digit_limit_prints(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, *self.HUGE)
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        _, fit, _, _, top = out.splitlines()  # "closed_form = s * eigenvalue + o  [exact]"
+        cells = top.split("|")
+        assert len(cells[3].strip()) > 4300
+        sys.set_int_max_str_digits(0)  # parsing the printed values needs it too
+        try:
+            scale, offset = F(fit.split()[2]), F(fit.split()[6])
+            eigen, closed = F(cells[2]), F(cells[3])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert closed == scale * eigen + offset
+
+    def test_argument_longer_than_the_digit_limit_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--model", "trig", "--nu", "1" + "0" * 5000,
+                             "--mu", "1/8", "--level", "1")
+        assert code == 64 and out == ""
+        assert err.startswith("usage error:") and "limit" in err
+
+
+class TestStartup:
+    def test_mpmath_is_loaded_only_by_periodic_work(self):
+        trig = "'--nu', '1/3', '--mu', '1/8', '--beta2', '1/4'"
+        script = f"""
+import contextlib, io, sys
+import f4solv
+assert "mpmath" not in sys.modules, "import f4solv"
+from f4solv.cli import main
+for argv in (
+    ["spectrum", "--model", "rational", "--level", "4"],
+    ["eigenfunctions", "--model", "trig", "--frame", "rho", {trig}, "--level", "3"],
+    ["spectrum", "--model", "trig", "--frame", "native", {trig}, "--level", "3"],
+    ["scan-flags", "--ambiguity-search", "--model", "rational", "--bound", "4"],
+    ["scan-flags", "--model", "trig", {trig}, "--bound", "4"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "mpmath" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--suite", "oracle", "--model", "trig", {trig}, "--points", "1"]) == 0
+assert "mpmath" in sys.modules, "the periodic oracle"
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestWarnings:

@@ -30,7 +30,7 @@ from f4solv.oracle import (
     oracle_sweep_rational,
     oracle_sweep_trig,
 )
-from f4solv.poly import MPoly
+from f4solv.poly import EvalPlan, MPoly
 from tests.conftest import RATIONAL_SETS, TRIG_SETS
 
 
@@ -176,6 +176,16 @@ class TestCartesianOracle:
             tau, expected = reference_trig(params, p, x, cal)
             assert rhs._mpf_ == expected._mpf_
             assert lhs._mpf_ == term_by_term(op.apply(p), tau)._mpf_
+
+    @pytest.mark.parametrize("sweep, params", [
+        (oracle_sweep_rational, RATIONAL_SETS[2]), (oracle_sweep_trig, TRIG_SETS[1]),
+    ], ids=["rational", "trig"])
+    def test_sweeps_never_take_the_generic_loop(self, monkeypatch, sweep, params):
+        def generic(plan, table):
+            raise AssertionError("a Fraction or mpf object loop ran on oracle traffic")
+
+        monkeypatch.setattr(EvalPlan, "_generic", generic)
+        assert sweep(params, n_points=3, n_polys=2, seed=5)["passed"]
 
     def test_trig_sweep_within_tolerance(self, trig_params):
         report = oracle_sweep_trig(trig_params, n_points=20, n_polys=5)

@@ -1,5 +1,7 @@
 from fractions import Fraction as F
+from math import lcm
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from f4solv.poly import (
     build_triangular_map,
     is_inverse_pair,
 )
+from f4solv.poly import ZERO_EXP
 
 T1 = MPoly.variable("t", 0)
 T3 = MPoly.variable("t", 1)
@@ -32,10 +35,39 @@ def exponents(max_exp=3):
     return st.tuples(*[st.integers(min_value=0, max_value=max_exp)] * 4)
 
 
-def polys(frame="t"):
-    return st.dictionaries(exponents(), fractions(), max_size=5).map(
+def polys(frame="t", max_den=4):
+    return st.dictionaries(exponents(), fractions(max_den=max_den), max_size=5).map(
         lambda terms: MPoly(frame, terms)
     )
+
+
+def exact_polys():
+    """Fraction coefficients with denominators 1-12, or their int-scaled copies."""
+    return st.tuples(polys(max_den=12), st.booleans()).map(
+        lambda pb: pb[0]._times_int(lcm(*(c.denominator for c in pb[0].terms.values())))
+        if pb[1]
+        else pb[0]
+    )
+
+
+def per_term(terms, point):
+    """The formula before the power table: each term's powers multiplied in
+    slot order, times its coefficient, and the terms summed in order."""
+    acc = None
+    for exp, coeff in terms:
+        prod = None
+        for v, e in zip(point, exp):
+            if e:
+                q = v**e
+                prod = q if prod is None else prod * q
+        val = coeff if prod is None else prod * coeff
+        acc = val if acc is None else acc + val
+    return 0 if acc is None else acc
+
+
+def same(got, want) -> bool:
+    """Equal in type and value; mpf values equal bit for bit."""
+    return type(got) is type(want) and getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)
 
 
 class TestArithmetic:
@@ -162,26 +194,12 @@ class TestEval:
         assert EvalPlan(p)(table) == expected
 
     def test_eval_float_is_the_per_term_formula_bit_for_bit(self):
-        import mpmath
-
-        def per_term(p, point):  # the formula before the power table
-            acc = None
-            for exp, coeff in p.terms.items():
-                prod = None
-                for v, e in zip(point, exp):
-                    if e:
-                        q = v**e
-                        prod = q if prod is None else prod * q
-                val = coeff if prod is None else prod * coeff
-                acc = val if acc is None else acc + val
-            return 0 if acc is None else acc
-
         ctx = mpmath.mp.clone()
         ctx.prec = 200
         point = [ctx.sqrt(v) / 7 for v in (2, 3, 5, 11)]
         p = (F(3, 7) * T1**3 * T6**5 - F(1, 3) * T3 * T4**7 + F(2, 9)) * (T1 - F(5, 11) * T4**2) ** 3
         for q in (p, p * T3**2 - F(1, 3), MPoly.constant("t", F(1, 3)) + T6):
-            expected = per_term(q, point)
+            expected = per_term(q.terms.items(), point)
             assert q.eval_float(point)._mpf_ == expected._mpf_
             converted = EvalPlan(q, ctx.convert)(PowerTable(point))
             assert converted._mpf_ == expected._mpf_
@@ -192,6 +210,77 @@ class TestEval:
     def test_eval_is_ring_homomorphism(self, a, b, point):
         assert (a * b).eval_exact(point) == a.eval_exact(point) * b.eval_exact(point)
         assert (a + b).eval_exact(point) == a.eval_exact(point) + b.eval_exact(point)
+
+
+class TestEvalPaths:
+    """The point's number type picks the loop: integer numerators for ints
+    and Fractions, raw libmpf values for one context's mpf numbers, the
+    generic loop otherwise.  Each must give what the generic loop gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ps=st.lists(exact_polys(), min_size=1, max_size=4),
+        point=st.tuples(*[st.one_of(st.integers(-6, 6), fractions(6, 12))] * 4),
+    )
+    def test_exact_path_is_the_fraction_sum_in_value_and_type(self, ps, point):
+        table = PowerTable(point)
+        assert table.denominator is not None
+        # one table, plans of different degree and denominator, each met twice
+        for p in ps + ps[::-1]:
+            want = per_term(p.terms.items(), point)
+            assert same(EvalPlan(p)(table), want)
+            assert same(p.eval_exact(point), F(want))
+
+    def test_exact_path_on_constant_and_empty_polynomials(self):
+        polys_ = [
+            MPoly.zero("t"),
+            MPoly.constant("t", F(-7, 12)),
+            MPoly.constant("t", 5)._times_int(1),  # an int coefficient
+            (T3 - 4)._times_int(1),
+            MPoly("t", {ZERO_EXP: F(1, 3), (2, 0, 0, 1): F(-5, 11)}),
+        ]
+        for point in ((0, 0, 0, 0), (F(1, 12), -3, 0, F(-5, 7)), (2, -1, 0, 4), (0, F(2, 3), 7, 1)):
+            table = PowerTable(point)
+            for p in polys_ + polys_[::-1]:
+                assert same(EvalPlan(p)(table), per_term(p.terms.items(), point))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ps=st.lists(polys(max_den=12), min_size=1, max_size=3),
+        roots=st.tuples(*[st.tuples(st.integers(-50, 50), st.integers(1, 12))] * 4),
+        prec=st.sampled_from((53, 113, 200, 333)),
+    )
+    def test_mpf_path_is_the_per_term_formula_bit_for_bit(self, ps, roots, prec):
+        ctx = mpmath.mp.clone()
+        ctx.prec = prec
+        point = [ctx.sqrt(abs(a)) / (b if a >= 0 else -b) for a, b in roots]
+        table = PowerTable(point)
+        assert table.context is ctx
+        for p in ps + ps[::-1]:
+            plan = EvalPlan(p, ctx.convert)
+            assert same(plan(table), per_term(plan.terms, point))
+
+    def test_plans_of_another_context_take_the_generic_loop(self):
+        a, b = mpmath.mp.clone(), mpmath.mp.clone()
+        a.prec, b.prec = 113, 333
+        point = [a.sqrt(v) / 7 for v in (2, 3, 5, 11)]
+        # the constant comes first, so the generic sum runs at its context's precision
+        p = MPoly("t", {ZERO_EXP: F(1, 3), (1, 2, 0, 0): F(3, 7), (0, 0, 1, 1): F(-2, 7)})
+        table = PowerTable(point)
+        for ctx in (b, a, b):
+            plan = EvalPlan(p, ctx.convert)
+            assert same(plan(table), per_term(plan.terms, point))
+        assert same(EvalPlan(p)(table), per_term(p.terms.items(), point))
+
+    def test_eval_float_keeps_the_generic_loop(self):
+        ctx = mpmath.mp.clone()
+        ctx.prec = 53
+        wide = MPoly("t", {(1, 0, 0, 2): F(3**100 + 1), ZERO_EXP: F(-1, 3)})._times_int(3)
+        assert wide.terms[(1, 0, 0, 2)].bit_length() > 53
+        p = (F(3, 7) * T1**3 - F(1, 3) * T3 * T4**2 + F(2, 9)) * (T1 - F(5, 11) * T6)
+        for point in ([ctx.sqrt(v) / 7 for v in (2, 3, 5, 11)], [0.5, -1.25, 3.0, 2.0**-3]):
+            for q in (wide, p, wide + p):
+                assert same(q.eval_float(point), per_term(q.terms.items(), point))
 
 
 def shear_corrections(a, b2, c4):
