@@ -349,25 +349,19 @@ class PowerTable:
     monomials built from them.
 
     Both fill on demand, so one table serves every polynomial evaluated
-    at the point.  The coordinates' number type decides what they hold:
+    at the point in the form the coordinates' number type decides:
 
     * ints and Fractions: integer numerators (``values``) over one
       common ``denominator``, so exact plans never build a Fraction;
     * mpf numbers of one mpmath ``context``: their raw ``_mpf_`` values;
     * anything else (floats, mixed types): the coordinates as given.
-
-    ``plain()`` is the table of the coordinates as given, for plans that
-    do not match the point's form.
     """
 
-    __slots__ = (
-        "point", "values", "denominator", "fraction_slots", "context",
-        "powers", "monomials", "_plain",
-    )
+    __slots__ = ("point", "values", "denominator", "fraction_slots", "context", "powers", "monomials")
 
     def __init__(self, point: Sequence):
         self.point = self.values = point = tuple(point)
-        self.denominator = self.context = self._plain = None
+        self.denominator = self.context = None
         self.powers: dict[tuple[int, int], object] = {}  # (slot, exponent) -> power
         self.monomials: dict[Exp, object] = {}
         if all(type(v) is int or type(v) is Fraction for v in point):
@@ -381,23 +375,13 @@ class PowerTable:
             self.context = ctx
             self.values = tuple(v._mpf_ for v in point)
 
-    def plain(self) -> "PowerTable":
-        if self.denominator is None and self.context is None:
-            return self
-        if self._plain is None:
-            plain = self._plain = object.__new__(PowerTable)
-            plain.point = plain.values = self.point
-            plain.denominator = plain.context = plain._plain = None
-            plain.powers, plain.monomials = {}, {}
-        return self._plain
-
 
 class EvalPlan:
     """A polynomial's terms laid out for evaluation at many power tables.
 
     Coefficients pass through ``convert`` once (an mpmath context's
     ``convert`` gives the value that ``mpf * Fraction`` would convert at
-    every point).  Three loops share the table's caches:
+    every point).  The plan and the table pick one of three loops:
 
     * exact: a plan with int and Fraction coefficients (no ``convert``)
       at a table of ints and Fractions.  The coefficients are integer
@@ -415,7 +399,8 @@ class EvalPlan:
       product of its powers ``v**e`` in slot order, times the
       coefficient, with the terms summed in dict order.  That is the
       operation order of evaluating term by term, so floating-point
-      results are bit-identical to it.
+      results are bit-identical to it.  At a table of another form it
+      works from the coordinates as given, without the table's caches.
     """
 
     __slots__ = ("terms", "denominator", "by_degree", "int_slots", "context", "raw")
@@ -446,11 +431,9 @@ class EvalPlan:
             return self._exact(table)
         if self.context is not None and self.context is table.context:
             return self._mpf(table)
-        return self._generic(table.plain())
+        return self._generic(table)
 
     def _exact(self, table: PowerTable):
-        if not self.terms:
-            return 0
         values, powers, monomials, d = table.values, table.powers, table.monomials, table.denominator
         acc = 0
         for group in self.by_degree:
@@ -494,6 +477,9 @@ class EvalPlan:
 
     def _generic(self, table: PowerTable):
         values, powers, monomials = table.values, table.powers, table.monomials
+        if table.denominator is not None or table.context is not None:
+            # the caches hold another form of the point: start from the point afresh
+            values, powers, monomials = table.point, {}, {}
         acc = None
         for exp, coeff in self.terms:
             prod = monomials.get(exp)
