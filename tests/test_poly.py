@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from f4solv.errors import FrameError, MapError
 from f4solv.poly import (
+    ZERO_EXP,
     EvalPlan,
     MPoly,
     PowerTable,
@@ -15,7 +16,6 @@ from f4solv.poly import (
     build_triangular_map,
     is_inverse_pair,
 )
-from f4solv.poly import ZERO_EXP
 
 T1 = MPoly.variable("t", 0)
 T3 = MPoly.variable("t", 1)
