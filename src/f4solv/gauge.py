@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import PoleError
-from .invariants import HALF_SUM_SIGNS, POSITIVE_ROOTS, singular_factors
+from .invariants import POSITIVE_ROOTS, singular_factors
 from .models import ModelParams
 
 if TYPE_CHECKING:
@@ -112,39 +112,3 @@ def grad_log_ground_state_trig(params: ModelParams, x: Sequence, beta, ctx=None)
         cots.append(ctx.cos(arg) / s)
     return _pole_sum(params, cots, beta, ctx.mpf(0))
 
-
-def log_abs_ground_state_rational(params: ModelParams, x: Sequence, ctx=None):
-    """log |Psi0| for the rational model, for finite-difference checks."""
-    ctx = ctx or mp_context()
-    nu, mu, omega = params.nu, params.mu, params.require_omega()
-    xs = [ctx.mpf(str(v)) if isinstance(v, float) else ctx.mpf(v) for v in x]
-    acc = ctx.mpf(0)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            acc += nu * ctx.log(abs(xs[j] + xs[i]))
-            acc += nu * ctx.log(abs(xs[j] - xs[i]))
-    for v in xs:
-        acc += mu * ctx.log(abs(v))
-    for signs in HALF_SUM_SIGNS:
-        acc += mu * ctx.log(abs(sum(s * v for s, v in zip(signs, xs))))
-    acc -= omega * sum(v * v for v in xs) / 2
-    return acc
-
-
-def log_abs_ground_state_trig(params: ModelParams, x: Sequence, beta, ctx=None):
-    """log |Psi0| for the periodic model, for finite-difference checks."""
-    ctx = ctx or mp_context()
-    nu, mu = params.nu, params.mu
-    beta = ctx.mpf(beta)
-    xs = [ctx.mpf(str(v)) if isinstance(v, float) else ctx.mpf(v) for v in x]
-    acc = ctx.mpf(0)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            acc += nu * ctx.log(abs(ctx.sin(beta * (xs[j] + xs[i]))))
-            acc += nu * ctx.log(abs(ctx.sin(beta * (xs[j] - xs[i]))))
-    for v in xs:
-        acc += mu * ctx.log(abs(ctx.sin(2 * beta * v)))
-    for signs in HALF_SUM_SIGNS:
-        arg = beta * sum(s * v for s, v in zip(signs, xs))
-        acc += mu * ctx.log(abs(ctx.sin(arg)))
-    return acc

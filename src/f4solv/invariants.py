@@ -74,17 +74,7 @@ def tau_from_sigma(sig: Sequence, beta2):
 @lru_cache(maxsize=None)
 def sigma_polys(frame: str) -> tuple[MPoly, MPoly, MPoly, MPoly]:
     """Elementary symmetric polynomials of the four frame variables."""
-    var = [MPoly.variable(frame, s) for s in range(4)]
-    sig = []
-    for k in range(1, 5):
-        acc = MPoly.zero(frame)
-        for combo in combinations(range(4), k):
-            term = MPoly.one(frame)
-            for s in combo:
-                term = term * var[s]
-            acc = acc + term
-        sig.append(acc)
-    return tuple(sig)
+    return tuple(elem_sym_values([MPoly.variable(frame, s) for s in range(4)]))
 
 
 @lru_cache(maxsize=None)

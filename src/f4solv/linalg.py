@@ -81,11 +81,6 @@ class RatMatrix:
     def column(self, j: int) -> list[Fraction]:
         return [self.data[i][j] for i in range(self.rows)]
 
-    def mul_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0)) for row in self.data]
-
     def integer_form(self) -> tuple[int, list[list[int]]]:
         """``(d, d * self)`` with a common denominator d, as int rows."""
         if self._scaled is None:

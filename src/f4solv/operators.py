@@ -131,63 +131,29 @@ class SecondOrderOp:
     def change_variables(self, fwd: VarMap, inv: VarMap) -> "SecondOrderOp":
         """Rewrite the operator in the variables defined by ``fwd``.
 
-        ``fwd`` sends each new variable to its expression in the current
-        frame and ``inv`` is its exact inverse (checked).  The transported
-        first-order coefficients pick up second-derivative terms of the
-        forward map, so the result stays polynomial for shear maps.
+        ``fwd`` sends each new variable to its expression phi_c in the
+        current frame and ``inv`` is its exact inverse (checked).  The
+        operator transports itself through ``apply``: with L0 the operator
+        without its C term, the new first-order coefficients are L0(phi_c)
+        and the new second-order ones the carre du champ
+        (L0(phi_c phi_d) - phi_c L0(phi_d) - phi_d L0(phi_c)) / 2, in which
+        the first-order parts cancel and a stored mixed entry acts twice,
+        as in ``apply``.  Each is rewritten through ``inv``, as is C; the
+        result stays polynomial for shear maps.
         """
         if fwd.target != self.frame:
             raise FrameError("forward map must land in the operator frame")
         if not is_inverse_pair(fwd, inv):
             raise MapError("substitution pair is not mutually inverse")
-
-        dphi = [[fwd.images[c].derivative(a) for a in range(4)] for c in range(4)]
-        d2phi = [
-            [[dphi[c][a].derivative(b) for b in range(4)] for a in range(4)]
-            for c in range(4)
-        ]
-
-        def sym(a: int, b: int) -> MPoly:
-            key = (VAR_IDS[a], VAR_IDS[b]) if a <= b else (VAR_IDS[b], VAR_IDS[a])
-            return self.a.get(key, MPoly.zero(self.frame))
-
-        new_a: dict[tuple[int, int], MPoly] = {}
-        for ci in range(4):
-            for di in range(ci, 4):
-                acc = MPoly.zero(self.frame)
-                for ai in range(4):
-                    for bi in range(4):
-                        coeff = sym(ai, bi)
-                        if coeff.is_zero():
-                            continue
-                        part = dphi[ci][ai] * dphi[di][bi]
-                        if not part.is_zero():
-                            acc = acc + coeff * part
-                if not acc.is_zero():
-                    new_a[(VAR_IDS[ci], VAR_IDS[di])] = acc.substitute(inv)
-
-        new_b: dict[int, MPoly] = {}
-        for ci in range(4):
-            acc = MPoly.zero(self.frame)
-            for ai in range(4):
-                for bi in range(4):
-                    coeff = sym(ai, bi)
-                    if coeff.is_zero():
-                        continue
-                    part = d2phi[ci][ai][bi]
-                    if not part.is_zero():
-                        acc = acc + coeff * part
-            for ai in range(4):
-                coeff = self.b.get(VAR_IDS[ai])
-                if coeff is not None:
-                    part = dphi[ci][ai]
-                    if not part.is_zero():
-                        acc = acc + coeff * part
-            if not acc.is_zero():
-                new_b[VAR_IDS[ci]] = acc.substitute(inv)
-
-        new_c = self.c.substitute(inv)
-        return SecondOrderOp(fwd.source, new_a, new_b, new_c)
+        l0 = SecondOrderOp(self.frame, self.a, self.b)
+        phi = dict(zip(VAR_IDS, fwd.images))
+        l0_phi = {i: l0.apply(p) for i, p in phi.items()}
+        new_a = {}
+        for i, j in A_PAIRS:
+            gamma = l0.apply(phi[i] * phi[j]) - phi[i] * l0_phi[j] - phi[j] * l0_phi[i]
+            new_a[(i, j)] = (gamma * Fraction(1, 2)).substitute(inv)
+        new_b = {i: p.substitute(inv) for i, p in l0_phi.items()}
+        return SecondOrderOp(fwd.source, new_a, new_b, self.c.substitute(inv))
 
     def __repr__(self) -> str:
         return f"SecondOrderOp(frame={self.frame!r}, terms={len(self.a) + len(self.b)})"

@@ -267,10 +267,11 @@ class MPoly:
         return acc
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point, as a ``Fraction`` (the plan gives an
+        ``int`` for a constant with an ``int`` coefficient)."""
         if not self.terms:
             return Fraction(0)
-        return EvalPlan(self)(PowerTable(Fraction(v) for v in point))
+        return Fraction(EvalPlan(self)(PowerTable(Fraction(v) for v in point)))
 
     def eval_float(self, point: Sequence) -> object:
         """Value at a point of arbitrary numeric type (floats, mpf, ...).

@@ -7,13 +7,47 @@ from f4solv.errors import PoleError
 from f4solv.gauge import (
     grad_log_ground_state_rational,
     grad_log_ground_state_trig,
-    log_abs_ground_state_rational,
-    log_abs_ground_state_trig,
     mp_context,
     precision_bits,
 )
+from f4solv.invariants import HALF_SUM_SIGNS
 from f4solv.models import ModelParams
 from f4solv.sampling import SeededSampler
+
+
+def log_abs_ground_state_rational(params, x, ctx):
+    """log |Psi0| for the rational model: the finite-difference reference."""
+    nu, mu, omega = params.nu, params.mu, params.require_omega()
+    xs = [ctx.mpf(str(v)) if isinstance(v, float) else ctx.mpf(v) for v in x]
+    acc = ctx.mpf(0)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            acc += nu * ctx.log(abs(xs[j] + xs[i]))
+            acc += nu * ctx.log(abs(xs[j] - xs[i]))
+    for v in xs:
+        acc += mu * ctx.log(abs(v))
+    for signs in HALF_SUM_SIGNS:
+        acc += mu * ctx.log(abs(sum(s * v for s, v in zip(signs, xs))))
+    acc -= omega * sum(v * v for v in xs) / 2
+    return acc
+
+
+def log_abs_ground_state_trig(params, x, beta, ctx):
+    """log |Psi0| for the periodic model: the finite-difference reference."""
+    nu, mu = params.nu, params.mu
+    beta = ctx.mpf(beta)
+    xs = [ctx.mpf(str(v)) if isinstance(v, float) else ctx.mpf(v) for v in x]
+    acc = ctx.mpf(0)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            acc += nu * ctx.log(abs(ctx.sin(beta * (xs[j] + xs[i]))))
+            acc += nu * ctx.log(abs(ctx.sin(beta * (xs[j] - xs[i]))))
+    for v in xs:
+        acc += mu * ctx.log(abs(ctx.sin(2 * beta * v)))
+    for signs in HALF_SUM_SIGNS:
+        arg = beta * sum(s * v for s, v in zip(signs, xs))
+        acc += mu * ctx.log(abs(ctx.sin(arg)))
+    return acc
 
 
 def finite_difference(fn, xs, ctx, h=None):

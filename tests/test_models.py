@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from f4solv import oracle
 from f4solv.errors import SingularMapError
 from f4solv.invariants import (
     half_sum_reflection,
+    sigma_polys,
     variables_rational,
     variables_trig,
 )
@@ -18,7 +20,7 @@ from f4solv.models import (
     rational_a_table,
     trig_a_table,
 )
-from f4solv.poly import MPoly, is_inverse_pair, weighted_grade
+from f4solv.poly import FRAME_VARS, MPoly, is_inverse_pair, weighted_grade
 from f4solv.sampling import SeededSampler
 
 TAU1 = MPoly.variable("tau", 0)
@@ -119,6 +121,14 @@ class TestInvariantMaps:
             assert variables_rational((-x[0], x[1], -x[2], x[3])) == base
             # reflection through the half-sum hyperplane
             assert variables_rational(half_sum_reflection(x)) == base
+
+    @pytest.mark.parametrize("frame", sorted(FRAME_VARS))
+    def test_sigma_polys_follow_the_combinations_order(self, frame):
+        # the trig oracle's mpf sums follow this term order
+        for k, sigma in enumerate(sigma_polys(frame), start=1):
+            want = [tuple(int(s in combo) for s in range(4)) for combo in combinations(range(4), k)]
+            assert list(sigma.terms) == want
+            assert all(type(c) is F and c == 1 for c in sigma.terms.values())
 
     def test_trig_map_vanishes_at_origin(self):
         assert variables_trig((0.0, 0.0, 0.0, 0.0), 0.5) == (0, 0, 0, 0)

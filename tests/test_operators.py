@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 
 from f4solv.errors import FrameError, MapError
 from f4solv.flags import enumerate_basis
-from f4solv.models import ambiguity_map
+from f4solv.models import (
+    ModelParams,
+    ambiguity_map,
+    build_rho_map,
+    trig_a_table,
+    trig_b_table,
+)
 from f4solv.operators import SecondOrderOp, op_matrix
-from f4solv.poly import SLOT, MPoly, VarMap
+from f4solv.poly import SLOT, VAR_IDS, MPoly, VarMap, is_inverse_pair
 
 T1 = MPoly.variable("t", 0)
 T3 = MPoly.variable("t", 1)
@@ -51,6 +57,63 @@ def reference_apply(op, p):
     if not op.c.is_zero():
         acc = acc + op.c * p
     return acc
+
+
+def reference_change_variables(op, fwd, inv):
+    """The chain rule written out with derivative tables of the forward map:
+    the former ``change_variables``, kept as the reference."""
+    if fwd.target != op.frame:
+        raise FrameError("forward map must land in the operator frame")
+    if not is_inverse_pair(fwd, inv):
+        raise MapError("substitution pair is not mutually inverse")
+
+    dphi = [[fwd.images[c].derivative(a) for a in range(4)] for c in range(4)]
+    d2phi = [
+        [[dphi[c][a].derivative(b) for b in range(4)] for a in range(4)]
+        for c in range(4)
+    ]
+
+    def sym(a, b):
+        key = (VAR_IDS[a], VAR_IDS[b]) if a <= b else (VAR_IDS[b], VAR_IDS[a])
+        return op.a.get(key, MPoly.zero(op.frame))
+
+    new_a = {}
+    for ci in range(4):
+        for di in range(ci, 4):
+            acc = MPoly.zero(op.frame)
+            for ai in range(4):
+                for bi in range(4):
+                    coeff = sym(ai, bi)
+                    if coeff.is_zero():
+                        continue
+                    part = dphi[ci][ai] * dphi[di][bi]
+                    if not part.is_zero():
+                        acc = acc + coeff * part
+            if not acc.is_zero():
+                new_a[(VAR_IDS[ci], VAR_IDS[di])] = acc.substitute(inv)
+
+    new_b = {}
+    for ci in range(4):
+        acc = MPoly.zero(op.frame)
+        for ai in range(4):
+            for bi in range(4):
+                coeff = sym(ai, bi)
+                if coeff.is_zero():
+                    continue
+                part = d2phi[ci][ai][bi]
+                if not part.is_zero():
+                    acc = acc + coeff * part
+        for ai in range(4):
+            coeff = op.b.get(VAR_IDS[ai])
+            if coeff is not None:
+                part = dphi[ci][ai]
+                if not part.is_zero():
+                    acc = acc + coeff * part
+        if not acc.is_zero():
+            new_b[VAR_IDS[ci]] = acc.substitute(inv)
+
+    new_c = op.c.substitute(inv)
+    return SecondOrderOp(fwd.source, new_a, new_b, new_c)
 
 
 @pytest.fixture(scope="module")
@@ -280,3 +343,27 @@ class TestChangeVariables:
         moved = rational_op.change_variables(fwd, inv)
         back = moved.change_variables(inv, fwd)
         assert back == rational_op
+
+    @settings(max_examples=20, deadline=None)
+    @given(coeffs=st.tuples(*[fractions()] * 7), c=polys())
+    def test_ambiguity_maps_follow_the_chain_rule(self, rational_op, coeffs, c):
+        # all seven parameters, and a potential term C
+        op = SecondOrderOp("t", rational_op.a, rational_op.b, c)
+        fwd, inv = ambiguity_map(*coeffs)
+        assert op.change_variables(fwd, inv) == reference_change_variables(op, fwd, inv)
+
+    @settings(max_examples=15, deadline=None)
+    @given(beta2=fractions().filter(bool), nu=fractions(), mu=fractions())
+    def test_rho_maps_follow_the_chain_rule(self, beta2, nu, mu):
+        # built from the tables, so couplings outside the windows do not warn
+        params = ModelParams(nu=nu, mu=mu, beta2=beta2)
+        op = SecondOrderOp("tau", trig_a_table(beta2), trig_b_table(params))
+        fwd, inv = build_rho_map(beta2)
+        assert op.change_variables(fwd, inv) == reference_change_variables(op, fwd, inv)
+
+    @settings(max_examples=20, deadline=None)
+    @given(coeffs=st.tuples(*[fractions()] * 7))
+    def test_random_ambiguity_map_roundtrips(self, rational_op, coeffs):
+        fwd, inv = ambiguity_map(*coeffs)
+        moved = rational_op.change_variables(fwd, inv)
+        assert moved.change_variables(inv, fwd) == rational_op

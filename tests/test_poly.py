@@ -242,7 +242,9 @@ class TestEvalPaths:
         for point in ((0, 0, 0, 0), (F(1, 12), -3, 0, F(-5, 7)), (2, -1, 0, 4), (0, F(2, 3), 7, 1)):
             table = PowerTable(point)
             for p in polys_ + polys_[::-1]:
-                assert same(EvalPlan(p)(table), per_term(p.terms.items(), point))
+                want = per_term(p.terms.items(), point)
+                assert same(EvalPlan(p)(table), want)
+                assert same(p.eval_exact(point), F(want))  # a Fraction, even from an int plan
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -319,6 +321,23 @@ class TestSubstitution:
         fwd, inv = build_triangular_map("t", "t", shear_corrections(a, b2, c4))
         assert is_inverse_pair(fwd, inv)
         assert p.substitute(fwd).substitute(inv) == p
+
+    @settings(max_examples=40)
+    @given(
+        p=st.dictionaries(exponents(2), fractions(), max_size=3),
+        q=st.dictionaries(exponents(2), fractions(), max_size=3),
+        images=st.lists(
+            st.dictionaries(exponents(1), fractions(3, 2), max_size=2),
+            min_size=4,
+            max_size=4,
+        ),
+    )
+    def test_substitution_is_a_ring_homomorphism(self, p, q, images):
+        varmap = VarMap("t", "tau", [MPoly("tau", terms) for terms in images])
+        p, q = MPoly("t", p), MPoly("t", q)
+        assert (p + q).substitute(varmap) == p.substitute(varmap) + q.substitute(varmap)
+        assert (p * q).substitute(varmap) == p.substitute(varmap) * q.substitute(varmap)
+        assert MPoly.one("t").substitute(varmap) == MPoly.one("tau")
 
     def test_frame_transport(self):
         fwd, inv = build_triangular_map("rho", "tau", {1: MPoly.variable("tau", 0) ** 2})

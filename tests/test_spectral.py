@@ -11,6 +11,7 @@ from f4solv import linalg, spectral
 from f4solv.errors import ClosureError, F4SolvError
 from f4solv.flags import flag_dimension
 from f4solv.linalg import RatMatrix
+from f4solv.poly import MPoly, build_triangular_map
 from f4solv.models import (
     ModelParams,
     build_rational_operator,
@@ -181,6 +182,38 @@ class TestSpectrum:
     def test_unpreserved_flag_raises_closure_error(self, rational_op):
         with pytest.raises(ClosureError):
             spectrum_from_matrix(rational_op, (1, 1, 1, 1), 4)
+
+
+def flag_shear(frame, a, b, c, d, e, f):
+    """A shear whose corrections stay within their variable's (1,2,2,3)-grade."""
+    v1, v3, v4, _ = (MPoly.variable(frame, s) for s in range(4))
+    corrections = {
+        1: a * v1**2,
+        2: b * v1**2 + c * v3,
+        3: d * v1**3 + e * v1 * v3 + f * v1 * v4,
+    }
+    return build_triangular_map(frame, frame, corrections)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    model=st.sampled_from(["rational", "trig"]),
+    coeffs=st.tuples(
+        *[st.builds(F, st.integers(min_value=-3, max_value=3), st.integers(1, 3))] * 6
+    ),
+)
+def test_flag_preserving_shears_keep_the_spectrum(rational_op, trig_op, model, coeffs):
+    # P_6 holds every level up to 6
+    op = rational_op if model == "rational" else trig_op
+    level = 6
+    fwd, inv = flag_shear(op.frame, *coeffs)
+    moved = op.change_variables(fwd, inv)
+    before = spectrum_from_matrix(op, MINIMAL, level)
+    after = spectrum_from_matrix(moved, MINIMAL, level)
+    assert len(after.lines) == flag_dimension(MINIMAL, level)
+    assert Counter(l.eigenvalue for l in after.lines) == Counter(
+        l.eigenvalue for l in before.lines
+    )
 
 
 @pytest.fixture
