@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .linalg import RatMatrix
+from .models import ambiguity_map
 from .operators import SecondOrderOp, op_matrix
 from .poly import Exp, term_order_key, weighted_grade
 
@@ -311,8 +312,6 @@ def ambiguity_search(
     """
     if op.frame != "t":
         raise ValueError("the redefinition search is defined in the t frame")
-    from .models import ambiguity_map
-
     targets = set(KNOWN_CHARACTERISTIC_VECTORS) - {(1, 2, 2, 3)}
     findings: list[AmbiguityFinding] = []
     tried = 0

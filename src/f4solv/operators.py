@@ -82,9 +82,6 @@ class SecondOrderOp:
             i, j = j, i
         return self.a.get((i, j), MPoly.zero(self.frame))
 
-    def b_entry(self, i: int) -> MPoly:
-        return self.b.get(i, MPoly.zero(self.frame))
-
     # -- application ------------------------------------------------------
 
     def apply(self, p: MPoly) -> MPoly:

@@ -216,12 +216,8 @@ class MPoly:
         if k < 0:
             raise ValueError("negative power")
         result = MPoly.one(self.frame)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        for _ in range(k):  # by repeated multiplication, the term order substitution keeps
+            result = result * self
         return result
 
     # -- calculus ----------------------------------------------------------
@@ -241,37 +237,19 @@ class MPoly:
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, varmap: "VarMap") -> "MPoly":
-        """Exact composition ``self(varmap)``; the result lives in the target frame."""
+        """Exact composition ``self(varmap)``: the plan evaluated at a table of
+        the images, which takes the generic loop.  The result lives in the
+        target frame."""
         if self.frame != varmap.source:
             raise FrameError(
                 f"substitution expects frame {varmap.source!r}, got {self.frame!r}"
             )
-        target = varmap.target
-        pow_cache: list[dict[int, MPoly]] = [
-            {0: MPoly.one(target)} for _ in range(4)
-        ]
-
-        def image_power(slot: int, k: int) -> MPoly:
-            cache = pow_cache[slot]
-            if k not in cache:
-                cache[k] = image_power(slot, k - 1) * varmap.images[slot]
-            return cache[k]
-
-        acc = MPoly.zero(target)
-        for exp, coeff in self.terms.items():
-            term = MPoly.constant(target, coeff)
-            for slot, e in enumerate(exp):
-                if e:
-                    term = term * image_power(slot, e)
-            acc = acc + term
-        return acc
+        value = EvalPlan(self)(PowerTable(varmap.images))
+        return value if isinstance(value, MPoly) else MPoly.constant(varmap.target, value)
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point, as a ``Fraction`` (the plan gives an
-        ``int`` for a constant with an ``int`` coefficient)."""
-        if not self.terms:
-            return Fraction(0)
-        return Fraction(EvalPlan(self)(PowerTable(Fraction(v) for v in point)))
+        """Exact value at a rational point, as a ``Fraction``."""
+        return EvalPlan(self)(PowerTable(Fraction(v) for v in point))
 
     def eval_float(self, point: Sequence) -> object:
         """Value at a point of arbitrary numeric type (floats, mpf, ...).
@@ -355,10 +333,11 @@ class PowerTable:
     * ints and Fractions: integer numerators (``values``) over one
       common ``denominator``, so exact plans never build a Fraction;
     * mpf numbers of one mpmath ``context``: their raw ``_mpf_`` values;
-    * anything else (floats, mixed types): the coordinates as given.
+    * anything else (floats, mixed types, the images of a substitution):
+      the coordinates as given.
     """
 
-    __slots__ = ("point", "values", "denominator", "fraction_slots", "context", "powers", "monomials")
+    __slots__ = ("point", "values", "denominator", "context", "powers", "monomials")
 
     def __init__(self, point: Sequence):
         self.point = self.values = point = tuple(point)
@@ -368,8 +347,6 @@ class PowerTable:
         if all(type(v) is int or type(v) is Fraction for v in point):
             d = self.denominator = lcm(*(v.denominator for v in point))
             self.values = tuple(v.numerator * (d // v.denominator) for v in point)
-            # bit s set: coordinate s is a Fraction, so a term using it is one
-            self.fraction_slots = sum(1 << s for s, v in enumerate(point) if type(v) is Fraction)
             return
         ctx = getattr(type(point[0]), "context", None)
         if ctx is not None and all(type(v) is ctx.mpf for v in point):
@@ -389,8 +366,8 @@ class EvalPlan:
       numerators c_e over one denominator C, grouped by total degree d
       up to the top degree m.  With the table's numerators a over D the
       value is ``Fraction(sum_d D^(m-d) sum_{|e|=d} c_e a^e, C D^m)``,
-      summed by Horner's rule in D: one reduction per value, and the
-      value and type of summing the terms as Fractions.
+      summed by Horner's rule in D: one reduction per value, returned
+      as a ``Fraction`` (``Fraction(0)`` for the empty plan).
     * mpf: a plan converted by an mpmath context's ``convert``, at a
       table of that context's numbers.  It runs the generic loop on raw
       ``_mpf_`` values with ``mpf_pow_int``, ``mpf_mul`` and ``mpf_add``
@@ -400,18 +377,19 @@ class EvalPlan:
       product of its powers ``v**e`` in slot order, times the
       coefficient, with the terms summed in dict order.  That is the
       operation order of evaluating term by term, so floating-point
-      results are bit-identical to it.  At a table of another form it
-      works from the coordinates as given, without the table's caches.
+      results are bit-identical to it, and at a table of polynomials it
+      is ``MPoly.substitute``.  At a table of another form it works from
+      the coordinates as given, without the table's caches.
     """
 
-    __slots__ = ("terms", "denominator", "by_degree", "int_slots", "context", "raw")
+    __slots__ = ("terms", "denominator", "by_degree", "context", "raw")
 
     def __init__(self, poly: MPoly, convert=None):
         self.terms = terms = tuple(
             (exp, coeff if convert is None else convert(coeff))
             for exp, coeff in poly.terms.items()
         )
-        self.denominator = self.by_degree = self.int_slots = self.context = self.raw = None
+        self.denominator = self.by_degree = self.context = self.raw = None
         if convert is None:
             if all(type(c) is int or type(c) is Fraction for _, c in terms):
                 d = self.denominator = lcm(*(c.denominator for _, c in terms))
@@ -419,8 +397,6 @@ class EvalPlan:
                 for exp, c in terms:
                     by_degree[sum(exp)].append((exp, c.numerator * (d // c.denominator)))
                 self.by_degree = tuple(map(tuple, by_degree))
-                if all(type(c) is int for _, c in terms):  # bit s set: some term uses slot s
-                    self.int_slots = sum(1 << s for s in range(4) if any(e[s] for e, _ in terms))
             return
         ctx = getattr(convert, "__self__", None)
         if ctx is not None and all(type(c) is ctx.mpf for _, c in terms):
@@ -451,10 +427,7 @@ class EvalPlan:
                             prod *= p
                     monomials[exp] = prod
                 acc += c * prod
-        value = Fraction(acc, self.denominator * d ** (len(self.by_degree) - 1))
-        if self.int_slots is not None and not self.int_slots & table.fraction_slots:
-            return value.numerator  # every term is an int, so their sum is
-        return value
+        return Fraction(acc, self.denominator * d ** (len(self.by_degree) - 1))
 
     def _mpf(self, table: PowerTable):
         from mpmath.libmp import mpf_add, mpf_mul, mpf_pow_int

@@ -39,17 +39,11 @@ class SeededSampler:
                 return x
 
     def polynomial(self, frame: str, monomials: Sequence, max_terms: int = 6) -> MPoly:
-        """A random nonzero polynomial supported on the given monomials."""
-        while True:
-            count = self.rng.randrange(1, min(max_terms, len(monomials)) + 1)
-            picks = self.rng.sample(list(monomials), count)
-            terms = {}
-            for exp in picks:
-                c = self.fraction(nonzero=True)
-                terms[exp] = c
-            p = MPoly(frame, terms)
-            if not p.is_zero():
-                return p
+        """A random polynomial supported on the given monomials, nonzero
+        because it draws distinct monomials with nonzero coefficients."""
+        count = self.rng.randrange(1, min(max_terms, len(monomials)) + 1)
+        picks = self.rng.sample(list(monomials), count)
+        return MPoly(frame, {exp: self.fraction(nonzero=True) for exp in picks})
 
 
 def limit_deviation_linear(x) -> list[Fraction]:

@@ -33,7 +33,10 @@ def format_fraction(value: Fraction) -> str:
 def parse_fraction(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"expected a rational written num/den, not {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def mpoly_to_json(p: MPoly) -> dict:

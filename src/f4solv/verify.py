@@ -172,8 +172,7 @@ def verify_a66(args, params: ModelParams) -> dict:
 
 def verify_scan(args, params: ModelParams) -> dict:
     op = build_rational_operator(params.with_omega())
-    bound = getattr(args, "bound", 6)
-    n = max(args.level, 6)
+    bound, n = 6, max(args.level, 6)
     scan = scan_characteristic_vectors(op, bound, n)
     checks = [
         _check(

@@ -212,6 +212,17 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "spectrum", "--nu", "one-third")
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--nu", "1/0"),
+        ("spectrum", "--mu", "2/0"),
+        ("spectrum", "--omega", "1/0"),
+        ("verify", "--suite", "oracle", "--model", "trig", "--beta2", "3/0"),
+    ], ids=["nu", "mu", "omega", "beta2"])
+    def test_zero_denominator(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err.startswith("usage error:") and "zero denominator" in err
+
     def test_reported_before_any_operator_is_built(self, capsys, monkeypatch):
         def forbidden(params):
             raise AssertionError("operator built before the usage check")
@@ -340,8 +351,9 @@ class TestMalformedInput:
         [
             '[1, 2]', '"nu"', '{"nu": "1/3"}', '{"mu": "1/5", "omega": "1"}',
             '{"nu": 1, "mu": "1/5"}', '{"model": "foo", "nu": "1/3", "mu": "1/8"}',
+            '{"nu": "1/0", "mu": "1/5"}',
         ],
-        ids=["list", "string", "no-mu", "no-nu", "number", "unknown-model"],
+        ids=["list", "string", "no-mu", "no-nu", "number", "unknown-model", "zero-denominator"],
     )
     def test_params_file_is_a_usage_error(self, capsys, tmp_path, content):
         cfg = tmp_path / "params.json"

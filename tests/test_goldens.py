@@ -53,6 +53,15 @@ GOLDENS = [
     # grade-8 blocks are 24 x 24: the block root search where blocks are large
     (("spectrum", "--model", "trig", "--frame", "native", *TRIG, "--level", "8"),
      "5187f7d2e5096f5ddcec2564242ae9139375ea0c4afeded69e5e85daae884e4c"),
+    # built by substitution: the rho shear and its inverse, and the oracle's sin^2 composition
+    (("dump-operator", "--model", "trig", "--frame", "rho", *TRIG),
+     "d2d2100093be35b6cf8a4f54e97253d733125adb5597311efaa99e72894ab0a7"),
+    (("dump-operator", "--model", "trig", "--frame", "rho",
+      "--nu", "1/3", "--mu", "1/8", "--beta2", "3/7"),
+     "c68f41af9b237b4b7430c592302367c150049cbef80a5974f6e4eb05bab14021"),
+    (("verify", "--suite", "oracle", "--model", "trig", "--nu", "2", "--mu", "3", "--beta2", "3/7",
+      "--seed", "2"),
+     "3169d11d8a688ce448d3076b00598bc18a863e014657f94c5125412273385f04"),
 ]
 
 

@@ -58,11 +58,12 @@ def upper_triangular(draw, max_dim=6):
     )
 
 
-def gauss_jordan_kernel(m):
-    """Reference kernel: reduced row echelon form over Fraction, no scaling tricks."""
-    rows = [list(r) for r in m.data]
+def gauss_jordan(data):
+    """Reduced row echelon form over Fraction, no scaling tricks: the rows
+    and the pivot columns."""
+    rows = [list(r) for r in data]
     pivots = []
-    for c in range(m.cols):
+    for c in range(len(rows[0])):
         r = len(pivots)
         p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
@@ -74,6 +75,12 @@ def gauss_jordan_kernel(m):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
+    return rows, pivots
+
+
+def gauss_jordan_kernel(m):
+    """Reference kernel: a basis read off the reduced row echelon form."""
+    rows, pivots = gauss_jordan(m.data)
     basis = []
     for free in (c for c in range(m.cols) if c not in pivots):
         v = [F(0)] * m.cols
@@ -82,6 +89,41 @@ def gauss_jordan_kernel(m):
             v[c] = -rows[k][free]
         basis.append((free, v))
     return basis
+
+
+def gauss_jordan_solve(m, rhs):
+    """Reference ``solve_with_rank``: eliminate (m | rhs); a pivot in the
+    right-hand column means no solution, otherwise the free variables are
+    0 and each pivot variable is its row's right-hand entry."""
+    rows, pivots = gauss_jordan([list(row) + [F(v)] for row, v in zip(m.data, rhs)])
+    if m.cols in pivots:
+        return None, len(pivots) - 1
+    x = [F(0)] * m.cols
+    for k, c in enumerate(pivots):
+        x[c] = rows[k][m.cols]
+    return x, len(pivots)
+
+
+@st.composite
+def systems(draw, max_dim=6):
+    """(m, rhs) up to 6 x 6.  m is a product of random factors through a
+    drawn inner dimension, so it is often rank-deficient; rhs is m x for a
+    drawn x (consistent) or drawn freely, which is inconsistent for most
+    m without full row rank."""
+    rows = draw(st.integers(min_value=1, max_value=max_dim))
+    cols = draw(st.integers(min_value=1, max_value=max_dim))
+    inner = draw(st.integers(min_value=0, max_value=min(rows, cols)))
+    left = [[draw(fractions()) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(fractions()) for _ in range(cols)] for _ in range(inner)]
+    m = RatMatrix([
+        [sum((row[k] * right[k][j] for k in range(inner)), F(0)) for j in range(cols)]
+        for row in left
+    ])
+    if draw(st.booleans()):
+        rhs = mul_vector(m, draw(st.lists(fractions(), min_size=cols, max_size=cols)))
+    else:
+        rhs = draw(st.lists(fractions(), min_size=rows, max_size=rows))
+    return m, rhs
 
 
 def test_identity_solve_returns_rhs():
@@ -204,3 +246,12 @@ def test_consistent_systems_are_solved(m, data):
     got = solve(m, rhs)
     assert got is not None
     assert mul_vector(m, got) == rhs
+
+
+@settings(max_examples=200)
+@given(system=systems())
+def test_solve_matches_gauss_jordan(system):
+    m, rhs = system
+    want, want_rank = gauss_jordan_solve(m, rhs)
+    assert solve_with_rank(m, rhs) == (want, want_rank)
+    assert solve(m, rhs) == want

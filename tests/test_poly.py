@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 from math import lcm
 
 import mpmath
@@ -7,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f4solv.errors import FrameError, MapError
+from f4solv.invariants import t_varmap, tau_varmap
+from f4solv.models import ambiguity_map, build_rho_map
 from f4solv.poly import (
+    DISPLAY_WEIGHTS,
     ZERO_EXP,
     EvalPlan,
     MPoly,
@@ -15,6 +19,7 @@ from f4solv.poly import (
     VarMap,
     build_triangular_map,
     is_inverse_pair,
+    weighted_grade,
 )
 
 T1 = MPoly.variable("t", 0)
@@ -227,9 +232,9 @@ class TestEvalPaths:
         assert table.denominator is not None
         # one table, plans of different degree and denominator, each met twice
         for p in ps + ps[::-1]:
-            want = per_term(p.terms.items(), point)
+            want = F(per_term(p.terms.items(), point))
             assert same(EvalPlan(p)(table), want)
-            assert same(p.eval_exact(point), F(want))
+            assert same(p.eval_exact(point), want)
 
     def test_exact_path_on_constant_and_empty_polynomials(self):
         polys_ = [
@@ -242,9 +247,9 @@ class TestEvalPaths:
         for point in ((0, 0, 0, 0), (F(1, 12), -3, 0, F(-5, 7)), (2, -1, 0, 4), (0, F(2, 3), 7, 1)):
             table = PowerTable(point)
             for p in polys_ + polys_[::-1]:
-                want = per_term(p.terms.items(), point)
+                want = F(per_term(p.terms.items(), point))  # a Fraction, even from an int plan
                 assert same(EvalPlan(p)(table), want)
-                assert same(p.eval_exact(point), F(want))  # a Fraction, even from an int plan
+                assert same(p.eval_exact(point), want)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -283,6 +288,48 @@ class TestEvalPaths:
         for point in ([ctx.sqrt(v) / 7 for v in (2, 3, 5, 11)], [0.5, -1.25, 3.0, 2.0**-3]):
             for q in (wide, p, wide + p):
                 assert same(q.eval_float(point), per_term(q.terms.items(), point))
+
+
+def reference_substitute(p: MPoly, varmap: VarMap) -> MPoly:
+    """The substitution loop before it ran on ``EvalPlan``: each image's
+    powers cached by repeated multiplication, each term its coefficient
+    times its powers in slot order, and the terms summed in order."""
+    target = varmap.target
+    pow_cache = [{0: MPoly.one(target)} for _ in range(4)]
+
+    def image_power(slot, k):
+        cache = pow_cache[slot]
+        if k not in cache:
+            cache[k] = image_power(slot, k - 1) * varmap.images[slot]
+        return cache[k]
+
+    acc = MPoly.zero(target)
+    for exp, coeff in p.terms.items():
+        term = MPoly.constant(target, coeff)
+        for slot, e in enumerate(exp):
+            if e:
+                term = term * image_power(slot, e)
+        acc = acc + term
+    return acc
+
+
+#: exponents of weighted grade at most 6, the operator coefficients' range
+GRADE_6 = [e for e in product(range(7), repeat=4) if weighted_grade(e, DISPLAY_WEIGHTS) <= 6]
+
+
+def frame_changes():
+    """t -> x^2, tau -> sin^2 at three beta^2, either direction of the rho
+    shear at a random beta^2, and either map of a random redefinition."""
+    return st.one_of(
+        st.builds(t_varmap),
+        st.sampled_from((F(1, 8), F(3, 7), F(1, 4))).map(tau_varmap),
+        st.tuples(fractions(3, 4).filter(bool), st.booleans()).map(
+            lambda bd: build_rho_map(bd[0])[bd[1]]
+        ),
+        st.tuples(st.lists(fractions(3, 2), min_size=7, max_size=7), st.booleans()).map(
+            lambda vd: ambiguity_map(*vd[0])[vd[1]]
+        ),
+    )
 
 
 def shear_corrections(a, b2, c4):
@@ -338,6 +385,18 @@ class TestSubstitution:
         assert (p + q).substitute(varmap) == p.substitute(varmap) + q.substitute(varmap)
         assert (p * q).substitute(varmap) == p.substitute(varmap) * q.substitute(varmap)
         assert MPoly.one("t").substitute(varmap) == MPoly.one("tau")
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        varmap=frame_changes(),
+        terms=st.dictionaries(st.sampled_from(GRADE_6), fractions(), max_size=5),
+    )
+    def test_substitute_is_the_reference_loop_in_value_and_term_order(self, varmap, terms):
+        p = MPoly(varmap.source, terms)
+        got, want = p.substitute(varmap), reference_substitute(p, varmap)
+        assert got == want
+        # only the constant term may move: a leading one is added after the next term
+        assert [e for e in got.terms if e != ZERO_EXP] == [e for e in want.terms if e != ZERO_EXP]
 
     def test_frame_transport(self):
         fwd, inv = build_triangular_map("rho", "tau", {1: MPoly.variable("tau", 0) ** 2})
