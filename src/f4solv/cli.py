@@ -18,6 +18,7 @@ floating-point working precision of the periodic-model paths.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import warnings
 from typing import Optional, Sequence
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_ANOMALY = 3
 EXIT_USAGE = 64
+_RATIONAL_FLAGS = ("--nu", "--mu", "--omega", "--beta2")  # "--nu -1/3" means "--nu=-1/3"
 
 
 class UsageError(Exception):
@@ -302,6 +304,10 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 1, 0, -1):  # argparse takes "-1/3" for an option
+        if argv[k - 1] in _RATIONAL_FLAGS and re.fullmatch(r"-\d+/\d+", argv[k]):
+            argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     try:
         args = parser.parse_args(argv)
         with warnings.catch_warnings():

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, mul, sub
 from typing import Mapping, Optional
 
 from .errors import FrameError, MapError
@@ -23,12 +24,14 @@ from .poly import SLOT, VAR_IDS, Exp, MPoly, VarMap, is_inverse_pair, merge_term
 
 #: upper-triangle index pairs in canonical order
 A_PAIRS = tuple((a, b) for i, a in enumerate(VAR_IDS) for b in VAR_IDS[i:])
+#: slot pairs (i, j), i <= j, of the products p_i p_j in a shift multiplier
+_QUAD = tuple((i, j) for i in range(4) for j in range(i, 4))
 
 
 class SecondOrderOp:
     """Immutable second-order operator with exact polynomial coefficients."""
 
-    __slots__ = ("frame", "a", "b", "c", "_images")
+    __slots__ = ("frame", "a", "b", "c", "_images", "_shifts")
 
     def __init__(
         self,
@@ -64,11 +67,12 @@ class SecondOrderOp:
         object.__setattr__(self, "b", b_clean)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_images", {})  # monomial -> image terms
+        object.__setattr__(self, "_shifts", None)  # built by _shift_table
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("SecondOrderOp is immutable")
 
-    def __eq__(self, other) -> bool:  # the image memo is not compared
+    def __eq__(self, other) -> bool:  # the image memo and shift table are not compared
         return (
             isinstance(other, SecondOrderOp)
             and self.frame == other.frame
@@ -106,13 +110,45 @@ class SecondOrderOp:
 
     def image(self, m: Exp) -> tuple[tuple[Exp, Fraction], ...]:
         """Sorted ``(exponent, coefficient)`` terms of the image of monomial
-        ``m``, computed through ``apply`` once per operator and shared."""
+        ``m``, read off the shift table once per operator and shared."""
         m = tuple(m)
         terms = self._images.get(m)
         if terms is None:
-            image = self.apply(MPoly.monomial(self.frame, m))
-            terms = self._images[m] = tuple(sorted(image.terms.items()))
+            d, table = self._shift_table()
+            q = (1, *m, *[m[i] * m[j] for i, j in _QUAD])
+            found = []
+            for s, row in table:
+                acc = sum(map(mul, row, q))
+                if acc:  # a target with a negative exponent always sums to 0
+                    found.append((tuple(map(add, m, s)), Fraction(acc, d)))
+            terms = self._images[m] = tuple(sorted(found))
         return terms
+
+    def _shift_table(self) -> tuple[int, tuple[tuple[Exp, tuple[int, ...]], ...]]:
+        """``(d, ((s, row), ...))``: a coefficient term c t^a of A_ij, B_i or C
+        sends t^p to t^(p + s), s = a - e_i - e_j, a - e_i or a, times
+        c p_i (p_j - [i = j]) (twice for a mixed entry), c p_i or c.  Summed
+        over a shift this is row . (1, p, p_i p_j for i <= j) / d, the row of
+        integers; rows that cancel are dropped.  Built once, from d * self.
+        """
+        if self._shifts is None:
+            d, scaled = self.scaled_to_integers()
+            parts = [(scaled.c, (), ((0, 1),))]  # (poly, slots differentiated, row weights)
+            parts += [(p, (SLOT[i],), ((1 + SLOT[i], 1),)) for i, p in scaled.b.items()]
+            for (i, j), p in scaled.a.items():
+                i, j = SLOT[i], SLOT[j]
+                q = 5 + _QUAD.index((i, j))
+                parts.append((p, (i, j), ((q, 1), (1 + i, -1)) if i == j else ((q, 2),)))
+            rows: dict[Exp, list[int]] = {}
+            for poly, slots, weights in parts:
+                drop = [slots.count(k) for k in range(4)]
+                for exp, c in poly.terms.items():
+                    row = rows.setdefault(tuple(map(sub, exp, drop)), [0] * 15)
+                    for k, w in weights:
+                        row[k] += w * c
+            table = tuple((s, tuple(row)) for s, row in rows.items() if any(row))
+            object.__setattr__(self, "_shifts", (d, table))
+        return self._shifts
 
     def scaled_to_integers(self) -> tuple[int, "SecondOrderOp"]:
         """``(d, d * self)``, d the lcm of the coefficient denominators: the

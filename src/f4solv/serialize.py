@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .operators import A_PAIRS, SecondOrderOp
 from .poly import MPoly
-from .spectral import SpectralLine
+
+if TYPE_CHECKING:  # spectral is loaded by the commands that compute spectra
+    from .spectral import SpectralLine
 
 def format_fraction(value: Fraction) -> str:
     """The value as "n" or "n/d", in full.

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -44,23 +44,20 @@ def weighted_level(p: Sequence[int]) -> int:
 def closed_form_energy_rational(p: Sequence[int], params: ModelParams) -> Fraction:
     """Equidistant rational-model spectrum, linear in the level."""
     omega = params.require_omega()
-    return 2 * (weighted_level(p) + 2 + 12 * params.mu + 12 * params.nu) * omega
+    return 2 * omega * (weighted_level(p) + 2 + 12 * (params.mu + params.nu))
 
 
 def closed_form_energy_trig(p: Sequence[int], params: ModelParams) -> Fraction:
     """Quadratic trigonometric-model spectrum."""
     beta2 = params.require_beta2()
     nu, mu = params.nu, params.mu
-    p1, p3, p4, p6 = (Fraction(v) for v in p)
-    quad = (
-        p1 * (p1 + 2 * p3 + 3 * p4 + 4 * p6)
-        + 2 * p3 * (p3 + 2 * p4 + 3 * p6)
-        + p4 * (3 * p4 + 8 * p6)
-        + 6 * p6 * p6
-        + nu * (5 * p1 + 6 * p3 + 9 * p4 + 12 * p6)
-        + 2 * mu * (3 * p1 + 5 * p3 + 6 * p4 + 9 * p6)
-    )
-    return 4 * quad * beta2 + 4 * beta2 * (7 * nu**2 + 14 * mu**2 + 18 * nu * mu)
+    p1, p3, p4, p6 = p
+    # the p-dependent forms over int; each coupling multiplies once
+    quad = p1 * (p1 + 2 * p3 + 3 * p4 + 4 * p6) + 2 * p3 * (p3 + 2 * p4 + 3 * p6)
+    quad += p4 * (3 * p4 + 8 * p6) + 6 * p6 * p6
+    lin_nu = 5 * p1 + 6 * p3 + 9 * p4 + 12 * p6
+    lin_mu = 2 * (3 * p1 + 5 * p3 + 6 * p4 + 9 * p6)
+    return 4 * beta2 * (quad + nu * (lin_nu + 7 * nu + 18 * mu) + mu * (lin_mu + 14 * mu))
 
 
 def degeneracy_count(n: int) -> int:
@@ -184,16 +181,29 @@ def _rational_eigenvalues(
     return roots, leftover
 
 
-#: exponents e of the Mersenne primes 2^e - 1 that serve as moduli
+#: exponents e of the Mersenne primes 2^e - 1 that serve as moduli past 2^32
 _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
 
-def _roots_mod_p(q: list[int], bound: int) -> list[int]:
-    """Sorted roots in (-p/2, p/2) of the monic q modulo a prime p > 2 * bound:
-    gcd(q, x^p - x) over GF(p), split by Cantor-Zassenhaus with a fixed seed."""
+def _modulus(bound: int) -> int:
+    """The first prime above max(2 * bound, 2), certified by trial division,
+    if 2 * bound < 2^32; else the first listed Mersenne prime above 2 * bound."""
+    if 2 * bound < 2**32:
+        p = max(2 * bound, 2) + 1
+        while not all(p % k for k in range(2, isqrt(p) + 1)):
+            p += 1
+        return p
     p = next((2**e - 1 for e in _MERSENNE_EXPONENTS if 2**e - 1 > 2 * bound), None)
     if p is None:
         raise F4SolvError(f"eigenvalue bound of {bound.bit_length()} bits exceeds every modulus")
+    return p
+
+
+def _roots_mod_p(q: list[int], bound: int) -> list[int]:
+    """Sorted roots in (-p/2, p/2) of the monic q modulo the prime p =
+    ``_modulus(bound)``: gcd(q, x^p - x) over GF(p), split by Cantor-Zassenhaus
+    with a fixed seed.  Every integer root k with |k| <= bound is among them."""
+    p = _modulus(bound)
     xp = [0, 0] + _pow_mod(0, p, q, p)
     xp[-2] -= 1
     rng, found, pending = random.Random(0), [], [_gcd_mod(q, xp, p)]
@@ -271,8 +281,9 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
     basis, mat = spectrum.basis, spectrum.matrix
     algebraic = Counter(line.eigenvalue for line in spectrum.lines)
 
-    # the certificate applies d * op afresh, never its image memo, to the
-    # integer eigenvector; d * lam is an integer because d * mat is
+    # the certificate applies d * op through ``apply``, not the shift table
+    # that built the matrix, to the integer eigenvector; d * lam is an
+    # integer because d * mat is
     scale, scaled_op = op.scaled_to_integers()
     out: list[SpectralLine] = []
     defects = []

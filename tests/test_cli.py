@@ -235,6 +235,23 @@ class TestUsageErrors:
         assert code == 64
 
 
+class TestNegativeRationals:
+    # argparse reads "-1/3" as an option; "-2" and "-1.5" it reads as numbers
+    @pytest.mark.parametrize("flag", ["--nu", "--mu", "--omega", "--beta2"])
+    def test_slash_negative_as_a_separate_argument(self, capsys, flag):
+        model = "trig" if flag == "--beta2" else "rational"
+        base = ("spectrum", "--model", model, "--level", "2")
+        joined = run(capsys, *base, f"{flag}=-1/3")
+        assert joined[0] in (0, 2) and joined[1]
+        assert run(capsys, *base, flag, "-1/3") == joined
+
+    @pytest.mark.parametrize("value", ["-1/0", "-1/x", "-/3"])
+    def test_bad_slash_negative_is_a_usage_error(self, capsys, value):
+        code, out, err = run(capsys, "spectrum", "--nu", value, "--level", "1")
+        assert code == 64 and out == ""
+        assert err.startswith("usage error:")
+
+
 class TestLongOutput:
     # nu = 10^3000: eigenvalues of about 3000 digits, energies of about 6000
     HUGE = ("spectrum", "--model", "trig", "--frame", "native", "--nu", "1e3000",
@@ -290,6 +307,28 @@ assert "mpmath" in sys.modules, "the periodic oracle"
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+    def test_import_budget(self):
+        # fresh processes: the package import loads no module, a spectrum
+        # loads neither the oracle side nor mpmath
+        script = """
+import contextlib, io, sys
+import f4solv
+assert not {"f4solv.flags", "f4solv.spectral", "f4solv.oracle", "mpmath"} & set(sys.modules)
+from f4solv.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0
+loaded = {"f4solv.oracle", "f4solv.gauge", "f4solv.sampling", "f4solv.verify", "mpmath"}
+assert not loaded & set(sys.modules), loaded & set(sys.modules)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        trig = ["--model", "trig", "--nu", "1/3", "--mu", "1/8", "--beta2", "1/4"]
+        for argv in (["--model", "rational"], [*trig, "--frame", "rho"], [*trig, "--frame", "native"]):
+            proc = subprocess.run([sys.executable, "-c", script, "spectrum", *argv, "--level", "3"],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, (argv, proc.stderr)
 
 
 class TestWarnings:

@@ -53,6 +53,10 @@ GOLDENS = [
     # grade-8 blocks are 24 x 24: the block root search where blocks are large
     (("spectrum", "--model", "trig", "--frame", "native", *TRIG, "--level", "8"),
      "5187f7d2e5096f5ddcec2564242ae9139375ea0c4afeded69e5e85daae884e4c"),
+    # other couplings, other block bounds: the modulus follows each block's bound
+    (("spectrum", "--model", "trig", "--frame", "native", "--nu", "2", "--mu", "3", "--beta2", "1",
+      "--level", "8", "--format", "json"),
+     "76f650159c429666308c13e8e996b8f024a4e16e0b404a4a6ef8800624accecc"),
     # built by substitution: the rho shear and its inverse, and the oracle's sin^2 composition
     (("dump-operator", "--model", "trig", "--frame", "rho", *TRIG),
      "d2d2100093be35b6cf8a4f54e97253d733125adb5597311efaa99e72894ab0a7"),

@@ -14,7 +14,7 @@ from f4solv.models import (
     trig_a_table,
     trig_b_table,
 )
-from f4solv.operators import SecondOrderOp, op_matrix
+from f4solv.operators import A_PAIRS, SecondOrderOp, op_matrix
 from f4solv.poly import SLOT, VAR_IDS, MPoly, VarMap, is_inverse_pair
 
 T1 = MPoly.variable("t", 0)
@@ -239,19 +239,56 @@ class TestImage:
         assert op.image(list(m)) is image
 
     def test_image_is_computed_once(self, monkeypatch):
-        op = SecondOrderOp("t", {(1, 1): T1}, {3: T1 * T3}, MPoly.constant("t", 2))
-        calls = []
-        apply = SecondOrderOp.apply
+        # images come from the shift table, built once per operator; apply is
+        # left to polynomials (and to the residual certificate)
+        calls = {"apply": 0, "scaled_to_integers": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _original=getattr(SecondOrderOp, name)):
+                calls[_name] += 1
+                return _original(self, *args)
 
-        def counted(self, p):
-            calls.append(p)
-            return apply(self, p)
-
-        monkeypatch.setattr(SecondOrderOp, "apply", counted)
+            monkeypatch.setattr(SecondOrderOp, name, counted)
         basis = enumerate_basis((1, 2, 2, 3), 4)
-        first = op_matrix(op, basis)
-        assert op_matrix(op, basis) == first
-        assert len(calls) == len(basis)
+        ops = [SecondOrderOp("t", {(1, 1): T1}, {3: T1 * T3}, MPoly.constant("t", 2))
+               for _ in range(2)]
+        first = op_matrix(ops[0], basis)
+        assert op_matrix(ops[0], basis) == first
+        assert calls == {"apply": 0, "scaled_to_integers": 1}
+        assert op_matrix(ops[1], basis) == first
+        assert calls == {"apply": 0, "scaled_to_integers": 2}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frame=st.sampled_from(["t", "tau", "rho"]),
+        a=st.dictionaries(st.sampled_from(A_PAIRS), polys(max_size=3), max_size=5),
+        b=st.dictionaries(st.sampled_from(VAR_IDS), polys(max_size=3), max_size=4),
+        c=polys(max_size=3),
+        m=st.tuples(*[st.integers(min_value=0, max_value=3)] * 4),
+    )
+    def test_shift_table_image_is_the_sorted_apply(self, frame, a, b, c, m):
+        # random tables, mixed entries included; exponents 0 and 1 make some
+        # derivatives vanish, so some shifts land on negative exponents
+        def in_frame(p):
+            return MPoly(frame, p.terms)
+
+        op = SecondOrderOp(
+            frame,
+            {k: in_frame(p) for k, p in a.items()},
+            {k: in_frame(p) for k, p in b.items()},
+            in_frame(c),
+        )
+        want = tuple(sorted(op.apply(MPoly.monomial(frame, m)).terms.items()))
+        assert op.image(m) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        coeffs=st.tuples(*[fractions()] * 7),
+        m=st.tuples(*[st.integers(min_value=0, max_value=3)] * 4),
+    )
+    def test_shift_table_of_moved_model_operators(self, rational_op, coeffs, m):
+        fwd, inv = ambiguity_map(*coeffs)
+        op = rational_op.change_variables(fwd, inv)
+        assert op.image(m) == tuple(sorted(op.apply(MPoly.monomial("t", m)).terms.items()))
 
     def test_equality_ignores_the_memo(self, rational_op, moved_op):
         fwd, inv = ambiguity_map(a=F(1, 2), b2=F(-1), c3=F(2, 3))

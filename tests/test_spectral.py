@@ -30,7 +30,9 @@ from f4solv.spectral import (
     weighted_level,
     _char_poly,
     _eigenspace,
+    _modulus,
     _rational_eigenvalues,
+    _roots_mod_p,
 )
 from tests.conftest import RATIONAL_SETS, TRIG_SETS
 
@@ -88,6 +90,40 @@ class TestClosedForms:
             closed_form_energy_trig((k, 0, 0, 0), trig_params) for k in range(3)
         ]
         assert vals[2] - 2 * vals[1] + vals[0] == 8 * b2
+
+
+def reference_energy_rational(p, params):
+    """The closed forms over Fraction, the former implementation."""
+    return 2 * (weighted_level(p) + 2 + 12 * params.mu + 12 * params.nu) * params.omega
+
+
+def reference_energy_trig(p, params):
+    beta2, nu, mu = params.beta2, params.nu, params.mu
+    p1, p3, p4, p6 = (F(v) for v in p)
+    quad = (
+        p1 * (p1 + 2 * p3 + 3 * p4 + 4 * p6)
+        + 2 * p3 * (p3 + 2 * p4 + 3 * p6)
+        + p4 * (3 * p4 + 8 * p6)
+        + 6 * p6 * p6
+        + nu * (5 * p1 + 6 * p3 + 9 * p4 + 12 * p6)
+        + 2 * mu * (3 * p1 + 5 * p3 + 6 * p4 + 9 * p6)
+    )
+    return 4 * quad * beta2 + 4 * beta2 * (7 * nu**2 + 14 * mu**2 + 18 * nu * mu)
+
+
+@settings(max_examples=200)
+@given(
+    p=st.tuples(*[st.integers(min_value=0, max_value=40)] * 4),
+    couplings=st.tuples(*[st.builds(F, st.integers(-50, 50), st.integers(1, 30))] * 3),
+)
+def test_closed_forms_match_the_fraction_reference(p, couplings):
+    nu, mu, third = couplings
+    rational = ModelParams(nu=nu, mu=mu, omega=third)
+    trig = ModelParams(nu=nu, mu=mu, beta2=third)
+    got = closed_form_energy_rational(p, rational)
+    assert type(got) is F and got == reference_energy_rational(p, rational)
+    got = closed_form_energy_trig(p, trig)
+    assert type(got) is F and got == reference_energy_trig(p, trig)
 
 
 class TestDegeneracy:
@@ -355,6 +391,10 @@ class TestBlockSolver:
         assert leftover is None
         assert sorted(roots) == [(F(-7, 5), 1), (F(1, 3), 1)]
 
+    def test_zero_block(self):
+        # row-sum bound 0: the modulus is 3
+        assert _rational_eigenvalues([[F(0)] * 3 for _ in range(3)]) == ([(F(0), 3)], None)
+
     def test_irrational_block_reported_not_approximated(self):
         roots, leftover = _rational_eigenvalues([[F(0), F(1)], [F(2), F(0)]])
         assert roots == []
@@ -476,6 +516,90 @@ def test_roots_times_leftover_is_the_char_poly(block):
         scaled = [int(c) for c in scaled]
         for k in range(-bound, bound + 1):
             assert reduce(lambda acc, c: acc * k + c, scaled) != 0
+
+
+def is_prime(n):
+    """Lucas-Lehmer for Mersenne numbers, deterministic Miller-Rabin (the
+    first 12 prime bases, proven below 3.3e24) otherwise."""
+    if n < 2:
+        return False
+    e = (n + 1).bit_length() - 1
+    if n == 2**e - 1 and e > 2:
+        if any(e % k == 0 for k in range(2, e)):
+            return False
+        s = 4
+        for _ in range(e - 2):
+            s = (s * s - 2) % n
+        return s == 0
+    assert n < 3 * 10**24
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+#: bounds at the edges: the zero block, 1, and both sides of the 2^32 switch
+EDGE_BOUNDS = (0, 1, 2, 3, 2**31 - 1, 2**31, 2**61, 2**4422 - 1)
+
+
+@pytest.mark.parametrize("bound", EDGE_BOUNDS + tuple(range(4, 200, 7)) + (28772, 10**6))
+def test_modulus_is_the_first_prime_above_twice_the_bound(bound):
+    p = _modulus(bound)
+    assert is_prime(p) and p > 2 * bound
+    if 2 * bound < 2**32:
+        assert not any(is_prime(k) for k in range(max(2 * bound, 2) + 1, p))
+    else:
+        assert p.bit_length() in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+
+
+#: irreducible over Q of degree 2 or 3: no integer roots
+IRREDUCIBLE = ([1, 0, 1], [1, 0, -2], [1, 1, 1], [1, 0, 0, -2], [1, -3, 0, 5])
+
+
+def horner(q, k):
+    return reduce(lambda acc, c: acc * k + c, q)
+
+
+@st.composite
+def split_times_irreducible(draw):
+    """(q, bound, roots): q monic, the product of x - r over the roots, each
+    |r| <= bound (repeats and the ends included), times an irreducible factor."""
+    bound = draw(st.one_of(st.integers(0, 60), st.sampled_from(EDGE_BOUNDS[:6])))
+    root = st.one_of(st.sampled_from([-bound, bound, 0]), st.integers(-bound, bound))
+    roots = draw(st.lists(root, max_size=6))
+    q = draw(st.sampled_from(IRREDUCIBLE))
+    for r in roots:
+        q = [u - r * v for u, v in zip(q + [0], [0] + q)]
+    return q, bound, roots
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=split_times_irreducible())
+def test_roots_mod_p_are_the_brute_force_roots(case):
+    q, bound, roots = case
+    p = _modulus(bound)
+    found = _roots_mod_p(q, bound)
+    assert found == sorted(set(found)) and all(-p < 2 * k < p for k in found)
+    if p < 10**4:  # every residue: the roots of q modulo p, exactly
+        assert found == [k for k in range(-(p // 2), p // 2 + 1) if horner(q, k) % p == 0]
+        assert [k for k in range(-bound, bound + 1) if horner(q, k) == 0] == sorted(set(roots))
+    # the integer roots in [-bound, bound] are the linear factors' roots
+    assert [k for k in found if horner(q, k) == 0] == sorted(set(roots))
 
 
 class TestResidualCertificate:
