@@ -120,35 +120,32 @@ class PreparedOracle:
     once; ``point`` evaluates the squares and the gradient (rational) or
     the sines, cosines and gradient (periodic), and the invariants, once.
     ``raw`` and ``value`` are then products of cached powers.  Periodic
-    values belong to the oracle's own mpmath context, and periodic
-    coefficients are converted to it once per polynomial.
+    values belong to the oracle's own mpmath context: each polynomial
+    value is its exact sum at the point, rounded once in that context.
     """
 
     def __init__(self, model: str, params: ModelParams):
         self.model, self.params = model, params
         if model == RATIONAL:
             self.omega = params.require_omega()
-            self.varmap, self.convert, self.zero = t_varmap(), None, Fraction(0)
+            self.varmap, self.zero = t_varmap(), Fraction(0)
         elif model == TRIG:
             self.ctx = ctx = mp_context()
             beta2 = params.require_beta2()
             if beta2 == 0:  # the harmonic limit has no period to sample
                 raise ValueError("the periodic oracle needs beta2 != 0")
             self.beta = ctx.sqrt(ctx.mpf(beta2.numerator) / beta2.denominator)
-            self.varmap, self.convert, self.zero = tau_varmap(beta2), ctx.convert, ctx.mpf(0)
+            self.varmap, self.zero = tau_varmap(beta2), ctx.mpf(0)
         else:
             raise ValueError(f"unknown model {model!r}")
-
-    def plan(self, p: MPoly) -> EvalPlan:
-        return EvalPlan(p, self.convert)
 
     def poly(self, p: MPoly) -> OraclePoly:
         composed = p.substitute(self.varmap)
         first = [composed.derivative(k) for k in range(4)]
         return OraclePoly(
-            self.plan(p),
-            [self.plan(f) for f in first],
-            [self.plan(f.derivative(k)) for k, f in enumerate(first)],
+            EvalPlan(p),
+            [EvalPlan(f) for f in first],
+            [EvalPlan(f.derivative(k)) for k, f in enumerate(first)],
         )
 
     def point(self, x: Sequence) -> OraclePoint:
@@ -226,7 +223,7 @@ def calibrate_normalization(
         raise CalibrationError("operator image of 1 is not constant")
     offset = offset_poly.constant_value()
 
-    image = oracle.plan(op.apply(p1))
+    image = EvalPlan(op.apply(p1))
     alg = [image(PowerTable(pt.inv)) for pt in points]
     tvals = [pt.inv[0] for pt in points]
     prep_one, prep_p1 = oracle.poly(one), oracle.poly(p1)
@@ -369,7 +366,7 @@ def _comparisons(
     """(poly index, point, algebraic value, oracle value), polynomial by polynomial."""
     prepared = [oracle.point(x) for x in points]
     for pi, p in enumerate(polys):
-        image, prep = oracle.plan(op.apply(p)), oracle.poly(p)
+        image, prep = EvalPlan(op.apply(p)), oracle.poly(p)
         for x, pt in zip(points, prepared):
             yield pi, x, image(PowerTable(pt.inv)), oracle.value(prep, pt, cal)
         del image, prep  # before the next polynomial's plans are built

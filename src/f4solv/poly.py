@@ -254,8 +254,9 @@ class MPoly:
     def eval_float(self, point: Sequence) -> object:
         """Value at a point of arbitrary numeric type (floats, mpf, ...).
 
-        Fraction coefficients are multiplied in unreduced, so mpmath
-        operands convert them at working precision.
+        At real, finite mpf numbers of one context it is the exact sum,
+        rounded once at that context's precision; at floats and other
+        numbers it is the term-by-term sum in their own arithmetic.
         """
         return EvalPlan(self)(PowerTable(point))
 
@@ -332,9 +333,11 @@ class PowerTable:
 
     * ints and Fractions: integer numerators (``values``) over one
       common ``denominator``, so exact plans never build a Fraction;
-    * mpf numbers of one mpmath ``context``: their raw ``_mpf_`` values;
-    * anything else (floats, mixed types, the images of a substitution):
-      the coordinates as given.
+    * real, finite mpf numbers of one mpmath ``context``: the same form,
+      since each is exactly ``man * 2^exp``; the denominator is a power
+      of two;
+    * anything else (floats, mpc, inf and nan, mixed types, the images
+      of a substitution): the coordinates as given.
     """
 
     __slots__ = ("point", "values", "denominator", "context", "powers", "monomials")
@@ -350,65 +353,48 @@ class PowerTable:
             return
         ctx = getattr(type(point[0]), "context", None)
         if ctx is not None and all(type(v) is ctx.mpf for v in point):
-            self.context = ctx
-            self.values = tuple(v._mpf_ for v in point)
+            raw = [v._mpf_ for v in point]  # (sign, man, exp, bc)
+            if all(man or not exp for _, man, exp, _ in raw):  # inf and nan have no mantissa
+                shift = max(0, *(-exp for _, _, exp, _ in raw))
+                self.context, self.denominator = ctx, 1 << shift
+                self.values = tuple((-man if sign else man) << (exp + shift) for sign, man, exp, _ in raw)
 
 
 class EvalPlan:
     """A polynomial's terms laid out for evaluation at many power tables.
 
-    Coefficients pass through ``convert`` once (an mpmath context's
-    ``convert`` gives the value that ``mpf * Fraction`` would convert at
-    every point).  The plan and the table pick one of three loops:
+    The table picks one of two loops:
 
-    * exact: a plan with int and Fraction coefficients (no ``convert``)
-      at a table of ints and Fractions.  The coefficients are integer
-      numerators c_e over one denominator C, grouped by total degree d
-      up to the top degree m.  With the table's numerators a over D the
-      value is ``Fraction(sum_d D^(m-d) sum_{|e|=d} c_e a^e, C D^m)``,
-      summed by Horner's rule in D: one reduction per value, returned
-      as a ``Fraction`` (``Fraction(0)`` for the empty plan).
-    * mpf: a plan converted by an mpmath context's ``convert``, at a
-      table of that context's numbers.  It runs the generic loop on raw
-      ``_mpf_`` values with ``mpf_pow_int``, ``mpf_mul`` and ``mpf_add``
-      at the context's precision and rounding, the functions the
-      ``mpf`` operators call, so every value is bit-identical to it.
-    * generic, for every other pairing: each term's monomial, the
-      product of its powers ``v**e`` in slot order, times the
-      coefficient, with the terms summed in dict order.  That is the
-      operation order of evaluating term by term, so floating-point
-      results are bit-identical to it, and at a table of polynomials it
-      is ``MPoly.substitute``.  At a table of another form it works from
-      the coordinates as given, without the table's caches.
+    * exact, at a table with a ``denominator`` (ints and Fractions, or
+      finite real mpf numbers).  The coefficients are integer numerators
+      c_e over one denominator C, grouped by total degree d up to the
+      top degree m.  With the table's numerators a over D the value is
+      ``sum_d D^(m-d) sum_{|e|=d} c_e a^e / (C D^m)``, summed exactly by
+      Horner's rule in D.  At a rational table it is returned as a
+      ``Fraction`` (``Fraction(0)`` for the empty plan), one reduction
+      per value; at an mpf table it is rounded once, unreduced, at the
+      table context's precision and rounding, so every value is the
+      correctly rounded exact sum.
+    * generic, at every other table: each term's monomial, the product
+      of its powers ``v**e`` in slot order, times the coefficient, with
+      the terms summed in dict order.  That is the operation order of
+      evaluating term by term, so floating-point results are
+      bit-identical to it, and at a table of polynomials it is
+      ``MPoly.substitute``.
     """
 
-    __slots__ = ("terms", "denominator", "by_degree", "context", "raw")
+    __slots__ = ("terms", "denominator", "by_degree")
 
-    def __init__(self, poly: MPoly, convert=None):
-        self.terms = terms = tuple(
-            (exp, coeff if convert is None else convert(coeff))
-            for exp, coeff in poly.terms.items()
-        )
-        self.denominator = self.by_degree = self.context = self.raw = None
-        if convert is None:
-            if all(type(c) is int or type(c) is Fraction for _, c in terms):
-                d = self.denominator = lcm(*(c.denominator for _, c in terms))
-                by_degree: list[list] = [[] for _ in range(max(map(sum, poly.terms), default=0) + 1)]
-                for exp, c in terms:
-                    by_degree[sum(exp)].append((exp, c.numerator * (d // c.denominator)))
-                self.by_degree = tuple(map(tuple, by_degree))
-            return
-        ctx = getattr(convert, "__self__", None)
-        if ctx is not None and all(type(c) is ctx.mpf for _, c in terms):
-            self.context = ctx
-            self.raw = tuple((exp, c._mpf_) for exp, c in terms)
+    def __init__(self, poly: MPoly):
+        self.terms = terms = tuple(poly.terms.items())
+        d = self.denominator = lcm(*(c.denominator for _, c in terms))
+        by_degree: list[list] = [[] for _ in range(max(map(sum, poly.terms), default=0) + 1)]
+        for exp, c in terms:
+            by_degree[sum(exp)].append((exp, c.numerator * (d // c.denominator)))
+        self.by_degree = tuple(map(tuple, by_degree))
 
     def __call__(self, table: PowerTable):
-        if self.denominator is not None and table.denominator is not None:
-            return self._exact(table)
-        if self.context is not None and self.context is table.context:
-            return self._mpf(table)
-        return self._generic(table)
+        return self._generic(table) if table.denominator is None else self._exact(table)
 
     def _exact(self, table: PowerTable):
         values, powers, monomials, d = table.values, table.powers, table.monomials, table.denominator
@@ -427,33 +413,15 @@ class EvalPlan:
                             prod *= p
                     monomials[exp] = prod
                 acc += c * prod
-        return Fraction(acc, self.denominator * d ** (len(self.by_degree) - 1))
+        den = self.denominator * d ** (len(self.by_degree) - 1)
+        if table.context is None:
+            return Fraction(acc, den)
+        from mpmath.libmp import from_rational
 
-    def _mpf(self, table: PowerTable):
-        from mpmath.libmp import mpf_add, mpf_mul, mpf_pow_int
-
-        prec, rounding = self.context._prec_rounding
-        values, powers, monomials = table.values, table.powers, table.monomials
-        acc = None
-        for exp, coeff in self.raw:
-            prod = monomials.get(exp)
-            if prod is None:
-                for s, e in enumerate(exp):
-                    if e:
-                        p = powers.get((s, e))
-                        if p is None:
-                            p = powers[s, e] = mpf_pow_int(values[s], e, prec, rounding)
-                        prod = p if prod is None else mpf_mul(prod, p, prec, rounding)
-                monomials[exp] = prod
-            val = coeff if prod is None else mpf_mul(prod, coeff, prec, rounding)
-            acc = val if acc is None else mpf_add(acc, val, prec, rounding)
-        return 0 if acc is None else self.context.make_mpf(acc)
+        return table.context.make_mpf(from_rational(acc, den, *table.context._prec_rounding))
 
     def _generic(self, table: PowerTable):
         values, powers, monomials = table.values, table.powers, table.monomials
-        if table.denominator is not None or table.context is not None:
-            # the caches hold another form of the point: start from the point afresh
-            values, powers, monomials = table.point, {}, {}
         acc = None
         for exp, coeff in self.terms:
             prod = monomials.get(exp)

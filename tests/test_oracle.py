@@ -31,7 +31,7 @@ from f4solv.oracle import (
     oracle_sweep_trig,
 )
 from f4solv.poly import EvalPlan, MPoly
-from tests.conftest import RATIONAL_SETS, TRIG_SETS
+from tests.conftest import RATIONAL_SETS, TRIG_SETS, rounded_sum
 
 
 # -- an unprepared reference: everything recomputed at every point -------------
@@ -66,6 +66,7 @@ def reference_rational(params, p, x, cal):
 
 
 def reference_trig(params, p, x, cal):
+    """Each polynomial value is its exact sum at the point, rounded once."""
     ctx = mp_context()
     beta2 = params.beta2
     beta = ctx.sqrt(ctx.mpf(beta2.numerator) / beta2.denominator)
@@ -76,12 +77,12 @@ def reference_trig(params, p, x, cal):
     grad = grad_log_ground_state_trig(params, x, beta)
     acc = ctx.mpf(0)
     for k in range(4):
-        qk = term_by_term(composed.derivative(k), s)
-        qkk = term_by_term(composed.derivative(k).derivative(k), s)
+        qk = rounded_sum(composed.derivative(k), s, ctx)
+        qkk = rounded_sum(composed.derivative(k).derivative(k), s, ctx)
         acc += qkk * s1[k] ** 2 + qk * s2[k]
         acc += 2 * grad[k] * qk * s1[k]
     tau = tau_from_sigma(elem_sym_values(s), beta * beta)
-    return tau, cal.scale * acc + cal.offset * term_by_term(p, tau)
+    return tau, cal.scale * acc + cal.offset * rounded_sum(p, tau, ctx)
 
 
 def spy_on_comparisons(monkeypatch):
@@ -175,21 +176,32 @@ class TestCartesianOracle:
         for op, p, x, cal, lhs, rhs in seen:
             tau, expected = reference_trig(params, p, x, cal)
             assert rhs._mpf_ == expected._mpf_
-            assert lhs._mpf_ == term_by_term(op.apply(p), tau)._mpf_
+            assert lhs._mpf_ == rounded_sum(op.apply(p), tau, mp_context())._mpf_
 
     @pytest.mark.parametrize("sweep, params", [
         (oracle_sweep_rational, RATIONAL_SETS[2]), (oracle_sweep_trig, TRIG_SETS[1]),
     ], ids=["rational", "trig"])
     def test_sweeps_never_take_the_generic_loop(self, monkeypatch, sweep, params):
-        polynomial_loop = EvalPlan._generic
+        polynomial_loop, exact_loop = EvalPlan._generic, EvalPlan._exact
+        tables = []
 
         def generic(plan, table):  # substitution evaluates at a table of polynomials
             if not all(isinstance(v, MPoly) for v in table.point):
                 raise AssertionError("a Fraction or mpf object loop ran on oracle traffic")
             return polynomial_loop(plan, table)
 
+        def exact(plan, table):
+            tables.append(table)
+            return exact_loop(plan, table)
+
         monkeypatch.setattr(EvalPlan, "_generic", generic)
+        monkeypatch.setattr(EvalPlan, "_exact", exact)
         assert sweep(params, n_points=3, n_polys=2, seed=5)["passed"]
+        assert tables
+        periodic = sweep is oracle_sweep_trig
+        for table in tables:  # periodic points are mpf numbers over a power of two
+            assert (table.context is not None) is periodic
+            assert not periodic or table.denominator & (table.denominator - 1) == 0
 
     def test_trig_sweep_within_tolerance(self, trig_params):
         report = oracle_sweep_trig(trig_params, n_points=20, n_polys=5)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from f4solv.errors import FrameError, MapError
 from f4solv.invariants import t_varmap, tau_varmap
 from f4solv.models import ambiguity_map, build_rho_map
+from tests.conftest import rounded_sum
 from f4solv.poly import (
     DISPLAY_WEIGHTS,
     ZERO_EXP,
@@ -71,8 +72,22 @@ def per_term(terms, point):
 
 
 def same(got, want) -> bool:
-    """Equal in type and value; mpf values equal bit for bit."""
-    return type(got) is type(want) and getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)
+    """Equal in type and value; mpf and mpc values equal bit for bit."""
+
+    def bits(v):
+        return getattr(v, "_mpf_", getattr(v, "_mpc_", v))
+
+    return type(got) is type(want) and bits(got) == bits(want)
+
+
+def mpf_numbers(ctx):
+    """Numbers of either sign, zero among them, with up to prec-bit
+    mantissas and binary exponents spread over 2^-400 ... 2^400."""
+    return st.builds(
+        lambda man, exp: ctx.mpf((man, exp)),
+        st.integers(-(2**ctx.prec) + 1, 2**ctx.prec - 1),
+        st.integers(-400, 400),
+    )
 
 
 class TestArithmetic:
@@ -198,17 +213,20 @@ class TestEval:
         EvalPlan(p * p + T6**4)(table)
         assert EvalPlan(p)(table) == expected
 
-    def test_eval_float_is_the_per_term_formula_bit_for_bit(self):
+    def test_eval_float_at_mpf_points_is_the_exact_sum_rounded_once(self):
         ctx = mpmath.mp.clone()
         ctx.prec = 200
         point = [ctx.sqrt(v) / 7 for v in (2, 3, 5, 11)]
         p = (F(3, 7) * T1**3 * T6**5 - F(1, 3) * T3 * T4**7 + F(2, 9)) * (T1 - F(5, 11) * T4**2) ** 3
         for q in (p, p * T3**2 - F(1, 3), MPoly.constant("t", F(1, 3)) + T6):
-            expected = per_term(q.terms.items(), point)
-            assert q.eval_float(point)._mpf_ == expected._mpf_
-            converted = EvalPlan(q, ctx.convert)(PowerTable(point))
-            assert converted._mpf_ == expected._mpf_
-        assert MPoly.zero("t").eval_float(point) == 0
+            assert same(q.eval_float(point), rounded_sum(q, point, ctx))
+        assert same(MPoly.zero("t").eval_float(point), ctx.mpf(0))
+        # an integer coefficient wider than the precision is not rounded on its own
+        ctx.prec = 53
+        wide = MPoly("t", {(1, 0, 0, 2): F(3**100 + 1), ZERO_EXP: F(-1, 3)})._times_int(3)
+        point = [ctx.sqrt(v) / 7 for v in (2, 3, 5, 11)]
+        for q in (wide, wide + p):
+            assert same(q.eval_float(point), rounded_sum(q, point, ctx))
 
     @settings(max_examples=30)
     @given(a=polys(), b=polys(), point=st.tuples(*[fractions(3, 3)] * 4))
@@ -218,9 +236,11 @@ class TestEval:
 
 
 class TestEvalPaths:
-    """The point's number type picks the loop: integer numerators for ints
-    and Fractions, raw libmpf values for one context's mpf numbers, the
-    generic loop otherwise.  Each must give what the generic loop gives."""
+    """The point's number type picks the loop: integer numerators over one
+    denominator for ints, Fractions and finite real mpf numbers of one
+    context, the generic loop otherwise.  Exact values are the Fraction
+    sum, mpf values that sum rounded once, and the generic loop's are the
+    term-by-term sum."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -251,33 +271,51 @@ class TestEvalPaths:
                 assert same(EvalPlan(p)(table), want)
                 assert same(p.eval_exact(point), want)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        ps=st.lists(polys(max_den=12), min_size=1, max_size=3),
-        roots=st.tuples(*[st.tuples(st.integers(-50, 50), st.integers(1, 12))] * 4),
-        prec=st.sampled_from((53, 113, 200, 333)),
-    )
-    def test_mpf_path_is_the_per_term_formula_bit_for_bit(self, ps, roots, prec):
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), ps=st.lists(exact_polys(), min_size=1, max_size=3),
+           prec=st.sampled_from((53, 113, 200, 333)))
+    def test_mpf_path_is_the_exact_sum_rounded_once(self, data, ps, prec):
         ctx = mpmath.mp.clone()
         ctx.prec = prec
-        point = [ctx.sqrt(abs(a)) / (b if a >= 0 else -b) for a, b in roots]
+        point = data.draw(st.tuples(*[mpf_numbers(ctx)] * 4))
         table = PowerTable(point)
         assert table.context is ctx
+        d = table.denominator
+        assert d & (d - 1) == 0  # a power of two
         for p in ps + ps[::-1]:
-            plan = EvalPlan(p, ctx.convert)
-            assert same(plan(table), per_term(plan.terms, point))
+            assert same(EvalPlan(p)(table), rounded_sum(p, point, ctx))
 
-    def test_plans_of_another_context_take_the_generic_loop(self):
+    def test_one_plan_rounds_at_each_table_context(self):
         a, b = mpmath.mp.clone(), mpmath.mp.clone()
         a.prec, b.prec = 113, 333
-        point = [a.sqrt(v) / 7 for v in (2, 3, 5, 11)]
-        # the constant comes first, so the generic sum runs at its context's precision
         p = MPoly("t", {ZERO_EXP: F(1, 3), (1, 2, 0, 0): F(3, 7), (0, 0, 1, 1): F(-2, 7)})
-        table = PowerTable(point)
+        plan = EvalPlan(p)
         for ctx in (b, a, b):
-            plan = EvalPlan(p, ctx.convert)
-            assert same(plan(table), per_term(plan.terms, point))
-        assert same(EvalPlan(p)(table), per_term(p.terms.items(), point))
+            point = [ctx.sqrt(v) / 7 for v in (2, 3, 5, 11)]
+            assert same(plan(PowerTable(point)), rounded_sum(p, point, ctx))
+        # the point's own context decides, not the one current when it is evaluated
+        point = [a.sqrt(v) / 7 for v in (2, 3, 5, 11)]
+        table = PowerTable(point)
+        b.prec = 53
+        assert same(plan(table), rounded_sum(p, point, a))
+
+    def test_mpc_inf_and_nan_points_take_the_generic_loop(self):
+        ctx = mpmath.mp.clone()
+        ctx.prec = 113
+        third = ctx.mpf(1) / 3
+        p = (F(3, 7) * T1**3 - F(1, 3) * T3 * T4**2 + F(2, 9)) * (T1 - F(5, 11) * T6)
+        points = [
+            [ctx.sqrt(ctx.mpf(-2)), third, ctx.mpc(1, -3) / 7, ctx.mpf(-5)],
+            [ctx.mpc(v, 0) / 7 for v in (2, 3, 5, 11)],
+            [ctx.inf, third, ctx.mpf(0), ctx.mpf(-2)],
+            [third, -ctx.inf, ctx.mpf(1), ctx.mpf(2)],
+            [third, ctx.mpf(1), ctx.nan, ctx.mpf(2)],
+        ]
+        for point in points:
+            table = PowerTable(point)
+            assert table.denominator is None and table.context is None
+            for q in (p, p * T3 - F(1, 3), MPoly.constant("t", F(1, 3)) + T6):
+                assert same(EvalPlan(q)(table), per_term(q.terms.items(), point))
 
     def test_eval_float_keeps_the_generic_loop(self):
         ctx = mpmath.mp.clone()
@@ -285,7 +323,9 @@ class TestEvalPaths:
         wide = MPoly("t", {(1, 0, 0, 2): F(3**100 + 1), ZERO_EXP: F(-1, 3)})._times_int(3)
         assert wide.terms[(1, 0, 0, 2)].bit_length() > 53
         p = (F(3, 7) * T1**3 - F(1, 3) * T3 * T4**2 + F(2, 9)) * (T1 - F(5, 11) * T6)
-        for point in ([ctx.sqrt(v) / 7 for v in (2, 3, 5, 11)], [0.5, -1.25, 3.0, 2.0**-3]):
+        mixed = [ctx.mpf(2) / 7, 0.5, F(1, 3), ctx.mpf(-3)]
+        for point in ([0.5, -1.25, 3.0, 2.0**-3], mixed):
+            assert PowerTable(point).denominator is None
             for q in (wide, p, wide + p):
                 assert same(q.eval_float(point), per_term(q.terms.items(), point))
 
