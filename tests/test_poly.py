@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from f4solv.errors import FrameError, MapError
 from f4solv.invariants import t_varmap, tau_varmap
 from f4solv.models import ambiguity_map, build_rho_map
-from tests.conftest import rounded_sum
 from f4solv.poly import (
     DISPLAY_WEIGHTS,
     ZERO_EXP,
@@ -22,6 +21,7 @@ from f4solv.poly import (
     is_inverse_pair,
     weighted_grade,
 )
+from tests.conftest import rounded_sum
 
 T1 = MPoly.variable("t", 0)
 T3 = MPoly.variable("t", 1)
