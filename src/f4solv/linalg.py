@@ -192,11 +192,13 @@ def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
     gives the whole kernel, and any other matrix by elimination; both
     routes return the same basis.
     """
+    basis = None
     if matrix.rows == matrix.cols and matrix.is_upper_triangular():
         basis = _triangular_nullspace(matrix.integer_form()[1])
-        if basis is not None:
-            return basis
-    return _echelon_nullspace(matrix)
+    if basis is None:
+        basis = _echelon_nullspace(matrix)
+    zero = Fraction(0)  # shared: the int kernels become Fractions only here
+    return [[Fraction(x) if x else zero for x in v] for v in basis]
 
 
 def _back_substitute(rows: Sequence[list[int]], leads: Sequence[int], v: list[int]) -> bool:
@@ -224,7 +226,7 @@ def _back_substitute(rows: Sequence[list[int]], leads: Sequence[int], v: list[in
     return True
 
 
-def _triangular_nullspace(rows: list[list[int]]) -> Optional[list[list[Fraction]]]:
+def _triangular_nullspace(rows: list[list[int]]) -> Optional[list[list[int]]]:
     """Kernel basis of a square upper-triangular integer matrix by back-substitution.
 
     The free columns lie among the zero-diagonal ones.  For each such
@@ -238,13 +240,13 @@ def _triangular_nullspace(rows: list[list[int]]) -> Optional[list[list[Fraction]
     return _kernel_basis(rows, range(n), [f for f in range(n) if not rows[f][f]], n)
 
 
-def _echelon_nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
+def _echelon_nullspace(matrix: RatMatrix) -> list[list[int]]:
     rows, pivots = _bareiss_echelon(matrix.integer_form()[1])
     free = sorted(set(range(matrix.cols)) - set(pivots))
     return _kernel_basis(rows, pivots, free, matrix.cols)
 
 
-def _kernel_basis(rows, leads, free: list[int], n: int) -> Optional[list[list[Fraction]]]:
+def _kernel_basis(rows, leads, free: list[int], n: int) -> Optional[list[list[int]]]:
     """For each free column f, the kernel vector with 1 at f and 0 at every
     other free column, by back-substitution on the rows that lead left of f."""
     basis = []
@@ -253,16 +255,9 @@ def _kernel_basis(rows, leads, free: list[int], n: int) -> Optional[list[list[Fr
         v = [0] * f + [1]
         if not _back_substitute(rows[:k], leads[:k], v):
             return None
-        basis.append(_normalize_primitive(v + [0] * (n - f - 1)))
+        v = _divide_content(v + [0] * (n - f - 1))  # coprime, positive first nonzero entry
+        basis.append([-x for x in v] if next(x for x in v if x) < 0 else v)
     return basis
-
-
-def _normalize_primitive(v: list[int]) -> list[Fraction]:
-    """Coprime integers with a positive first nonzero entry, as Fractions."""
-    v = _divide_content(v)
-    if next((x for x in v if x), 0) < 0:
-        v = [-x for x in v]
-    return [Fraction(x) for x in v]
 
 
 def rank(matrix: RatMatrix) -> int:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .operators import A_PAIRS, SecondOrderOp
@@ -112,4 +112,51 @@ def spectral_line_json(line: SpectralLine) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, written in one
+    pass: with an indent the json module runs its pure-Python encoder."""
+    out: list[str] = []
+    _write(obj, out, "\n")
+    return "".join(out) + "\n"
+
+
+_NAMES = {"None": "null", "True": "true", "False": "false",  # json's names for these reprs
+          "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _leaf(o) -> str:
+    """json's form of a str, None, bool, int or float."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return _NAMES[repr(o)]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _NAMES.get(text := float.__repr__(o), text)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write(o, out: list[str], nl: str) -> None:
+    """Append the encoding of ``o``; ``nl`` is a newline and the current indent."""
+    inner = nl + "  "
+    comma = "," + inner
+    if isinstance(o, dict) and o:
+        for i, (k, v) in enumerate(sorted(o.items())):
+            head = (comma if i else "{" + inner) + _quote(k if isinstance(k, str) else _leaf(k))
+            if type(v) is str:  # the common leaf, written inline
+                out.append(head + ": " + _quote(v))
+            else:
+                out.append(head + ": ")
+                _write(v, out, inner)
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)) and {*map(type, o)} == {int}:  # exponents: one join
+        out.append("[" + inner + comma.join(map(int.__repr__, o)) + nl + "]")
+    elif isinstance(o, (list, tuple)) and o:
+        for i, v in enumerate(o):
+            out.append(comma if i else "[" + inner)
+            _write(v, out, inner)
+        out.append(nl + "]")
+    elif isinstance(o, (dict, list, tuple)):
+        out.append("{}" if isinstance(o, dict) else "[]")
+    else:
+        out.append(_leaf(o))

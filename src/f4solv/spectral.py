@@ -272,19 +272,20 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
     Every eigenvalue's full eigenspace is returned (degenerate spaces as
     whole nullspaces, no preferred basis).  In a strictly triangular
     frame ``nullspace`` finds each space by back-substitution; the
-    block path eliminates.  Residuals are re-checked symbolically; a
-    nonzero residual is a library bug and raises.  Defective eigenvalues
-    (geometric < algebraic multiplicity) are reported per value, not
-    fatal.
+    block path eliminates.  Residuals are exact and in column form: each
+    support monomial m goes once through ``apply`` of ``d * op`` (not the
+    shift table that built the matrix), and sum_m c_m (d op)(t^m) - d lam
+    psi is summed over int; a nonzero entry is a library bug and raises.
+    Defective eigenvalues (geometric < algebraic multiplicity) are
+    reported per value, not fatal.
     """
     spectrum = spectrum_from_matrix(op, f, n)
     basis, mat = spectrum.basis, spectrum.matrix
     algebraic = Counter(line.eigenvalue for line in spectrum.lines)
 
-    # the certificate applies d * op through ``apply``, not the shift table
-    # that built the matrix, to the integer eigenvector; d * lam is an
-    # integer because d * mat is
+    # d * lam is an integer because d * mat is
     scale, scaled_op = op.scaled_to_integers()
+    columns: dict[Exp, dict[Exp, int]] = {}  # monomial -> its image under d * op
     out: list[SpectralLine] = []
     defects = []
     for lam in sorted(algebraic):
@@ -296,10 +297,17 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
             defects.append(defect)
         for vec in kernel:
             psi = MPoly._trusted(op.frame, {m: c for m, c in zip(basis.monomials, vec) if c})
-            # nullspace vectors are integral (lcm 1); any other vector is scaled exactly
-            ints = psi._times_int(lcm(*(c.denominator for c in psi.terms.values())))
-            residual = scaled_op.apply(ints) - ints * scaled_lam.numerator
-            if not residual.is_zero():
+            # nullspace vectors are integral (k = 1); any other vector is scaled exactly
+            k = lcm(*(c.denominator for c in psi.terms.values()))
+            residual: dict[Exp, int] = {}
+            for m, c in psi.terms.items():
+                c = c.numerator * (k // c.denominator)
+                if m not in columns:
+                    columns[m] = scaled_op.apply(MPoly._trusted(op.frame, {m: 1})).terms
+                for e, v in columns[m].items():
+                    residual[e] = residual.get(e, 0) + c * v
+                residual[m] = residual.get(m, 0) - scaled_lam.numerator * c
+            if any(residual.values()):
                 raise F4SolvError(f"nonzero residual for eigenvalue {lam}")
             out.append(SpectralLine(_leading_label(vec, basis), lam, eigenfunction=psi))
     return EigenReport(tuple(out), tuple(defects), basis)

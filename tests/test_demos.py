@@ -1,7 +1,8 @@
 """The demos as a user runs them: fresh processes, stdout pinned by sha256.
 
-Demo 03 (the Cartesian oracle, about 2.6 s) is left out to keep the
-suite fast; ``verify --suite oracle`` goldens cover the same code.
+Demo 03 (the Cartesian oracle) is the slowest, about 2.6 s; it is pinned
+too, since its own prints (the trig sweep's worst error among them) are
+covered by no ``verify --suite oracle`` golden.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = [
     ("01_rational_model.py", "9742933666972a2830b7503ae77555dc7e37cd52b88a2b2687bed73cc8d9a49a"),
     ("02_trigonometric_model.py", "045e423dedb1c7fa3be4e5334b12bd69207588dbf00ce0f9e2132708aa6d3926"),
+    ("03_cartesian_oracle.py", "986ccb608bdf1e87e430e093cd8552171a74abee22e8a6867ebc236c37d9c01b"),
     ("04_flag_scan.py", "f9b84da3aad8647e9734d66ad4071bcf6595c9778dc4435c5fd83e507e9fb810"),
 ]
 

@@ -66,6 +66,13 @@ GOLDENS = [
     (("verify", "--suite", "oracle", "--model", "trig", "--nu", "2", "--mu", "3", "--beta2", "3/7",
       "--seed", "2"),
      "f3bc319bc25b212d4695ca667ea2ac43225ae84f2bfa1763c9e2cab6dac0b811"),
+    # the eigen benchmark's commands: MB-sized outputs, every residual certified
+    (("eigenfunctions", "--model", "rational", "--level", "8", "--nu", "1/3", "--mu", "1/5",
+      "--omega", "1"),
+     "ccadf072f3a65bf562f0e2ff474098fc84a59042684cf2330caf38f28edb83c8"),
+    (("eigenfunctions", "--model", "trig", "--frame", "rho", "--level", "8", "--nu", "2",
+      "--mu", "3", "--beta2", "1"),
+     "f17beddc43c6b2c20d8fc89b379bd9265c76b929a6068e391c400f582721b939"),
     # a negative beta^2: a complex beta, so every table takes the generic loop
     (("verify", "--suite", "oracle", "--model", "trig", "--nu", "1/3", "--mu", "1/8", "--beta2", "-1/4"),
      "770be24979c715f04321d24bbcc4e8a0763f7cbdf66a288011ded4603ebccd64"),

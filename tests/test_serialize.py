@@ -1,0 +1,72 @@
+"""The one-pass JSON writer against the json module's indented layout."""
+
+import enum
+import json
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from f4solv.serialize import dumps
+
+#: every code point: non-ASCII, control characters and lone surrogates
+TEXT = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"]))
+INTS = st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+LEAVES = st.none() | st.booleans() | INTS | FLOATS | TEXT
+#: one key type per dict: json cannot sort mixed key types either
+KEY_TYPES = (TEXT, INTS, FLOATS, st.booleans(), st.none())
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(INTS),  # the writer joins all-int lists in one call
+        *(st.dictionaries(keys, children) for keys in KEY_TYPES),
+    )
+
+
+JSON = st.recursive(LEAVES, containers, max_leaves=40)
+
+
+def reference(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300)
+@given(JSON)
+def test_dumps_is_the_indented_json_layout(value):
+    assert dumps(value) == reference(value)
+
+
+class Level(enum.IntEnum):
+    LOW = 3
+
+
+class Text(str):
+    def __str__(self):
+        return "overridden"
+
+
+class Real(float):
+    def __repr__(self):
+        return "overridden"
+
+
+def test_subclasses_are_written_as_their_base_types():
+    value = {"a": [Level.LOW, Level.LOW], Text("k"): Real(0.5), "n": [1, True, 2]}
+    assert dumps(value) == reference(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [F(1, 2), {"a": [1, {2, 3}]}, {(1, 2): 0}, {"a": {(): 1}}, [1j]],
+    ids=["fraction", "set", "tuple key", "empty tuple key", "complex"],
+)
+def test_values_json_cannot_encode_raise_type_error(value):
+    with pytest.raises(TypeError):
+        reference(value)
+    with pytest.raises(TypeError):
+        dumps(value)

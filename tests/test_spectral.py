@@ -11,6 +11,7 @@ from f4solv import linalg, spectral
 from f4solv.errors import ClosureError, F4SolvError
 from f4solv.flags import flag_dimension
 from f4solv.linalg import RatMatrix
+from f4solv.operators import SecondOrderOp
 from f4solv.poly import MPoly, build_triangular_map
 from f4solv.models import (
     ModelParams,
@@ -636,6 +637,29 @@ class TestResidualCertificate:
         assert len({line.eigenvalue for line in report.lines}) > 20
         assert calls == {"_integer_rows": 1, "_upper_triangular": 1}
 
+
+
+def test_residual_applies_each_support_monomial_once(rho_op, monkeypatch):
+    # the certificate works by columns: apply sees single monomials t^m with
+    # coefficient 1, each distinct support monomial once, at most dim P_n
+    calls = []
+    apply = SecondOrderOp.apply
+
+    def counted(self, p):
+        calls.append(p)
+        return apply(self, p)
+
+    monkeypatch.setattr(SecondOrderOp, "apply", counted)
+    report = eigenfunctions(rho_op, MINIMAL, 8)
+    assert all(list(p.terms.values()) == [1] for p in calls)
+    applied = [m for p in calls for m in p.terms]
+    support = {m for line in report.lines for m in line.eigenfunction.terms}
+    assert sorted(applied) == sorted(support)
+    assert len(calls) <= flag_dimension(MINIMAL, 8) == len(report.lines)
+    # and every eigenpair still holds against a whole-polynomial apply
+    for line in report.lines[::9]:
+        psi = line.eigenfunction
+        assert (apply(rho_op, psi) - line.eigenvalue * psi).is_zero()
 
 def test_multiset_match_handles_negative_scale():
     from f4solv.spectral import match_energy_multisets
