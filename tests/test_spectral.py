@@ -656,7 +656,7 @@ def test_residual_applies_each_support_monomial_once(rho_op, monkeypatch):
     support = {m for line in report.lines for m in line.eigenfunction.terms}
     assert sorted(applied) == sorted(support)
     assert len(calls) <= flag_dimension(MINIMAL, 8) == len(report.lines)
-    # and every eigenpair still holds against a whole-polynomial apply
+    # and a sample of the eigenpairs holds against a whole-polynomial apply
     for line in report.lines[::9]:
         psi = line.eigenfunction
         assert (apply(rho_op, psi) - line.eigenvalue * psi).is_zero()
