@@ -56,8 +56,10 @@ sweep_r = oracle_sweep_rational(rational, n_points=20, n_polys=5)
 print(f"  rational: {sweep_r['points']} points x {sweep_r['polynomials']} polynomials,"
       f" exact equality: {sweep_r['passed']}")
 sweep_t = oracle_sweep_trig(trig, n_points=20, n_polys=5)
-print(f"  trig: worst relative error {sweep_t['worst_rel_error']}"
-      f" (tolerance 1e-9): {sweep_t['passed']}")
+print(f"  trig:     {sweep_t['points']} points x {sweep_t['polynomials']} polynomials,"
+      f" exact equality: {sweep_t['passed']}")
+print("  (each periodic point has a rational (cos, sin) on the unit circle,\n"
+      "   so both sides of every comparison are rational numbers)")
 
 print("\n== Expressing invariants in the t frame ==")
 u = [MPoly.variable("x2", k) for k in range(4)]  # u_i = x_i^2

@@ -11,8 +11,9 @@ Subcommands::
 Exit codes: 0 success, 2 claim mismatch, 3 structural anomaly,
 64 usage error.  All randomized flows take an explicit --seed
 (default 0) and identical configurations produce byte-identical output.
-The environment variable F4SOLV_PRECISION (bits) overrides the
-floating-point working precision of the periodic-model paths.
+The default couplings sit inside the physical windows of the chosen
+model (--mu 1/5 rational, 1/8 trig).  Both oracle sweeps compare exact
+rational values; only ``verify --suite limit`` uses floating point.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EXIT_MISMATCH = 2
 EXIT_ANOMALY = 3
 EXIT_USAGE = 64
 _RATIONAL_FLAGS = ("--nu", "--mu", "--omega", "--beta2")  # "--nu -1/3" means "--nu=-1/3"
+_DEFAULT_MU = {RATIONAL: "1/5", TRIG: "1/8"}  # inside each model's window g1 > -1/8
 
 
 class UsageError(Exception):
@@ -65,7 +67,7 @@ def build_parser() -> _Parser:
     def add_common(p, frame=True):
         p.add_argument("--model", choices=MODELS, default=RATIONAL)
         p.add_argument("--nu", default="1/3", help="coupling parameter (num/den)")
-        p.add_argument("--mu", default="1/5", help="coupling parameter (num/den)")
+        p.add_argument("--mu", help="coupling parameter (num/den; 1/5 rational, 1/8 trig)")
         p.add_argument("--omega", default="1", help="oscillator frequency (rational model)")
         p.add_argument("--beta2", default="1/4", help="squared inverse period (trig model)")
         p.add_argument("--params", help="JSON parameter file overriding the flags")
@@ -112,7 +114,8 @@ def build_parser() -> _Parser:
 
 
 def load_params(args) -> ModelParams:
-    nu, mu = parse_fraction(args.nu), parse_fraction(args.mu)
+    mu = args.mu if args.mu is not None else _DEFAULT_MU[args.model]
+    nu, mu = parse_fraction(args.nu), parse_fraction(mu)
     omega, beta2 = parse_fraction(args.omega), parse_fraction(args.beta2)
     model = args.model
     if args.params:

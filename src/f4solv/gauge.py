@@ -9,49 +9,33 @@ Both ground states are products over the 24 positive roots of F4
 
 with one pole per root and point: 1/y for the rational model (exact,
 plus the Gaussian drift -omega x_k) and beta cot(beta y) for the
-periodic model (mpmath).  The periodic sum is reproducible bit for bit
-because it keeps one floating-point order:
-
-* each term is ((g alpha_k) beta) cot(beta (alpha . x)), in that
-  order of association;
-* component k adds its partners x_k +- x_i by i (+ before -), then its
-  short root, then the half-sums in ``HALF_SUM_SIGNS`` order, which is
-  the order of the root table.
+periodic model.  The periodic gradient is exact too at the unit-circle
+parameters of ``invariants.circle_points``, where every cotangent is
+rational; at real mpmath points it is evaluated at 200 bits, each term
+((g alpha_k) beta) cot(beta (alpha . x)) in that order of association
+and each component summed in root-table order.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import PoleError
-from .invariants import POSITIVE_ROOTS, singular_factors
+from .invariants import POSITIVE_ROOTS, periodic_factors, singular_factors
 from .models import ModelParams
 
 if TYPE_CHECKING:
     import mpmath
 
-DEFAULT_PRECISION_BITS = 200
-
-
-def precision_bits() -> int:
-    """Working precision for the floating-point paths, in bits."""
-    raw = os.environ.get("F4SOLV_PRECISION", "")
-    try:
-        bits = int(raw)
-    except ValueError:
-        bits = 0
-    return bits if bits >= 53 else DEFAULT_PRECISION_BITS
-
 
 def mp_context() -> mpmath.MPContext:
-    """A fresh mpmath context at the working precision.  mpmath is loaded
-    here, so only the periodic paths pay for it."""
+    """A fresh mpmath context at 200 bits.  mpmath is loaded here, so only
+    the floating-point periodic paths pay for it."""
     import mpmath
 
     ctx = mpmath.mp.clone()
-    ctx.prec = precision_bits()
+    ctx.prec = 200
     return ctx
 
 
@@ -66,7 +50,7 @@ def check_nonsingular(x: Sequence[Fraction]) -> list:
 
 def _pole_sum(params: ModelParams, poles: Sequence, beta, zero) -> list:
     """Component k: the sum over the positive roots of ((g alpha_k) beta) pole,
-    with one pole per root in table order (beta = 1 for the rational model)."""
+    with one pole per root in table order (beta = 1 for the exact gradients)."""
     grad = []
     for k in range(4):
         acc = zero
@@ -92,12 +76,28 @@ def grad_log_ground_state_rational(
     return tuple(g - omega * v for g, v in zip(grad, x))
 
 
+def grad_log_ground_state_circle(params: ModelParams, x: Sequence) -> list:
+    """Exact gradient of log Psi0 for the periodic model, divided by |beta|.
+
+    ``x`` holds the parameters of ``invariants.circle_points`` (t_k, or
+    r_k when beta2 < 0).  Component k collects g alpha_k cot(alpha . theta)
+    over the positive roots, coth at beta2 < 0; a vanishing sine raises
+    ``PoleError`` naming the root.
+    """
+    cots = []
+    for name, (c, s) in periodic_factors(x, params.require_beta2()):
+        if not s:
+            raise PoleError(name, tuple(x))
+        cots.append(Fraction(c, s))
+    return _pole_sum(params, cots, 1, Fraction(0))
+
+
 def grad_log_ground_state_trig(params: ModelParams, x: Sequence, beta, ctx=None) -> list:
     """Gradient of log Psi0 for the periodic model, as mpmath numbers.
 
     Component k collects g alpha_k beta cot(beta alpha . x) over the
     positive roots; each root's cotangent is evaluated once.  The values
-    belong to ``ctx`` (by default a fresh working-precision context).
+    belong to ``ctx`` (by default a fresh 200-bit context).
     """
     ctx = ctx or mp_context()
     beta = ctx.convert(beta)

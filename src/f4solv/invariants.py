@@ -163,8 +163,59 @@ def singular_factors(x: Sequence) -> list[tuple[str, object]]:
     ]
 
 
-def is_singular_point(x: Sequence[Fraction]) -> bool:
-    return any(value == 0 for _, value in singular_factors(x))
+def circle_points(x: Sequence, beta2: Fraction) -> list[tuple[int, int, int]]:
+    """(a, b, d) per coordinate, with (cos, sin) of theta_k = beta x_k equal to
+    (a, b) / d, at exact parameters instead of coordinates.
+
+    For beta2 > 0 the parameter is t_k = tan(theta_k / 2) (the Weierstrass
+    substitution: (1 - t^2, 2t) / (1 + t^2)).  For beta2 < 0 it is
+    r_k = e^phi_k > 0, phi_k = |beta| x_k, and (a, b) / d is (cosh, sinh)
+    phi_k = (r + 1/r, r - 1/r) / 2.  Either way d > 0 and a^2 + eps b^2 = d^2,
+    eps the sign of beta2.
+    """
+    out = []
+    for v in x:
+        if type(v) not in (int, Fraction) or (beta2 < 0 and v <= 0):
+            raise ValueError(
+                "the periodic model takes exact parameters t_k = tan(beta x_k / 2) "
+                f"(beta2 > 0) or r_k = exp(|beta| x_k) > 0 (beta2 < 0), not {v!r}"
+            )
+        p, q = v.numerator, v.denominator
+        if beta2 > 0:
+            out.append((q * q - p * p, 2 * p * q, q * q + p * p))
+        else:
+            out.append((p * p + q * q, p * p - q * q, 2 * p * q))
+    return out
+
+
+def periodic_factors(x: Sequence, beta2: Fraction) -> list[tuple[str, tuple[int, int]]]:
+    """(factor name, (c, s)) for every positive root, in table order, with
+    (c, s) a positive multiple of (cos, sin) of alpha . theta (cosh and sinh
+    for beta2 < 0) at the parameters of ``circle_points``.
+
+    alpha . theta is an integer combination of the theta_k, so (c, s) is a
+    product of the points (a_k, b_k) by angle addition, (a, -b) standing for
+    -theta_k: exact integers, and c / s is the root's cotangent.
+    """
+    eps = 1 if beta2 > 0 else -1
+    points = [(a, b) for a, b, _ in circle_points(x, beta2)]
+    out = []
+    for _, alpha, name in POSITIVE_ROOTS:
+        c, s = 1, 0
+        for (a, b), k in zip(points, alpha):
+            b = b if k > 0 else -b
+            for _ in range(abs(k)):
+                c, s = c * a - eps * s * b, c * b + s * a
+        out.append((name, (c, s)))
+    return out
+
+
+def is_singular_point(x: Sequence, beta2=None) -> bool:
+    """Whether a ground-state factor vanishes: at a rational point, or at
+    the periodic parameters of ``circle_points`` when beta2 is given."""
+    if beta2 is None:
+        return any(value == 0 for _, value in singular_factors(x))
+    return any(s == 0 for _, (_, s) in periodic_factors(x, beta2))
 
 
 def half_sum_reflection(x: Sequence[Fraction]) -> tuple[Fraction, ...]:

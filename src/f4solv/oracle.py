@@ -18,9 +18,11 @@ the sign-flipped companion of the normalizable ground state; fitting
 with the decaying orientation fails for every candidate scale).
 
 ``PreparedOracle`` does each model's per-polynomial work (composition,
-derivatives) and per-point work (squares or sines, the gradient, the
-invariants) once; calibration, ``cartesian_oracle`` and both sweeps
-share it.
+derivatives) and per-point work (squares or unit-circle values, the
+gradient, the invariants) once; calibration, ``cartesian_oracle`` and
+both sweeps share it.  Periodic points are chosen where every cos and
+sin is rational, so both models compare exact rational values: one
+calibration loop and one sweep serve both, with no tolerance.
 
 The one coefficient the printed rational table leaves out, the diagonal
 t6 entry, is re-derived along two independent routes: the calibrated
@@ -37,11 +39,11 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import CalibrationError, DerivationError, ReductionError
 from .flags import enumerate_basis
-from .gauge import grad_log_ground_state_rational, grad_log_ground_state_trig, mp_context
+from .gauge import grad_log_ground_state_circle, grad_log_ground_state_rational
 from .invariants import (
     DEGREE_WEIGHTS,
+    circle_points,
     elem_sym_values,
-    sine_squares,
     t_polys,
     tau_from_sigma,
     t_varmap,
@@ -62,7 +64,7 @@ from .models import (
 )
 from .operators import SecondOrderOp
 from .poly import EvalPlan, MPoly, PowerTable
-from .sampling import SeededSampler, alcove_points
+from .sampling import SeededSampler
 
 SCALE_CANDIDATES = (
     Fraction(1),
@@ -100,17 +102,18 @@ class OraclePoint:
     Along axis k the Cartesian frame variable is s_k(x_k) (x_k^2, or
     sin^2(beta x_k)/beta^2), so by the chain rule the identity reads
 
-        raw = sum_k Q_kk a_k + Q_k b_k + 2 G_k Q_k c_k
+        raw = sum_k Q_kk a_k + Q_k b_k + 2 (G_k c_k) Q_k
 
     with a = (s')^2, b = s'', c = s', Q = P o map and G = grad log Psi0.
+    Periodically G_k c_k = sum g alpha_k cot(alpha . theta) sin 2 theta_k,
+    so the factors of beta cancel and every entry is a ``Fraction``.
     """
 
     cart: tuple  # the frame variables s_k
     inv: tuple  # the invariants, where P and its image are evaluated
     a: list
     b: list
-    c: list
-    grads: dict  # drift sign -> G
+    gc: dict  # drift sign -> the products G_k c_k
 
 
 class PreparedOracle:
@@ -118,24 +121,22 @@ class PreparedOracle:
 
     ``poly`` composes P into the Cartesian frame and differentiates it
     once; ``point`` evaluates the squares and the gradient (rational) or
-    the sines, cosines and gradient (periodic), and the invariants, once.
-    ``raw`` and ``value`` are then products of cached powers.  Periodic
-    values belong to the oracle's own mpmath context: each polynomial
-    value is its exact sum at the point, rounded once in that context.
+    the unit-circle values and the gradient (periodic), and the
+    invariants, once.  ``raw`` and ``value`` are then exact sums of
+    cached powers.  Periodic points are given by their parameters, t_k
+    or r_k (``invariants.circle_points``), so both models are exact.
     """
 
     def __init__(self, model: str, params: ModelParams):
         self.model, self.params = model, params
         if model == RATIONAL:
             self.omega = params.require_omega()
-            self.varmap, self.zero = t_varmap(), Fraction(0)
+            self.varmap, self.beta2 = t_varmap(), None
         elif model == TRIG:
-            self.ctx = ctx = mp_context()
-            beta2 = params.require_beta2()
+            self.beta2 = beta2 = params.require_beta2()
             if beta2 == 0:  # the harmonic limit has no period to sample
                 raise ValueError("the periodic oracle needs beta2 != 0")
-            self.beta = ctx.sqrt(ctx.mpf(beta2.numerator) / beta2.denominator)
-            self.varmap, self.zero = tau_varmap(beta2), ctx.mpf(0)
+            self.varmap = tau_varmap(beta2)
         else:
             raise ValueError(f"unknown model {model!r}")
 
@@ -152,44 +153,45 @@ class PreparedOracle:
         if self.model == RATIONAL:
             x = [Fraction(v) for v in x]
             grad = grad_log_ground_state_rational(self.params, x)
+            gc = [2 * g * v for g, v in zip(grad, x)]
             # drift sign -1 flips the Gaussian term -omega x of the gradient
-            flipped = [g + 2 * self.omega * v for g, v in zip(grad, x)]
+            flipped = [w + 4 * self.omega * v * v for w, v in zip(gc, x)]
             return OraclePoint(
                 tuple(v * v for v in x),
                 variables_rational(x),
                 [4 * v * v for v in x],
                 [2] * 4,
-                [2 * v for v in x],
-                {1: grad, -1: flipped},
+                {1: gc, -1: flipped},
             )
-        ctx, beta = self.ctx, self.beta
-        xs = [ctx.convert(v) for v in x]
-        s1 = [ctx.sin(2 * beta * v) / beta for v in xs]
-        cart = tuple(sine_squares(xs, beta))
+        beta2 = self.beta2
+        eps = 1 if beta2 > 0 else -1
+        cs = [(Fraction(a, d), Fraction(b, d)) for a, b, d in circle_points(x, beta2)]
+        s2 = [2 * c * s for c, s in cs]  # sin 2 theta_k = |beta| s_k'
+        grad = grad_log_ground_state_circle(self.params, x)  # G_k / |beta|
+        cart = tuple(s * s / abs(beta2) for _, s in cs)
         return OraclePoint(
             cart,
-            tuple(tau_from_sigma(elem_sym_values(cart), beta * beta)),
-            [v**2 for v in s1],
-            [2 * ctx.cos(2 * beta * v) for v in xs],
-            s1,
-            {1: grad_log_ground_state_trig(self.params, xs, beta, ctx)},
+            tuple(tau_from_sigma(elem_sym_values(cart), beta2)),
+            [v * v / abs(beta2) for v in s2],
+            [2 * (c * c - eps * s * s) for c, s in cs],  # 2 cos 2 theta_k
+            {1: [g * v for g, v in zip(grad, s2)]},
         )
 
-    def raw(self, poly: OraclePoly, point: OraclePoint, drift_sign: int = 1):
+    def raw(self, poly: OraclePoly, point: OraclePoint, drift_sign: int = 1) -> Fraction:
         """Lap(P o map) + 2 grad(log Psi0) . grad(P o map) at the point."""
-        grad = point.grads[drift_sign]
+        gc = point.gc[drift_sign]
         # tables live for one call: their monomials are shared by the eight
         # derivatives, and nothing allocated here outlives the value
         cart = PowerTable(point.cart)
-        acc = self.zero
+        acc = Fraction(0)
         for k in range(4):
             qk = poly.first[k](cart)
             qkk = poly.second[k](cart)
             acc += qkk * point.a[k] + qk * point.b[k]
-            acc += 2 * grad[k] * qk * point.c[k]
+            acc += 2 * gc[k] * qk
         return acc
 
-    def value(self, poly: OraclePoly, point: OraclePoint, cal: Calibration):
+    def value(self, poly: OraclePoly, point: OraclePoint, cal: Calibration) -> Fraction:
         raw = self.raw(poly, point, cal.drift_sign)
         return cal.scale * raw + cal.offset * poly.p(PowerTable(point.inv))
 
@@ -199,23 +201,20 @@ def calibrate_normalization(
 ) -> Calibration:
     """Fit (scale, offset) on P = 1 and the first invariant at seeded points.
 
-    The scale must land in {+-1, +-2, +-1/2} and hold at every point:
-    exactly for the rational model (eight points, either drift
-    orientation), to 60% of the working digits for the periodic one (ten
-    points).  Otherwise the fit fails loudly.
+    The scale must land in {+-1, +-2, +-1/2} and hold exactly at eight
+    points (for the rational model in either drift orientation).
+    Otherwise the fit fails loudly.
     """
     oracle = PreparedOracle(model, params)
     # built directly: the model builders would repeat their window warning
     if model == RATIONAL:
         op = SecondOrderOp("t", rational_a_table(), rational_b_table(params))
-        sampler = SeededSampler(seed, height=4)
-        xs = [sampler.point() for _ in range(8)]
-        tol, drift_signs = 0, (1, -1)
+        drift_signs = (1, -1)
     else:
-        op = SecondOrderOp("tau", trig_a_table(params.require_beta2()), trig_b_table(params))
-        xs = alcove_points(seed, 10, oracle.beta, oracle.ctx)
-        tol, drift_signs = oracle.ctx.mpf(10) ** (-int(oracle.ctx.dps * 0.6)), (1,)
-    points = [oracle.point(x) for x in xs]
+        op = SecondOrderOp("tau", trig_a_table(oracle.beta2), trig_b_table(params))
+        drift_signs = (1,)
+    sampler = SeededSampler(seed, height=4)
+    points = [oracle.point(sampler.point(oracle.beta2)) for _ in range(8)]
     one, p1 = MPoly.one(op.frame), MPoly.variable(op.frame, 0)
 
     offset_poly = op.apply(one)
@@ -230,11 +229,7 @@ def calibrate_normalization(
     for drift_sign in drift_signs:
         raws = [oracle.raw(prep_p1, pt, drift_sign) for pt in points]
         for s in SCALE_CANDIDATES:
-            if all(
-                abs(s * raw + offset * tv - val)
-                <= tol * max(abs(val), abs(s * raw + offset * tv), 1)
-                for raw, tv, val in zip(raws, tvals, alg)
-            ):
+            if all(s * raw + offset * tv == val for raw, tv, val in zip(raws, tvals, alg)):
                 # P = 1 consistency: raw vanishes on constants
                 assert all(oracle.raw(prep_one, pt, drift_sign) == 0 for pt in points[:3])
                 return Calibration(model, s, offset, drift_sign)
@@ -252,10 +247,13 @@ def cartesian_oracle(
     x: Sequence,
     calibration: Optional[Calibration] = None,
 ):
-    """Evaluate the calibrated gauge identity on P at a point.
+    """Evaluate the calibrated gauge identity on P at a point, exactly.
 
-    Exact rational for the rational model (rational x), working-precision
-    float for the periodic model.
+    For the rational model ``x`` is the rational point itself.  For the
+    periodic model it holds the parameters of the point, not its
+    coordinates: t_k = tan(beta x_k / 2) when beta2 > 0 and
+    r_k = exp(|beta| x_k) > 0 when beta2 < 0, as ints or Fractions
+    (``invariants.circle_points``); anything else raises ``ValueError``.
     """
     if calibration is None:
         calibration = calibrate_normalization(model, params)
@@ -377,29 +375,27 @@ def _require_points(n_points: int) -> None:
         raise ValueError(f"an oracle sweep needs at least one point, not {n_points}")
 
 
-def oracle_sweep_rational(
+def _sweep(
+    model: str,
     params: ModelParams,
-    n_points: int = 20,
-    n_polys: int = 5,
-    seed: int = 0,
-    level: int = 4,
+    n_points: int,
+    n_polys: int,
+    seed: int,
+    level: int,
     extra_polys: Sequence[MPoly] = (),
 ) -> dict:
-    """Exact oracle-versus-operator comparison on random polynomials.
-
-    Returns a JSON-ready report; ``passed`` is true only if every single
-    comparison is an exact equality.
-    """
+    """Both sweeps: random polynomials of the flag level at seeded points,
+    compared exactly; returns a JSON-ready report."""
     _require_points(n_points)
-    op = build_rational_operator(params)
-    cal = calibrate_normalization(RATIONAL, params, seed)
+    op = build_rational_operator(params) if model == RATIONAL else build_trig_operator(params)
+    cal = calibrate_normalization(model, params, seed)
+    oracle = PreparedOracle(model, params)
     basis = enumerate_basis((1, 2, 2, 3), level)
     sampler = SeededSampler(seed, height=4)
     polys = [
-        sampler.polynomial("t", basis.monomials) for _ in range(n_polys)
+        sampler.polynomial(op.frame, basis.monomials) for _ in range(n_polys)
     ] + list(extra_polys)
-    points = [sampler.point() for _ in range(n_points)]
-    oracle = PreparedOracle(RATIONAL, params)
+    points = [sampler.point(oracle.beta2) for _ in range(n_points)]
     failures = []
     for pi, x, lhs, rhs in _comparisons(oracle, op, cal, polys, points):
         if lhs != rhs:
@@ -412,7 +408,7 @@ def oracle_sweep_rational(
                 }
             )
     return {
-        "model": RATIONAL,
+        "model": model,
         "scale": str(cal.scale),
         "offset": str(cal.offset),
         "drift_sign": cal.drift_sign,
@@ -424,50 +420,29 @@ def oracle_sweep_rational(
     }
 
 
+def oracle_sweep_rational(
+    params: ModelParams,
+    n_points: int = 20,
+    n_polys: int = 5,
+    seed: int = 0,
+    level: int = 4,
+    extra_polys: Sequence[MPoly] = (),
+) -> dict:
+    """Exact oracle-versus-operator comparison for the rational model, at
+    rational points; ``passed`` is true only if every comparison is an
+    exact equality."""
+    return _sweep(RATIONAL, params, n_points, n_polys, seed, level, extra_polys)
+
+
 def oracle_sweep_trig(
     params: ModelParams,
     n_points: int = 20,
     n_polys: int = 5,
     seed: int = 0,
     level: int = 4,
-    rel_tol: float = 1e-9,
 ) -> dict:
-    """Oracle-versus-operator comparison for the periodic model.
-
-    Relative error must stay below ``rel_tol`` at every point.
-    """
-    _require_points(n_points)
-    op = build_trig_operator(params)
-    cal = calibrate_normalization(TRIG, params, seed)
-    oracle = PreparedOracle(TRIG, params)
-    ctx = oracle.ctx
-    basis = enumerate_basis((1, 2, 2, 3), level)
-    sampler = SeededSampler(seed, height=4)
-    polys = [sampler.polynomial("tau", basis.monomials) for _ in range(n_polys)]
-    points = alcove_points(seed + 1, n_points, oracle.beta, ctx)
-    tol = ctx.mpf(rel_tol)
-    worst = ctx.mpf(0)
-    failures = []
-    for pi, x, lhs, rhs in _comparisons(oracle, op, cal, polys, points):
-        scale_ref = max(abs(lhs), abs(rhs), ctx.mpf(1))
-        rel = abs(lhs - rhs) / scale_ref
-        worst = max(worst, rel)
-        if rel > tol:
-            failures.append(
-                {
-                    "poly_index": pi,
-                    "point": [ctx.nstr(v, 20) for v in x],
-                    "rel_error": ctx.nstr(rel, 8),
-                }
-            )
-    return {
-        "model": TRIG,
-        "scale": str(cal.scale),
-        "offset": str(cal.offset),
-        "points": n_points,
-        "polynomials": len(polys),
-        "rel_tol": rel_tol,
-        "worst_rel_error": ctx.nstr(worst, 8),
-        "failures": failures,
-        "passed": not failures,
-    }
+    """Exact oracle-versus-operator comparison for the periodic model, at
+    points given by their unit-circle parameters
+    (``invariants.circle_points``); ``passed`` is true only if every
+    comparison is an exact equality."""
+    return _sweep(TRIG, params, n_points, n_polys, seed, level)

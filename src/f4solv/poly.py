@@ -252,12 +252,8 @@ class MPoly:
         return EvalPlan(self)(PowerTable(Fraction(v) for v in point))
 
     def eval_float(self, point: Sequence) -> object:
-        """Value at a point of arbitrary numeric type (floats, mpf, ...).
-
-        At real, finite mpf numbers of one context it is the exact sum,
-        rounded once at that context's precision; at floats and other
-        numbers it is the term-by-term sum in their own arithmetic.
-        """
+        """Value at a point of arbitrary numeric type (floats, mpf, ...):
+        the term-by-term sum in the numbers' own arithmetic."""
         return EvalPlan(self)(PowerTable(point))
 
     # -- equality, hashing, display -----------------------------------------
@@ -329,35 +325,23 @@ class PowerTable:
     monomials built from them.
 
     Both fill on demand, so one table serves every polynomial evaluated
-    at the point in the form the coordinates' number type decides:
-
-    * ints and Fractions: integer numerators (``values``) over one
-      common ``denominator``, so exact plans never build a Fraction;
-    * real, finite mpf numbers of one mpmath ``context``: the same form,
-      since each is exactly ``man * 2^exp``; the denominator is a power
-      of two;
-    * anything else (floats, mpc, inf and nan, mixed types, the images
-      of a substitution): the coordinates as given.
+    at the point in the form the coordinates' number type decides: ints
+    and Fractions become integer numerators (``values``) over one common
+    ``denominator``, so exact plans never build a Fraction; anything else
+    (floats, mpmath numbers, mixed types, the images of a substitution)
+    stays as given.
     """
 
-    __slots__ = ("point", "values", "denominator", "context", "powers", "monomials")
+    __slots__ = ("point", "values", "denominator", "powers", "monomials")
 
     def __init__(self, point: Sequence):
         self.point = self.values = point = tuple(point)
-        self.denominator = self.context = None
+        self.denominator = None
         self.powers: dict[tuple[int, int], object] = {}  # (slot, exponent) -> power
         self.monomials: dict[Exp, object] = {}
         if all(type(v) is int or type(v) is Fraction for v in point):
             d = self.denominator = lcm(*(v.denominator for v in point))
             self.values = tuple(v.numerator * (d // v.denominator) for v in point)
-            return
-        ctx = getattr(type(point[0]), "context", None)
-        if ctx is not None and all(type(v) is ctx.mpf for v in point):
-            raw = [v._mpf_ for v in point]  # (sign, man, exp, bc)
-            if all(man or not exp for _, man, exp, _ in raw):  # inf and nan have no mantissa
-                shift = max(0, *(-exp for _, _, exp, _ in raw))
-                self.context, self.denominator = ctx, 1 << shift
-                self.values = tuple((-man if sign else man) << (exp + shift) for sign, man, exp, _ in raw)
 
 
 class EvalPlan:
@@ -365,16 +349,13 @@ class EvalPlan:
 
     The table picks one of two loops:
 
-    * exact, at a table with a ``denominator`` (ints and Fractions, or
-      finite real mpf numbers).  The coefficients are integer numerators
-      c_e over one denominator C, grouped by total degree d up to the
-      top degree m.  With the table's numerators a over D the value is
+    * exact, at a table with a ``denominator`` (ints and Fractions).  The
+      coefficients are integer numerators c_e over one denominator C,
+      grouped by total degree d up to the top degree m.  With the
+      table's numerators a over D the value is
       ``sum_d D^(m-d) sum_{|e|=d} c_e a^e / (C D^m)``, summed exactly by
-      Horner's rule in D.  At a rational table it is returned as a
-      ``Fraction`` (``Fraction(0)`` for the empty plan), one reduction
-      per value; at an mpf table it is rounded once, unreduced, at the
-      table context's precision and rounding, so every value is the
-      correctly rounded exact sum.
+      Horner's rule in D and returned as a ``Fraction`` (``Fraction(0)``
+      for the empty plan), one reduction per value.
     * generic, at every other table: each term's monomial, the product
       of its powers ``v**e`` in slot order, times the coefficient, with
       the terms summed in dict order.  That is the operation order of
@@ -396,7 +377,7 @@ class EvalPlan:
     def __call__(self, table: PowerTable):
         return self._generic(table) if table.denominator is None else self._exact(table)
 
-    def _exact(self, table: PowerTable):
+    def _exact(self, table: PowerTable) -> Fraction:
         values, powers, monomials, d = table.values, table.powers, table.monomials, table.denominator
         acc = 0
         for group in self.by_degree:
@@ -413,12 +394,7 @@ class EvalPlan:
                             prod *= p
                     monomials[exp] = prod
                 acc += c * prod
-        den = self.denominator * d ** (len(self.by_degree) - 1)
-        if table.context is None:
-            return Fraction(acc, den)
-        from mpmath.libmp import from_rational
-
-        return table.context.make_mpf(from_rational(acc, den, *table.context._prec_rounding))
+        return Fraction(acc, self.denominator * d ** (len(self.by_degree) - 1))
 
     def _generic(self, table: PowerTable):
         values, powers, monomials = table.values, table.powers, table.monomials

@@ -1,19 +1,25 @@
 """Seeded generators for test points and random polynomials.
 
 Every randomized verification flow in the library draws from these
-generators, so a seed fully determines a run.  Rational points use
-small-height fractions and reject singular-hyperplane hits to keep the
-exact arithmetic cheap and well defined.
+generators, so a seed fully determines a run.  Points, rational ones
+and the unit-circle parameters of periodic ones alike, use small-height
+fractions and reject singular hits to keep the exact arithmetic cheap
+and well defined.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .invariants import elem_sym_values, is_singular_point, t_polys, tau_from_sigma, variables_rational
 from .poly import MPoly
+
+
+#: the height of periodic parameters: at small heights most draws meet a
+#: pole (t = 1, t_i t_j = 1, r = 1, r_i = r_j, ...) and are drawn again
+PERIODIC_HEIGHT = 12
 
 
 class SeededSampler:
@@ -23,19 +29,26 @@ class SeededSampler:
         self.rng = random.Random(seed)
         self.height = height
 
-    def fraction(self, nonzero: bool = False) -> Fraction:
+    def fraction(self, nonzero: bool = False, height: Optional[int] = None) -> Fraction:
+        height = height or self.height
         while True:
-            num = self.rng.randrange(-self.height, self.height + 1)
+            num = self.rng.randrange(-height, height + 1)
             if nonzero and num == 0:
                 continue
-            den = self.rng.randrange(1, self.height + 1)
+            den = self.rng.randrange(1, height + 1)
             return Fraction(num, den)
 
-    def point(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """A nonsingular rational point (off every ground-state zero set)."""
+    def point(self, beta2=None) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """A nonsingular point (off every ground-state zero set): a rational
+        point, or with beta2 the periodic parameters of
+        ``invariants.circle_points``, of height ``PERIODIC_HEIGHT`` and
+        positive when beta2 < 0."""
+        height = self.height if beta2 is None else PERIODIC_HEIGHT
         while True:
-            x = tuple(self.fraction(nonzero=True) for _ in range(4))
-            if not is_singular_point(x):
+            x = tuple(self.fraction(nonzero=True, height=height) for _ in range(4))
+            if beta2 is not None and beta2 < 0:
+                x = tuple(map(abs, x))
+            if not is_singular_point(x, beta2):
                 return x
 
     def polynomial(self, frame: str, monomials: Sequence, max_terms: int = 6) -> MPoly:
@@ -94,30 +107,4 @@ def limit_points(
         dev = limit_deviation_linear(x)
         if all(abs(d) * beta2 * 2 <= abs(tv) * rel_tol for d, tv in zip(dev, t)):
             out.append(x)
-    return out
-
-
-def alcove_points(seed: int, count: int, beta, ctx) -> list[tuple]:
-    """Distinct interior points of the fundamental periodicity cell.
-
-    Components are rational multiples of pi/(4 beta), spaced apart so no
-    ground-state factor comes close to a zero.
-    """
-    rng = random.Random(seed)
-    width = ctx.pi / (4 * beta)
-    out = []
-    while len(out) < count:
-        fracs = sorted(rng.randrange(8, 120) for _ in range(4))
-        if any(b - a < 4 for a, b in zip(fracs, fracs[1:])):
-            continue
-        f1, f2, f3, f4 = fracs
-        # keep every half-sum form well away from its zero set
-        if any(
-            abs(f1 + s2 * f2 + s3 * f3 + s4 * f4) < 2
-            for s2 in (1, -1)
-            for s3 in (1, -1)
-            for s4 in (1, -1)
-        ):
-            continue
-        out.append(tuple(width * f / 128 for f in fracs))
     return out

@@ -20,7 +20,8 @@ def format_fraction(value: Fraction) -> str:
     (4300 by default), so the limit is lifted for them while they are
     formatted; parsing keeps it.
     """
-    value = Fraction(value)
+    if type(value) not in (Fraction, int):  # str of either is already "n" or "n/d"
+        value = Fraction(value)
     try:
         return str(value)
     except ValueError:

@@ -20,37 +20,6 @@ TRIG_SETS = [
 MINIMAL = (1, 2, 2, 3)
 
 
-def mpf_fraction(v) -> F:
-    """The exact value of a finite mpf number, (-1)^sign man 2^exp."""
-    sign, man, exp, _ = v._mpf_
-    return (-1) ** sign * man * F(2) ** exp
-
-
-def round_nearest(ctx, q: F):
-    """``q`` rounded once to the nearest number of ``ctx``'s precision, ties to even."""
-    if not q:
-        return ctx.mpf(0)
-    a = abs(q)
-    e = a.numerator.bit_length() - a.denominator.bit_length() - ctx.prec
-    if a / F(2) ** e >= 2**ctx.prec:  # so that 2^(prec-1) <= a / 2^e < 2^prec
-        e += 1
-    man = round(a / F(2) ** e)  # Fraction rounds half to even
-    return ctx.mpf((man if q > 0 else -man, e))
-
-
-def rounded_sum(p, point, ctx):
-    """The reference value of ``p`` at mpf numbers: the Fraction sum of its
-    terms at their exact values, rounded once to nearest."""
-    xs = [mpf_fraction(v) for v in point]
-    total = F(0)
-    for exp, coeff in p.terms.items():
-        term = F(coeff)
-        for v, e in zip(xs, exp):
-            term *= v**e
-        total += term
-    return round_nearest(ctx, total)
-
-
 @pytest.fixture(scope="session")
 def rational_params():
     return RATIONAL_SETS[0]

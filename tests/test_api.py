@@ -111,7 +111,7 @@ PUBLIC = {
     ),
     "oracle_sweep_trig": (
         "(params: 'ModelParams', n_points: 'int' = 20, n_polys: 'int' = 5, "
-        "seed: 'int' = 0, level: 'int' = 4, rel_tol: 'float' = 1e-09) -> 'dict'"
+        "seed: 'int' = 0, level: 'int' = 4) -> 'dict'"
     ),
     "preserves_flag": (
         "(op: 'SecondOrderOp', f: 'Sequence[int]', n: 'int') -> 'FlagVerdict'"

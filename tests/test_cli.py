@@ -294,13 +294,16 @@ for argv in (
     ["spectrum", "--model", "trig", "--frame", "native", {trig}, "--level", "3"],
     ["scan-flags", "--ambiguity-search", "--model", "rational", "--bound", "4"],
     ["scan-flags", "--model", "trig", {trig}, "--bound", "4"],
+    # the periodic oracle is exact, at either sign of beta^2
+    ["verify", "--suite", "oracle", "--model", "trig", {trig}, "--points", "2"],
+    ["verify", "--suite", "oracle", "--model", "trig", "--beta2=-1/4", "--points", "2"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     assert "mpmath" not in sys.modules, argv
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["verify", "--suite", "oracle", "--model", "trig", {trig}, "--points", "1"]) == 0
-assert "mpmath" in sys.modules, "the periodic oracle"
+    assert main(["verify", "--suite", "limit"]) == 0
+assert "mpmath" in sys.modules, "the floating-point limit suite"
 """
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -332,29 +335,36 @@ assert not loaded & set(sys.modules), loaded & set(sys.modules)
 
 
 class TestWarnings:
-    TRIG_DEFAULT_MU = ("spectrum", "--model", "trig", "--level", "2", "--format", "json")
+    TRIG_MU_FIFTH = ("spectrum", "--model", "trig", "--mu", "1/5", "--level", "2", "--format", "json")
 
     def test_window_warning_is_one_line(self, capsys, monkeypatch):
-        code, out, err = run(capsys, *self.TRIG_DEFAULT_MU)  # default --mu 1/5
+        code, out, err = run(capsys, *self.TRIG_MU_FIFTH)
         assert code == 0
         assert err == (
             "f4solv: warning: trig coupling g1 = -4/25 outside the physical window"
             " g1 > -1/8\n"
         )
         monkeypatch.setattr(models, "_warn_windows", lambda model, params: None)
-        quiet = run(capsys, *self.TRIG_DEFAULT_MU)
+        quiet = run(capsys, *self.TRIG_MU_FIFTH)
         assert quiet == (code, out, "")  # warnings never reach stdout
 
     def test_trig_oracle_warns_once(self, capsys):
         # the calibration builds its own operator and must not warn again
         code, out, err = run(
-            capsys, "verify", "--suite", "oracle", "--model", "trig", "--points", "2"
+            capsys, "verify", "--suite", "oracle", "--model", "trig", "--mu", "1/5", "--points", "2"
         )
         assert code == 0 and json.loads(out)["passed"]
         assert err == (
             "f4solv: warning: trig coupling g1 = -4/25 outside the physical window"
             " g1 > -1/8\n"
         )
+
+
+    @pytest.mark.parametrize("model, mu", [("rational", "1/5"), ("trig", "1/8")])
+    def test_default_couplings_sit_inside_the_windows(self, capsys, model, mu):
+        default = run(capsys, "spectrum", "--model", model, "--level", "2")
+        assert default[0] == 0 and default[2] == ""
+        assert run(capsys, "spectrum", "--model", model, "--mu", mu, "--level", "2") == default
 
 
 class TestParamsFile:

@@ -1,8 +1,7 @@
 """The demos as a user runs them: fresh processes, stdout pinned by sha256.
 
-Demo 03 (the Cartesian oracle) is the slowest, about 2.6 s; it is pinned
-too, since its own prints (the trig sweep's worst error among them) are
-covered by no ``verify --suite oracle`` golden.
+Demo 03 (the Cartesian oracle) is the slowest; it is pinned too, since
+its own prints are covered by no ``verify --suite oracle`` golden.
 """
 
 import hashlib
@@ -18,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = [
     ("01_rational_model.py", "9742933666972a2830b7503ae77555dc7e37cd52b88a2b2687bed73cc8d9a49a"),
     ("02_trigonometric_model.py", "045e423dedb1c7fa3be4e5334b12bd69207588dbf00ce0f9e2132708aa6d3926"),
-    ("03_cartesian_oracle.py", "986ccb608bdf1e87e430e093cd8552171a74abee22e8a6867ebc236c37d9c01b"),
+    ("03_cartesian_oracle.py", "9301d7e5f9b49ed51ab40b46f881b061e5f9691ffb0af536147a307649a83d2b"),
     ("04_flag_scan.py", "f9b84da3aad8647e9734d66ad4071bcf6595c9778dc4435c5fd83e507e9fb810"),
 ]
 
@@ -26,7 +25,6 @@ DEMOS = [
 @pytest.mark.parametrize("name,digest", DEMOS, ids=[n for n, _ in DEMOS])
 def test_demo_runs_clean(name, digest):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("F4SOLV_PRECISION", None)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
         capture_output=True, env=env, cwd=ROOT, timeout=60,

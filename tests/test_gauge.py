@@ -5,10 +5,10 @@ import pytest
 
 from f4solv.errors import PoleError
 from f4solv.gauge import (
+    grad_log_ground_state_circle,
     grad_log_ground_state_rational,
     grad_log_ground_state_trig,
     mp_context,
-    precision_bits,
 )
 from f4solv.invariants import HALF_SUM_SIGNS
 from f4solv.models import ModelParams
@@ -149,9 +149,38 @@ class TestTrigGradient:
             )
 
 
-def test_precision_override(monkeypatch):
-    monkeypatch.setenv("F4SOLV_PRECISION", "333")
-    assert precision_bits() == 333
-    assert mp_context().prec == 333
-    monkeypatch.setenv("F4SOLV_PRECISION", "not-a-number")
-    assert precision_bits() == 200
+class TestCircleGradient:
+    """The exact periodic gradient at unit-circle parameters is the mpmath
+    gradient at the real point, divided by |beta|."""
+
+    @pytest.mark.parametrize("beta2", [F(1, 4), F(3, 7), F(-1, 4), F(-3, 7)])
+    def test_equals_the_mpmath_gradient_at_the_real_point(self, beta2):
+        params = ModelParams(nu=F(1, 3), mu=F(1, 8), beta2=beta2)
+        ctx = mp_context()
+        b = ctx.sqrt(ctx.mpf(abs(beta2.numerator)) / beta2.denominator)
+        sampler = SeededSampler(5)
+        for _ in range(3):
+            x = sampler.point(beta2)
+            ps = [ctx.mpf(v.numerator) / v.denominator for v in x]
+            if beta2 > 0:  # t = tan(beta x / 2)
+                xs, beta = [2 * ctx.atan(v) / b for v in ps], b
+            else:  # r = exp(|beta| x), beta = i |beta|
+                xs, beta = [ctx.log(v) / b for v in ps], ctx.mpc(0, b)
+            exact = grad_log_ground_state_circle(params, x)
+            ref = grad_log_ground_state_trig(params, xs, beta, ctx)
+            for e, r in zip(exact, ref):
+                ef = ctx.mpf(e.numerator) / e.denominator * b
+                assert abs(ef - r) <= ctx.mpf(2) ** -150 * max(1, abs(r))
+
+    def test_pole_error_names_the_root(self):
+        params = ModelParams(nu=F(1, 3), mu=F(1, 8), beta2=F(1, 4))
+        with pytest.raises(PoleError) as err:  # theta_1 = theta_2
+            grad_log_ground_state_circle(params, (F(1, 2), F(1, 2), F(1, 3), F(2, 5)))
+        assert err.value.factor == "x1-x2"
+        with pytest.raises(PoleError) as err:  # theta_1 = pi / 2, so sin 2 theta_1 = 0
+            grad_log_ground_state_circle(params, (1, F(1, 2), F(1, 3), F(2, 5)))
+        assert err.value.factor == "x1"
+        hyper = ModelParams(nu=F(1, 3), mu=F(1, 8), beta2=F(-1, 4))
+        with pytest.raises(PoleError) as err:  # phi_1 + phi_2 = 0
+            grad_log_ground_state_circle(hyper, (F(2), F(1, 2), F(3), F(5, 2)))
+        assert err.value.factor == "x1+x2"

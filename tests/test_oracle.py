@@ -1,26 +1,24 @@
 from fractions import Fraction as F
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from f4solv.errors import PoleError, ReductionError
-from f4solv.gauge import (
-    grad_log_ground_state_rational,
-    grad_log_ground_state_trig,
-    mp_context,
-)
+from f4solv import gauge, models, oracle
+from f4solv.errors import CalibrationError, PoleError, ReductionError
+from f4solv.gauge import grad_log_ground_state_rational, grad_log_ground_state_trig
 from f4solv.flags import enumerate_basis
 from f4solv.invariants import (
     DEGREE_WEIGHTS,
     elem_sym_values,
+    is_singular_point,
     t_polys,
     t_varmap,
     tau_from_sigma,
     tau_varmap,
     variables_rational,
 )
-from f4solv import oracle
 from f4solv.models import RATIONAL, TRIG, ModelParams, rational_a_table
 from f4solv.oracle import (
     calibrate_normalization,
@@ -31,7 +29,7 @@ from f4solv.oracle import (
     oracle_sweep_trig,
 )
 from f4solv.poly import EvalPlan, MPoly
-from tests.conftest import RATIONAL_SETS, TRIG_SETS, rounded_sum
+from tests.conftest import RATIONAL_SETS, TRIG_SETS
 
 
 # -- an unprepared reference: everything recomputed at every point -------------
@@ -65,24 +63,51 @@ def reference_rational(params, p, x, cal):
     return cal.scale * acc + cal.offset * term_by_term(p, variables_rational(x))
 
 
+REF_CTX = mpmath.mp.clone()
+REF_CTX.prec = 300
+
+
 def reference_trig(params, p, x, cal):
-    """Each polynomial value is its exact sum at the point, rounded once."""
-    ctx = mp_context()
-    beta2 = params.beta2
-    beta = ctx.sqrt(ctx.mpf(beta2.numerator) / beta2.denominator)
+    """The gauge identity at the real point of the parameters x, term by term
+    in 300-bit mpmath: x_k = 2 atan(t_k) / beta, or log(r_k) / |beta| with
+    beta = i |beta| when beta^2 < 0.  Returns the invariants and the value."""
+    ctx, beta2 = REF_CTX, params.beta2
+    b = ctx.sqrt(ctx.mpf(abs(beta2.numerator)) / beta2.denominator)
+    ps = [ctx.mpf(v.numerator) / v.denominator for v in map(F, x)]
+    if beta2 > 0:
+        beta, xs = b, [2 * ctx.atan(v) / b for v in ps]
+    else:
+        beta, xs = ctx.mpc(0, b), [ctx.log(v) / b for v in ps]
     composed = p.substitute(tau_varmap(beta2))
-    s = [(ctx.sin(beta * v) / beta) ** 2 for v in x]
-    s1 = [ctx.sin(2 * beta * v) / beta for v in x]
-    s2 = [2 * ctx.cos(2 * beta * v) for v in x]
-    grad = grad_log_ground_state_trig(params, x, beta)
+    s = [(ctx.sin(beta * v) / beta) ** 2 for v in xs]
+    s1 = [ctx.sin(2 * beta * v) / beta for v in xs]
+    s2 = [2 * ctx.cos(2 * beta * v) for v in xs]
+    grad = grad_log_ground_state_trig(params, xs, beta, ctx)
     acc = ctx.mpf(0)
     for k in range(4):
-        qk = rounded_sum(composed.derivative(k), s, ctx)
-        qkk = rounded_sum(composed.derivative(k).derivative(k), s, ctx)
+        qk = term_by_term(composed.derivative(k), s)
+        qkk = term_by_term(composed.derivative(k).derivative(k), s)
         acc += qkk * s1[k] ** 2 + qk * s2[k]
         acc += 2 * grad[k] * qk * s1[k]
     tau = tau_from_sigma(elem_sym_values(s), beta * beta)
-    return tau, cal.scale * acc + cal.offset * rounded_sum(p, tau, ctx)
+    return tau, cal.scale * acc + cal.offset * term_by_term(p, tau)
+
+
+def close(exact, approx, bits=250):
+    """``approx`` is within 2^-bits of the Fraction ``exact``, relative."""
+    ref = REF_CTX.mpf(exact.numerator) / exact.denominator
+    return abs(approx - ref) <= REF_CTX.mpf(2) ** -bits * max(abs(ref), 1)
+
+
+def exact_trig_invariants(params, x):
+    """tau at the parameters, from sin theta = 2t / (1 + t^2) or
+    sinh phi = (r - 1/r) / 2, written out here rather than imported."""
+    if params.beta2 > 0:
+        sines = [2 * F(t) / (1 + F(t) ** 2) for t in x]
+    else:
+        sines = [(F(r) - 1 / F(r)) / 2 for r in x]
+    s = [v * v / abs(params.beta2) for v in sines]
+    return tau_from_sigma(elem_sym_values(s), params.beta2)
 
 
 def spy_on_comparisons(monkeypatch):
@@ -150,11 +175,33 @@ class TestCartesianOracle:
 
     def test_trig_point_equals_reference(self, trig_params):
         cal = calibrate_normalization(TRIG, trig_params)
-        ctx = mp_context()
-        x = [ctx.mpf(v) / 10 for v in (1, 3, 6, 9)]
+        x = (F(1, 3), F(2, 5), F(-3, 4), F(7, 2))  # t_k = tan(beta x_k / 2)
         p = MPoly.variable("tau", 0) ** 2 - 3 * MPoly.variable("tau", 3)
         value = cartesian_oracle(TRIG, trig_params, p, x, cal)
-        assert value._mpf_ == reference_trig(trig_params, p, x, cal)[1]._mpf_
+        assert type(value) is F
+        assert close(value, reference_trig(trig_params, p, x, cal)[1])
+
+    @pytest.mark.parametrize("x", [
+        (0.1, 0.3, 0.6, 0.9), (F(1, 3), F(2, 5), 0.75, F(5, 2)),
+        tuple(mpmath.mpf(v) / 10 for v in (1, 3, 6, 9)),
+    ], ids=["float", "mixed", "mpf"])
+    def test_trig_point_takes_exact_parameters(self, trig_params, x):
+        with pytest.raises(ValueError, match="t_k = tan") as err:
+            cartesian_oracle(TRIG, trig_params, MPoly.variable("tau", 0), x)
+        assert "r_k = exp" in str(err.value)
+
+    def test_hyperbolic_parameters_are_positive(self):
+        params = ModelParams(nu=F(1, 3), mu=F(1, 8), beta2=F(-1, 4))
+        with pytest.raises(ValueError, match="r_k"):
+            cartesian_oracle(TRIG, params, MPoly.variable("tau", 0), (F(2), F(-3), F(5), F(7)))
+
+    def test_trig_singular_point_raises_pole_error(self, trig_params):
+        cal = calibrate_normalization(TRIG, trig_params)
+        with pytest.raises(PoleError) as err:  # t_1 t_2 = 1: theta_1 + theta_2 = pi
+            cartesian_oracle(
+                TRIG, trig_params, MPoly.variable("tau", 0), (F(2), F(1, 2), F(3), F(5)), cal
+            )
+        assert err.value.factor == "x1+x2"
 
     @pytest.mark.parametrize("params", RATIONAL_SETS, ids=["set0", "set1", "set2"])
     def test_rational_sweep_values_equal_reference(self, monkeypatch, params):
@@ -174,20 +221,21 @@ class TestCartesianOracle:
         report = oracle_sweep_trig(params, n_points=4, n_polys=2, seed=3)
         assert report["passed"] and len(seen) == 8
         for op, p, x, cal, lhs, rhs in seen:
-            tau, expected = reference_trig(params, p, x, cal)
-            assert rhs._mpf_ == expected._mpf_
-            assert lhs._mpf_ == rounded_sum(op.apply(p), tau, mp_context())._mpf_
+            assert type(lhs) is type(rhs) is F and lhs == rhs
+            assert close(rhs, reference_trig(params, p, x, cal)[1])
+            assert lhs == term_by_term(op.apply(p), exact_trig_invariants(params, x))
 
     @pytest.mark.parametrize("sweep, params", [
         (oracle_sweep_rational, RATIONAL_SETS[2]), (oracle_sweep_trig, TRIG_SETS[1]),
-    ], ids=["rational", "trig"])
+        (oracle_sweep_trig, ModelParams(nu=F(1, 3), mu=F(1, 8), beta2=F(-1, 4))),
+    ], ids=["rational", "trig", "hyperbolic"])
     def test_sweeps_never_take_the_generic_loop(self, monkeypatch, sweep, params):
         polynomial_loop, exact_loop = EvalPlan._generic, EvalPlan._exact
         tables = []
 
         def generic(plan, table):  # substitution evaluates at a table of polynomials
             if not all(isinstance(v, MPoly) for v in table.point):
-                raise AssertionError("a Fraction or mpf object loop ran on oracle traffic")
+                raise AssertionError("a number object loop ran on oracle traffic")
             return polynomial_loop(plan, table)
 
         def exact(plan, table):
@@ -198,15 +246,100 @@ class TestCartesianOracle:
         monkeypatch.setattr(EvalPlan, "_exact", exact)
         assert sweep(params, n_points=3, n_polys=2, seed=5)["passed"]
         assert tables
-        periodic = sweep is oracle_sweep_trig
-        for table in tables:  # periodic points are mpf numbers over a power of two
-            assert (table.context is not None) is periodic
-            assert not periodic or table.denominator & (table.denominator - 1) == 0
+        assert all(type(v) is F for table in tables for v in table.point)
 
     def test_trig_sweep_within_tolerance(self, trig_params):
+        # the tolerance is zero: every comparison is an exact equality
         report = oracle_sweep_trig(trig_params, n_points=20, n_polys=5)
-        assert report["passed"]
-        assert float(report["worst_rel_error"]) <= 1e-9
+        assert report["passed"] and report["exact"]
+        assert (report["scale"], report["offset"], report["failures"]) == ("1", "0", [])
+
+
+BETA2_GRID = [F(1, 8), F(3, 7), F(-1, 4), F(-3, 7)]
+SWEEP_SETS = TRIG_SETS + [ModelParams(nu=F(1, 3), mu=F(1, 8), beta2=b) for b in BETA2_GRID]
+
+
+class TestExactPeriodicSweep:
+    @pytest.mark.parametrize("params", SWEEP_SETS, ids=[str(p.beta2) for p in SWEEP_SETS])
+    def test_every_comparison_is_an_exact_equality(self, params):
+        for seed in range(3):
+            report = oracle_sweep_trig(params, seed=seed)
+            assert report["passed"] and report["exact"]
+            assert (report["scale"], report["offset"]) == ("1", "0")
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sign=st.sampled_from((1, -1)),
+        beta2=st.fractions(min_value=F(1, 16), max_value=4, max_denominator=16),
+        x=st.tuples(*[st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)] * 4),
+        flips=st.tuples(*[st.booleans()] * 4),
+        terms=st.dictionaries(
+            st.sampled_from(enumerate_basis((1, 2, 2, 3), 4).monomials),
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_exact_value_equals_the_mpmath_identity(self, sign, beta2, x, flips, terms):
+        # t may take either sign; r must be positive
+        x = tuple(-v if f and sign > 0 else v for v, f in zip(x, flips))
+        params = ModelParams(nu=F(1, 3), mu=F(1, 8), beta2=sign * beta2)
+        assume(not is_singular_point(x, params.beta2))
+        cal = oracle.Calibration(TRIG, F(1), F(0), 1)
+        p = MPoly("tau", terms)
+        value = cartesian_oracle(TRIG, params, p, x, cal)
+        assert close(value, reference_trig(params, p, x, cal)[1])
+
+
+def _fails(params, seed):
+    """Whether the periodic sweep rejects the operator, by a failed
+    comparison or a failed calibration."""
+    try:
+        return not oracle_sweep_trig(params, n_points=20, n_polys=5, seed=seed)["passed"]
+    except CalibrationError:
+        return True
+
+
+class TestMutationsFailTheSweep:
+    """Each change to the operator or to the oracle, however small, fails."""
+
+    def patch_tables(self, monkeypatch, name, mutate):
+        real = getattr(models, name)
+        for module in (models, oracle):  # the operator and the calibration's copy
+            monkeypatch.setattr(module, name, lambda *args: mutate(real(*args), *args))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relative_1e9_change_to_an_a11_coefficient(self, monkeypatch, trig_params, seed):
+        def mutate(table, beta2):
+            terms = dict(table[(1, 1)].terms)
+            exp = next(iter(terms))
+            terms[exp] *= 1 + F(1, 10**9)
+            table[(1, 1)] = MPoly("tau", terms)
+            return table
+
+        self.patch_tables(monkeypatch, "trig_a_table", mutate)
+        assert _fails(trig_params, seed)
+
+    def test_changed_b_table_coupling(self, monkeypatch, trig_params):
+        def mutate(table, params):  # -4 - 12 nu in B[4] read as -4 - 12 mu
+            table[4] = table[4] + MPoly("tau", {(0, 1, 0, 0): -12 * (params.mu - params.nu)})
+            return table
+
+        self.patch_tables(monkeypatch, "trig_b_table", mutate)
+        report = oracle_sweep_trig(trig_params, n_points=20, n_polys=5)
+        assert not report["passed"]
+        assert {"algebraic", "oracle", "point", "poly_index"} == set(report["failures"][0])
+
+    @pytest.mark.parametrize("root", [0, 13, 23])
+    def test_root_dropped_from_the_pole_sum(self, monkeypatch, trig_params, root):
+        real = gauge._pole_sum
+
+        def dropped(params, poles, beta, zero):
+            poles = list(poles)
+            poles[root] = 0
+            return real(params, poles, beta, zero)
+
+        monkeypatch.setattr(gauge, "_pole_sum", dropped)
+        assert _fails(trig_params, 0)
 
 
 U = [MPoly.variable("x2", k) for k in range(4)]  # u_i = x_i^2

@@ -21,7 +21,6 @@ from f4solv.poly import (
     is_inverse_pair,
     weighted_grade,
 )
-from tests.conftest import rounded_sum
 
 T1 = MPoly.variable("t", 0)
 T3 = MPoly.variable("t", 1)
@@ -78,16 +77,6 @@ def same(got, want) -> bool:
         return getattr(v, "_mpf_", getattr(v, "_mpc_", v))
 
     return type(got) is type(want) and bits(got) == bits(want)
-
-
-def mpf_numbers(ctx):
-    """Numbers of either sign, zero among them, with up to prec-bit
-    mantissas and binary exponents spread over 2^-400 ... 2^400."""
-    return st.builds(
-        lambda man, exp: ctx.mpf((man, exp)),
-        st.integers(-(2**ctx.prec) + 1, 2**ctx.prec - 1),
-        st.integers(-400, 400),
-    )
 
 
 class TestArithmetic:
@@ -213,21 +202,6 @@ class TestEval:
         EvalPlan(p * p + T6**4)(table)
         assert EvalPlan(p)(table) == expected
 
-    def test_eval_float_at_mpf_points_is_the_exact_sum_rounded_once(self):
-        ctx = mpmath.mp.clone()
-        ctx.prec = 200
-        point = [ctx.sqrt(v) / 7 for v in (2, 3, 5, 11)]
-        p = (F(3, 7) * T1**3 * T6**5 - F(1, 3) * T3 * T4**7 + F(2, 9)) * (T1 - F(5, 11) * T4**2) ** 3
-        for q in (p, p * T3**2 - F(1, 3), MPoly.constant("t", F(1, 3)) + T6):
-            assert same(q.eval_float(point), rounded_sum(q, point, ctx))
-        assert same(MPoly.zero("t").eval_float(point), ctx.mpf(0))
-        # an integer coefficient wider than the precision is not rounded on its own
-        ctx.prec = 53
-        wide = MPoly("t", {(1, 0, 0, 2): F(3**100 + 1), ZERO_EXP: F(-1, 3)})._times_int(3)
-        point = [ctx.sqrt(v) / 7 for v in (2, 3, 5, 11)]
-        for q in (wide, wide + p):
-            assert same(q.eval_float(point), rounded_sum(q, point, ctx))
-
     @settings(max_examples=30)
     @given(a=polys(), b=polys(), point=st.tuples(*[fractions(3, 3)] * 4))
     def test_eval_is_ring_homomorphism(self, a, b, point):
@@ -237,9 +211,8 @@ class TestEval:
 
 class TestEvalPaths:
     """The point's number type picks the loop: integer numerators over one
-    denominator for ints, Fractions and finite real mpf numbers of one
-    context, the generic loop otherwise.  Exact values are the Fraction
-    sum, mpf values that sum rounded once, and the generic loop's are the
+    denominator for ints and Fractions, the generic loop otherwise.  Exact
+    values are the Fraction sum, and the generic loop's are the
     term-by-term sum."""
 
     @settings(max_examples=150, deadline=None)
@@ -271,34 +244,6 @@ class TestEvalPaths:
                 assert same(EvalPlan(p)(table), want)
                 assert same(p.eval_exact(point), want)
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), ps=st.lists(exact_polys(), min_size=1, max_size=3),
-           prec=st.sampled_from((53, 113, 200, 333)))
-    def test_mpf_path_is_the_exact_sum_rounded_once(self, data, ps, prec):
-        ctx = mpmath.mp.clone()
-        ctx.prec = prec
-        point = data.draw(st.tuples(*[mpf_numbers(ctx)] * 4))
-        table = PowerTable(point)
-        assert table.context is ctx
-        d = table.denominator
-        assert d & (d - 1) == 0  # a power of two
-        for p in ps + ps[::-1]:
-            assert same(EvalPlan(p)(table), rounded_sum(p, point, ctx))
-
-    def test_one_plan_rounds_at_each_table_context(self):
-        a, b = mpmath.mp.clone(), mpmath.mp.clone()
-        a.prec, b.prec = 113, 333
-        p = MPoly("t", {ZERO_EXP: F(1, 3), (1, 2, 0, 0): F(3, 7), (0, 0, 1, 1): F(-2, 7)})
-        plan = EvalPlan(p)
-        for ctx in (b, a, b):
-            point = [ctx.sqrt(v) / 7 for v in (2, 3, 5, 11)]
-            assert same(plan(PowerTable(point)), rounded_sum(p, point, ctx))
-        # the point's own context decides, not the one current when it is evaluated
-        point = [a.sqrt(v) / 7 for v in (2, 3, 5, 11)]
-        table = PowerTable(point)
-        b.prec = 53
-        assert same(plan(table), rounded_sum(p, point, a))
-
     def test_mpc_inf_and_nan_points_take_the_generic_loop(self):
         ctx = mpmath.mp.clone()
         ctx.prec = 113
@@ -313,7 +258,7 @@ class TestEvalPaths:
         ]
         for point in points:
             table = PowerTable(point)
-            assert table.denominator is None and table.context is None
+            assert table.denominator is None
             for q in (p, p * T3 - F(1, 3), MPoly.constant("t", F(1, 3)) + T6):
                 assert same(EvalPlan(q)(table), per_term(q.terms.items(), point))
 
@@ -324,7 +269,8 @@ class TestEvalPaths:
         assert wide.terms[(1, 0, 0, 2)].bit_length() > 53
         p = (F(3, 7) * T1**3 - F(1, 3) * T3 * T4**2 + F(2, 9)) * (T1 - F(5, 11) * T6)
         mixed = [ctx.mpf(2) / 7, 0.5, F(1, 3), ctx.mpf(-3)]
-        for point in ([0.5, -1.25, 3.0, 2.0**-3], mixed):
+        real = [ctx.sqrt(v) / 7 for v in (2, 3, 5, 11)]  # finite mpf numbers too
+        for point in ([0.5, -1.25, 3.0, 2.0**-3], mixed, real):
             assert PowerTable(point).denominator is None
             for q in (wide, p, wide + p):
                 assert same(q.eval_float(point), per_term(q.terms.items(), point))
