@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 claim mismatch, 3 structural anomaly,
 64 usage error.  All randomized flows take an explicit --seed
 (default 0) and identical configurations produce byte-identical output.
 The default couplings sit inside the physical windows of the chosen
-model (--mu 1/5 rational, 1/8 trig).  Both oracle sweeps compare exact
-rational values; only ``verify --suite limit`` uses floating point.
+model (--mu 1/5 rational, 1/8 trig).  Every command is exact: the
+oracle sweeps compare rational values and the limit suite polynomials.
 """
 
 from __future__ import annotations
@@ -136,6 +136,8 @@ def load_params(args) -> ModelParams:
             beta2 = parse_fraction(data["beta2"])
         args.model = model
     if model == RATIONAL:
+        if getattr(args, "frame", "native") == "rho":  # every command, ahead of any work
+            raise UsageError("--frame rho applies to the trigonometric model only")
         return ModelParams(nu=nu, mu=mu, omega=omega)
     return ModelParams(nu=nu, mu=mu, beta2=beta2)
 
@@ -162,8 +164,6 @@ def parse_flag_request(args):
 
 def build_operator(args, params: ModelParams):
     if args.model == RATIONAL:
-        if getattr(args, "frame", "native") == "rho":
-            raise UsageError("--frame rho applies to the trigonometric model only")
         return build_rational_operator(params)
     op = build_trig_operator(params)
     if getattr(args, "frame", "native") == "rho":

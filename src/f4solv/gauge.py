@@ -11,9 +11,9 @@ with one pole per root and point: 1/y for the rational model (exact,
 plus the Gaussian drift -omega x_k) and beta cot(beta y) for the
 periodic model.  The periodic gradient is exact too at the unit-circle
 parameters of ``invariants.circle_points``, where every cotangent is
-rational; at real mpmath points it is evaluated at 200 bits, each term
-((g alpha_k) beta) cot(beta (alpha . x)) in that order of association
-and each component summed in root-table order.
+rational; at real mpmath points (the public ``grad_log_ground_state_trig``)
+it is evaluated at 200 bits, each term ((g alpha_k) beta) cot(beta (alpha . x))
+in that order of association and each component summed in root-table order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 
 def mp_context() -> mpmath.MPContext:
     """A fresh mpmath context at 200 bits.  mpmath is loaded here, so only
-    the floating-point periodic paths pay for it."""
+    callers of the public floating-point gradient pay for it."""
     import mpmath
 
     ctx = mpmath.mp.clone()
@@ -48,15 +48,17 @@ def check_nonsingular(x: Sequence[Fraction]) -> list:
     return [value for _, value in factors]
 
 
-def _pole_sum(params: ModelParams, poles: Sequence, beta, zero) -> list:
+def _pole_sum(params: ModelParams, poles: Sequence, beta, zero, convert=Fraction) -> list:
     """Component k: the sum over the positive roots of ((g alpha_k) beta) pole,
-    with one pole per root in table order (beta = 1 for the exact gradients)."""
+    with one pole per root in table order (beta = 1 for the exact gradients)
+    and each coupling g taken through ``convert`` once."""
+    g = {name: convert(getattr(params, name)) for name in ("nu", "mu")}
     grad = []
     for k in range(4):
         acc = zero
         for (coupling, alpha, _), pole in zip(POSITIVE_ROOTS, poles):
             if alpha[k]:
-                acc += getattr(params, coupling) * alpha[k] * beta * pole
+                acc += g[coupling] * alpha[k] * beta * pole
         grad.append(acc)
     return grad
 
@@ -97,11 +99,21 @@ def grad_log_ground_state_trig(params: ModelParams, x: Sequence, beta, ctx=None)
 
     Component k collects g alpha_k beta cot(beta alpha . x) over the
     positive roots; each root's cotangent is evaluated once.  The values
-    belong to ``ctx`` (by default a fresh 200-bit context).
+    belong to ``ctx`` (by default a fresh 200-bit context).  Each exact
+    input (the couplings, a ``Fraction`` beta or coordinate) is rounded
+    once to nearest: mpmath's own conversion of a ``Fraction`` truncates.
     """
+    from mpmath.libmp import from_rational
+
     ctx = ctx or mp_context()
-    beta = ctx.convert(beta)
-    xs = [ctx.convert(v) for v in x]
+
+    def convert(v):
+        if isinstance(v, (int, Fraction)):
+            return ctx.make_mpf(from_rational(*Fraction(v).as_integer_ratio(), ctx.prec, "n"))
+        return ctx.convert(v)
+
+    beta = convert(beta)
+    xs = [convert(v) for v in x]
     tiny = ctx.mpf(2) ** (-(ctx.prec // 2))
     cots = []
     for name, value in singular_factors(xs):
@@ -110,5 +122,5 @@ def grad_log_ground_state_trig(params: ModelParams, x: Sequence, beta, ctx=None)
         if abs(s) < tiny:
             raise PoleError(name, tuple(float(v) for v in xs))
         cots.append(ctx.cos(arg) / s)
-    return _pole_sum(params, cots, beta, ctx.mpf(0))
+    return _pole_sum(params, cots, beta, ctx.mpf(0), convert)
 

@@ -6,11 +6,12 @@ coordinates.  The harmonic-model variables are fixed polynomial
 combinations of the elementary symmetric functions of x_i^2; the
 periodic-model variables apply the same combinations (plus explicit
 correction terms in beta^2) to the elementary symmetric functions of
-sin^2(beta x_i)/beta^2, which reproduces the former set as beta -> 0.
+sin^2(beta x_i)/beta^2; at beta^2 = 0 the two polynomial sets are equal
+(``verify --suite limit`` checks it exactly).
 
 The combination formulas are written once, generically, so they serve
-both the exact symbolic path (``MPoly`` arguments) and the numeric
-evaluation path (``Fraction`` or ``mpf`` arguments).
+the exact symbolic path (``MPoly`` arguments), exact points and the
+public floating-point ``variables_trig`` (float or ``mpf`` arguments).
 """
 
 from __future__ import annotations
@@ -105,27 +106,19 @@ def variables_rational(x: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fract
     return tuple(t_from_sigma(elem_sym_values(u)))
 
 
-def sine_squares(x: Sequence, beta) -> list:
-    """The squared scaled sines s_i = sin^2(beta x_i) / beta^2 at a numeric point.
-
-    Floats use ``math.sin``; mpmath numbers use the sine of their own
-    context, so the result follows the operand precision.
-    """
-    out = []
-    for v in x:
-        arg = beta * v
-        ctx = getattr(arg, "context", math)
-        out.append((ctx.sin(arg) / beta) ** 2)
-    return out
-
-
 def variables_trig(x: Sequence, beta) -> tuple:
     """Invariant values of the periodic model at a numeric point.
 
-    ``x`` entries and ``beta`` may be floats or mpmath numbers; the
+    ``x`` entries and ``beta`` may be floats or mpmath numbers; the squared
+    scaled sines sin^2(beta x_i) / beta^2 use ``math.sin`` for floats and
+    the sine of the operands' own mpmath context otherwise, so the
     computation follows the operand precision.
     """
-    return tuple(tau_from_sigma(elem_sym_values(sine_squares(x, beta)), beta * beta))
+    sines = []
+    for v in x:
+        arg = beta * v
+        sines.append((getattr(arg, "context", math).sin(arg) / beta) ** 2)
+    return tuple(tau_from_sigma(elem_sym_values(sines), beta * beta))
 
 
 # -- singular set and reflection helpers -------------------------------------

@@ -92,8 +92,7 @@ class SecondOrderOp:
         """Exact image of ``p`` under the operator.
 
         The coefficient products are merged into one term dict in table
-        order: the term order of summing them as polynomials, which the
-        trig oracle's floating-point sums follow.
+        order: the term order of summing them as polynomials.
         """
         if p.frame != self.frame:
             raise FrameError(f"operator frame {self.frame!r}, polynomial {p.frame!r}")

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .invariants import elem_sym_values, is_singular_point, t_polys, tau_from_sigma, variables_rational
+from .invariants import is_singular_point
 from .poly import MPoly
 
 
@@ -57,54 +57,3 @@ class SeededSampler:
         count = self.rng.randrange(1, min(max_terms, len(monomials)) + 1)
         picks = self.rng.sample(list(monomials), count)
         return MPoly(frame, {exp: self.fraction(nonzero=True) for exp in picks})
-
-
-def limit_deviation_linear(x) -> list[Fraction]:
-    """Exact first derivative of each periodic invariant in beta^2 at 0.
-
-    The periodic invariants deviate from the harmonic ones by
-    beta^2 * D + O(beta^4); D comes from the explicit beta^2 terms of
-    the combination formulas plus the first sine-series correction of
-    each squared coordinate.
-    """
-    u = [Fraction(v) ** 2 for v in x]
-    sig = elem_sym_values(u)
-    # the combination formulas are linear in beta^2
-    explicit = [a - b for a, b in zip(tau_from_sigma(sig, 1), tau_from_sigma(sig, 0))]
-    ds = [-v * v / 3 for v in u]  # d s_k / d beta^2 at 0
-    out = []
-    for n, t_poly in enumerate(t_polys()):
-        chain = sum(
-            (t_poly.derivative(k).eval_exact(u) * ds[k] for k in range(4)),
-            Fraction(0),
-        )
-        out.append(explicit[n] + chain)
-    return out
-
-
-def limit_points(
-    seed: int,
-    count: int,
-    beta2: Fraction = Fraction(1, 10**8),
-    rel_tol: Fraction = Fraction(1, 10**10),
-) -> list[tuple[Fraction, ...]]:
-    """Small-norm rational points certified for the beta -> 0 comparison.
-
-    The periodic invariants deviate by beta^2 times an exactly
-    computable coefficient, so each candidate is accepted only if that
-    linear deviation fits inside half the relative tolerance for every
-    invariant (the quartic tail is then negligible by orders of
-    magnitude).
-    """
-    sampler = SeededSampler(seed, height=4)
-    scale = Fraction(1, 512)
-    out: list[tuple[Fraction, ...]] = []
-    while len(out) < count:
-        x = tuple(v * scale for v in sampler.point())
-        t = variables_rational(x)
-        if any(v == 0 for v in t):
-            continue
-        dev = limit_deviation_linear(x)
-        if all(abs(d) * beta2 * 2 <= abs(tv) * rel_tol for d, tv in zip(dev, t)):
-            out.append(x)
-    return out

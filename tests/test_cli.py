@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from f4solv import cli, models, oracle, verify
+from f4solv import cli, invariants, models, oracle, verify
 from f4solv.cli import main
 from f4solv.models import rational_a_table
 from f4solv.poly import MPoly
@@ -153,7 +153,23 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(out)
         assert report["passed"]
-        assert float(report["checks"][0]["worst_rel_deviation"]) <= 1e-10
+        assert [c["name"] for c in report["checks"]] == [
+            "periodic invariants at beta^2 = 0 are the harmonic invariants",
+            "trig tables at beta^2 = 0, scaled, are the rational tables at omega = 0",
+        ]
+        # two exact identities: nothing in the report depends on the arguments
+        for argv in (["--seed", "3"], ["--nu", "2", "--mu", "3"], ["--nu", "5/2", "--mu", "1/7"]):
+            assert run(capsys, "verify", "--suite", "limit", *argv) == (0, out, "")
+
+    def test_flag_suite_builds_the_rho_frame_operator(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "flag",
+            "--model", "trig", "--nu", "1/3", "--mu", "1/8", "--frame", "rho",
+        )
+        assert code == 0
+        (check,) = json.loads(out)["checks"]
+        assert check["passed"]
+        assert check["name"].startswith("sheared trig operator (rho frame) preserves")
 
     def test_oracle_suite_small(self, capsys):
         code, out, _ = run(
@@ -194,6 +210,53 @@ class TestVerifyCommand:
         assert not checks["both routes equal the tabulated entry"]
 
 
+class TestLimitSuiteMutations:
+    """Each identity of ``verify --suite limit`` fails a changed term that
+    survives at beta^2 = 0."""
+
+    def limit_report(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "limit")
+        assert code == 2
+        return [c["passed"] for c in json.loads(out)["checks"]]
+
+    def test_b4_nu_coefficient(self, capsys, monkeypatch):
+        real = models.trig_b_table
+
+        def mutated(params):  # B4's beta-free part -4 - 12 nu read as -4 - 11 nu
+            table = real(params)
+            table[4] = table[4] + MPoly("tau", {(0, 1, 0, 0): params.nu})
+            return table
+
+        monkeypatch.setattr(verify, "trig_b_table", mutated)
+        assert self.limit_report(capsys) == [True, False]
+
+    def test_a66_beta_free_coefficient(self, capsys, monkeypatch):
+        real = models.trig_a_table
+
+        def mutated(beta2):  # -12 tau3 tau4^2 read as -11 tau3 tau4^2
+            table = real(beta2)
+            table[(6, 6)] = table[(6, 6)] + MPoly("tau", {(0, 1, 2, 0): 1})
+            return table
+
+        for module in (verify, oracle):
+            monkeypatch.setattr(module, "trig_a_table", mutated)
+        assert self.limit_report(capsys) == [True, False]
+
+    def test_tau_from_sigma_beta_free_term(self, capsys, monkeypatch):
+        real = invariants.tau_from_sigma
+
+        def mutated(sig, beta2):  # tau4 gains a beta-free s2^2 / 1000
+            tau = real(sig, beta2)
+            return [*tau[:2], tau[2] + F(1, 1000) * sig[1] * sig[1], tau[3]]
+
+        monkeypatch.setattr(invariants, "tau_from_sigma", mutated)
+        invariants.tau_polys.cache_clear()
+        try:
+            assert self.limit_report(capsys) == [False, True]
+        finally:
+            invariants.tau_polys.cache_clear()
+
+
 class TestUsageErrors:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nope")
@@ -202,6 +265,17 @@ class TestUsageErrors:
     def test_rho_frame_rejected_for_rational(self, capsys):
         code, _, err = run(capsys, "spectrum", "--model", "rational", "--frame", "rho")
         assert code == 64
+        assert "rho" in err
+
+    @pytest.mark.parametrize("suite", ["flag", "triangular", "oracle", "limit", "a66", "scan"])
+    def test_rho_frame_rejected_for_rational_by_every_suite(self, capsys, monkeypatch, suite):
+        def no_work(*args):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(verify, f"verify_{suite}", no_work)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--model", "rational",
+                             "--frame", "rho")
+        assert (code, out) == (64, "")
         assert "rho" in err
 
     def test_bad_charvec(self, capsys):
@@ -281,7 +355,7 @@ class TestLongOutput:
 
 
 class TestStartup:
-    def test_mpmath_is_loaded_only_by_periodic_work(self):
+    def test_no_command_loads_mpmath(self):
         trig = "'--nu', '1/3', '--mu', '1/8', '--beta2', '1/4'"
         script = f"""
 import contextlib, io, sys
@@ -294,23 +368,29 @@ for argv in (
     ["spectrum", "--model", "trig", "--frame", "native", {trig}, "--level", "3"],
     ["scan-flags", "--ambiguity-search", "--model", "rational", "--bound", "4"],
     ["scan-flags", "--model", "trig", {trig}, "--bound", "4"],
+    ["dump-operator", "--model", "rational"],
+    ["dump-operator", "--model", "trig", "--frame", "rho", {trig}],
+    ["verify", "--suite", "flag", "--model", "rational"],
+    ["verify", "--suite", "flag", "--model", "trig", {trig}],
+    ["verify", "--suite", "triangular", "--model", "rational"],
+    ["verify", "--suite", "triangular", "--model", "trig", {trig}],
+    ["verify", "--suite", "oracle", "--model", "rational", "--points", "2"],
     # the periodic oracle is exact, at either sign of beta^2
     ["verify", "--suite", "oracle", "--model", "trig", {trig}, "--points", "2"],
     ["verify", "--suite", "oracle", "--model", "trig", "--beta2=-1/4", "--points", "2"],
+    ["verify", "--suite", "limit"],
+    ["verify", "--suite", "a66"],
+    ["verify", "--suite", "scan"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     assert "mpmath" not in sys.modules, argv
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["verify", "--suite", "limit"]) == 0
-assert "mpmath" in sys.modules, "the floating-point limit suite"
 """
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-
 
     def test_import_budget(self):
         # fresh processes: the package import loads no module, a spectrum

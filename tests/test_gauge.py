@@ -140,6 +140,24 @@ class TestTrigGradient:
         assert all(type(g) is ctx.mpf for g in shared)
         assert not any(type(g) is ctx.mpf for g in fresh)
 
+    def test_exact_inputs_are_rounded_to_nearest(self):
+        # mpmath converts a Fraction by truncation; at 200 bits 1/3 then lands
+        # on the dyadic below, while the nearest dyadic lies above
+        ctx = mp_context()
+        man, exp = ctx.make_mpf(mpmath.libmp.from_rational(1, 3, ctx.prec, "n")).man_exp
+        nearest = F(man) * F(2) ** exp
+        assert nearest > F(1, 3)
+        xs = [ctx.mpf(v) / 10 for v in (1, 3, 6, 9)]
+
+        def bits(nu, mu, beta):
+            params = ModelParams(nu=nu, mu=mu, beta2=F(1, 4))
+            return [g._mpf_ for g in grad_log_ground_state_trig(params, xs, beta, ctx)]
+
+        half = ctx.mpf(1) / 2
+        assert bits(F(1, 3), F(1, 8), half) == bits(nearest, F(1, 8), half)
+        assert bits(F(1, 8), F(1, 3), half) == bits(F(1, 8), nearest, half)
+        assert bits(F(1, 3), F(1, 8), F(1, 3)) == bits(F(1, 3), F(1, 8), nearest)
+
     def test_pole_detection(self, trig_params):
         ctx = mp_context()
         beta = ctx.mpf(1) / 2

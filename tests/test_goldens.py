@@ -27,7 +27,7 @@ GOLDENS = [
     (("verify", "--suite", "triangular", "--model", "rational"),
      "91b484985593b308bdaba40dc82a4a2330fb8d96e3c180440a5d671f7ace6763"),
     (("verify", "--suite", "limit"),
-     "30b8fb5cba29c0c7570417307ca2cb8c3bbd5a2ecbf4f16fcfda558810764385"),
+     "dd0465f93d7d0b8d950758ec7944ad54e207e2815d277eea8454b04c8de18ce2"),
     (("verify", "--suite", "oracle", "--model", "rational", "--points", "5"),
      "60890517034fc28e9e7352a14473643fa0cfd630068c243bb30b192f43c43713"),
     (("verify", "--suite", "oracle", "--model", "trig", *TRIG, "--points", "5"),
