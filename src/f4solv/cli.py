@@ -49,6 +49,11 @@ EXIT_ANOMALY = 3
 EXIT_USAGE = 64
 _RATIONAL_FLAGS = ("--nu", "--mu", "--omega", "--beta2")  # "--nu -1/3" means "--nu=-1/3"
 _DEFAULT_MU = {RATIONAL: "1/5", TRIG: "1/8"}  # inside each model's window g1 > -1/8
+#: each verify suite with the (model, frame) operators it certifies: oracle, limit and
+#: a66 build no rho-frame operator, and the scan's redefinition search works in t only
+_ANY = ((RATIONAL, "native"), (TRIG, "native"), (TRIG, "rho"))
+_SUITES = {"flag": _ANY, "triangular": _ANY, "oracle": _ANY[:2], "limit": _ANY[:2],
+           "a66": _ANY[:2], "scan": _ANY[:1]}
 
 
 class UsageError(Exception):
@@ -92,11 +97,7 @@ def build_parser() -> _Parser:
 
     vp = sub.add_parser("verify", help="run a named verification suite")
     add_common(vp)
-    vp.add_argument(
-        "--suite",
-        required=True,
-        choices=["flag", "triangular", "oracle", "limit", "a66", "scan"],
-    )
+    vp.add_argument("--suite", required=True, choices=list(_SUITES))
     vp.add_argument("--points", type=int, default=20)
 
     fp = sub.add_parser("scan-flags", help="characteristic-vector scan")
@@ -147,12 +148,13 @@ def parse_charvec(text: str):
     if len(parts) != 3:
         raise UsageError("--charvec expects three comma-separated integers a3,a4,a6")
     try:
-        a3, a4, a6 = (int(p) for p in parts)
+        f = (1, *(int(p) for p in parts))
     except ValueError as exc:
         raise UsageError(f"bad --charvec: {exc}")
-    from .flags import make_charvec
+    from .flags import validate_charvec
 
-    return make_charvec(a3, a4, a6)
+    validate_charvec(f)
+    return f
 
 
 def parse_flag_request(args):
@@ -256,15 +258,11 @@ def cmd_verify(args) -> int:
     from . import verify as verify_mod
 
     params = load_params(args)
-    runner = {
-        "flag": verify_mod.verify_flag,
-        "triangular": verify_mod.verify_triangular,
-        "oracle": verify_mod.verify_oracle,
-        "limit": verify_mod.verify_limit,
-        "a66": verify_mod.verify_a66,
-        "scan": verify_mod.verify_scan,
-    }[args.suite]
-    report = runner(args, params)
+    if (args.model, args.frame) not in _SUITES[args.suite]:
+        raise UsageError(
+            f"--suite {args.suite} certifies no {args.model} operator in the {args.frame} frame"
+        )
+    report = getattr(verify_mod, f"verify_{args.suite}")(args, params)
     emit(args, dumps(report))
     return EXIT_OK if report["passed"] else EXIT_MISMATCH
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .invariants import MINIMAL_CHARVEC
 from .linalg import RatMatrix
 from .models import ambiguity_map
 from .operators import SecondOrderOp, op_matrix
@@ -38,12 +39,6 @@ KNOWN_CHARACTERISTIC_VECTORS: tuple[CharVector, ...] = (
     (1, 6, 7, 10),
     (1, 7, 7, 11),
 )
-
-
-def make_charvec(a3: int, a4: int, a6: int) -> CharVector:
-    f = (1, int(a3), int(a4), int(a6))
-    validate_charvec(f)
-    return f
 
 
 def validate_charvec(f: Sequence[int]) -> None:
@@ -312,7 +307,7 @@ def ambiguity_search(
     """
     if op.frame != "t":
         raise ValueError("the redefinition search is defined in the t frame")
-    targets = set(KNOWN_CHARACTERISTIC_VECTORS) - {(1, 2, 2, 3)}
+    targets = set(KNOWN_CHARACTERISTIC_VECTORS) - {MINIMAL_CHARVEC}
     findings: list[AmbiguityFinding] = []
     tried = 0
     for values in _redefinitions(single_height, pair_height):

@@ -22,13 +22,13 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
-from .poly import MPoly, VarMap
+from .poly import DISPLAY_WEIGHTS, MPoly, VarMap
 
 #: degree of each invariant variable in the squared coordinates
 DEGREE_WEIGHTS = (1, 3, 4, 6)
 
 #: the minimal characteristic vector of the preserved flag
-MINIMAL_CHARVEC = (1, 2, 2, 3)
+MINIMAL_CHARVEC = DISPLAY_WEIGHTS
 
 HALF = Fraction(1, 2)
 

@@ -76,19 +76,13 @@ class ModelParams:
 
 
 def _warn_windows(model: str, params: ModelParams) -> None:
-    g, g1 = params.couplings(model)
-    if g <= F(-1, 4):
-        warnings.warn(
-            f"{model} coupling g = {g} outside the physical window g > -1/4",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    if g1 <= F(-1, 8):
-        warnings.warn(
-            f"{model} coupling g1 = {g1} outside the physical window g1 > -1/8",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    for name, value, bound in zip(("g", "g1"), params.couplings(model), (F(-1, 4), F(-1, 8))):
+        if value <= bound:
+            warnings.warn(
+                f"{model} coupling {name} = {value} outside the physical window {name} > {bound}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
 
 def _t(terms) -> MPoly:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import add, mul, sub
 from typing import Mapping, Optional
@@ -40,28 +41,22 @@ class SecondOrderOp:
         b: Mapping[int, MPoly],
         c: MPoly | None = None,
     ):
+        c = MPoly.zero(frame) if c is None else c
         a_clean: dict[tuple[int, int], MPoly] = {}
-        for (i, j), poly in a.items():
-            if i not in SLOT or j not in SLOT:
-                raise ValueError(f"bad variable pair ({i}, {j})")
-            if i > j:
-                i, j = j, i
-            if poly.frame != frame:
-                raise FrameError("coefficient frame mismatch")
-            if not poly.is_zero():
-                a_clean[(i, j)] = poly
         b_clean: dict[int, MPoly] = {}
-        for i, poly in b.items():
-            if i not in SLOT:
-                raise ValueError(f"bad variable index {i}")
+        entries = chain(  # lazily, so entries are checked in order: A, then B, then C
+            ((a_clean, (i, j), p) for (i, j), p in a.items()),
+            ((b_clean, (i,), p) for i, p in b.items()),
+            [(None, (), c)],
+        )
+        for table, labels, poly in entries:
+            if any(v not in SLOT for v in labels):
+                what = "pair ({}, {})" if table is a_clean else "index {}"
+                raise ValueError("bad variable " + what.format(*labels))
             if poly.frame != frame:
                 raise FrameError("coefficient frame mismatch")
-            if not poly.is_zero():
-                b_clean[i] = poly
-        if c is None:
-            c = MPoly.zero(frame)
-        if c.frame != frame:
-            raise FrameError("coefficient frame mismatch")
+            if table is not None and not poly.is_zero():  # A is keyed by (i, j), i <= j
+                table[tuple(sorted(labels)) if table is a_clean else labels[0]] = poly
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "a", a_clean)
         object.__setattr__(self, "b", b_clean)

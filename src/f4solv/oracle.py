@@ -42,6 +42,7 @@ from .flags import enumerate_basis
 from .gauge import grad_log_ground_state_circle, grad_log_ground_state_rational
 from .invariants import (
     DEGREE_WEIGHTS,
+    MINIMAL_CHARVEC,
     circle_points,
     elem_sym_values,
     t_polys,
@@ -213,7 +214,7 @@ def calibrate_normalization(
     else:
         op = SecondOrderOp("tau", trig_a_table(oracle.beta2), trig_b_table(params))
         drift_signs = (1,)
-    sampler = SeededSampler(seed, height=4)
+    sampler = SeededSampler(seed)
     points = [oracle.point(sampler.point(oracle.beta2)) for _ in range(8)]
     one, p1 = MPoly.one(op.frame), MPoly.variable(op.frame, 0)
 
@@ -320,9 +321,7 @@ def derive_missing_a66(params: ModelParams, seed: int = 0) -> MPoly:
     target = cal.scale * sum(4 * MPoly.variable("x2", k) * t6.derivative(k) ** 2 for k in range(4))
     route_reduce = invariant_reduce(target)
 
-    ratio = _rational_to_trig_ratio()
-    limit_table = trig_a_table(Fraction(0))[(6, 6)]
-    route_limit = MPoly("t", limit_table.terms) * ratio
+    route_limit = _limit_in_t(trig_a_table(Fraction(0)), _rational_to_trig_ratio())[(6, 6)]
 
     if route_reduce != route_limit:
         raise DerivationError(
@@ -332,14 +331,20 @@ def derive_missing_a66(params: ModelParams, seed: int = 0) -> MPoly:
     return route_reduce
 
 
+def _limit_in_t(table: dict, scale: Fraction = Fraction(1)) -> dict:
+    """A beta^2 = 0 trig table (tau frame) read in the t frame, times scale:
+    at beta^2 = 0 the periodic invariants are the harmonic ones."""
+    return {key: MPoly("t", p.terms) * scale for key, p in table.items()}
+
+
 def _rational_to_trig_ratio() -> Fraction:
     """The constant relating the rational table to the beta^2 = 0 trig table."""
     rat = rational_a_table()
     del rat[(6, 6)]  # the entry under test must not vouch for itself
-    limit = trig_a_table(Fraction(0))
+    limit = _limit_in_t(trig_a_table(Fraction(0)))
     ratio = None
     for key, rpoly in sorted(rat.items()):
-        lpoly = MPoly("t", limit[key].terms)
+        lpoly = limit[key]
         exp = next(iter(rpoly.terms))
         r = rpoly.terms[exp] / lpoly.coefficient(exp)
         if ratio is None:
@@ -390,8 +395,8 @@ def _sweep(
     op = build_rational_operator(params) if model == RATIONAL else build_trig_operator(params)
     cal = calibrate_normalization(model, params, seed)
     oracle = PreparedOracle(model, params)
-    basis = enumerate_basis((1, 2, 2, 3), level)
-    sampler = SeededSampler(seed, height=4)
+    basis = enumerate_basis(MINIMAL_CHARVEC, level)
+    sampler = SeededSampler(seed)
     polys = [
         sampler.polynomial(op.frame, basis.monomials) for _ in range(n_polys)
     ] + list(extra_polys)

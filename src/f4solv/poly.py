@@ -52,7 +52,7 @@ SLOT = {1: 0, 3: 1, 4: 2, 6: 3}
 
 ZERO_EXP: Exp = (0, 0, 0, 0)
 
-#: default display weights (the minimal characteristic vector)
+#: default display weights: the minimal characteristic vector (``MINIMAL_CHARVEC``)
 DISPLAY_WEIGHTS = (1, 2, 2, 3)
 
 

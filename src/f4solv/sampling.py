@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .invariants import is_singular_point
 from .poly import MPoly
 
 
+#: the height of rational points and of polynomial coefficients
+HEIGHT = 4
+#: the most terms of a random polynomial
+MAX_TERMS = 6
 #: the height of periodic parameters: at small heights most draws meet a
 #: pole (t = 1, t_i t_j = 1, r = 1, r_i = r_j, ...) and are drawn again
 PERIODIC_HEIGHT = 12
@@ -25,12 +29,10 @@ PERIODIC_HEIGHT = 12
 class SeededSampler:
     """Deterministic source of small-height rational data."""
 
-    def __init__(self, seed: int = 0, height: int = 4):
+    def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
-        self.height = height
 
-    def fraction(self, nonzero: bool = False, height: Optional[int] = None) -> Fraction:
-        height = height or self.height
+    def fraction(self, nonzero: bool = False, height: int = HEIGHT) -> Fraction:
         while True:
             num = self.rng.randrange(-height, height + 1)
             if nonzero and num == 0:
@@ -43,7 +45,7 @@ class SeededSampler:
         point, or with beta2 the periodic parameters of
         ``invariants.circle_points``, of height ``PERIODIC_HEIGHT`` and
         positive when beta2 < 0."""
-        height = self.height if beta2 is None else PERIODIC_HEIGHT
+        height = HEIGHT if beta2 is None else PERIODIC_HEIGHT
         while True:
             x = tuple(self.fraction(nonzero=True, height=height) for _ in range(4))
             if beta2 is not None and beta2 < 0:
@@ -51,9 +53,9 @@ class SeededSampler:
             if not is_singular_point(x, beta2):
                 return x
 
-    def polynomial(self, frame: str, monomials: Sequence, max_terms: int = 6) -> MPoly:
+    def polynomial(self, frame: str, monomials: Sequence) -> MPoly:
         """A random polynomial supported on the given monomials, nonzero
         because it draws distinct monomials with nonzero coefficients."""
-        count = self.rng.randrange(1, min(max_terms, len(monomials)) + 1)
+        count = self.rng.randrange(1, min(MAX_TERMS, len(monomials)) + 1)
         picks = self.rng.sample(list(monomials), count)
         return MPoly(frame, {exp: self.fraction(nonzero=True) for exp in picks})

@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .operators import A_PAIRS, SecondOrderOp
 from .poly import MPoly
@@ -77,18 +77,13 @@ def operator_to_json(op: SecondOrderOp) -> dict:
     }
 
 
-def spectrum_csv(
-    lines: Sequence[SpectralLine],
-    scale: Optional[Fraction],
-    offset: Optional[Fraction],
-) -> str:
+def spectrum_csv(lines: Sequence[SpectralLine], scale: Fraction, offset: Fraction) -> str:
     header = (
         "p1,p3,p4,p6,level,eigenvalue,closed_form_energy,"
         "calibration_scale,calibration_offset"
     )
     rows = [header]
-    s = format_fraction(scale) if scale is not None else ""
-    o = format_fraction(offset) if offset is not None else ""
+    s, o = format_fraction(scale), format_fraction(offset)
     for line in lines:
         labeled = line.quantum_numbers is not None
         p = [str(v) for v in line.quantum_numbers] if labeled else ["", "", "", ""]

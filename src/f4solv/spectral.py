@@ -20,7 +20,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -106,15 +106,11 @@ def spectrum_from_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> Spectru
 
 def _block_spectrum(basis: GradedBasis, mat: RatMatrix) -> SpectrumResult:
     # the preserved flag makes the matrix block triangular in the graded order
-    grades = basis.grades()
     lines: list[SpectralLine] = []
     irreducible = []
-    start = 0
-    while start < len(basis):
-        g = grades[start]
-        stop = start
-        while stop < len(basis) and grades[stop] == g:
-            stop += 1
+    stop = 0
+    for g, run in groupby(basis.grades()):
+        start, stop = stop, stop + len(list(run))
         block = [row[start:stop] for row in mat.data[start:stop]]
         roots, leftover = _rational_eigenvalues(block)
         for lam, mult in roots:
@@ -128,7 +124,6 @@ def _block_spectrum(basis: GradedBasis, mat: RatMatrix) -> SpectrumResult:
                     "unfactored_characteristic": [str(c) for c in leftover],
                 }
             )
-        start = stop
     lines.sort(key=lambda line: line.eigenvalue)
     return SpectrumResult(tuple(lines), False, basis, mat, tuple(irreducible))
 

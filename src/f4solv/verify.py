@@ -17,7 +17,7 @@ from .flags import (
     preserves_flag,
     scan_characteristic_vectors,
 )
-from .invariants import t_polys, tau_polys
+from .invariants import MINIMAL_CHARVEC, t_polys, tau_polys
 from .models import (
     RATIONAL,
     ModelParams,
@@ -29,6 +29,7 @@ from .models import (
 )
 from .operators import SecondOrderOp
 from .oracle import (
+    _limit_in_t,
     _rational_to_trig_ratio,
     derive_missing_a66,
     oracle_sweep_rational,
@@ -50,11 +51,15 @@ def _report(suite: str, checks: list[dict], **extra) -> dict:
     return {"suite": suite, "passed": all(c["passed"] for c in checks), "checks": checks, **extra}
 
 
-def verify_flag(args, params: ModelParams) -> dict:
+def _flag_request(args, params: ModelParams) -> tuple:
+    """The --charvec flag and the requested operator, in the requested frame."""
     from .cli import build_operator, parse_charvec
 
-    f = parse_charvec(args.charvec)
-    op = build_operator(args, params)
+    return parse_charvec(args.charvec), build_operator(args, params)
+
+
+def verify_flag(args, params: ModelParams) -> dict:
+    f, op = _flag_request(args, params)
     levels = max(args.level, 8 if args.model == RATIONAL else 6)
     verdict = preserves_flag(op, f, levels)
     check = _check(
@@ -66,11 +71,8 @@ def verify_flag(args, params: ModelParams) -> dict:
 
 
 def verify_triangular(args, params: ModelParams) -> dict:
-    from .cli import build_operator, parse_charvec
-
-    f = parse_charvec(args.charvec)
+    f, op = _flag_request(args, params)
     n = max(args.level, 6)
-    op = build_operator(args, params)
     if op.frame == "tau":
         verdict = is_triangular(op, f, min(n, 4))
         check = _check(
@@ -110,15 +112,11 @@ def verify_limit(args, params: ModelParams) -> dict:
     """The beta^2 -> 0 limit as two exact identities, for every x and every
     coupling: the periodic invariants become the harmonic ones, and the trig
     tables, scaled, the rational tables at omega = 0.  No argument enters."""
-    zero = Fraction(0)
-    ratio = _rational_to_trig_ratio()
-
-    def in_t(table: dict) -> dict:  # a tau-frame table read in the t frame, scaled
-        return {key: MPoly("t", p.terms) * ratio for key, p in table.items()}
-
-    limit_a, mismatches = in_t(trig_a_table(zero)), []
+    zero, ratio = Fraction(0), _rational_to_trig_ratio()
+    limit_a, mismatches = _limit_in_t(trig_a_table(zero), ratio), []
     for nu, mu in ((0, 0), (1, 0), (0, 1)):  # B is affine in (nu, mu): these span all
-        limit = SecondOrderOp("t", limit_a, in_t(trig_b_table(ModelParams(nu, mu, beta2=zero))))
+        limit_b = _limit_in_t(trig_b_table(ModelParams(nu, mu, beta2=zero)), ratio)
+        limit = SecondOrderOp("t", limit_a, limit_b)
         rational_b = rational_b_table(ModelParams(nu, mu, omega=zero))
         if limit != SecondOrderOp("t", rational_a_table(), rational_b):
             mismatches.append({"nu": nu, "mu": mu})
@@ -183,14 +181,14 @@ def verify_scan(args, params: ModelParams) -> dict:
     checks = [
         _check(
             "canonical operator preserves the minimal flag",
-            (1, 2, 2, 3) in scan.preserved,
+            MINIMAL_CHARVEC in scan.preserved,
         ),
         _check(
             "no componentwise smaller vector is preserved",
             not [
                 f
                 for f in scan.preserved
-                if f != (1, 2, 2, 3) and all(a <= b for a, b in zip(f, (1, 2, 2, 3)))
+                if f != MINIMAL_CHARVEC and all(a <= b for a, b in zip(f, MINIMAL_CHARVEC))
             ],
             preserved=[list(f) for f in scan.preserved],
         ),

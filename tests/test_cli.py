@@ -267,6 +267,10 @@ class TestUsageErrors:
         assert code == 64
         assert "rho" in err
 
+    #: the trig operators a suite does not certify: oracle, limit and a66 build
+    #: no rho-frame operator, and the scan's redefinition search is t-frame only
+    UNCERTIFIED = {"oracle": ["rho"], "limit": ["rho"], "a66": ["rho"], "scan": ["native", "rho"]}
+
     @pytest.mark.parametrize("suite", ["flag", "triangular", "oracle", "limit", "a66", "scan"])
     def test_rho_frame_rejected_for_rational_by_every_suite(self, capsys, monkeypatch, suite):
         def no_work(*args):
@@ -277,10 +281,29 @@ class TestUsageErrors:
                              "--frame", "rho")
         assert (code, out) == (64, "")
         assert "rho" in err
+        # nor may a suite report on a trig operator other than the one requested
+        for frame in self.UNCERTIFIED.get(suite, []):
+            code, out, err = run(capsys, "verify", "--suite", suite, "--model", "trig",
+                                 "--frame", frame, "--nu", "1/3", "--mu", "1/8")
+            assert (code, out) == (64, "")
+            assert err == (f"usage error: --suite {suite} certifies no trig operator"
+                           f" in the {frame} frame\n")
+
+    def test_suite_list_matches_the_verify_functions(self):
+        # the command dispatches to verify.verify_<suite> by name
+        functions = {name[len("verify_"):] for name in vars(verify) if name.startswith("verify_")}
+        assert set(cli._SUITES) == functions
+        assert all(callable(getattr(verify, f"verify_{suite}")) for suite in cli._SUITES)
 
     def test_bad_charvec(self, capsys):
-        code, _, _ = run(capsys, "spectrum", "--charvec", "1,2")
-        assert code == 64
+        for charvec, message in [
+            ("1,2", "--charvec expects three comma-separated integers a3,a4,a6"),
+            ("a,2,3", "bad --charvec: invalid literal for int() with base 10: 'a'"),
+            ("0,2,3", "characteristic vector must be (1, a3, a4, a6) >= 1: (1, 0, 2, 3)"),
+        ]:
+            for command in (["spectrum"], ["verify", "--suite", "flag"]):
+                code, out, err = run(capsys, *command, "--charvec", charvec)
+                assert (code, out, err) == (64, "", f"usage error: {message}\n")
 
     def test_bad_fraction(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--nu", "one-third")
@@ -427,6 +450,35 @@ class TestWarnings:
         monkeypatch.setattr(models, "_warn_windows", lambda model, params: None)
         quiet = run(capsys, *self.TRIG_MU_FIFTH)
         assert quiet == (code, out, "")  # warnings never reach stdout
+
+    @pytest.mark.parametrize("model, flag, value, text", [
+        ("rational", "--nu", "1/2",
+         "rational coupling g = -1/4 outside the physical window g > -1/4"),
+        ("rational", "--mu", "1/2",
+         "rational coupling g1 = -1/8 outside the physical window g1 > -1/8"),
+        ("trig", "--mu", "1/2", "trig coupling g1 = -1/4 outside the physical window g1 > -1/8"),
+    ])
+    def test_window_warning_text(self, capsys, model, flag, value, text):
+        code, _, err = run(capsys, "spectrum", "--model", model, flag, value, "--level", "2")
+        assert code == 0 and err == f"f4solv: warning: {text}\n"
+
+    def test_trig_g_window_warning_text(self):
+        # trig g = nu (nu - 1) / 2 >= -1/8 for every real nu, so only stub couplings reach it
+        class Couplings:
+            def couplings(self, model):
+                return F(-1, 2), F(-1, 4)
+
+        with pytest.warns(RuntimeWarning) as record:
+            models._warn_windows("trig", Couplings())
+        assert [str(w.message) for w in record] == [
+            "trig coupling g = -1/2 outside the physical window g > -1/4",
+            "trig coupling g1 = -1/4 outside the physical window g1 > -1/8",
+        ]
+
+    def test_window_warning_names_the_builders_caller(self):
+        with pytest.warns(RuntimeWarning) as record:
+            models.build_rational_operator(models.ModelParams(F(1, 2), F(1, 5), omega=F(1)))
+        assert [w.filename for w in record] == [__file__]
 
     def test_trig_oracle_warns_once(self, capsys):
         # the calibration builds its own operator and must not warn again

@@ -73,6 +73,11 @@ GOLDENS = [
     # a negative beta^2: hyperbolic points, (cosh, sinh) at r_k = exp(|beta| x_k)
     (("verify", "--suite", "oracle", "--model", "trig", "--nu", "1/3", "--mu", "1/8", "--beta2", "-1/4"),
      "d4f977383c36d214a341c2c20757b43d58afa998a6c97b8bb3009a35d381efd8"),
+    # the CSV writer: labelled rational lines, unlabelled native-frame block eigenvalues
+    (("spectrum", "--model", "rational", "--level", "4", "--format", "csv"),
+     "bf3e93bffb694f5206b1ae58aae372ee73ebff9586132547785aa27423e93513"),
+    (("spectrum", "--model", "trig", "--frame", "native", *TRIG, "--level", "4", "--format", "csv"),
+     "bf5e98a79f4ec9f6be0816572d881a652f9d2567cbbc604058068357fec07f7a"),
 ]
 
 

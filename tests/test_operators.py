@@ -194,6 +194,40 @@ POTENTIAL = SecondOrderOp(
 )
 
 
+class TestConstructor:
+    TAU = MPoly.one("tau")
+
+    @pytest.mark.parametrize("a, b, c, error, message", [
+        ({(1, 7): T1}, {}, None, ValueError, "bad variable pair (1, 7)"),
+        ({}, {2: T1}, None, ValueError, "bad variable index 2"),
+        ({(1, 1): TAU}, {}, None, FrameError, "coefficient frame mismatch"),
+        ({}, {1: TAU}, None, FrameError, "coefficient frame mismatch"),
+        ({}, {}, TAU, FrameError, "coefficient frame mismatch"),
+        # entries are checked in order: A before B before C, and in table order
+        ({(1, 1): TAU, (1, 7): T1}, {}, None, FrameError, "coefficient frame mismatch"),
+        ({(5, 1): TAU}, {}, None, ValueError, "bad variable pair (5, 1)"),
+        ({(1, 1): TAU}, {2: T1}, None, FrameError, "coefficient frame mismatch"),
+        ({(1, 1): T1}, {2: TAU}, TAU, ValueError, "bad variable index 2"),
+        ({}, {1: TAU, 2: T1}, None, FrameError, "coefficient frame mismatch"),
+    ], ids=["a-label", "b-label", "a-frame", "b-frame", "c-frame", "a-order", "a-label-first",
+            "a-before-b", "b-before-c", "b-order"])
+    def test_errors(self, a, b, c, error, message):
+        with pytest.raises(error) as info:
+            SecondOrderOp("t", a, b, c)
+        assert str(info.value) == message
+
+    def test_tables_are_stored_clean(self):
+        zero = MPoly.zero("t")
+        op = SecondOrderOp("t", {(3, 1): T1, (1, 3): T3, (4, 4): zero, (6, 1): T1 * T3},
+                           {1: zero, 4: T3})
+        assert op.a == {(1, 3): T3, (1, 6): T1 * T3}  # the later duplicate wins
+        assert list(op.a) == [(1, 3), (1, 6)]
+        assert op.b == {4: T3}
+        assert op.c == zero
+        # a zero entry drops, and never deletes an earlier nonzero one
+        assert SecondOrderOp("t", {(1, 3): T3, (3, 1): zero}, {}).a == {(1, 3): T3}
+
+
 class TestIntegerScaling:
     @settings(max_examples=60)
     @given(name=st.sampled_from(["rational", "trig", "rho", "potential"]), data=st.data())

@@ -29,6 +29,7 @@ from f4solv.oracle import (
     oracle_sweep_trig,
 )
 from f4solv.poly import EvalPlan, MPoly
+from f4solv.sampling import SeededSampler
 from tests.conftest import RATIONAL_SETS, TRIG_SETS
 
 
@@ -417,3 +418,24 @@ class TestMissingCoefficient:
             rational_params, n_points=8, n_polys=1, extra_polys=heavy
         )
         assert report["passed"]
+
+
+class TestSampler:
+    """The seeded draws, pinned: a passing exact sweep reads the same for
+    every seed, so no report golden would see a change in them."""
+
+    def test_rational_point(self):
+        assert SeededSampler(0).point() == (F(1, 2), F(-4, 3), F(1), F(2, 3))
+
+    @pytest.mark.parametrize("beta2, expected", [
+        (F(1, 4), (F(12, 7), F(-11, 5), F(1, 2), F(-3, 8))),
+        (F(-1, 4), (F(12, 7), F(11, 5), F(1, 2), F(3, 8))),
+    ], ids=["circle", "hyperbola"])
+    def test_periodic_point(self, beta2, expected):
+        assert SeededSampler(0).point(beta2) == expected
+
+    def test_polynomial(self):
+        basis = enumerate_basis((1, 2, 2, 3), 4)
+        expected = {(0, 2, 0, 0): F(3, 4), (0, 0, 0, 0): F(1), (0, 0, 1, 0): F(-1, 2),
+                    (0, 0, 0, 1): F(-2)}
+        assert SeededSampler(0).polynomial("t", basis.monomials) == MPoly("t", expected)
