@@ -19,11 +19,13 @@ in that order of association and each component summed in root-table order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import PoleError
 from .invariants import POSITIVE_ROOTS, periodic_factors, singular_factors
 from .models import ModelParams
+from .poly import PowerTable
 
 if TYPE_CHECKING:
     import mpmath
@@ -37,15 +39,6 @@ def mp_context() -> mpmath.MPContext:
     ctx = mpmath.mp.clone()
     ctx.prec = 200
     return ctx
-
-
-def check_nonsingular(x: Sequence[Fraction]) -> list:
-    """The values alpha . x of the positive roots; PoleError names a zero."""
-    factors = singular_factors(x)
-    for name, value in factors:
-        if value == 0:
-            raise PoleError(name, tuple(x))
-    return [value for _, value in factors]
 
 
 def _pole_sum(params: ModelParams, poles: Sequence, beta, zero, convert=Fraction) -> list:
@@ -63,19 +56,35 @@ def _pole_sum(params: ModelParams, poles: Sequence, beta, zero, convert=Fraction
     return grad
 
 
+def _exact_pole_sum(params: ModelParams, factors: Sequence, x: Sequence) -> list:
+    """``_pole_sum`` over int at the exact poles n / d of the named factors
+    (``PoleError`` names the first with d = 0 at the point x): the poles are
+    put over their common denominator and the couplings over theirs, and
+    each component is reduced to a ``Fraction`` once."""
+    for name, (_, d) in factors:
+        if not d:
+            raise PoleError(name, tuple(x))
+    den = lcm(*(d for _, (_, d) in factors))
+    g_den = lcm(*(Fraction(getattr(params, name)).denominator for name in ("nu", "mu")))
+    poles = [n * (den // d) for _, (n, d) in factors]
+    grad = _pole_sum(params, poles, 1, 0, lambda g: (Fraction(g) * g_den).numerator)
+    return [Fraction(v, den * g_den) for v in grad]
+
+
 def grad_log_ground_state_rational(
     params: ModelParams, x: Sequence[Fraction]
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact gradient of log Psi0 for the rational model.
 
     Component k collects the simple poles g alpha_k / (alpha . x) of the
-    positive roots, minus the Gaussian term omega x_k.
+    positive roots, minus the Gaussian term omega x_k.  With x = X / q over
+    int, each pole is q / (alpha . X); ``PoleError`` names a vanishing factor.
     """
     x = [Fraction(v) for v in x]
-    poles = [1 / v for v in check_nonsingular(x)]
+    table = PowerTable(x)  # X and q
+    factors = [(name, (table.denominator, v)) for name, v in singular_factors(table.values)]
     omega = params.require_omega()
-    grad = _pole_sum(params, poles, 1, Fraction(0))
-    return tuple(g - omega * v for g, v in zip(grad, x))
+    return tuple(g - omega * v for g, v in zip(_exact_pole_sum(params, factors, x), x))
 
 
 def grad_log_ground_state_circle(params: ModelParams, x: Sequence) -> list:
@@ -83,15 +92,10 @@ def grad_log_ground_state_circle(params: ModelParams, x: Sequence) -> list:
 
     ``x`` holds the parameters of ``invariants.circle_points`` (t_k, or
     r_k when beta2 < 0).  Component k collects g alpha_k cot(alpha . theta)
-    over the positive roots, coth at beta2 < 0; a vanishing sine raises
-    ``PoleError`` naming the root.
+    over the positive roots (coth at beta2 < 0), each the c / s of
+    ``invariants.periodic_factors``; a zero s raises ``PoleError`` naming it.
     """
-    cots = []
-    for name, (c, s) in periodic_factors(x, params.require_beta2()):
-        if not s:
-            raise PoleError(name, tuple(x))
-        cots.append(Fraction(c, s))
-    return _pole_sum(params, cots, 1, Fraction(0))
+    return _exact_pole_sum(params, periodic_factors(x, params.require_beta2()), x)
 
 
 def grad_log_ground_state_trig(params: ModelParams, x: Sequence, beta, ctx=None) -> list:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
-from .poly import DISPLAY_WEIGHTS, MPoly, VarMap
+from .poly import DISPLAY_WEIGHTS, MPoly, PowerTable, VarMap
 
 #: degree of each invariant variable in the squared coordinates
 DEGREE_WEIGHTS = (1, 3, 4, 6)
@@ -204,10 +204,11 @@ def periodic_factors(x: Sequence, beta2: Fraction) -> list[tuple[str, tuple[int,
 
 
 def is_singular_point(x: Sequence, beta2=None) -> bool:
-    """Whether a ground-state factor vanishes: at a rational point, or at
-    the periodic parameters of ``circle_points`` when beta2 is given."""
+    """Whether a ground-state factor vanishes: at a rational point (read
+    over int, as its numerators over one denominator), or at the periodic
+    parameters of ``circle_points`` when beta2 is given."""
     if beta2 is None:
-        return any(value == 0 for _, value in singular_factors(x))
+        return any(value == 0 for _, value in singular_factors(PowerTable(x).values))
     return any(s == 0 for _, (_, s) in periodic_factors(x, beta2))
 
 

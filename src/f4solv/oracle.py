@@ -17,12 +17,26 @@ of the Gaussian drift term (the tables correspond to a drift +omega x,
 the sign-flipped companion of the normalizable ground state; fitting
 with the decaying orientation fails for every candidate scale).
 
-``PreparedOracle`` does each model's per-polynomial work (composition,
-derivatives) and per-point work (squares or unit-circle values, the
-gradient, the invariants) once; calibration, ``cartesian_oracle`` and
-both sweeps share it.  Periodic points are chosen where every cos and
-sin is rational, so both models compare exact rational values: one
-calibration loop and one sweep serve both, with no tolerance.
+``PreparedOracle`` evaluates raw by the chain rule.  Along axis k the
+Cartesian frame variable is s_k(x_k) (x_k^2, or sin^2(beta x_k)/beta^2)
+and the invariants are y = map(s), so with a = (s')^2, b = s'', c = s',
+G = grad log Psi0 and the map's 2-jet J_ck = d y_c / d s_k and
+H_ck = d^2 y_c / d s_k^2,
+
+    raw = sum_{c<=d} m_cd P_cd(y) + sum_c n_c P_c(y),
+    m_cd = (2 - delta_cd) sum_k a_k J_ck J_dk,
+    n_c = sum_k a_k H_ck + (b_k + 2 G_k c_k) J_ck.
+
+That is exactly the derivative of P o map in s, from the map and the
+gradient alone, with no polynomial composed into the Cartesian frame:
+the jet is built once per oracle, m and n once per point and P's
+derivatives once per polynomial, and every sum runs over int, reduced
+once to a ``Fraction``.  Periodically G_k c_k = sum g alpha_k
+cot(alpha . theta) sin 2 theta_k, so the factors of beta cancel, and
+points are chosen where every cos and sin is rational: both models
+compare exact rational values, and one calibration loop and one sweep
+serve both, with no tolerance.  Calibration, ``cartesian_oracle`` and
+the sweeps share one oracle.
 
 The one coefficient the printed rational table leaves out, the diagonal
 t6 entry, is re-derived along two independent routes: the calibrated
@@ -35,6 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import CalibrationError, DerivationError, ReductionError
@@ -44,12 +60,9 @@ from .invariants import (
     DEGREE_WEIGHTS,
     MINIMAL_CHARVEC,
     circle_points,
-    elem_sym_values,
     t_polys,
-    tau_from_sigma,
     t_varmap,
     tau_varmap,
-    variables_rational,
 )
 from .linalg import RatMatrix, solve
 from .models import (
@@ -67,14 +80,8 @@ from .operators import SecondOrderOp
 from .poly import EvalPlan, MPoly, PowerTable
 from .sampling import SeededSampler
 
-SCALE_CANDIDATES = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-2),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-)
+SCALE_CANDIDATES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
+                    Fraction(1, 2), Fraction(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -87,126 +94,128 @@ class Calibration:
     drift_sign: int  # +1: drift -omega x (decaying gauge); -1: drift +omega x
 
 
+#: the pairs c <= d of P's second derivatives P_cd, in the order of the weights
+PAIRS = tuple((c, d) for c in range(4) for d in range(c, 4))
+
+
 @dataclass(frozen=True)
 class OraclePoly:
-    """A polynomial P, and the derivatives of P o map, as evaluation plans."""
+    """P, and its 10 second and 4 first derivatives in P's own frame (P_cd
+    in ``PAIRS`` order, then P_c), as plans of ``denominator * P`` over int."""
 
     p: EvalPlan
-    first: list  # d/ds_k of the composition
-    second: list  # d^2/ds_k^2 of the composition
+    derivatives: list
+    degree: int  # the top degree of P, at least that of each derivative
 
 
 @dataclass(frozen=True)
 class OraclePoint:
-    """What the gauge identity needs at one point, computed once.
+    """One point's invariants y and weights, computed once: per drift sign
+    the m_cd (``PAIRS`` order), then the n_c, as ints over one denominator."""
 
-    Along axis k the Cartesian frame variable is s_k(x_k) (x_k^2, or
-    sin^2(beta x_k)/beta^2), so by the chain rule the identity reads
-
-        raw = sum_k Q_kk a_k + Q_k b_k + 2 (G_k c_k) Q_k
-
-    with a = (s')^2, b = s'', c = s', Q = P o map and G = grad log Psi0.
-    Periodically G_k c_k = sum g alpha_k cot(alpha . theta) sin 2 theta_k,
-    so the factors of beta cancel and every entry is a ``Fraction``.
-    """
-
-    cart: tuple  # the frame variables s_k
-    inv: tuple  # the invariants, where P and its image are evaluated
-    a: list
-    b: list
-    gc: dict  # drift sign -> the products G_k c_k
+    inv: tuple  # where P and its image are evaluated
+    table: PowerTable  # the powers of inv
+    weights: dict  # drift sign -> the 14 weight numerators
+    denominator: int
 
 
 class PreparedOracle:
-    """The gauge identity of one model, prepared per polynomial and per point.
+    """The chain-rule gauge identity of one model, over int.
 
-    ``poly`` composes P into the Cartesian frame and differentiates it
-    once; ``point`` evaluates the squares and the gradient (rational) or
-    the unit-circle values and the gradient (periodic), and the
-    invariants, once.  ``raw`` and ``value`` are then exact sums of
-    cached powers.  Periodic points are given by their parameters, t_k
-    or r_k (``invariants.circle_points``), so both models are exact.
+    Once: the s-derivatives J and H of the four map images (``t_varmap``
+    or ``tau_varmap``), times the lcm L of their denominators.  ``point``
+    evaluates the squares or unit-circle values, the gradient and the
+    jet, and folds them into the weights m and n over int.  ``poly``
+    differentiates P in its own frame; ``raw`` is one int sum of weights
+    times derivatives at the point's invariant table, reduced once to a
+    ``Fraction``.  Periodic points are given by their parameters, t_k or
+    r_k (``invariants.circle_points``), so both models are exact.
     """
 
     def __init__(self, model: str, params: ModelParams):
         self.model, self.params = model, params
         if model == RATIONAL:
             self.omega = params.require_omega()
-            self.varmap, self.beta2 = t_varmap(), None
+            varmap, self.beta2 = t_varmap(), None
         elif model == TRIG:
             self.beta2 = beta2 = params.require_beta2()
             if beta2 == 0:  # the harmonic limit has no period to sample
                 raise ValueError("the periodic oracle needs beta2 != 0")
-            self.varmap = tau_varmap(beta2)
+            varmap = tau_varmap(beta2)
         else:
             raise ValueError(f"unknown model {model!r}")
+        self.images = [EvalPlan(f) for f in varmap.images]
+        self.scale = lcm(*(plan.denominator for plan in self.images))
+        first = [[(f * self.scale).derivative(k) for k in range(4)] for f in varmap.images]
+        self.jets = [[(EvalPlan(f), EvalPlan(f.derivative(k))) for k, f in enumerate(row)]
+                     for row in first]
+        self.degree = max(len(j.by_degree) for row in self.jets for j, _ in row) - 1
 
     def poly(self, p: MPoly) -> OraclePoly:
-        composed = p.substitute(self.varmap)
-        first = [composed.derivative(k) for k in range(4)]
-        return OraclePoly(
-            EvalPlan(p),
-            [EvalPlan(f) for f in first],
-            [EvalPlan(f.derivative(k)) for k, f in enumerate(first)],
-        )
+        plan = EvalPlan(p)
+        first = [(p * plan.denominator).derivative(c) for c in range(4)]
+        derivatives = [first[c].derivative(d) for c, d in PAIRS] + first
+        return OraclePoly(plan, [EvalPlan(f) for f in derivatives], len(plan.by_degree) - 1)
 
     def point(self, x: Sequence) -> OraclePoint:
         if self.model == RATIONAL:
             x = [Fraction(v) for v in x]
-            grad = grad_log_ground_state_rational(self.params, x)
-            gc = [2 * g * v for g, v in zip(grad, x)]
+            cart = [v * v for v in x]
+            gc = [2 * g * v for g, v in zip(grad_log_ground_state_rational(self.params, x), x)]
             # drift sign -1 flips the Gaussian term -omega x of the gradient
-            flipped = [w + 4 * self.omega * v * v for w, v in zip(gc, x)]
-            return OraclePoint(
-                tuple(v * v for v in x),
-                variables_rational(x),
-                [4 * v * v for v in x],
-                [2] * 4,
-                {1: gc, -1: flipped},
-            )
-        beta2 = self.beta2
-        eps = 1 if beta2 > 0 else -1
-        cs = [(Fraction(a, d), Fraction(b, d)) for a, b, d in circle_points(x, beta2)]
-        s2 = [2 * c * s for c, s in cs]  # sin 2 theta_k = |beta| s_k'
-        grad = grad_log_ground_state_circle(self.params, x)  # G_k / |beta|
-        cart = tuple(s * s / abs(beta2) for _, s in cs)
-        return OraclePoint(
-            cart,
-            tuple(tau_from_sigma(elem_sym_values(cart), beta2)),
-            [v * v / abs(beta2) for v in s2],
-            [2 * (c * c - eps * s * s) for c, s in cs],  # 2 cos 2 theta_k
-            {1: [g * v for g, v in zip(grad, s2)]},
-        )
+            gcs = {1: gc, -1: [w + 4 * self.omega * u for w, u in zip(gc, cart)]}
+            a, b = [4 * u for u in cart], [2] * 4
+        else:
+            beta2, eps = self.beta2, (1 if self.beta2 > 0 else -1)
+            cs = [(Fraction(a, d), Fraction(b, d)) for a, b, d in circle_points(x, beta2)]
+            s2 = [2 * c * s for c, s in cs]  # sin 2 theta_k = |beta| s_k'
+            grad = grad_log_ground_state_circle(self.params, x)  # G_k / |beta|
+            cart, a = [s * s / abs(beta2) for _, s in cs], [v * v / abs(beta2) for v in s2]
+            b = [2 * (c * c - eps * s * s) for c, s in cs]  # 2 cos 2 theta_k
+            gcs = {1: [g * v for g, v in zip(grad, s2)]}
+        drifts = {sign: [bk + 2 * v for bk, v in zip(b, gc)] for sign, gc in gcs.items()}
+        cart_table = PowerTable(cart)  # s = S / D: J = jn / (L D^M), H = hn / (L D^M)
+        jn = [[j.numerator(cart_table, self.degree) for j, _ in row] for row in self.jets]
+        hn = [[h.numerator(cart_table, self.degree) for _, h in row] for row in self.jets]
+        # a and the drift terms over A: every weight is over A (L D^M)^2
+        den = lcm(*(v.denominator for v in chain(a, *drifts.values())))
+        an = [v.numerator * (den // v.denominator) for v in a]
+        jet_den = self.scale * cart_table.denominator**self.degree
+        m = [(2 - (c == d)) * sum(ak * jc * jd for ak, jc, jd in zip(an, jn[c], jn[d]))
+             for c, d in PAIRS]
+        weights = {}
+        for sign, e in drifts.items():
+            en = [v.numerator * (den // v.denominator) for v in e]
+            weights[sign] = m + [jet_den * sum(ak * h + ek * j for ak, h, ek, j
+                                               in zip(an, hn[c], en, jn[c])) for c in range(4)]
+        inv = tuple(plan(cart_table) for plan in self.images)
+        return OraclePoint(inv, PowerTable(inv), weights, den * jet_den**2)
 
     def raw(self, poly: OraclePoly, point: OraclePoint, drift_sign: int = 1) -> Fraction:
         """Lap(P o map) + 2 grad(log Psi0) . grad(P o map) at the point."""
-        gc = point.gc[drift_sign]
-        # tables live for one call: their monomials are shared by the eight
-        # derivatives, and nothing allocated here outlives the value
-        cart = PowerTable(point.cart)
-        acc = Fraction(0)
-        for k in range(4):
-            qk = poly.first[k](cart)
-            qkk = poly.second[k](cart)
-            acc += qkk * point.a[k] + qk * point.b[k]
-            acc += 2 * gc[k] * qk
-        return acc
+        table, degree = point.table, poly.degree
+        acc = sum(w * f.numerator(table, degree)
+                  for w, f in zip(point.weights[drift_sign], poly.derivatives))
+        return Fraction(acc, point.denominator * poly.p.denominator * table.denominator**degree)
 
     def value(self, poly: OraclePoly, point: OraclePoint, cal: Calibration) -> Fraction:
         raw = self.raw(poly, point, cal.drift_sign)
-        return cal.scale * raw + cal.offset * poly.p(PowerTable(point.inv))
+        return cal.scale * raw + cal.offset * poly.p(point.table)
 
 
-def calibrate_normalization(
-    model: str, params: ModelParams, seed: int = 0
-) -> Calibration:
+def calibrate_normalization(model: str, params: ModelParams, seed: int = 0) -> Calibration:
     """Fit (scale, offset) on P = 1 and the first invariant at seeded points.
 
     The scale must land in {+-1, +-2, +-1/2} and hold exactly at eight
     points (for the rational model in either drift orientation).
     Otherwise the fit fails loudly.
     """
-    oracle = PreparedOracle(model, params)
+    return _calibrate(PreparedOracle(model, params), seed)
+
+
+def _calibrate(oracle: PreparedOracle, seed: int) -> Calibration:
+    """``calibrate_normalization`` with a prepared oracle, which the sweeps share."""
+    model, params = oracle.model, oracle.params
     # built directly: the model builders would repeat their window warning
     if model == RATIONAL:
         op = SecondOrderOp("t", rational_a_table(), rational_b_table(params))
@@ -256,9 +265,9 @@ def cartesian_oracle(
     r_k = exp(|beta| x_k) > 0 when beta2 < 0, as ints or Fractions
     (``invariants.circle_points``); anything else raises ``ValueError``.
     """
-    if calibration is None:
-        calibration = calibrate_normalization(model, params)
     oracle = PreparedOracle(model, params)
+    if calibration is None:
+        calibration = _calibrate(oracle, 0)
     return oracle.value(oracle.poly(p), oracle.point(x), calibration)
 
 
@@ -393,8 +402,8 @@ def _sweep(
     compared exactly; returns a JSON-ready report."""
     _require_points(n_points)
     op = build_rational_operator(params) if model == RATIONAL else build_trig_operator(params)
-    cal = calibrate_normalization(model, params, seed)
     oracle = PreparedOracle(model, params)
+    cal = _calibrate(oracle, seed)
     basis = enumerate_basis(MINIMAL_CHARVEC, level)
     sampler = SeededSampler(seed)
     polys = [

@@ -378,6 +378,12 @@ class EvalPlan:
         return self._generic(table) if table.denominator is None else self._exact(table)
 
     def _exact(self, table: PowerTable) -> Fraction:
+        top = len(self.by_degree) - 1
+        return Fraction(self.numerator(table, top), self.denominator * table.denominator**top)
+
+    def numerator(self, table: PowerTable, degree: int) -> int:
+        """The value at an exact table times ``denominator * table.denominator
+        ** degree``, an int for every degree from the plan's top degree up."""
         values, powers, monomials, d = table.values, table.powers, table.monomials, table.denominator
         acc = 0
         for group in self.by_degree:
@@ -394,7 +400,7 @@ class EvalPlan:
                             prod *= p
                     monomials[exp] = prod
                 acc += c * prod
-        return Fraction(acc, self.denominator * d ** (len(self.by_degree) - 1))
+        return acc * d ** (degree + 1 - len(self.by_degree))
 
     def _generic(self, table: PowerTable):
         values, powers, monomials = table.values, table.powers, table.monomials

@@ -4,6 +4,8 @@ Each suite checks the claims the library is built around and returns a
 JSON-ready report with a top-level ``passed`` flag and per-check
 witness data on failure.  A suite passes when the claims hold, which
 for the tau-frame triangularity means passing on *finding* a violation.
+Only the oracle, limit and a66 suites import ``oracle`` (and with it
+``gauge`` and ``sampling``).
 """
 
 from __future__ import annotations
@@ -28,13 +30,6 @@ from .models import (
     trig_b_table,
 )
 from .operators import SecondOrderOp
-from .oracle import (
-    _limit_in_t,
-    _rational_to_trig_ratio,
-    derive_missing_a66,
-    oracle_sweep_rational,
-    oracle_sweep_trig,
-)
 from .poly import MPoly
 from .serialize import mpoly_to_json
 
@@ -92,10 +87,10 @@ def verify_triangular(args, params: ModelParams) -> dict:
 
 
 def verify_oracle(args, params: ModelParams) -> dict:
+    from .oracle import oracle_sweep_rational, oracle_sweep_trig
+
     if args.model == RATIONAL:
-        sweep = oracle_sweep_rational(
-            params, n_points=args.points, seed=args.seed
-        )
+        sweep = oracle_sweep_rational(params, n_points=args.points, seed=args.seed)
     else:
         sweep = oracle_sweep_trig(params, n_points=args.points, seed=args.seed)
     checks = [
@@ -112,6 +107,8 @@ def verify_limit(args, params: ModelParams) -> dict:
     """The beta^2 -> 0 limit as two exact identities, for every x and every
     coupling: the periodic invariants become the harmonic ones, and the trig
     tables, scaled, the rational tables at omega = 0.  No argument enters."""
+    from .oracle import _limit_in_t, _rational_to_trig_ratio
+
     zero, ratio = Fraction(0), _rational_to_trig_ratio()
     limit_a, mismatches = _limit_in_t(trig_a_table(zero), ratio), []
     for nu, mu in ((0, 0), (1, 0), (0, 1)):  # B is affine in (nu, mu): these span all
@@ -135,6 +132,8 @@ def verify_limit(args, params: ModelParams) -> dict:
 
 
 def verify_a66(args, params: ModelParams) -> dict:
+    from .oracle import derive_missing_a66, oracle_sweep_rational
+
     rat_params = params.with_omega()
     table_entry = rational_a_table()[(6, 6)]
     checks = []

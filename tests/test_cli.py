@@ -267,9 +267,11 @@ class TestUsageErrors:
         assert code == 64
         assert "rho" in err
 
-    #: the trig operators a suite does not certify: oracle, limit and a66 build
-    #: no rho-frame operator, and the scan's redefinition search is t-frame only
-    UNCERTIFIED = {"oracle": ["rho"], "limit": ["rho"], "a66": ["rho"], "scan": ["native", "rho"]}
+    #: the trig operators a suite does not certify: oracle and limit build no
+    #: rho-frame operator, a66 re-derives a rational entry and the scan's
+    #: redefinition search is t-frame only
+    UNCERTIFIED = {"oracle": ["rho"], "limit": ["rho"], "a66": ["native", "rho"],
+                   "scan": ["native", "rho"]}
 
     @pytest.mark.parametrize("suite", ["flag", "triangular", "oracle", "limit", "a66", "scan"])
     def test_rho_frame_rejected_for_rational_by_every_suite(self, capsys, monkeypatch, suite):
@@ -288,6 +290,18 @@ class TestUsageErrors:
             assert (code, out) == (64, "")
             assert err == (f"usage error: --suite {suite} certifies no trig operator"
                            f" in the {frame} frame\n")
+
+    def test_a66_refuses_the_trig_model(self, capsys, monkeypatch):
+        # the suite re-derives the rational A[6,6]; it used to print the rational
+        # report for --model trig, reading the trig couplings with omega = 1
+        def no_work(*args):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(verify, "verify_a66", no_work)
+        for argv in ([], ["--frame", "native"], ["--nu", "1/3", "--mu", "1/8", "--beta2", "1/4"]):
+            code, out, err = run(capsys, "verify", "--suite", "a66", "--model", "trig", *argv)
+            assert (code, out) == (64, "")
+            assert err == "usage error: --suite a66 certifies no trig operator in the native frame\n"
 
     def test_suite_list_matches_the_verify_functions(self):
         # the command dispatches to verify.verify_<suite> by name
@@ -417,22 +431,30 @@ for argv in (
 
     def test_import_budget(self):
         # fresh processes: the package import loads no module, a spectrum
-        # loads neither the oracle side nor mpmath
+        # loads neither the oracle side nor mpmath, and the suites that
+        # compare no oracle values load no module of the oracle side
         script = """
 import contextlib, io, sys
 import f4solv
 assert not {"f4solv.flags", "f4solv.spectral", "f4solv.oracle", "mpmath"} & set(sys.modules)
 from f4solv.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(sys.argv[1:]) == 0
-loaded = {"f4solv.oracle", "f4solv.gauge", "f4solv.sampling", "f4solv.verify", "mpmath"}
-assert not loaded & set(sys.modules), loaded & set(sys.modules)
+    assert main(sys.argv[2:]) == 0
+loaded = set(sys.argv[1].split()) & set(sys.modules)
+assert not loaded, loaded
 """
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         trig = ["--model", "trig", "--nu", "1/3", "--mu", "1/8", "--beta2", "1/4"]
-        for argv in (["--model", "rational"], [*trig, "--frame", "rho"], [*trig, "--frame", "native"]):
-            proc = subprocess.run([sys.executable, "-c", script, "spectrum", *argv, "--level", "3"],
+        oracle_side = "f4solv.oracle f4solv.gauge f4solv.sampling mpmath"
+        runs = [(f"{oracle_side} f4solv.verify", ["spectrum", *argv, "--level", "3"])
+                for argv in (["--model", "rational"], [*trig, "--frame", "rho"],
+                             [*trig, "--frame", "native"])]
+        runs += [(oracle_side, ["verify", "--suite", suite, *argv]) for suite, argv in (
+            ("flag", ["--model", "rational"]), ("flag", [*trig, "--frame", "rho"]),
+            ("triangular", trig), ("scan", ["--model", "rational"]))]
+        for forbidden, argv in runs:
+            proc = subprocess.run([sys.executable, "-c", script, forbidden, *argv],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, (argv, proc.stderr)
 

@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from f4solv import gauge, models, oracle
 from f4solv.errors import CalibrationError, PoleError, ReductionError
-from f4solv.gauge import grad_log_ground_state_rational, grad_log_ground_state_trig
+from f4solv.gauge import (
+    grad_log_ground_state_circle,
+    grad_log_ground_state_rational,
+    grad_log_ground_state_trig,
+)
 from f4solv.flags import enumerate_basis
 from f4solv.invariants import (
     DEGREE_WEIGHTS,
@@ -291,11 +295,94 @@ class TestExactPeriodicSweep:
         assert close(value, reference_trig(params, p, x, cal)[1])
 
 
-def _fails(params, seed):
-    """Whether the periodic sweep rejects the operator, by a failed
-    comparison or a failed calibration."""
+def composition_raw(model, params, p, x, drift_sign=1):
+    """The composition route to raw, kept here as the reference: P o map
+    composed into the Cartesian frame by ``MPoly.substitute``, differentiated
+    there and summed as sum_k Q_kk a_k + Q_k b_k + 2 G_k c_k Q_k, at the
+    squares (``reference_rational`` at scale 1, offset 0) or at sin and cos
+    of theta_k written out from the parameters t_k or r_k (periodic)."""
+    if model == RATIONAL:
+        return reference_rational(params, p, x, oracle.Calibration(model, 1, 0, drift_sign))
+    beta2 = params.beta2
+    if beta2 > 0:  # cos, sin of theta = (1 - t^2, 2t) / (1 + t^2)
+        cs = [((1 - F(t) ** 2) / (1 + F(t) ** 2), 2 * F(t) / (1 + F(t) ** 2)) for t in x]
+    else:  # cosh, sinh of phi = (r + 1/r, r - 1/r) / 2
+        cs = [((F(r) + 1 / F(r)) / 2, (F(r) - 1 / F(r)) / 2) for r in x]
+    eps = 1 if beta2 > 0 else -1
+    s2 = [2 * c * sn for c, sn in cs]  # sin 2 theta_k = |beta| s_k'
+    s = [sn * sn / abs(beta2) for _, sn in cs]
+    a, b = [v * v / abs(beta2) for v in s2], [2 * (c * c - eps * sn * sn) for c, sn in cs]
+    gc = [g * v for g, v in zip(grad_log_ground_state_circle(params, x), s2)]
+    composed = p.substitute(tau_varmap(beta2))
+    acc = F(0)
+    for k in range(4):
+        qk = composed.derivative(k)
+        acc += term_by_term(qk.derivative(k), s) * a[k] + term_by_term(qk, s) * (b[k] + 2 * gc[k])
+    return acc
+
+
+LEVEL_6 = enumerate_basis((1, 2, 2, 3), 6).monomials
+
+
+class TestChainRuleEqualsComposition:
+    """``PreparedOracle.raw``, the chain rule at the map's 2-jet, is the
+    composition route's exact value."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from([(RATIONAL, 1), (RATIONAL, -1), (TRIG, 1), (TRIG, -1)]),
+        couplings=st.sampled_from([(F(1, 3), F(1, 8)), (F(2), F(3)), (F(5, 2), F(1, 7))]),
+        scale=st.fractions(min_value=F(1, 16), max_value=4, max_denominator=16),
+        x=st.tuples(*[st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)] * 4),
+        flips=st.tuples(*[st.booleans()] * 4),
+        terms=st.dictionaries(
+            st.sampled_from(LEVEL_6),
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_raw_equals_the_composition_route(self, case, couplings, scale, x, flips, terms):
+        # rational: both drift signs, scale is omega; periodic: both signs of
+        # beta^2 = sign * scale, with t of either sign and r > 0
+        model, sign = case
+        if model == RATIONAL:
+            params = ModelParams(*couplings, omega=scale)
+            x = tuple(-v if f else v for v, f in zip(x, flips))
+            assume(not is_singular_point(x))
+            drift_signs, frame = (sign,), "t"
+        else:
+            params = ModelParams(*couplings, beta2=sign * scale)
+            x = tuple(-v if f and sign > 0 else v for v, f in zip(x, flips))
+            assume(not is_singular_point(x, params.beta2))
+            drift_signs, frame = (1,), "tau"
+        p = MPoly(frame, terms)
+        orc = oracle.PreparedOracle(model, params)
+        prep, pt = orc.poly(p), orc.point(x)
+        for drift in drift_signs:
+            assert orc.raw(prep, pt, drift) == composition_raw(model, params, p, x, drift)
+
+    @pytest.mark.parametrize("sweep, params", [
+        (oracle_sweep_rational, RATIONAL_SETS[0]), (oracle_sweep_trig, TRIG_SETS[0]),
+        (oracle_sweep_trig, ModelParams(nu=F(1, 3), mu=F(1, 8), beta2=F(-1, 4))),
+    ], ids=["rational", "trig", "hyperbolic"])
+    def test_a_sweep_composes_no_polynomial(self, monkeypatch, sweep, params):
+        calls = []
+        real = MPoly.substitute
+
+        def counted(p, varmap):
+            calls.append(p)
+            return real(p, varmap)
+
+        monkeypatch.setattr(MPoly, "substitute", counted)
+        assert sweep(params, n_points=3, n_polys=4, seed=1)["passed"]
+        assert calls == []
+
+
+def _fails(params, seed, sweep=oracle_sweep_trig):
+    """Whether the sweep (by default the periodic one) rejects the operator,
+    by a failed comparison or a failed calibration."""
     try:
-        return not oracle_sweep_trig(params, n_points=20, n_polys=5, seed=seed)["passed"]
+        return not sweep(params, n_points=20, n_polys=5, seed=seed)["passed"]
     except CalibrationError:
         return True
 
@@ -334,13 +421,42 @@ class TestMutationsFailTheSweep:
     def test_root_dropped_from_the_pole_sum(self, monkeypatch, trig_params, root):
         real = gauge._pole_sum
 
-        def dropped(params, poles, beta, zero):
+        def dropped(params, poles, *rest):  # the exact sum passes int poles
             poles = list(poles)
             poles[root] = 0
-            return real(params, poles, beta, zero)
+            return real(params, poles, *rest)
 
         monkeypatch.setattr(gauge, "_pole_sum", dropped)
         assert _fails(trig_params, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relative_1e9_change_to_a_rational_a11_coefficient(
+        self, monkeypatch, rational_params, seed
+    ):
+        def mutate(table):
+            terms = dict(table[(1, 1)].terms)
+            exp = next(iter(terms))
+            terms[exp] *= 1 + F(1, 10**9)
+            table[(1, 1)] = MPoly("t", terms)
+            return table
+
+        self.patch_tables(monkeypatch, "rational_a_table", mutate)
+        assert _fails(rational_params, seed, oracle_sweep_rational)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("root", [0, 13, 23])
+    def test_root_dropped_from_the_rational_gradient(
+        self, monkeypatch, rational_params, root, seed
+    ):
+        real = gauge._pole_sum
+
+        def dropped(params, poles, *rest):
+            poles = list(poles)
+            poles[root] = 0
+            return real(params, poles, *rest)
+
+        monkeypatch.setattr(gauge, "_pole_sum", dropped)
+        assert _fails(rational_params, seed, oracle_sweep_rational)
 
 
 U = [MPoly.variable("x2", k) for k in range(4)]  # u_i = x_i^2
