@@ -9,7 +9,9 @@ Subcommands::
     f4solv dump-operator   operator coefficient tables as JSON
 
 Exit codes: 0 success, 2 claim mismatch, 3 structural anomaly,
-64 usage error.  All randomized flows take an explicit --seed
+64 usage error: any ``ValueError`` or ``OSError``, raised here or below,
+where ``models.build_operator`` and ``flags.parse_charvec`` build the
+operators and flags.  All randomized flows take an explicit --seed
 (default 0) and identical configurations produce byte-identical output.
 The default couplings sit inside the physical windows of the chosen
 model (--mu 1/5 rational, 1/8 trig).  Every command is exact: the
@@ -25,15 +27,7 @@ import warnings
 from typing import Optional, Sequence
 
 from .errors import F4SolvError
-from .models import (
-    MODELS,
-    RATIONAL,
-    TRIG,
-    ModelParams,
-    build_rational_operator,
-    build_rho_map,
-    build_trig_operator,
-)
+from .models import MODELS, RATIONAL, TRIG, ModelParams, build_operator
 from .serialize import (
     dumps,
     format_fraction,
@@ -57,13 +51,9 @@ _SUITES = {"flag": _ANY, "triangular": _ANY, "oracle": _ANY[:2], "limit": _ANY[:
            "a66": _ANY[:1], "scan": _ANY[:1]}
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems must exit 64, not argparse's 2
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> _Parser:
@@ -126,10 +116,10 @@ def load_params(args) -> ModelParams:
         with open(args.params) as fh:
             data = json.load(fh)
         if not isinstance(data, dict) or not {"nu", "mu"} <= data.keys():
-            raise UsageError("--params expects a JSON object with at least nu and mu")
+            raise ValueError("--params expects a JSON object with at least nu and mu")
         model = data.get("model", model)
         if model not in MODELS:
-            raise UsageError(f"--params names an unknown model {model!r}")
+            raise ValueError(f"--params names an unknown model {model!r}")
         nu = parse_fraction(data["nu"])
         mu = parse_fraction(data["mu"])
         if "omega" in data:
@@ -139,40 +129,18 @@ def load_params(args) -> ModelParams:
         args.model = model
     if model == RATIONAL:
         if getattr(args, "frame", "native") == "rho":  # every command, ahead of any work
-            raise UsageError("--frame rho applies to the trigonometric model only")
+            raise ValueError("--frame rho applies to the trigonometric model only")
         return ModelParams(nu=nu, mu=mu, omega=omega)
     return ModelParams(nu=nu, mu=mu, beta2=beta2)
 
 
-def parse_charvec(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 3:
-        raise UsageError("--charvec expects three comma-separated integers a3,a4,a6")
-    try:
-        f = (1, *(int(p) for p in parts))
-    except ValueError as exc:
-        raise UsageError(f"bad --charvec: {exc}")
-    from .flags import validate_charvec
-
-    validate_charvec(f)
-    return f
-
-
 def parse_flag_request(args):
     """Validate --level and --charvec, ahead of any operator build."""
+    from .flags import parse_charvec
+
     if args.level < 0:
-        raise UsageError("--level must be non-negative")
+        raise ValueError("--level must be non-negative")
     return parse_charvec(args.charvec)
-
-
-def build_operator(args, params: ModelParams):
-    if args.model == RATIONAL:
-        return build_rational_operator(params)
-    op = build_trig_operator(params)
-    if getattr(args, "frame", "native") == "rho":
-        fwd, inv = build_rho_map(params.require_beta2())
-        op = op.change_variables(fwd, inv)
-    return op
 
 
 def emit(args, text: str) -> None:
@@ -188,7 +156,7 @@ def cmd_spectrum(args) -> int:
 
     params = load_params(args)
     f = parse_flag_request(args)
-    op = build_operator(args, params)
+    op = build_operator(args.model, args.frame, params)
     spectrum = spectrum_from_matrix(op, f, args.level)
     lines, fit = compare_closed_form(spectrum, args.model, params)
     ok, scale, offset = fit.exact, fit.scale, fit.offset
@@ -242,7 +210,7 @@ def cmd_eigenfunctions(args) -> int:
 
     params = load_params(args)
     f = parse_flag_request(args)
-    op = build_operator(args, params)
+    op = build_operator(args.model, args.frame, params)
     report = eigenfunctions(op, f, args.level)
     payload = {
         "model": args.model,
@@ -260,7 +228,7 @@ def cmd_verify(args) -> int:
 
     params = load_params(args)
     if (args.model, args.frame) not in _SUITES[args.suite]:
-        raise UsageError(
+        raise ValueError(
             f"--suite {args.suite} certifies no {args.model} operator in the {args.frame} frame"
         )
     report = getattr(verify_mod, f"verify_{args.suite}")(args, params)
@@ -272,7 +240,7 @@ def cmd_scan_flags(args) -> int:
     from .flags import ambiguity_search, scan_characteristic_vectors
 
     params = load_params(args)
-    op = build_operator(args, params)
+    op = build_operator(args.model, "native", params)  # scan-flags has no --frame
     scan = scan_characteristic_vectors(op, args.bound, args.level)
     payload = scan.to_json()
     if args.ambiguity_search:
@@ -285,7 +253,7 @@ def cmd_scan_flags(args) -> int:
 
 def cmd_dump_operator(args) -> int:
     params = load_params(args)
-    op = build_operator(args, params)
+    op = build_operator(args.model, args.frame, params)
     emit(args, dumps(operator_to_json(op)))
     return EXIT_OK
 
@@ -316,9 +284,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             warnings.simplefilter("always")
             warnings.showwarning = _show_warning
             return COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -46,6 +46,19 @@ def validate_charvec(f: Sequence[int]) -> None:
         raise ValueError(f"characteristic vector must be (1, a3, a4, a6) >= 1: {f}")
 
 
+def parse_charvec(text: str) -> CharVector:
+    """The validated vector (1, a3, a4, a6) written "a3,a4,a6" (``--charvec``)."""
+    parts = [p for p in text.split(",") if p.strip()]
+    if len(parts) != 3:
+        raise ValueError("--charvec expects three comma-separated integers a3,a4,a6")
+    try:
+        f = (1, *(int(p) for p in parts))
+    except ValueError as exc:
+        raise ValueError(f"bad --charvec: {exc}") from None
+    validate_charvec(f)
+    return f
+
+
 @dataclass(frozen=True)
 class GradedBasis:
     """Ordered monomial basis of a flag member."""
@@ -255,10 +268,9 @@ def _grid_values(height: int) -> list[Fraction]:
     values = set()
     for num in range(1, height + 1):
         for den in range(1, height + 1):
-            v = Fraction(num, den)
-            if max(v.numerator, v.denominator) <= height:
-                values.add(v)
-                values.add(-v)
+            v = Fraction(num, den)  # in lowest terms, so of height at most height
+            values.add(v)
+            values.add(-v)
     return sorted(values, key=lambda v: (max(abs(v.numerator), v.denominator), v < 0, abs(v)))
 
 

@@ -279,6 +279,16 @@ def build_rho_map(beta2: Fraction) -> tuple[VarMap, VarMap]:
     return build_triangular_map("rho", "tau", corrections)
 
 
+def build_operator(model: str, frame: str, params: ModelParams) -> SecondOrderOp:
+    """The model's operator in the frame "native" (t or tau) or "rho" (trig)."""
+    if model == RATIONAL:
+        return build_rational_operator(params)
+    op = build_trig_operator(params)
+    if frame == "rho":
+        op = op.change_variables(*build_rho_map(params.require_beta2()))
+    return op
+
+
 def ambiguity_map(
     a: Fraction = 0,
     b1: Fraction = 0,

@@ -202,19 +202,14 @@ def op_matrix(op: SecondOrderOp, basis) -> MatrixResult:
     witness carries the lowest-grade basis monomial whose image escapes,
     along with the escaping term.
     """
-    monos = basis.monomials
-    index = {m: i for i, m in enumerate(monos)}
-    n = len(monos)
-    mat = RatMatrix.zero(n, n)
-    closed = True
+    index = basis.index()
+    mat = RatMatrix.zero(len(index), len(index))
     witness = None
-    for j, m in enumerate(monos):
+    for j, m in enumerate(basis.monomials):
         for exp, coeff in op.image(m):
             i = index.get(exp)
-            if i is None:
-                if closed:
-                    closed = False
-                    witness = (m, exp, coeff)
-                continue
-            mat.data[i][j] = coeff
-    return MatrixResult(mat, closed, witness)
+            if i is not None:
+                mat.data[i][j] = coeff
+            elif witness is None:
+                witness = (m, exp, coeff)
+    return MatrixResult(mat, witness is None, witness)

@@ -36,7 +36,8 @@ cot(alpha . theta) sin 2 theta_k, so the factors of beta cancel, and
 points are chosen where every cos and sin is rational: both models
 compare exact rational values, and one calibration loop and one sweep
 serve both, with no tolerance.  Calibration, ``cartesian_oracle`` and
-the sweeps share one oracle.
+the sweeps share one oracle; each sweep also checks every table entry
+of its operator against the weights m and n at its points.
 
 The one coefficient the printed rational table leaves out, the diagonal
 t6 entry, is re-derived along two independent routes: the calibrated
@@ -77,7 +78,7 @@ from .models import (
     trig_b_table,
 )
 from .operators import SecondOrderOp
-from .poly import EvalPlan, MPoly, PowerTable
+from .poly import VAR_IDS, EvalPlan, MPoly, PowerTable
 from .sampling import SeededSampler
 
 SCALE_CANDIDATES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -373,15 +374,36 @@ def _comparisons(
     op: SecondOrderOp,
     cal: Calibration,
     polys: Sequence[MPoly],
-    points: Sequence,
+    points: Sequence[tuple],
 ) -> Iterator[tuple]:
-    """(poly index, point, algebraic value, oracle value), polynomial by polynomial."""
-    prepared = [oracle.point(x) for x in points]
+    """(poly index, point, algebraic value, oracle value), polynomial by
+    polynomial, at the (point, ``OraclePoint``) pairs."""
     for pi, p in enumerate(polys):
         image, prep = EvalPlan(op.apply(p)), oracle.poly(p)
-        for x, pt in zip(points, prepared):
+        for x, pt in points:
             yield pi, x, image(PowerTable(pt.inv)), oracle.value(prep, pt, cal)
         del image, prep  # before the next polynomial's plans are built
+
+
+def _entry_mismatches(op: SecondOrderOp, cal: Calibration, points: Sequence[tuple]) -> list:
+    """The operator's table entries against the oracle's weights at each
+    (point, ``OraclePoint``) pair: scale m_cd / denominator = (2 - delta_cd)
+    A_cd(y), scale n_c / denominator = B_c(y) and offset = C(y).  This
+    reaches every entry, also those no swept polynomial of a low flag level
+    differentiates (A[3,6], A[4,6], A[6,6])."""
+    names = [f"A[{VAR_IDS[c]},{VAR_IDS[d]}]" for c, d in PAIRS]
+    names += [f"B[{v}]" for v in VAR_IDS] + ["C"]
+    entries = [op.a_entry(VAR_IDS[c], VAR_IDS[d]) * (2 - (c == d)) for c, d in PAIRS]
+    entries += [op.b.get(v, MPoly.zero(op.frame)) for v in VAR_IDS] + [op.c]
+    plans, failures = [EvalPlan(p) for p in entries], []
+    for x, pt in points:
+        table = PowerTable(pt.inv)
+        weights = [cal.scale * Fraction(w, pt.denominator) for w in pt.weights[cal.drift_sign]]
+        for name, plan, weight in zip(names, plans, weights + [cal.offset]):
+            if (value := plan(table)) != weight:
+                failures.append({"entry": name, "point": [str(v) for v in x],
+                                 "algebraic": str(value), "oracle": str(weight)})
+    return failures
 
 
 def _require_points(n_points: int) -> None:
@@ -399,7 +421,8 @@ def _sweep(
     extra_polys: Sequence[MPoly] = (),
 ) -> dict:
     """Both sweeps: random polynomials of the flag level at seeded points,
-    compared exactly; returns a JSON-ready report."""
+    compared exactly, then every table entry against the oracle's weights
+    at the same points; returns a JSON-ready report."""
     _require_points(n_points)
     op = build_rational_operator(params) if model == RATIONAL else build_trig_operator(params)
     oracle = PreparedOracle(model, params)
@@ -409,7 +432,8 @@ def _sweep(
     polys = [
         sampler.polynomial(op.frame, basis.monomials) for _ in range(n_polys)
     ] + list(extra_polys)
-    points = [sampler.point(oracle.beta2) for _ in range(n_points)]
+    drawn = [sampler.point(oracle.beta2) for _ in range(n_points)]
+    points = [(x, oracle.point(x)) for x in drawn]
     failures = []
     for pi, x, lhs, rhs in _comparisons(oracle, op, cal, polys, points):
         if lhs != rhs:
@@ -421,6 +445,7 @@ def _sweep(
                     "oracle": str(rhs),
                 }
             )
+    failures += _entry_mismatches(op, cal, points)
     return {
         "model": model,
         "scale": str(cal.scale),

@@ -32,13 +32,12 @@ class SeededSampler:
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
 
-    def fraction(self, nonzero: bool = False, height: int = HEIGHT) -> Fraction:
-        while True:
+    def fraction(self, height: int = HEIGHT) -> Fraction:
+        """A nonzero num/den with |num| and den at most ``height``."""
+        num = 0
+        while not num:
             num = self.rng.randrange(-height, height + 1)
-            if nonzero and num == 0:
-                continue
-            den = self.rng.randrange(1, height + 1)
-            return Fraction(num, den)
+        return Fraction(num, self.rng.randrange(1, height + 1))
 
     def point(self, beta2=None) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """A nonsingular point (off every ground-state zero set): a rational
@@ -47,7 +46,7 @@ class SeededSampler:
         positive when beta2 < 0."""
         height = HEIGHT if beta2 is None else PERIODIC_HEIGHT
         while True:
-            x = tuple(self.fraction(nonzero=True, height=height) for _ in range(4))
+            x = tuple(self.fraction(height) for _ in range(4))
             if beta2 is not None and beta2 < 0:
                 x = tuple(map(abs, x))
             if not is_singular_point(x, beta2):
@@ -58,4 +57,4 @@ class SeededSampler:
         because it draws distinct monomials with nonzero coefficients."""
         count = self.rng.randrange(1, min(MAX_TERMS, len(monomials)) + 1)
         picks = self.rng.sample(list(monomials), count)
-        return MPoly(frame, {exp: self.fraction(nonzero=True) for exp in picks})
+        return MPoly(frame, {exp: self.fraction() for exp in picks})

@@ -109,26 +109,24 @@ def spectral_line_json(line: SpectralLine) -> dict:
 
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, written in one
-    pass: with an indent the json module runs its pure-Python encoder."""
+    pass: with an indent the json module runs its pure-Python encoder.
+    Payloads are exact: a float leaf or a non-str key raises ``TypeError``."""
     out: list[str] = []
     _write(obj, out, "\n")
     return "".join(out) + "\n"
 
 
-_NAMES = {"None": "null", "True": "true", "False": "false",  # json's names for these reprs
-          "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NAMES = {None: "null", True: "true", False: "false"}
 
 
 def _leaf(o) -> str:
-    """json's form of a str, None, bool, int or float."""
+    """json's form of a str, None, bool or int."""
     if isinstance(o, str):
         return _quote(o)
     if o is None or o is True or o is False:
-        return _NAMES[repr(o)]
+        return _NAMES[o]
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, float):
-        return _NAMES.get(text := float.__repr__(o), text)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -138,7 +136,7 @@ def _write(o, out: list[str], nl: str) -> None:
     comma = "," + inner
     if isinstance(o, dict) and o:
         for i, (k, v) in enumerate(sorted(o.items())):
-            head = (comma if i else "{" + inner) + _quote(k if isinstance(k, str) else _leaf(k))
+            head = (comma if i else "{" + inner) + _quote(k)  # a str key, else TypeError
             if type(v) is str:  # the common leaf, written inline
                 out.append(head + ": " + _quote(v))
             else:

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, groupby
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 from typing import Optional, Sequence
 
@@ -292,11 +292,9 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
             defects.append(defect)
         for vec in kernel:
             psi = MPoly._trusted(op.frame, {m: c for m, c in zip(basis.monomials, vec) if c})
-            # nullspace vectors are integral (k = 1); any other vector is scaled exactly
-            k = lcm(*(c.denominator for c in psi.terms.values()))
             residual: dict[Exp, int] = {}
             for m, c in psi.terms.items():
-                c = c.numerator * (k // c.denominator)
+                c = c.numerator  # nullspace vectors are coprime ints
                 if m not in columns:
                     columns[m] = scaled_op.apply(MPoly._trusted(op.frame, {m: 1})).terms
                 for e, v in columns[m].items():

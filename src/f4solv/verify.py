@@ -5,7 +5,8 @@ JSON-ready report with a top-level ``passed`` flag and per-check
 witness data on failure.  A suite passes when the claims hold, which
 for the tau-frame triangularity means passing on *finding* a violation.
 Only the oracle, limit and a66 suites import ``oracle`` (and with it
-``gauge`` and ``sampling``).
+``gauge`` and ``sampling``).  Operators and flags come from ``models``
+and ``flags``, not the CLI; bad input is a ``ValueError`` (CLI exit 64).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import DerivationError
 from .flags import (
     ambiguity_search,
     is_triangular,
+    parse_charvec,
     preserves_flag,
     scan_characteristic_vectors,
 )
@@ -23,6 +25,7 @@ from .invariants import MINIMAL_CHARVEC, t_polys, tau_polys
 from .models import (
     RATIONAL,
     ModelParams,
+    build_operator,
     build_rational_operator,
     rational_a_table,
     rational_b_table,
@@ -48,9 +51,7 @@ def _report(suite: str, checks: list[dict], **extra) -> dict:
 
 def _flag_request(args, params: ModelParams) -> tuple:
     """The --charvec flag and the requested operator, in the requested frame."""
-    from .cli import build_operator, parse_charvec
-
-    return parse_charvec(args.charvec), build_operator(args, params)
+    return parse_charvec(args.charvec), build_operator(args.model, args.frame, params)
 
 
 def verify_flag(args, params: ModelParams) -> dict:

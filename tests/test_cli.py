@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -335,15 +336,52 @@ class TestUsageErrors:
         assert err.startswith("usage error:") and "zero denominator" in err
 
     def test_reported_before_any_operator_is_built(self, capsys, monkeypatch):
-        def forbidden(params):
+        def forbidden(*args):
             raise AssertionError("operator built before the usage check")
 
-        monkeypatch.setattr(cli, "build_rational_operator", forbidden)
+        monkeypatch.setattr(cli, "build_operator", forbidden)
         code, _, err = run(capsys, "spectrum", "--level", "-1")
         assert code == 64
         assert "--level" in err
         code, _, _ = run(capsys, "eigenfunctions", "--charvec", "1,2")
         assert code == 64
+
+
+class TestLayering:
+    def test_only_the_cli_imports_the_cli(self):
+        # the library decides operators and flags itself: no module below the
+        # CLI may reach up into it
+        importers = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    module = (node.module or "").split(".")
+                    names = {alias.name for alias in node.names}
+                    if module[-1:] == ["cli"] or (module in ([""], ["f4solv"]) and "cli" in names):
+                        importers.append(path.name)
+                elif isinstance(node, ast.Import):
+                    if any(alias.name == "f4solv.cli" for alias in node.names):
+                        importers.append(path.name)
+        assert set(importers) <= {"cli.py"}
+
+    def test_bad_input_has_one_exception_type(self):
+        assert not hasattr(cli, "UsageError")
+        with pytest.raises(ValueError, match="no-such-option"):
+            cli.build_parser().parse_args(["spectrum", "--no-such-option"])
+
+    def test_library_usage_error_exits_64_when_run_as_a_module(self):
+        # run as __main__, the CLI module is not the f4solv.cli that a
+        # library module would import, so an exception class of the CLI
+        # raised below it escaped the handler as a traceback
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "f4solv.cli", "verify", "--suite", "flag", "--charvec", "1,2"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (64, "")
+        assert proc.stderr == (
+            "usage error: --charvec expects three comma-separated integers a3,a4,a6\n"
+        )
 
 
 class TestNegativeRationals:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import mpmath
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from f4solv import gauge, models, oracle
+from f4solv.cli import main
 from f4solv.errors import CalibrationError, PoleError, ReductionError
 from f4solv.gauge import (
     grad_log_ground_state_circle,
@@ -32,6 +34,7 @@ from f4solv.oracle import (
     oracle_sweep_rational,
     oracle_sweep_trig,
 )
+from f4solv.operators import SecondOrderOp
 from f4solv.poly import EvalPlan, MPoly
 from f4solv.sampling import SeededSampler
 from tests.conftest import RATIONAL_SETS, TRIG_SETS
@@ -457,6 +460,61 @@ class TestMutationsFailTheSweep:
 
         monkeypatch.setattr(gauge, "_pole_sum", dropped)
         assert _fails(rational_params, seed, oracle_sweep_rational)
+
+
+class TestEntryMutationsFailTheSuite:
+    """The weight check reaches the entries that no swept polynomial of flag
+    level 4 differentiates: a change to A[3,6], A[4,6] or A[6,6] used to pass
+    ``verify --suite oracle`` at every seed, in both models."""
+
+    patch_tables = TestMutationsFailTheSweep.patch_tables
+    MODEL_ARGS = {"rational": [], "trig": ["--nu", "1/3", "--mu", "1/8", "--beta2", "1/4"]}
+
+    def failures(self, capsys, model, seed):
+        code = main(["verify", "--suite", "oracle", "--model", model, "--seed", str(seed),
+                     *self.MODEL_ARGS[model]])
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["passed"]) == (2, False)
+        return report["sweep"]["failures"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("key", [(3, 6), (4, 6), (6, 6)], ids=["A36", "A46", "A66"])
+    @pytest.mark.parametrize("model", ["rational", "trig"])
+    def test_relative_1e9_change_to_the_first_term(self, capsys, monkeypatch, model, key, seed):
+        def mutate(table, *args):
+            terms = dict(table[key].terms)
+            terms[next(iter(terms))] *= 1 + F(1, 10**9)
+            table[key] = MPoly(table[key].frame, terms)
+            return table
+
+        self.patch_tables(monkeypatch, f"{model}_a_table", mutate)
+        failures = self.failures(capsys, model, seed)
+        assert {f.get("entry") for f in failures} == {"A[{},{}]".format(*key)}
+        assert all(len(f["point"]) == 4 for f in failures)
+
+    @pytest.mark.parametrize("model", ["rational", "trig"])
+    def test_changed_b_coupling(self, capsys, monkeypatch, model):
+        def mutate(table, params):  # the nu of B[4]'s t3 term read as mu
+            delta = (6 if model == "rational" else 12) * (params.nu - params.mu)
+            table[4] = table[4] + MPoly(table[4].frame, {(0, 1, 0, 0): delta})
+            return table
+
+        self.patch_tables(monkeypatch, f"{model}_b_table", mutate)
+        entries = {f["entry"] for f in self.failures(capsys, model, 0) if "entry" in f}
+        assert entries == {"B[4]"}
+
+    @pytest.mark.parametrize("model", ["rational", "trig"])
+    def test_added_c_term(self, capsys, monkeypatch, model):
+        name = f"build_{model}_operator"
+        real = getattr(models, name)
+
+        def with_c(params):  # the calibration's operator keeps C = 0
+            op = real(params)
+            return SecondOrderOp(op.frame, op.a, op.b, MPoly(op.frame, {(1, 0, 0, 0): F(1, 10**9)}))
+
+        monkeypatch.setattr(oracle, name, with_c)
+        entries = {f["entry"] for f in self.failures(capsys, model, 0) if "entry" in f}
+        assert entries == {"C"}
 
 
 U = [MPoly.variable("x2", k) for k in range(4)]  # u_i = x_i^2
