@@ -9,16 +9,14 @@ order in which the model operators are literally triangular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .invariants import MINIMAL_CHARVEC
 from .linalg import RatMatrix
 from .models import ambiguity_map
 from .operators import SecondOrderOp, op_matrix
-from .poly import Exp, term_order_key, weighted_grade
+from .poly import DISPLAY_WEIGHTS as MINIMAL_CHARVEC, Exp, term_order_key, weighted_grade
 
 CharVector = tuple[int, int, int, int]
 
@@ -59,14 +57,28 @@ def parse_charvec(text: str) -> CharVector:
     return f
 
 
-@dataclass(frozen=True)
 class GradedBasis:
-    """Ordered monomial basis of a flag member."""
+    """Ordered monomial basis of a flag member; ``len`` is its dimension."""
 
-    f: CharVector
-    n: int
-    monomials: tuple[Exp, ...]
-    frame: str = "t"
+    __slots__ = ("f", "n", "monomials", "frame")
+
+    def __init__(self, f: CharVector, n: int, monomials: tuple[Exp, ...], frame: str = "t") -> None:
+        for name, value in zip(self.__slots__, (f, n, monomials, frame)):
+            object.__setattr__(self, name, value)
+
+    __init__.__annotations__["return"] = None  # signature shows "-> None", not a postponed string
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _values(self) -> tuple:
+        return (self.f, self.n, self.monomials, self.frame)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is GradedBasis else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def index(self) -> dict[Exp, int]:
         return {m: i for i, m in enumerate(self.monomials)}
@@ -112,8 +124,7 @@ def flag_dimension(f: Sequence[int], n: int) -> int:
     return sum(grade_counts(f, n))
 
 
-@dataclass(frozen=True)
-class FlagVerdict:
+class FlagVerdict(NamedTuple):
     preserved: bool
     witness: Optional[dict] = None
 
@@ -153,8 +164,7 @@ def _first_escape(
     return None
 
 
-@dataclass(frozen=True)
-class TriangularVerdict:
+class TriangularVerdict(NamedTuple):
     strict: bool
     block: bool  # grade-non-increasing
     preserved: bool
@@ -204,8 +214,7 @@ def is_triangular(op: SecondOrderOp, f: Sequence[int], n: int) -> TriangularVerd
     return TriangularVerdict(violation is None, True, True, violation)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     preserved: tuple[CharVector, ...]
     minimal: tuple[CharVector, ...]
     witnesses: dict
@@ -287,8 +296,7 @@ def _redefinitions(single_height: int, pair_height: int) -> Iterator[tuple[Fract
                 yield tuple(vi if k == i else vj if k == j else Fraction(0) for k in range(7))
 
 
-@dataclass(frozen=True)
-class AmbiguityFinding:
+class AmbiguityFinding(NamedTuple):
     parameters: tuple[Fraction, ...]  # (a, b1, b2, c1, c2, c3, c4)
     vectors: tuple[CharVector, ...]  # known alternatives preserved by the redefinition
 

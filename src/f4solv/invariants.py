@@ -22,10 +22,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
-from .poly import DISPLAY_WEIGHTS, MPoly, PowerTable, VarMap
-
-#: degree of each invariant variable in the squared coordinates
-DEGREE_WEIGHTS = (1, 3, 4, 6)
+from .poly import DEGREE_WEIGHTS, DISPLAY_WEIGHTS, MPoly, PowerTable, VarMap
 
 #: the minimal characteristic vector of the preserved flag
 MINIMAL_CHARVEC = DISPLAY_WEIGHTS

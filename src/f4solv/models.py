@@ -21,7 +21,6 @@ only; the algebraic operators are well defined beyond them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -36,22 +35,29 @@ MODELS = (RATIONAL, TRIG)
 F = Fraction
 
 
-@dataclass(frozen=True)
 class ModelParams:
-    """Exact model parameters; omega is rational-model only, beta2 trig only."""
+    """Exact model parameters as ``Fraction``; omega is rational-model only, beta2 trig only."""
 
-    nu: Fraction
-    mu: Fraction
-    omega: Optional[Fraction] = None
-    beta2: Optional[Fraction] = None
+    __slots__ = ("nu", "mu", "omega", "beta2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nu", Fraction(self.nu))
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        if self.omega is not None:
-            object.__setattr__(self, "omega", Fraction(self.omega))
-        if self.beta2 is not None:
-            object.__setattr__(self, "beta2", Fraction(self.beta2))
+    def __init__(self, nu: Fraction, mu: Fraction, omega: Optional[Fraction] = None,
+                 beta2: Optional[Fraction] = None) -> None:
+        for name, value in zip(self.__slots__, (Fraction(nu), Fraction(mu), omega, beta2)):
+            object.__setattr__(self, name, None if value is None else Fraction(value))
+
+    __init__.__annotations__["return"] = None  # signature shows "-> None", not a postponed string
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _values(self) -> tuple:
+        return (self.nu, self.mu, self.omega, self.beta2)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is ModelParams else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def couplings(self, model: str) -> tuple[Fraction, Fraction]:
         if model == RATIONAL:
@@ -67,7 +73,7 @@ class ModelParams:
 
     def with_omega(self) -> "ModelParams":
         """These couplings for a rational-model check: omega defaults to 1."""
-        return self if self.omega is not None else replace(self, omega=Fraction(1))
+        return self if self.omega is not None else ModelParams(self.nu, self.mu, 1, self.beta2)
 
     def require_beta2(self) -> Fraction:
         if self.beta2 is None:

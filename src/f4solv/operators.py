@@ -12,12 +12,11 @@ the operator's frame and every computation is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import add, mul, sub
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import FrameError, MapError
 from .linalg import RatMatrix
@@ -186,8 +185,7 @@ class SecondOrderOp:
         return f"SecondOrderOp(frame={self.frame!r}, terms={len(self.a) + len(self.b)})"
 
 
-@dataclass(frozen=True)
-class MatrixResult:
+class MatrixResult(NamedTuple):
     """Matrix of an operator on a graded basis, plus closure information."""
 
     matrix: RatMatrix

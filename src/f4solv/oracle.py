@@ -48,17 +48,15 @@ tabulates that entry; the derivation checks it (``verify --suite a66``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CalibrationError, DerivationError, ReductionError
 from .flags import enumerate_basis
 from .gauge import grad_log_ground_state_circle, grad_log_ground_state_rational
 from .invariants import (
-    DEGREE_WEIGHTS,
     MINIMAL_CHARVEC,
     circle_points,
     t_polys,
@@ -78,15 +76,14 @@ from .models import (
     trig_b_table,
 )
 from .operators import SecondOrderOp
-from .poly import VAR_IDS, EvalPlan, MPoly, PowerTable
+from .poly import DEGREE_WEIGHTS, VAR_IDS, EvalPlan, MPoly, PowerTable
 from .sampling import SeededSampler
 
 SCALE_CANDIDATES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                     Fraction(1, 2), Fraction(-1, 2))
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(NamedTuple):
     """Empirically determined relation between an operator and its oracle."""
 
     model: str
@@ -99,8 +96,7 @@ class Calibration:
 PAIRS = tuple((c, d) for c in range(4) for d in range(c, 4))
 
 
-@dataclass(frozen=True)
-class OraclePoly:
+class OraclePoly(NamedTuple):
     """P, and its 10 second and 4 first derivatives in P's own frame (P_cd
     in ``PAIRS`` order, then P_c), as plans of ``denominator * P`` over int."""
 
@@ -109,8 +105,7 @@ class OraclePoly:
     degree: int  # the top degree of P, at least that of each derivative
 
 
-@dataclass(frozen=True)
-class OraclePoint:
+class OraclePoint(NamedTuple):
     """One point's invariants y and weights, computed once: per drift sign
     the m_cd (``PAIRS`` order), then the n_c, as ints over one denominator."""
 

@@ -54,6 +54,8 @@ ZERO_EXP: Exp = (0, 0, 0, 0)
 
 #: default display weights: the minimal characteristic vector (``MINIMAL_CHARVEC``)
 DISPLAY_WEIGHTS = (1, 2, 2, 3)
+#: degree of each invariant variable in the squared coordinates
+DEGREE_WEIGHTS = (1, 3, 4, 6)
 
 
 def weighted_grade(exp: Sequence[int], weights: Sequence[int]) -> int:

@@ -18,20 +18,18 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, groupby
 from math import isqrt
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ClosureError, F4SolvError
 from .flags import GradedBasis, flag_matrix, grade_counts
-from .invariants import DEGREE_WEIGHTS
 from .linalg import RatMatrix, _integer_rows, nullspace
 from .models import RATIONAL, ModelParams
 from .operators import SecondOrderOp
-from .poly import Exp, MPoly, weighted_grade
+from .poly import DEGREE_WEIGHTS, Exp, MPoly, weighted_grade
 
 QuantumNumbers = Exp
 
@@ -67,8 +65,7 @@ def degeneracy_count(n: int) -> int:
     return grade_counts(DEGREE_WEIGHTS, n)[n]
 
 
-@dataclass(frozen=True)
-class SpectralLine:
+class SpectralLine(NamedTuple):
     """One eigenvalue with its label and optional closed-form value and vector."""
 
     quantum_numbers: Optional[QuantumNumbers]
@@ -83,8 +80,7 @@ class SpectralLine:
         return weighted_level(self.quantum_numbers)
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     lines: tuple[SpectralLine, ...]
     strict: bool
     basis: GradedBasis
@@ -250,8 +246,7 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(NamedTuple):
     lines: tuple[SpectralLine, ...]
     defective_blocks: tuple[dict, ...]
     basis: GradedBasis
@@ -338,8 +333,7 @@ def attach_closed_form(
 ) -> list[SpectralLine]:
     """Pair each labeled line with its closed-form energy."""
     return [
-        replace(
-            line,
+        line._replace(
             closed_form_energy=None
             if line.quantum_numbers is None
             else closed_form_energy(model, line.quantum_numbers, params),
@@ -392,8 +386,7 @@ def match_energy_multisets(
     return AffineFit(scale, offset, False)
 
 
-@dataclass(frozen=True)
-class AffineFit:
+class AffineFit(NamedTuple):
     scale: Fraction
     offset: Fraction
     exact: bool

@@ -4,8 +4,8 @@ Each suite checks the claims the library is built around and returns a
 JSON-ready report with a top-level ``passed`` flag and per-check
 witness data on failure.  A suite passes when the claims hold, which
 for the tau-frame triangularity means passing on *finding* a violation.
-Only the oracle, limit and a66 suites import ``oracle`` (and with it
-``gauge`` and ``sampling``).  Operators and flags come from ``models``
+Only the oracle, limit and a66 suites import ``oracle``, ``gauge``,
+``sampling`` and ``invariants``.  Operators and flags come from ``models``
 and ``flags``, not the CLI; bad input is a ``ValueError`` (CLI exit 64).
 """
 
@@ -15,13 +15,13 @@ from fractions import Fraction
 
 from .errors import DerivationError
 from .flags import (
+    MINIMAL_CHARVEC,
     ambiguity_search,
     is_triangular,
     parse_charvec,
     preserves_flag,
     scan_characteristic_vectors,
 )
-from .invariants import MINIMAL_CHARVEC, t_polys, tau_polys
 from .models import (
     RATIONAL,
     ModelParams,
@@ -108,6 +108,7 @@ def verify_limit(args, params: ModelParams) -> dict:
     """The beta^2 -> 0 limit as two exact identities, for every x and every
     coupling: the periodic invariants become the harmonic ones, and the trig
     tables, scaled, the rational tables at omega = 0.  No argument enters."""
+    from .invariants import t_polys, tau_polys
     from .oracle import _limit_in_t, _rational_to_trig_ratio
 
     zero, ratio = Fraction(0), _rational_to_trig_ratio()

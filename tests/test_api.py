@@ -3,6 +3,9 @@ fails here.  Update the snapshot only together with the README."""
 
 import inspect
 import types
+from fractions import Fraction as F
+
+import pytest
 
 import f4solv
 from f4solv import SecondOrderOp
@@ -12,14 +15,15 @@ from f4solv import SecondOrderOp
 #: constant
 PUBLIC = {
     "Calibration": (
-        "(model: 'str', scale: 'Fraction', offset: 'Fraction', drift_sign: 'int') -> None"
+        "(model: ForwardRef('str'), scale: ForwardRef('Fraction'), "
+        "offset: ForwardRef('Fraction'), drift_sign: ForwardRef('int'))"
     ),
     "CalibrationError": "F4SolvError(*args)",
     "ClosureError": "F4SolvError(*args)",
     "DerivationError": "F4SolvError(*args)",
     "EigenReport": (
-        "(lines: 'tuple[SpectralLine, ...]', defective_blocks: 'tuple[dict, ...]', "
-        "basis: 'GradedBasis') -> None"
+        "(lines: ForwardRef('tuple[SpectralLine, ...]'), "
+        "defective_blocks: ForwardRef('tuple[dict, ...]'), basis: ForwardRef('GradedBasis'))"
     ),
     "F4SolvError": "Exception(*args)",
     "FrameError": "F4SolvError(*args)",
@@ -32,8 +36,8 @@ PUBLIC = {
     "MPoly": "(frame: 'str', terms: 'Mapping[Exp, Scalar] | None' = None)",
     "MapError": "F4SolvError(*args)",
     "MatrixResult": (
-        "(matrix: 'RatMatrix', closed: 'bool', witness: 'Optional[tuple[Exp, Exp, "
-        "Fraction]]') -> None"
+        "(matrix: ForwardRef('RatMatrix'), closed: ForwardRef('bool'), "
+        "witness: ForwardRef('Optional[tuple[Exp, Exp, Fraction]]'))"
     ),
     "ModelParams": (
         "(nu: 'Fraction', mu: 'Fraction', omega: 'Optional[Fraction]' = None, "
@@ -49,9 +53,10 @@ PUBLIC = {
     ),
     "SingularMapError": "MapError(*args)",
     "SpectralLine": (
-        "(quantum_numbers: 'Optional[QuantumNumbers]', eigenvalue: 'Fraction', "
-        "closed_form_energy: 'Optional[Fraction]' = None, "
-        "eigenfunction: 'Optional[MPoly]' = None) -> None"
+        "(quantum_numbers: ForwardRef('Optional[QuantumNumbers]'), "
+        "eigenvalue: ForwardRef('Fraction'), "
+        "closed_form_energy: ForwardRef('Optional[Fraction]') = None, "
+        "eigenfunction: ForwardRef('Optional[MPoly]') = None)"
     ),
     "TRIG": None,
     "VarMap": "(source: 'str', target: 'str', images: 'Sequence[MPoly]')",
@@ -162,3 +167,109 @@ def test_exported_signatures_are_pinned():
 
 def test_change_variables_signature_is_pinned():
     assert str(inspect.signature(SecondOrderOp.change_variables)) == CHANGE_VARIABLES
+
+
+def _records():
+    """One instance of each result record, built from realistic fields."""
+    from f4solv import flags, models, operators, oracle, spectral
+    from f4solv.linalg import RatMatrix
+    from f4solv.poly import MPoly
+
+    basis = flags.enumerate_basis((1, 2, 2, 3), 3)
+    params = models.ModelParams(1, "1/3", omega=1)
+    prepared = oracle.PreparedOracle("rational", params)
+    psi = MPoly.monomial("t", (1, 0, 0, 0))
+    line = spectral.SpectralLine((1, 0, 0, 0), F(-2), F(3), psi)
+    minimal = (1, 2, 2, 3)
+    return [
+        basis,
+        flags.FlagVerdict(False, {"monomial": [0, 0, 0, 1]}),
+        flags.TriangularVerdict(True, True, True),
+        flags.ScanResult((minimal,), (minimal,), {(1, 1, 1, 1): {"monomial": [0, 1, 0, 0]}}),
+        flags.AmbiguityFinding((F(1, 2),) + (F(0),) * 6, ((1, 2, 3, 4),)),
+        params,
+        operators.MatrixResult(RatMatrix([[F(1), F(2)], [F(0), F(3)]]), True, None),
+        oracle.Calibration("rational", F(1), F(-1, 2), 1),
+        prepared.poly(psi),
+        prepared.point((F(1, 2), F(-4, 3), F(1), F(2, 3))),
+        line,
+        spectral.SpectrumResult((line,), True, basis, RatMatrix([[F(-2)]])),
+        spectral.EigenReport((line,), (), basis),
+        spectral.AffineFit(F(2), F(1, 3), True),
+    ]
+
+
+def _field_names(record) -> tuple:
+    return getattr(record, "_fields", None) or type(record).__slots__
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+class TestRecords:
+    """The result records are immutable values: fixed fields, equality by
+    field, and ``len`` of a basis is its dimension."""
+
+    def test_every_record_is_covered(self):
+        assert len({type(r).__name__ for r in _records()}) == 14
+
+    def test_assigning_a_field_raises(self):
+        for record in _records():
+            for name in _field_names(record):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
+
+    def test_equal_fields_give_equal_records(self):
+        for record in _records():
+            values = [getattr(record, name) for name in _field_names(record)]
+            twin = type(record)(*values)
+            assert twin == record and not twin != record
+            if all(map(_hashable, values)):
+                assert hash(twin) == hash(record)
+
+    def test_a_basis_has_the_length_of_its_monomials(self):
+        from f4solv import enumerate_basis
+
+        basis = enumerate_basis((1, 2, 2, 3), 3)
+        assert len(basis) == len(basis.monomials) == 9
+        assert basis.index()[basis.monomials[4]] == 4
+
+    def test_model_params_hold_fractions(self):
+        from f4solv import ModelParams
+
+        params = ModelParams(1, "1/3")
+        assert (params.nu, params.mu, params.omega, params.beta2) == (F(1), F(1, 3), None, None)
+        assert all(type(v) is F for v in (params.nu, params.mu))
+        assert type(ModelParams(1, 2, beta2="-1/4").beta2) is F
+        assert params == ModelParams(F(1), F(1, 3)) != ModelParams(1, "1/3", omega=1)
+        with pytest.raises(TypeError):
+            ModelParams(None, 1)  # only omega and beta2 may be None
+
+    def test_with_omega_keeps_every_other_field(self):
+        from f4solv import ModelParams
+
+        params = ModelParams("5/2", "1/7", beta2="1/4")
+        rational = params.with_omega()
+        assert (rational.nu, rational.mu, rational.omega, rational.beta2) == (
+            F(5, 2), F(1, 7), F(1), F(1, 4))
+        assert type(rational.omega) is F
+        assert rational.with_omega() is rational
+
+    def test_attach_closed_form_keeps_every_other_field(self):
+        from f4solv.spectral import SpectralLine, attach_closed_form, closed_form_energy
+
+        records = _records()
+        params, line = records[5], records[10]
+        unlabeled = SpectralLine(None, line.eigenvalue, line.closed_form_energy, line.eigenfunction)
+        labeled, bare = attach_closed_form([line, unlabeled], "rational", params)
+        energy = closed_form_energy("rational", line.quantum_numbers, params)
+        assert energy != line.closed_form_energy
+        assert labeled == SpectralLine(line.quantum_numbers, line.eigenvalue, energy,
+                                       line.eigenfunction)
+        assert bare == SpectralLine(None, line.eigenvalue, None, line.eigenfunction)
+        assert labeled.eigenfunction is line.eigenfunction

@@ -468,29 +468,42 @@ for argv in (
         assert proc.returncode == 0, proc.stderr
 
     def test_import_budget(self):
-        # fresh processes: the package import loads no module, a spectrum
-        # loads neither the oracle side nor mpmath, and the suites that
+        # fresh processes: the package import loads no module, no command
+        # adds dataclasses or inspect (a site hook may preload modules, so
+        # only those added since start-up count), the spectrum path loads
+        # neither invariants nor the oracle side, and the suites that
         # compare no oracle values load no module of the oracle side
         script = """
 import contextlib, io, sys
+before = set(sys.modules)
 import f4solv
 assert not {"f4solv.flags", "f4solv.spectral", "f4solv.oracle", "mpmath"} & set(sys.modules)
 from f4solv.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(sys.argv[2:]) == 0
-loaded = set(sys.argv[1].split()) & set(sys.modules)
+loaded = set(sys.argv[1].split()) & (set(sys.modules) - before)
 assert not loaded, loaded
 """
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         trig = ["--model", "trig", "--nu", "1/3", "--mu", "1/8", "--beta2", "1/4"]
-        oracle_side = "f4solv.oracle f4solv.gauge f4solv.sampling mpmath"
-        runs = [(f"{oracle_side} f4solv.verify", ["spectrum", *argv, "--level", "3"])
+        startup = "dataclasses inspect"
+        oracle_side = f"{startup} f4solv.oracle f4solv.gauge f4solv.sampling mpmath"
+        spectral_side = f"{oracle_side} f4solv.invariants"
+        runs = [(f"{spectral_side} f4solv.verify", [command, *argv, "--level", "3"])
+                for command in ("spectrum", "eigenfunctions")
                 for argv in (["--model", "rational"], [*trig, "--frame", "rho"],
                              [*trig, "--frame", "native"])]
-        runs += [(oracle_side, ["verify", "--suite", suite, *argv]) for suite, argv in (
+        runs += [(spectral_side, ["verify", "--suite", suite, *argv]) for suite, argv in (
             ("flag", ["--model", "rational"]), ("flag", [*trig, "--frame", "rho"]),
             ("triangular", trig), ("scan", ["--model", "rational"]))]
+        runs += [(spectral_side, ["scan-flags", *argv, "--bound", "4"])
+                 for argv in (["--model", "rational", "--ambiguity-search"], trig)]
+        runs += [(oracle_side, ["dump-operator", *argv])
+                 for argv in (["--model", "rational"], [*trig, "--frame", "rho"])]
+        runs += [(f"{startup} mpmath", ["verify", "--suite", suite, *argv]) for suite, argv in (
+            ("oracle", ["--model", "rational", "--points", "2"]),
+            ("oracle", [*trig, "--points", "2"]), ("limit", []), ("a66", []))]
         for forbidden, argv in runs:
             proc = subprocess.run([sys.executable, "-c", script, forbidden, *argv],
                                   env=env, capture_output=True, text=True, timeout=120)
