@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .linalg import RatMatrix
 from .models import ambiguity_map
 from .operators import SecondOrderOp, op_matrix
-from .poly import DISPLAY_WEIGHTS as MINIMAL_CHARVEC, Exp, term_order_key, weighted_grade
+from .poly import DISPLAY_WEIGHTS as MINIMAL_CHARVEC, Exp, Frozen, term_order_key, weighted_grade
 
 CharVector = tuple[int, int, int, int]
 
@@ -57,28 +57,15 @@ def parse_charvec(text: str) -> CharVector:
     return f
 
 
-class GradedBasis:
+class GradedBasis(Frozen):
     """Ordered monomial basis of a flag member; ``len`` is its dimension."""
 
     __slots__ = ("f", "n", "monomials", "frame")
 
     def __init__(self, f: CharVector, n: int, monomials: tuple[Exp, ...], frame: str = "t") -> None:
-        for name, value in zip(self.__slots__, (f, n, monomials, frame)):
-            object.__setattr__(self, name, value)
+        self._init(f, n, monomials, frame)
 
     __init__.__annotations__["return"] = None  # signature shows "-> None", not a postponed string
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _values(self) -> tuple:
-        return (self.f, self.n, self.monomials, self.frame)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is GradedBasis else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def index(self) -> dict[Exp, int]:
         return {m: i for i, m in enumerate(self.monomials)}

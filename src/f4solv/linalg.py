@@ -62,11 +62,6 @@ class RatMatrix:
         zero = Fraction(0)  # shared: Fractions are immutable, writers replace entries
         return cls._of([[zero] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        zero, one = Fraction(0), Fraction(1)
-        return cls._of([[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.data[ij[0]][ij[1]]
 
@@ -77,9 +72,6 @@ class RatMatrix:
             and self.cols == other.cols
             and self.data == other.data
         )
-
-    def column(self, j: int) -> list[Fraction]:
-        return [self.data[i][j] for i in range(self.rows)]
 
     def integer_form(self) -> tuple[int, list[list[int]]]:
         """``(d, d * self)`` with a common denominator d, as int rows."""
@@ -258,7 +250,3 @@ def _kernel_basis(rows, leads, free: list[int], n: int) -> Optional[list[list[in
         v = _divide_content(v + [0] * (n - f - 1))  # coprime, positive first nonzero entry
         basis.append([-x for x in v] if next(x for x in v if x) < 0 else v)
     return basis
-
-
-def rank(matrix: RatMatrix) -> int:
-    return len(_bareiss_echelon(_integer_rows(matrix.data)[1])[1])

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .errors import SingularMapError
 from .operators import SecondOrderOp
-from .poly import MPoly, VarMap, build_triangular_map
+from .poly import Frozen, MPoly, VarMap, build_triangular_map
 
 RATIONAL = "rational"
 TRIG = "trig"
@@ -35,29 +35,17 @@ MODELS = (RATIONAL, TRIG)
 F = Fraction
 
 
-class ModelParams:
+class ModelParams(Frozen):
     """Exact model parameters as ``Fraction``; omega is rational-model only, beta2 trig only."""
 
     __slots__ = ("nu", "mu", "omega", "beta2")
 
     def __init__(self, nu: Fraction, mu: Fraction, omega: Optional[Fraction] = None,
                  beta2: Optional[Fraction] = None) -> None:
-        for name, value in zip(self.__slots__, (Fraction(nu), Fraction(mu), omega, beta2)):
-            object.__setattr__(self, name, None if value is None else Fraction(value))
+        self._init(Fraction(nu), Fraction(mu),
+                   *(None if v is None else Fraction(v) for v in (omega, beta2)))
 
     __init__.__annotations__["return"] = None  # signature shows "-> None", not a postponed string
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _values(self) -> tuple:
-        return (self.nu, self.mu, self.omega, self.beta2)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if type(other) is ModelParams else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def couplings(self, model: str) -> tuple[Fraction, Fraction]:
         if model == RATIONAL:

@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .errors import FrameError, MapError
 from .linalg import RatMatrix
-from .poly import SLOT, VAR_IDS, Exp, MPoly, VarMap, is_inverse_pair, merge_terms
+from .poly import SLOT, VAR_IDS, Exp, Frozen, MPoly, VarMap, is_inverse_pair, merge_terms
 
 #: upper-triangle index pairs in canonical order
 A_PAIRS = tuple((a, b) for i, a in enumerate(VAR_IDS) for b in VAR_IDS[i:])
@@ -28,7 +28,7 @@ A_PAIRS = tuple((a, b) for i, a in enumerate(VAR_IDS) for b in VAR_IDS[i:])
 _QUAD = tuple((i, j) for i in range(4) for j in range(i, 4))
 
 
-class SecondOrderOp:
+class SecondOrderOp(Frozen):
     """Immutable second-order operator with exact polynomial coefficients."""
 
     __slots__ = ("frame", "a", "b", "c", "_images", "_shifts")
@@ -56,15 +56,8 @@ class SecondOrderOp:
                 raise FrameError("coefficient frame mismatch")
             if table is not None and not poly.is_zero():  # A is keyed by (i, j), i <= j
                 table[tuple(sorted(labels)) if table is a_clean else labels[0]] = poly
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "a", a_clean)
-        object.__setattr__(self, "b", b_clean)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_images", {})  # monomial -> image terms
-        object.__setattr__(self, "_shifts", None)  # built by _shift_table
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("SecondOrderOp is immutable")
+        # the image memo (monomial -> image terms), and the shift table _shift_table builds
+        self._init(frame, a_clean, b_clean, c, {}, None)
 
     def __eq__(self, other) -> bool:  # the image memo and shift table are not compared
         return (

@@ -86,10 +86,33 @@ def term_order_key(exp: Exp, weights: Sequence[int] = DISPLAY_WEIGHTS, frame: st
     return (weighted_grade(exp, weights), tuple(-e for e in exp))
 
 
-class MPoly:
+class Frozen:
+    """Base of the immutable values: the fields are the subclass's
+    ``__slots__``, set once by ``_init``; equality and hash go by field."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class MPoly(Frozen):
     """Immutable sparse polynomial in four tagged variables."""
 
-    __slots__ = ("frame", "terms", "_hash")
+    __slots__ = ("frame", "terms")
 
     def __init__(self, frame: str, terms: Mapping[Exp, Scalar] | None = None):
         if frame not in FRAME_VARS:
@@ -103,9 +126,7 @@ class MPoly:
                 c = Fraction(coeff)
                 if c:
                     clean[exp] = c
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        self._init(frame, clean)
 
     @classmethod
     def _trusted(cls, frame: str, terms: dict[Exp, Fraction]) -> "MPoly":
@@ -113,11 +134,7 @@ class MPoly:
         out = object.__new__(cls)
         object.__setattr__(out, "frame", frame)
         object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "_hash", None)
         return out
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("MPoly is immutable")
 
     # -- constructors ---------------------------------------------------
 
@@ -267,12 +284,8 @@ class MPoly:
             return NotImplemented
         return self.frame == other.frame and self.terms == other.terms
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.frame, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __hash__(self) -> int:
+        return hash((self.frame, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -422,7 +435,7 @@ class EvalPlan:
         return 0 if acc is None else acc
 
 
-class VarMap:
+class VarMap(Frozen):
     """A substitution sending each source-frame variable to a target-frame polynomial."""
 
     __slots__ = ("source", "target", "images")
@@ -438,12 +451,7 @@ class VarMap:
                 raise MapError(
                     f"image frame {img.frame!r} does not match target {target!r}"
                 )
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("VarMap is immutable")
+        self._init(source, target, images)
 
     @classmethod
     def identity(cls, frame: str) -> "VarMap":

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Sequence
+
+try:  # the C function json.encoder re-exports, without loading json's decoder
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter built without the accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 from .operators import A_PAIRS, SecondOrderOp
 from .poly import MPoly

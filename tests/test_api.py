@@ -273,3 +273,40 @@ class TestRecords:
                                        line.eigenfunction)
         assert bare == SpectralLine(None, line.eigenvalue, None, line.eigenfunction)
         assert labeled.eigenfunction is line.eigenfunction
+
+
+class TestFrozenValues:
+    """Polynomials, substitutions and operators share the records' base:
+    no field can be assigned, and maps and polynomials are values."""
+
+    def test_assigning_a_field_raises(self):
+        from f4solv.poly import MPoly, VarMap
+
+        p = MPoly.variable("t", 0)
+        for value in (p, VarMap.identity("t"), SecondOrderOp("t", {}, {1: p})):
+            for name in type(value).__slots__:
+                with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                    setattr(value, name, getattr(value, name))
+
+    def test_equal_maps_are_equal_and_hash_equal(self):
+        from f4solv.poly import MPoly, VarMap
+
+        images = [MPoly.variable("rho", s) + s for s in range(4)]
+        fwd, twin = VarMap("t", "rho", images), VarMap("t", "rho", list(images))
+        assert fwd == twin and not fwd != twin and hash(fwd) == hash(twin)
+        assert fwd != VarMap("tau", "rho", images)
+
+    def test_insertion_order_does_not_change_a_polynomial_hash(self):
+        from f4solv.poly import MPoly
+
+        terms = {(1, 0, 0, 0): F(1, 2), (0, 2, 0, 1): F(-3), (0, 0, 0, 0): F(7)}
+        p, q = MPoly("t", terms), MPoly("t", dict(reversed(terms.items())))
+        assert list(p.terms) != list(q.terms)
+        assert p == q and hash(p) == hash(q)
+
+    def test_init_takes_one_value_per_field(self):
+        from f4solv.poly import MPoly
+
+        for values in (("t",), ("t", {}, None)):
+            with pytest.raises(ValueError):
+                MPoly.__new__(MPoly)._init(*values)

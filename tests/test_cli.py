@@ -469,10 +469,11 @@ for argv in (
 
     def test_import_budget(self):
         # fresh processes: the package import loads no module, no command
-        # adds dataclasses or inspect (a site hook may preload modules, so
-        # only those added since start-up count), the spectrum path loads
-        # neither invariants nor the oracle side, and the suites that
-        # compare no oracle values load no module of the oracle side
+        # adds dataclasses, inspect or json (none here reads --params; a
+        # site hook may preload modules, so only those added since start-up
+        # count), the spectrum path loads neither invariants nor the oracle
+        # side, and the suites that compare no oracle values load no module
+        # of the oracle side
         script = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -487,7 +488,7 @@ assert not loaded, loaded
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         trig = ["--model", "trig", "--nu", "1/3", "--mu", "1/8", "--beta2", "1/4"]
-        startup = "dataclasses inspect"
+        startup = "dataclasses inspect json json.decoder json.scanner"
         oracle_side = f"{startup} f4solv.oracle f4solv.gauge f4solv.sampling mpmath"
         spectral_side = f"{oracle_side} f4solv.invariants"
         runs = [(f"{spectral_side} f4solv.verify", [command, *argv, "--level", "3"])

@@ -9,7 +9,6 @@ from f4solv.linalg import (
     _echelon_nullspace,
     _triangular_nullspace,
     nullspace,
-    rank,
     solve,
     solve_with_rank,
 )
@@ -127,19 +126,18 @@ def systems(draw, max_dim=6):
 
 
 def test_identity_solve_returns_rhs():
-    m = RatMatrix.identity(4)
+    m = RatMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     rhs = [F(3), F(-1, 2), F(0), F(7, 3)]
     assert solve(m, rhs) == rhs
 
 
-def test_zero_and_identity_rows_are_independent():
+def test_zero_rows_are_independent():
     z = RatMatrix.zero(3, 2)
     assert (z.rows, z.cols) == (3, 2)
     assert z == RatMatrix([[0, 0]] * 3)
     z.data[0][1] = F(5)
-    assert z.column(1) == [5, 0, 0]
-    assert RatMatrix.identity(3) == RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert all(type(v) is F for row in RatMatrix.identity(3).data for v in row)
+    assert [row[1] for row in z.data] == [5, 0, 0]
+    assert all(type(v) is F for row in z.data for v in row)
 
 
 def test_zero_matrix_nullspace_is_full():
@@ -161,7 +159,7 @@ def test_underdetermined_particular_solution():
 def test_rank_reported():
     m = RatMatrix([[1, 2], [2, 4], [0, 1]])
     _, r = solve_with_rank(m, [F(0), F(0), F(0)])
-    assert r == 2 == rank(m)
+    assert r == 2 == len(gauss_jordan(m.data)[1])
 
 
 @settings(max_examples=60)
@@ -170,7 +168,7 @@ def test_nullspace_vectors_annihilate(m):
     basis = nullspace(m)
     for v in basis:
         assert all(val == 0 for val in mul_vector(m, v))
-    assert len(basis) == m.cols - rank(m)
+    assert len(basis) == m.cols - len(gauss_jordan(m.data)[1])
 
 
 @settings(max_examples=60)

@@ -12,30 +12,46 @@ from f4solv.serialize import dumps
 
 #: every code point: non-ASCII, control characters and lone surrogates
 TEXT = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"]))
+#: one character of each kind the quoting treats apart: plain ASCII, a quote,
+#: a backslash, a control character, non-ASCII in the BMP, an astral
+#: character (a surrogate pair when escaped) and a lone surrogate
+FEW = st.text(st.sampled_from(["a", '"', "\\", "\x07", "\u00e9", "\U0001f600", "\ud800"]))
 INTS = st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
-#: the leaves of an exact payload: rationals are written as strings, never floats
-LEAVES = st.none() | st.booleans() | INTS | TEXT
 
 
-def containers(children):
+def leaves(text):
+    """The leaves of an exact payload: rationals are written as strings, never floats."""
+    return st.none() | st.booleans() | INTS | text
+
+
+def containers(children, text, max_size=None):
     return st.one_of(
-        st.lists(children),
-        st.lists(children).map(tuple),
-        st.lists(INTS),  # the writer joins all-int lists in one call
-        st.dictionaries(TEXT, children),
+        st.lists(children, max_size=max_size),
+        st.lists(children, max_size=max_size).map(tuple),
+        st.lists(INTS, max_size=max_size),  # the writer joins all-int lists in one call
+        st.dictionaries(text, children, max_size=max_size),
     )
-
-
-JSON = st.recursive(LEAVES, containers, max_leaves=40)
 
 
 def reference(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+#: nested values, narrow but deep: few characters, at most three entries a level
+NESTED = st.recursive(leaves(FEW), lambda children: containers(children, FEW, 3), max_leaves=40)
+#: a leaf or one level of a container, every key and leaf over every code point
+FLAT = leaves(TEXT) | containers(leaves(TEXT), TEXT)
+
+
 @settings(max_examples=300)
-@given(JSON)
+@given(NESTED)
 def test_dumps_is_the_indented_json_layout(value):
+    assert dumps(value) == reference(value)
+
+
+@settings(max_examples=300)
+@given(FLAT)
+def test_dumps_quotes_every_code_point_in_keys_and_leaves(value):
     assert dumps(value) == reference(value)
 
 

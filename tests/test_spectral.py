@@ -216,6 +216,22 @@ class TestSpectrum:
             )
             assert blocks.irreducible_blocks == ()
 
+    def test_a_block_without_rational_roots_is_recorded(self):
+        # t3 d/dt1 + 2 t1 d/dt3 swaps t1 and t3: the grade-1 block has the
+        # characteristic polynomial x^2 (x^2 - 2), whose x^2 - 2 has no rational root
+        t1, t3 = MPoly.variable("t", 0), MPoly.variable("t", 1)
+        op = SecondOrderOp("t", {}, {1: t3, 3: 2 * t1})
+        spectrum = spectrum_from_matrix(op, (1, 1, 1, 1), 1)
+        assert not spectrum.strict
+        assert [l.eigenvalue for l in spectrum.lines] == [0, 0, 0]
+        assert spectrum.irreducible_blocks == ({
+            "grade": 1,
+            "monomials": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            "matrix": [["0", "2", "0", "0"], ["1", "0", "0", "0"],
+                       ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
+            "unfactored_characteristic": ["1", "0", "-2"],
+        },)
+
     def test_unpreserved_flag_raises_closure_error(self, rational_op):
         with pytest.raises(ClosureError):
             spectrum_from_matrix(rational_op, (1, 1, 1, 1), 4)
