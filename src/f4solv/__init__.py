@@ -18,14 +18,14 @@ _EXPORTS = {
     "flags": """GradedBasis KNOWN_CHARACTERISTIC_VECTORS ambiguity_search enumerate_basis
         flag_dimension is_triangular preserves_flag scan_characteristic_vectors""",
     "gauge": "grad_log_ground_state_rational grad_log_ground_state_trig",
-    "invariants": "MINIMAL_CHARVEC variables_rational variables_trig",
+    "invariants": "variables_rational variables_trig",
     "linalg": "RatMatrix nullspace solve",
     "models": """ModelParams RATIONAL TRIG ambiguity_map build_rational_operator
         build_rho_map build_trig_operator""",
     "operators": "MatrixResult SecondOrderOp op_matrix",
     "oracle": """Calibration calibrate_normalization cartesian_oracle derive_missing_a66
         invariant_reduce oracle_sweep_rational oracle_sweep_trig""",
-    "poly": "MPoly VarMap build_triangular_map",
+    "poly": "MINIMAL_CHARVEC MPoly VarMap build_triangular_map",
     "spectral": """EigenReport SpectralLine closed_form_energy_rational closed_form_energy_trig
         degeneracy_count eigenfunctions fit_energy_affine spectrum_from_matrix""",
 }

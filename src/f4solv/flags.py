@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .linalg import RatMatrix
 from .models import ambiguity_map
 from .operators import SecondOrderOp, op_matrix
-from .poly import DISPLAY_WEIGHTS as MINIMAL_CHARVEC, Exp, Frozen, term_order_key, weighted_grade
+from .poly import MINIMAL_CHARVEC, Exp, Frozen, format_fraction, term_order_key, weighted_grade
 
 CharVector = tuple[int, int, int, int]
 
@@ -145,7 +145,7 @@ def _first_escape(
             if term_grade > g:
                 witness = {
                     "monomial": list(m),
-                    "offending_term": {"exponents": list(exp), "coeff": str(coeff)},
+                    "offending_term": {"exponents": list(exp), "coeff": format_fraction(coeff)},
                 }
                 return witness, g, term_grade
     return None
@@ -190,7 +190,7 @@ def is_triangular(op: SecondOrderOp, f: Sequence[int], n: int) -> TriangularVerd
             {
                 "row_monomial": list(monos[i]),
                 "col_monomial": list(monos[j]),
-                "value": str(mat.data[i][j]),
+                "value": format_fraction(mat.data[i][j]),
             }
             for j in range(len(monos))
             for i in range(j + 1, len(monos))
@@ -224,10 +224,7 @@ def scan_characteristic_vectors(
     Every candidate's basis is a subset of the unit-weight basis at the
     same level, and the operator's memoized images serve every candidate.
     """
-    if bound < 3:
-        raise ValueError("bound must be at least 3")
-    if n < 4:
-        raise ValueError("scan level must be at least 4")
+    _check_scan_range(bound, n)
     union = enumerate_basis((1, 1, 1, 1), n).monomials
     preserved = []
     witnesses = {}
@@ -246,6 +243,13 @@ def scan_characteristic_vectors(
     return ScanResult(tuple(preserved), tuple(minimal), witnesses)
 
 
+def _check_scan_range(bound: int, n: int) -> None:
+    if bound < 3:
+        raise ValueError("bound must be at least 3")
+    if n < 4:
+        raise ValueError("scan level must be at least 4")
+
+
 def _minimal_antichain(vectors: Iterable[CharVector]) -> list[CharVector]:
     vectors = sorted(vectors)
     minimal = []
@@ -260,6 +264,10 @@ def _minimal_antichain(vectors: Iterable[CharVector]) -> list[CharVector]:
 # -- search over invariant redefinitions ---------------------------------------
 
 
+#: the parameter heights of the grid: single shears, then parameter pairs
+SINGLE_HEIGHT, PAIR_HEIGHT = 4, 2
+
+
 def _grid_values(height: int) -> list[Fraction]:
     values = set()
     for num in range(1, height + 1):
@@ -270,13 +278,13 @@ def _grid_values(height: int) -> list[Fraction]:
     return sorted(values, key=lambda v: (max(abs(v.numerator), v.denominator), v < 0, abs(v)))
 
 
-def _redefinitions(single_height: int, pair_height: int) -> Iterator[tuple[Fraction, ...]]:
+def _redefinitions() -> Iterator[tuple[Fraction, ...]]:
     """The search grid: every single-parameter shear, then parameter pairs."""
-    singles = _grid_values(single_height)
+    singles = _grid_values(SINGLE_HEIGHT)
     for slot in range(7):
         for v in singles:
             yield tuple(v if k == slot else Fraction(0) for k in range(7))
-    pair_vals = _grid_values(pair_height)
+    pair_vals = _grid_values(PAIR_HEIGHT)
     for i, j in combinations(range(7), 2):
         for vi in pair_vals:
             for vj in pair_vals:
@@ -290,47 +298,44 @@ class AmbiguityFinding(NamedTuple):
     def to_json(self) -> dict:
         names = ("a", "b1", "b2", "c1", "c2", "c3", "c4")
         return {
-            "parameters": {k: str(v) for k, v in zip(names, self.parameters)},
+            "parameters": {k: format_fraction(v) for k, v in zip(names, self.parameters)},
             "vectors": [list(f) for f in self.vectors],
         }
 
 
-def ambiguity_search(
-    op: SecondOrderOp,
-    bound: int = 6,
-    n: int = 6,
-    single_height: int = 4,
-    pair_height: int = 2,
-    stop_at_first: bool = True,
-) -> dict:
+def _alternative_flags(op: SecondOrderOp, bound: int, n: int) -> tuple[CharVector, ...]:
+    """The known vectors other than the minimal one whose flag ``op`` preserves
+    through level n, among those with components <= bound, sorted: what a scan
+    at ``bound`` reports of them, without checking the other vectors."""
+    known = set(KNOWN_CHARACTERISTIC_VECTORS) - {MINIMAL_CHARVEC}
+    return tuple(f for f in sorted(known) if max(f) <= bound and preserves_flag(op, f, n))
+
+
+def ambiguity_search(op: SecondOrderOp, bound: int = 6, n: int = 6) -> dict:
     """Search invariant redefinitions that move the operator onto another flag.
 
     Deterministic staged grid: every single-parameter shear with
-    parameter height up to ``single_height``, then parameter pairs up to
-    ``pair_height`` (skipped once a hit is found when ``stop_at_first``).
-    A hit is a redefinition whose transformed operator preserves a known
-    characteristic vector other than the minimal one.  Whatever the grid
-    yields is reported; exhaustion without a hit is a valid outcome.
+    parameter height up to ``SINGLE_HEIGHT``, then parameter pairs up to
+    ``PAIR_HEIGHT``; the search ends at the first hit.  A hit is a
+    redefinition whose transformed operator preserves a known
+    characteristic vector other than the minimal one with components at
+    most ``bound``, as a scan at ``bound`` would report it; only those
+    vectors are checked.  Whatever the grid yields is reported;
+    exhaustion without a hit is a valid outcome.
     """
     if op.frame != "t":
         raise ValueError("the redefinition search is defined in the t frame")
-    targets = set(KNOWN_CHARACTERISTIC_VECTORS) - {MINIMAL_CHARVEC}
-    findings: list[AmbiguityFinding] = []
-    tried = 0
-    for values in _redefinitions(single_height, pair_height):
-        tried += 1
-        fwd, inv = ambiguity_map(*values)
-        scan = scan_characteristic_vectors(op.change_variables(fwd, inv), bound, n)
-        hits = tuple(f for f in scan.preserved if f in targets)
+    _check_scan_range(bound, n)
+    found = []
+    for tried, values in enumerate(_redefinitions(), 1):
+        hits = _alternative_flags(op.change_variables(*ambiguity_map(*values)), bound, n)
         if hits:
-            findings.append(AmbiguityFinding(values, hits))
-            if stop_at_first:
-                break
-
+            found.append(AmbiguityFinding(values, hits).to_json())
+            break
     return {
         "searched": tried,
-        "single_height": single_height,
-        "pair_height": pair_height,
-        "found": [f.to_json() for f in findings],
-        "not_found": not findings,
+        "single_height": SINGLE_HEIGHT,
+        "pair_height": PAIR_HEIGHT,
+        "found": found,
+        "not_found": not found,
     }

@@ -22,12 +22,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
-from .poly import DEGREE_WEIGHTS, DISPLAY_WEIGHTS, MPoly, PowerTable, VarMap
-
-#: the minimal characteristic vector of the preserved flag
-MINIMAL_CHARVEC = DISPLAY_WEIGHTS
-
-HALF = Fraction(1, 2)
+from .poly import MPoly, PowerTable, VarMap
 
 
 def elem_sym_values(vals: Sequence) -> list:
@@ -207,9 +202,3 @@ def is_singular_point(x: Sequence, beta2=None) -> bool:
     if beta2 is None:
         return any(value == 0 for _, value in singular_factors(PowerTable(x).values))
     return any(s == 0 for _, (_, s) in periodic_factors(x, beta2))
-
-
-def half_sum_reflection(x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Reflection through the hyperplane of the root (1,1,1,1)/2."""
-    shift = HALF * sum(Fraction(v) for v in x)
-    return tuple(Fraction(v) - shift for v in x)

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .errors import SingularMapError
 from .operators import SecondOrderOp
-from .poly import Frozen, MPoly, VarMap, build_triangular_map
+from .poly import Frozen, MPoly, VarMap, build_triangular_map, format_fraction
 
 RATIONAL = "rational"
 TRIG = "trig"
@@ -73,7 +73,8 @@ def _warn_windows(model: str, params: ModelParams) -> None:
     for name, value, bound in zip(("g", "g1"), params.couplings(model), (F(-1, 4), F(-1, 8))):
         if value <= bound:
             warnings.warn(
-                f"{model} coupling {name} = {value} outside the physical window {name} > {bound}",
+                f"{model} coupling {name} = {format_fraction(value)} outside the physical window "
+                f"{name} > {bound}",
                 RuntimeWarning,
                 stacklevel=3,
             )

@@ -56,13 +56,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .errors import CalibrationError, DerivationError, ReductionError
 from .flags import enumerate_basis
 from .gauge import grad_log_ground_state_circle, grad_log_ground_state_rational
-from .invariants import (
-    MINIMAL_CHARVEC,
-    circle_points,
-    t_polys,
-    t_varmap,
-    tau_varmap,
-)
+from .invariants import circle_points, t_polys, t_varmap, tau_varmap
 from .linalg import RatMatrix, solve
 from .models import (
     RATIONAL,
@@ -76,7 +70,8 @@ from .models import (
     trig_b_table,
 )
 from .operators import SecondOrderOp
-from .poly import DEGREE_WEIGHTS, VAR_IDS, EvalPlan, MPoly, PowerTable
+from .poly import (DEGREE_WEIGHTS, MINIMAL_CHARVEC, VAR_IDS, EvalPlan, MPoly, PowerTable,
+                   format_fraction)
 from .sampling import SeededSampler
 
 SCALE_CANDIDATES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -239,10 +234,11 @@ def _calibrate(oracle: PreparedOracle, seed: int) -> Calibration:
                 # P = 1 consistency: raw vanishes on constants
                 assert all(oracle.raw(prep_one, pt, drift_sign) == 0 for pt in points[:3])
                 return Calibration(model, s, offset, drift_sign)
-    diag = ", ".join(f"raw({d:+d})={oracle.raw(prep_p1, points[0], d)}" for d in drift_signs)
+    diag = ", ".join(f"raw({d:+d})={format_fraction(oracle.raw(prep_p1, points[0], d))}"
+                     for d in drift_signs)
     raise CalibrationError(
         f"no admissible scale matches the {model} operator; "
-        f"first point diagnostics: alg={alg[0]}, {diag}"
+        f"first point diagnostics: alg={format_fraction(alg[0])}, {diag}"
     )
 
 
@@ -356,7 +352,8 @@ def _rational_to_trig_ratio() -> Fraction:
             ratio = r
         if lpoly * ratio != rpoly:
             raise DerivationError(
-                f"tables are not proportional at entry {key}: ratio {r} vs {ratio}"
+                f"tables are not proportional at entry {key}: "
+                f"ratio {format_fraction(r)} vs {format_fraction(ratio)}"
             )
     return ratio
 
@@ -380,6 +377,11 @@ def _comparisons(
         del image, prep  # before the next polynomial's plans are built
 
 
+#: the flag level of the swept polynomials; the entry check below covers
+#: what they leave out
+SWEEP_LEVEL = 4
+
+
 def _entry_mismatches(op: SecondOrderOp, cal: Calibration, points: Sequence[tuple]) -> list:
     """The operator's table entries against the oracle's weights at each
     (point, ``OraclePoint``) pair: scale m_cd / denominator = (2 - delta_cd)
@@ -396,8 +398,9 @@ def _entry_mismatches(op: SecondOrderOp, cal: Calibration, points: Sequence[tupl
         weights = [cal.scale * Fraction(w, pt.denominator) for w in pt.weights[cal.drift_sign]]
         for name, plan, weight in zip(names, plans, weights + [cal.offset]):
             if (value := plan(table)) != weight:
-                failures.append({"entry": name, "point": [str(v) for v in x],
-                                 "algebraic": str(value), "oracle": str(weight)})
+                failures.append({"entry": name, "point": [format_fraction(v) for v in x],
+                                 "algebraic": format_fraction(value),
+                                 "oracle": format_fraction(weight)})
     return failures
 
 
@@ -412,7 +415,6 @@ def _sweep(
     n_points: int,
     n_polys: int,
     seed: int,
-    level: int,
     extra_polys: Sequence[MPoly] = (),
 ) -> dict:
     """Both sweeps: random polynomials of the flag level at seeded points,
@@ -422,7 +424,7 @@ def _sweep(
     op = build_rational_operator(params) if model == RATIONAL else build_trig_operator(params)
     oracle = PreparedOracle(model, params)
     cal = _calibrate(oracle, seed)
-    basis = enumerate_basis(MINIMAL_CHARVEC, level)
+    basis = enumerate_basis(MINIMAL_CHARVEC, SWEEP_LEVEL)
     sampler = SeededSampler(seed)
     polys = [
         sampler.polynomial(op.frame, basis.monomials) for _ in range(n_polys)
@@ -435,16 +437,16 @@ def _sweep(
             failures.append(
                 {
                     "poly_index": pi,
-                    "point": [str(v) for v in x],
-                    "algebraic": str(lhs),
-                    "oracle": str(rhs),
+                    "point": [format_fraction(v) for v in x],
+                    "algebraic": format_fraction(lhs),
+                    "oracle": format_fraction(rhs),
                 }
             )
     failures += _entry_mismatches(op, cal, points)
     return {
         "model": model,
-        "scale": str(cal.scale),
-        "offset": str(cal.offset),
+        "scale": format_fraction(cal.scale),
+        "offset": format_fraction(cal.offset),
         "drift_sign": cal.drift_sign,
         "points": n_points,
         "polynomials": len(polys),
@@ -459,13 +461,12 @@ def oracle_sweep_rational(
     n_points: int = 20,
     n_polys: int = 5,
     seed: int = 0,
-    level: int = 4,
     extra_polys: Sequence[MPoly] = (),
 ) -> dict:
     """Exact oracle-versus-operator comparison for the rational model, at
     rational points; ``passed`` is true only if every comparison is an
     exact equality."""
-    return _sweep(RATIONAL, params, n_points, n_polys, seed, level, extra_polys)
+    return _sweep(RATIONAL, params, n_points, n_polys, seed, extra_polys)
 
 
 def oracle_sweep_trig(
@@ -473,10 +474,9 @@ def oracle_sweep_trig(
     n_points: int = 20,
     n_polys: int = 5,
     seed: int = 0,
-    level: int = 4,
 ) -> dict:
     """Exact oracle-versus-operator comparison for the periodic model, at
     points given by their unit-circle parameters
     (``invariants.circle_points``); ``passed`` is true only if every
     comparison is an exact equality."""
-    return _sweep(TRIG, params, n_points, n_polys, seed, level)
+    return _sweep(TRIG, params, n_points, n_polys, seed)

@@ -28,6 +28,7 @@ labels to tuple positions.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence, Union
@@ -52,8 +53,8 @@ SLOT = {1: 0, 3: 1, 4: 2, 6: 3}
 
 ZERO_EXP: Exp = (0, 0, 0, 0)
 
-#: default display weights: the minimal characteristic vector (``MINIMAL_CHARVEC``)
-DISPLAY_WEIGHTS = (1, 2, 2, 3)
+#: the minimal characteristic vector of the preserved flag, which also orders terms for display
+MINIMAL_CHARVEC = (1, 2, 2, 3)
 #: degree of each invariant variable in the squared coordinates
 DEGREE_WEIGHTS = (1, 3, 4, 6)
 
@@ -68,7 +69,27 @@ def weighted_grade(exp: Sequence[int], weights: Sequence[int]) -> int:
     )
 
 
-def term_order_key(exp: Exp, weights: Sequence[int] = DISPLAY_WEIGHTS, frame: str = "t"):
+def format_fraction(value: Fraction) -> str:
+    """The value as "n" or "n/d", in full.
+
+    Exact results can have more digits than Python's int-to-str limit
+    (4300 by default), so the limit is lifted for them while they are
+    formatted; parsing keeps it.
+    """
+    if type(value) not in (Fraction, int):  # str of either is already "n" or "n/d"
+        value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def term_order_key(exp: Exp, weights: Sequence[int], frame: str):
     """Canonical ordering key: grade ascending, then lexicographic descending.
 
     The intra-grade direction is frame-dependent, chosen so that every
@@ -157,8 +178,8 @@ class MPoly(Frozen):
         return cls(frame, {tuple(exp): Fraction(1)})
 
     @classmethod
-    def monomial(cls, frame: str, exp: Sequence[int], coeff: Scalar = 1) -> "MPoly":
-        return cls(frame, {tuple(exp): Fraction(coeff)})
+    def monomial(cls, frame: str, exp: Sequence[int]) -> "MPoly":
+        return cls(frame, {tuple(exp): Fraction(1)})
 
     # -- basic queries ---------------------------------------------------
 
@@ -174,10 +195,11 @@ class MPoly(Frozen):
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
-    def sorted_terms(self, weights: Sequence[int] = DISPLAY_WEIGHTS):
+    def sorted_terms(self):
+        """The terms in the frame's canonical order under ``MINIMAL_CHARVEC``."""
         return sorted(
             self.terms.items(),
-            key=lambda kv: term_order_key(kv[0], weights, self.frame),
+            key=lambda kv: term_order_key(kv[0], MINIMAL_CHARVEC, self.frame),
         )
 
     # -- arithmetic -------------------------------------------------------
@@ -303,13 +325,13 @@ class MPoly(Frozen):
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             if not factors:
-                body = str(coeff)
+                body = format_fraction(coeff)
             elif coeff == 1:
                 body = "*".join(factors)
             elif coeff == -1:
                 body = "-" + "*".join(factors)
             else:
-                body = str(coeff) + "*" + "*".join(factors)
+                body = format_fraction(coeff) + "*" + "*".join(factors)
             chunks.append(body)
         out = chunks[0]
         for c in chunks[1:]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -12,29 +11,10 @@ except ImportError:  # an interpreter built without the accelerator
     from json.encoder import encode_basestring_ascii as _quote
 
 from .operators import A_PAIRS, SecondOrderOp
-from .poly import MPoly
+from .poly import VAR_IDS, MPoly, format_fraction  # format_fraction: re-exported
 
 if TYPE_CHECKING:  # spectral is loaded by the commands that compute spectra
     from .spectral import SpectralLine
-
-def format_fraction(value: Fraction) -> str:
-    """The value as "n" or "n/d", in full.
-
-    Exact results can have more digits than Python's int-to-str limit
-    (4300 by default), so the limit is lifted for them while they are
-    formatted; parsing keeps it.
-    """
-    if type(value) not in (Fraction, int):  # str of either is already "n" or "n/d"
-        value = Fraction(value)
-    try:
-        return str(value)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(value)
-        finally:
-            sys.set_int_max_str_digits(limit)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -74,7 +54,7 @@ def operator_to_json(op: SecondOrderOp) -> dict:
         ],
         "B": [
             {"a": a, "poly": mpoly_to_json(op.b[a])}
-            for a in (1, 3, 4, 6)
+            for a in VAR_IDS
             if a in op.b
         ],
         "C": mpoly_to_json(op.c),

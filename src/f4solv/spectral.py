@@ -29,7 +29,7 @@ from .flags import GradedBasis, flag_matrix, grade_counts
 from .linalg import RatMatrix, _integer_rows, nullspace
 from .models import RATIONAL, ModelParams
 from .operators import SecondOrderOp
-from .poly import DEGREE_WEIGHTS, Exp, MPoly, weighted_grade
+from .poly import DEGREE_WEIGHTS, Exp, MPoly, format_fraction, weighted_grade
 
 QuantumNumbers = Exp
 
@@ -116,8 +116,8 @@ def _block_spectrum(basis: GradedBasis, mat: RatMatrix) -> SpectrumResult:
                 {
                     "grade": g,
                     "monomials": [list(m) for m in basis.monomials[start:stop]],
-                    "matrix": [[str(v) for v in row] for row in block],
-                    "unfactored_characteristic": [str(c) for c in leftover],
+                    "matrix": [[format_fraction(v) for v in row] for row in block],
+                    "unfactored_characteristic": [format_fraction(c) for c in leftover],
                 }
             )
     lines.sort(key=lambda line: line.eigenvalue)
@@ -281,7 +281,8 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
     for lam in sorted(algebraic):
         scaled_lam = lam * scale
         if scaled_lam.denominator != 1:
-            raise F4SolvError(f"eigenvalue {lam} of the operator times {scale} is not an integer")
+            raise F4SolvError(f"eigenvalue {format_fraction(lam)} of the operator times "
+                              f"{format_fraction(scale)} is not an integer")
         kernel, defect = _eigenspace(mat, lam, algebraic[lam])
         if defect:
             defects.append(defect)
@@ -296,7 +297,7 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
                     residual[e] = residual.get(e, 0) + c * v
                 residual[m] = residual.get(m, 0) - scaled_lam.numerator * c
             if any(residual.values()):
-                raise F4SolvError(f"nonzero residual for eigenvalue {lam}")
+                raise F4SolvError(f"nonzero residual for eigenvalue {format_fraction(lam)}")
             out.append(SpectralLine(_leading_label(vec, basis), lam, eigenfunction=psi))
     return EigenReport(tuple(out), tuple(defects), basis)
 
@@ -308,7 +309,7 @@ def _eigenspace(
     kernel = nullspace(mat.minus_scalar_identity(lam))
     if len(kernel) < multiplicity:
         return kernel, {
-            "eigenvalue": str(lam),
+            "eigenvalue": format_fraction(lam),
             "algebraic_multiplicity": multiplicity,
             "geometric_multiplicity": len(kernel),
         }
@@ -406,9 +407,9 @@ def fit_energy_affine(lines: Sequence[SpectralLine]) -> AffineFit:
             mismatches.append(
                 {
                     "quantum_numbers": list(l.quantum_numbers),
-                    "eigenvalue": str(l.eigenvalue),
-                    "closed_form": str(l.closed_form_energy),
-                    "predicted": str(predicted),
+                    "eigenvalue": format_fraction(l.eigenvalue),
+                    "closed_form": format_fraction(l.closed_form_energy),
+                    "predicted": format_fraction(predicted),
                 }
             )
     return AffineFit(scale, offset, not mismatches, tuple(mismatches))

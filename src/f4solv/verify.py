@@ -138,40 +138,27 @@ def verify_a66(args, params: ModelParams) -> dict:
 
     rat_params = params.with_omega()
     table_entry = rational_a_table()[(6, 6)]
-    checks = []
+    agree = "pullback route and trigonometric limit agree exactly"
     try:
         derived = derive_missing_a66(rat_params, seed=args.seed)
-        checks.append(
-            _check(
-                "pullback route and trigonometric limit agree exactly",
-                True,
-                coefficient=mpoly_to_json(derived),
-            )
-        )
     except DerivationError as exc:
-        checks.append(_check("pullback route and trigonometric limit agree exactly", False, error=str(exc)))
-        return _report("a66", checks, table_entry=mpoly_to_json(table_entry))
-    checks.append(
-        _check("both routes equal the tabulated entry", derived == table_entry)
-    )
-
-    # the completed operator must stand up to the oracle on inputs that
-    # actually reach the tabulated (6,6) entry (second derivatives in t6)
-    heavy = [
-        MPoly.monomial("t", (0, 0, 0, 2)),
-        MPoly.monomial("t", (1, 0, 0, 2)),
-        MPoly.monomial("t", (0, 1, 0, 2)),
-    ]
-    sweep = oracle_sweep_rational(
-        rat_params, n_points=10, n_polys=2, seed=args.seed, extra_polys=heavy
-    )
-    checks.append(
-        _check(
-            "completed operator passes the oracle on t6^2-dependent inputs",
-            sweep["passed"],
-            failures=sweep["failures"],
+        checks = [_check(agree, False, error=str(exc))]
+    else:
+        # the completed operator must stand up to the oracle on inputs that
+        # actually reach the tabulated (6,6) entry (second derivatives in t6)
+        heavy = [MPoly.monomial("t", e) for e in ((0, 0, 0, 2), (1, 0, 0, 2), (0, 1, 0, 2))]
+        sweep = oracle_sweep_rational(
+            rat_params, n_points=10, n_polys=2, seed=args.seed, extra_polys=heavy
         )
-    )
+        checks = [
+            _check(agree, True, coefficient=mpoly_to_json(derived)),
+            _check("both routes equal the tabulated entry", derived == table_entry),
+            _check(
+                "completed operator passes the oracle on t6^2-dependent inputs",
+                sweep["passed"],
+                failures=sweep["failures"],
+            ),
+        ]
     return _report("a66", checks, table_entry=mpoly_to_json(table_entry))
 
 

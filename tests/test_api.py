@@ -66,8 +66,7 @@ PUBLIC = {
         "VarMap]'"
     ),
     "ambiguity_search": (
-        "(op: 'SecondOrderOp', bound: 'int' = 6, n: 'int' = 6, single_height: 'int' = 4, "
-        "pair_height: 'int' = 2, stop_at_first: 'bool' = True) -> 'dict'"
+        "(op: 'SecondOrderOp', bound: 'int' = 6, n: 'int' = 6) -> 'dict'"
     ),
     "build_rational_operator": "(params: 'ModelParams') -> 'SecondOrderOp'",
     "build_rho_map": "(beta2: 'Fraction') -> 'tuple[VarMap, VarMap]'",
@@ -112,11 +111,11 @@ PUBLIC = {
     "op_matrix": "(op: 'SecondOrderOp', basis) -> 'MatrixResult'",
     "oracle_sweep_rational": (
         "(params: 'ModelParams', n_points: 'int' = 20, n_polys: 'int' = 5, "
-        "seed: 'int' = 0, level: 'int' = 4, extra_polys: 'Sequence[MPoly]' = ()) -> 'dict'"
+        "seed: 'int' = 0, extra_polys: 'Sequence[MPoly]' = ()) -> 'dict'"
     ),
     "oracle_sweep_trig": (
         "(params: 'ModelParams', n_points: 'int' = 20, n_polys: 'int' = 5, "
-        "seed: 'int' = 0, level: 'int' = 4) -> 'dict'"
+        "seed: 'int' = 0) -> 'dict'"
     ),
     "preserves_flag": (
         "(op: 'SecondOrderOp', f: 'Sequence[int]', n: 'int') -> 'FlagVerdict'"

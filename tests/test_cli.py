@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -421,6 +422,40 @@ class TestLongOutput:
         finally:
             sys.set_int_max_str_digits(limit)
         assert closed == scale * eigen + offset
+
+    # nu = 10^4400 or 10^5000 puts coefficients longer than the digit limit
+    # into closure witnesses, and a trig mu of 2200 decimals next to 1/2 a
+    # coupling of 4400 digits into the window warning; all print in full
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("scan-flags", "--nu", "1e4400", "--level", "4"), 0),
+            (("verify", "--suite", "scan", "--nu", "1e5000"), 0),
+            (("verify", "--suite", "flag", "--charvec", "1,1,1", "--nu", "1e5000"), 2),
+            (("verify", "--suite", "triangular", "--model", "rational", "--charvec", "1,1,1",
+              "--nu", "1e5000"), 2),
+            (("spectrum", "--charvec", "1,1,1", "--nu", "1e5000", "--level", "2"), 3),
+            (("dump-operator", "--model", "trig", "--mu", "0.5" + "0" * 2199 + "1"), 0),
+        ],
+        ids=["scan-flags", "verify-scan", "verify-flag", "verify-triangular", "spectrum",
+             "window-warning"],
+    )
+    def test_witness_longer_than_the_digit_limit_prints(self, capsys, argv, code):
+        limit = sys.get_int_max_str_digits()
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert sys.get_int_max_str_digits() == limit
+        if argv[:3] == ("verify", "--suite", "scan"):  # the witnesses stay internal
+            assert json.loads(out)["passed"] and err == ""
+            return
+        longest = max(re.findall(r"-?\d+(?:/\d+)?", out + err), key=len)
+        assert len(longest) > 4300
+        sys.set_int_max_str_digits(0)  # parsing the printed value needs it too
+        try:
+            value = F(longest)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert format_fraction(value) == longest  # a whole rational in lowest terms
 
     def test_argument_longer_than_the_digit_limit_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "spectrum", "--model", "trig", "--nu", "1" + "0" * 5000,

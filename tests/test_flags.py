@@ -1,9 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from f4solv import flags
 from f4solv.flags import (
     KNOWN_CHARACTERISTIC_VECTORS,
+    _alternative_flags,
+    _redefinitions,
     ambiguity_search,
     enumerate_basis,
     flag_dimension,
@@ -12,6 +17,7 @@ from f4solv.flags import (
     scan_characteristic_vectors,
 )
 from f4solv.models import ambiguity_map
+from f4solv.operators import SecondOrderOp
 from f4solv.poly import MPoly, weighted_grade
 
 MINIMAL = (1, 2, 2, 3)
@@ -200,3 +206,43 @@ class TestScan:
         found = report["found"][0]
         vectors = {tuple(v) for v in found["vectors"]}
         assert vectors & (set(KNOWN_CHARACTERISTIC_VECTORS) - {MINIMAL})
+
+
+class TestAmbiguitySearch:
+    """Each redefinition is checked on the known alternative vectors only."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(list(_redefinitions())),
+        st.integers(4, 8),
+        st.integers(4, 8),
+    )
+    def test_alternatives_are_the_full_scan_hits(self, rational_op, values, bound, n):
+        moved = rational_op.change_variables(*ambiguity_map(*values))
+        known = set(KNOWN_CHARACTERISTIC_VECTORS) - {MINIMAL}
+        scan = scan_characteristic_vectors(moved, bound, n)
+        assert _alternative_flags(moved, bound, n) == tuple(
+            f for f in scan.preserved if f in known
+        )
+
+    def test_search_runs_no_full_scan(self, rational_op, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            flags, "scan_characteristic_vectors", lambda *args: calls.append(args)
+        )
+        report = ambiguity_search(rational_op, bound=4, n=4)
+        assert report["searched"] > 1 and not report["not_found"]
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "bound, n, message", [(2, 6, "bound"), (6, 3, "level")], ids=["bound", "level"]
+    )
+    def test_range_errors_come_before_any_redefinition(
+        self, rational_op, monkeypatch, bound, n, message
+    ):
+        def refuse(*args):
+            raise AssertionError("change_variables ran")
+
+        monkeypatch.setattr(SecondOrderOp, "change_variables", refuse)
+        with pytest.raises(ValueError, match=message):
+            ambiguity_search(rational_op, bound=bound, n=n)

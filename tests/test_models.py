@@ -5,12 +5,7 @@ import pytest
 
 from f4solv import oracle
 from f4solv.errors import SingularMapError
-from f4solv.invariants import (
-    half_sum_reflection,
-    sigma_polys,
-    variables_rational,
-    variables_trig,
-)
+from f4solv.invariants import sigma_polys, variables_rational, variables_trig
 from f4solv.models import (
     ModelParams,
     ambiguity_map,
@@ -119,8 +114,9 @@ class TestInvariantMaps:
             assert variables_rational((x[2], x[0], x[3], x[1])) == base
             # sign flips
             assert variables_rational((-x[0], x[1], -x[2], x[3])) == base
-            # reflection through the half-sum hyperplane
-            assert variables_rational(half_sum_reflection(x)) == base
+            # reflection through the hyperplane of the root (1,1,1,1)/2
+            shift = sum(x) / 2
+            assert variables_rational(tuple(v - shift for v in x)) == base
 
     @pytest.mark.parametrize("frame", sorted(FRAME_VARS))
     def test_sigma_polys_follow_the_combinations_order(self, frame):

@@ -16,7 +16,6 @@ from f4solv.gauge import (
 )
 from f4solv.flags import enumerate_basis
 from f4solv.invariants import (
-    DEGREE_WEIGHTS,
     elem_sym_values,
     is_singular_point,
     t_polys,
@@ -35,7 +34,7 @@ from f4solv.oracle import (
     oracle_sweep_trig,
 )
 from f4solv.operators import SecondOrderOp
-from f4solv.poly import EvalPlan, MPoly
+from f4solv.poly import DEGREE_WEIGHTS, EvalPlan, MPoly
 from f4solv.sampling import SeededSampler
 from tests.conftest import RATIONAL_SETS, TRIG_SETS
 

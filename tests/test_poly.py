@@ -11,7 +11,7 @@ from f4solv.errors import FrameError, MapError
 from f4solv.invariants import t_varmap, tau_varmap
 from f4solv.models import ambiguity_map, build_rho_map
 from f4solv.poly import (
-    DISPLAY_WEIGHTS,
+    MINIMAL_CHARVEC,
     ZERO_EXP,
     EvalPlan,
     MPoly,
@@ -300,7 +300,7 @@ def reference_substitute(p: MPoly, varmap: VarMap) -> MPoly:
 
 
 #: exponents of weighted grade at most 6, the operator coefficients' range
-GRADE_6 = [e for e in product(range(7), repeat=4) if weighted_grade(e, DISPLAY_WEIGHTS) <= 6]
+GRADE_6 = [e for e in product(range(7), repeat=4) if weighted_grade(e, MINIMAL_CHARVEC) <= 6]
 
 
 def frame_changes():

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from f4solv.errors import PoleError
 from f4solv.gauge import grad_log_ground_state_rational, grad_log_ground_state_trig, mp_context
-from f4solv.invariants import (
-    POSITIVE_ROOTS,
-    half_sum_reflection,
-    is_singular_point,
-    singular_factors,
-)
+from f4solv.invariants import POSITIVE_ROOTS, is_singular_point, singular_factors
 from f4solv.models import ModelParams
 
 PARAMS = ModelParams(nu=F(1, 3), mu=F(1, 5), omega=F(1), beta2=F(1, 4))
@@ -41,6 +36,12 @@ def flip(k):
         return tuple(-v if i == k else v for i, v in enumerate(x))
 
     return act
+
+
+def half_sum_reflection(x):
+    """Reflection through the hyperplane of the root (1,1,1,1)/2."""
+    shift = sum(x) / 2
+    return tuple(v - shift for v in x)
 
 
 WEYL = [swap(i, j) for i in range(4) for j in range(i + 1, 4)]

@@ -10,8 +10,14 @@ from hypothesis import strategies as st
 
 from f4solv.serialize import dumps
 
-#: every code point: non-ASCII, control characters and lone surrogates
-TEXT = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"]))
+#: every code point: non-ASCII, control characters and lone surrogates.  The
+#: second alphabet keeps lone surrogates frequent and puts them next to the
+#: BMP above them and astral characters, whose UTF-16 order is not their
+#: code-point order.  A text of one ``characters`` alphabet is drawn whole;
+#: a ``one_of`` alphabet would be drawn one character at a time.
+TEXT = st.text(st.characters(exclude_categories=())) | st.text(
+    st.characters(min_codepoint=0xD800, max_codepoint=0x1FFFF, exclude_categories=())
+)
 #: one character of each kind the quoting treats apart: plain ASCII, a quote,
 #: a backslash, a control character, non-ASCII in the BMP, an astral
 #: character (a surrogate pair when escaped) and a lone surrogate
