@@ -184,20 +184,12 @@ def is_triangular(op: SecondOrderOp, f: Sequence[int], n: int) -> TriangularVerd
     flag, basis, mat = flag_matrix(op, f, n)
     if not flag:
         return TriangularVerdict(False, False, False, flag.witness)
-    monos = basis.monomials
-    violation = next(
-        (
-            {
-                "row_monomial": list(monos[i]),
-                "col_monomial": list(monos[j]),
-                "value": format_fraction(mat.data[i][j]),
-            }
-            for j in range(len(monos))
-            for i in range(j + 1, len(monos))
-            if mat.data[i][j]
-        ),
-        None,
-    )
+    below = mat.first_below_diagonal()
+    violation = below and {
+        "row_monomial": list(basis.monomials[below[0]]),
+        "col_monomial": list(basis.monomials[below[1]]),
+        "value": format_fraction(mat[below]),
+    }
     return TriangularVerdict(violation is None, True, True, violation)
 
 
@@ -320,20 +312,23 @@ def ambiguity_search(op: SecondOrderOp, bound: int = 6, n: int = 6) -> dict:
     redefinition whose transformed operator preserves a known
     characteristic vector other than the minimal one with components at
     most ``bound``, as a scan at ``bound`` would report it; only those
-    vectors are checked.  Whatever the grid yields is reported;
-    exhaustion without a hit is a valid outcome.
+    vectors are checked, and without one none is tried.  Whatever the
+    grid yields is reported; exhaustion without a hit is a valid outcome.
     """
     if op.frame != "t":
         raise ValueError("the redefinition search is defined in the t frame")
     _check_scan_range(bound, n)
-    found = []
-    for tried, values in enumerate(_redefinitions(), 1):
+    grid = list(_redefinitions())
+    searched, found = len(grid), []
+    hopeless = all(max(f) > bound for f in KNOWN_CHARACTERISTIC_VECTORS if f != MINIMAL_CHARVEC)
+    for tried, values in enumerate([] if hopeless else grid, 1):
         hits = _alternative_flags(op.change_variables(*ambiguity_map(*values)), bound, n)
         if hits:
+            searched = tried
             found.append(AmbiguityFinding(values, hits).to_json())
             break
     return {
-        "searched": tried,
+        "searched": searched,
         "single_height": SINGLE_HEIGHT,
         "pair_height": PAIR_HEIGHT,
         "found": found,

@@ -1,11 +1,11 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse integer rows.
 
 Every kernel runs over ``int``; ``Fraction`` is only taken and returned.
 Systems are solved by fraction-free (Bareiss) elimination on rows scaled
 to coprime integers: the two-by-two cross elimination step divides
 exactly by the previous pivot, which keeps intermediate entries at
-determinant size.  Back-substitution keeps the vector it solves for
-integral by scaling it wherever a division would leave the integers.
+determinant size.  Sparse back-substitution keeps the vector it solves
+for integral by scaling it wherever a division would leave the integers.
 
 ``solve`` returns ``None`` for inconsistent systems (a no-solution
 signal, not an exception); ``nullspace`` returns a full exact basis,
@@ -19,91 +19,87 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Optional, Sequence
 
 
 class RatMatrix:
-    """Dense row-major matrix of exact rationals.
+    """Matrix of exact rationals: a common denominator d and the rows of d
+    times the matrix as sparse ``{column: int}`` dicts without zeros.  The
+    dense ``Fraction`` rows, ``data``, are built each time they are read."""
 
-    Entries are written only while a matrix is filled: its integer form
-    and its triangularity are found once, on first use, and a shift by
-    ``minus_scalar_identity`` derives both from them (its Fraction rows
-    are built only if read).
-    """
-
-    __slots__ = ("rows", "cols", "_data", "_scaled", "_upper")
+    __slots__ = ("rows", "cols", "_d", "_ints")
 
     def __init__(self, data: Sequence[Sequence[Fraction]]):
         rows = [list(map(Fraction, row)) for row in data]
         width = len(rows[0]) if rows else 0
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        self.rows, self.cols, self._data = len(rows), width, rows
-        self._scaled = self._upper = None
+        d, ints = _integer_rows(rows)
+        self.rows, self.cols, self._d = len(rows), width, d
+        self._ints = [{j: v for j, v in enumerate(row) if v} for row in ints]
 
     @classmethod
-    def _of(cls, data: list[list[Fraction]]) -> "RatMatrix":
-        """A matrix on rows that already hold Fractions: no copy, no checks."""
+    def _sparse(cls, cols: int, d: int, ints: list[dict[int, int]]) -> "RatMatrix":
+        """The matrix ``ints / d`` on sparse integer rows: no copy, no checks."""
         out = cls.__new__(cls)
-        out.rows, out.cols, out._data = len(data), len(data[0]) if data else 0, data
-        out._scaled = out._upper = None
+        out.rows, out.cols, out._d, out._ints = len(ints), cols, d, ints
         return out
 
     @property
     def data(self) -> list[list[Fraction]]:
-        if self._data is None:
-            d, ints = self._scaled
-            self._data = [[Fraction(v, d) for v in row] for row in ints]
-        return self._data
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        zero = Fraction(0)  # shared: Fractions are immutable, writers replace entries
-        return cls._of([[zero] * cols for _ in range(rows)])
+        zero, d = Fraction(0), self._d  # zero is shared: Fractions are immutable
+        return [[Fraction(v, d) if v else zero for v in _dense(r, self.cols)] for r in self._ints]
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.data[ij[0]][ij[1]]
+        return Fraction(self._ints[ij[0]].get(ij[1], 0), self._d)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and _times(self._ints, other._d) == _times(other._ints, self._d)
         )
 
-    def integer_form(self) -> tuple[int, list[list[int]]]:
-        """``(d, d * self)`` with a common denominator d, as int rows."""
-        if self._scaled is None:
-            self._scaled = _integer_rows(self.data)
-        return self._scaled
+    def integer_form(self) -> tuple[int, list[dict[int, int]]]:
+        """``(d, d * self)`` with a common denominator d, as sparse int rows."""
+        return self._d, self._ints
 
     def minus_scalar_identity(self, lam: Fraction) -> "RatMatrix":
+        """``self - lam I`` on a copy of the sparse rows, in O(N + nnz)."""
         if self.rows != self.cols:
             raise ValueError("square matrix required")
-        d, ints = self.integer_form()
+        d = self._d
         k = lam.denominator // gcd(d, lam.denominator)  # makes d * k * lam integral
         shift = lam.numerator * (d * k // lam.denominator)
-        ints = [row[:] for row in ints] if k == 1 else [[k * v for v in row] for row in ints]
-        for i in range(self.rows):
-            ints[i][i] -= shift
-        out = RatMatrix.__new__(RatMatrix)
-        out.rows = out.cols = self.rows
-        out._data, out._scaled, out._upper = None, (d * k, ints), self._upper  # same shape
-        return out
+        ints = _times(self._ints, k)
+        for i, row in enumerate(ints):
+            v = row.pop(i, 0) - shift
+            if v:
+                row[i] = v
+        return RatMatrix._sparse(self.cols, d * k, ints)
+
+    def first_below_diagonal(self) -> Optional[tuple[int, int]]:
+        """``(i, j)`` of the nonzero entry below the diagonal with the lowest
+        column j, then the lowest row i; None for an upper-triangular matrix."""
+        below = min(((j, i) for i, r in enumerate(self._ints) for j in r if j < i), default=None)
+        return below and below[::-1]
 
     def is_upper_triangular(self) -> bool:
-        if self._upper is None:
-            self._upper = _upper_triangular(self.data if self._scaled is None else self._scaled[1])
-        return self._upper
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({self.rows}x{self.cols})"
+        return self.first_below_diagonal() is None
 
 
-def _upper_triangular(data: Sequence[Sequence]) -> bool:
-    return all(not any(row[:i]) for i, row in enumerate(data))
+def _times(ints: Sequence[dict[int, int]], k: int) -> list[dict[int, int]]:
+    """Fresh sparse rows, each entry times k."""
+    return [{j: k * v for j, v in row.items()} for row in ints]
+
+
+def _dense(row: dict[int, int], n: int, k: int = 1) -> list[int]:
+    """The sparse row times k as a dense int row of length n."""
+    out = [0] * n
+    for j, v in row.items():
+        out[j] = k * v
+    return out
 
 
 def _integer_rows(data: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
@@ -117,9 +113,9 @@ def _divide_content(v: list[int]) -> list[int]:
     return [x // g for x in v]
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[dict[int, int]], list[int]]:
     """Fraction-free row echelon of the rows divided by their contents:
-    (echelon rows, pivot columns)."""
+    (the nonzero echelon rows as sparse rows, pivot columns)."""
     m = [_divide_content(row) for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
@@ -147,7 +143,7 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
         prev = p
         pivots.append(c)
         r += 1
-    return m, pivots
+    return [{j: x for j, x in enumerate(row) if x} for row in m[:r]], pivots
 
 
 def solve(matrix: RatMatrix, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
@@ -165,14 +161,16 @@ def solve_with_rank(
     """Like ``solve`` but also reports the coefficient-matrix rank."""
     if len(rhs) != matrix.rows:
         raise ValueError("dimension mismatch")
-    aug = [list(row) + [Fraction(v)] for row, v in zip(matrix.data, rhs)]
-    echelon, pivots = _bareiss_echelon(_integer_rows(aug)[1])
-    n = matrix.cols
+    n, (d, ints), rhs = matrix.cols, matrix.integer_form(), list(map(Fraction, rhs))
+    aug = [_dense(row, n + 1, v.denominator) for row, v in zip(ints, rhs)]
+    for row, v in zip(aug, rhs):  # row i of (matrix | rhs) times d and rhs[i]'s denominator
+        row[n] = d * v.numerator
+    echelon, pivots = _bareiss_echelon(aug)
     if n in pivots:
         return None, len(pivots) - 1  # pivot in the right-hand column
-    v = [0] * n + [-1]  # (x, -1) spans the kernel of (matrix | rhs) with x free = 0
-    _back_substitute(echelon[: len(pivots)], pivots, v)
-    return [Fraction(c, -v[n]) for c in v[:n]], len(pivots)
+    v = {n: -1}  # (x, -1) spans the kernel of (matrix | rhs) with x free = 0
+    _back_substitute(echelon, pivots, v)
+    return [Fraction(v.get(c, 0), -v[n]) for c in range(n)], len(pivots)
 
 
 def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
@@ -193,33 +191,34 @@ def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
     return [[Fraction(x) if x else zero for x in v] for v in basis]
 
 
-def _back_substitute(rows: Sequence[list[int]], leads: Sequence[int], v: list[int]) -> bool:
-    """Fill ``v`` in place, last row first, so that every row annihilates it.
+def _back_substitute(rows: Sequence[dict], leads: Sequence[int], v: dict[int, int]) -> bool:
+    """Fill the sparse vector ``v`` in place, last row first, so that every
+    sparse row annihilates it.
 
-    Row k is zero left of column ``leads[k]``, and ``v`` is zero past its
-    end.  A nonzero lead entry d sets ``v[leads[k]]``, after scaling all of
-    ``v`` by |d| / gcd(acc, d) where d would not divide.  A row with a zero
-    lead entry must already annihilate ``v``, else this returns False.
+    Row k is zero left of column ``leads[k]``, and ``v`` holds entries right
+    of it only.  A nonzero lead entry d sets ``v[leads[k]]``, after scaling
+    all of ``v`` by |d| / gcd(acc, d) where d would not divide.  A row with
+    a zero lead entry must already annihilate ``v``, else this returns False.
     """
-    end = len(v)
     for k in range(len(rows) - 1, -1, -1):
         c, row = leads[k], rows[k]
-        acc = sum(map(mul, row[c + 1:end], v[c + 1:]))
+        acc = sum([x * v[j] for j, x in row.items() if j in v])
         if not acc:
             continue
-        d = row[c]
+        d = row.get(c, 0)
         if not d:
             return False
         s = abs(d) // gcd(acc, d)
         if s > 1:
-            v[:] = [s * x for x in v]
+            for j in v:
+                v[j] *= s
             acc *= s
         v[c] = -acc // d
     return True
 
 
-def _triangular_nullspace(rows: list[list[int]]) -> Optional[list[list[int]]]:
-    """Kernel basis of a square upper-triangular integer matrix by back-substitution.
+def _triangular_nullspace(rows: list[dict[int, int]]) -> Optional[list[list[int]]]:
+    """Kernel basis of a square upper-triangular matrix's sparse int rows by back-substitution.
 
     The free columns lie among the zero-diagonal ones.  For each such
     column f this solves for the kernel vector with 1 at f and 0 at every
@@ -229,11 +228,11 @@ def _triangular_nullspace(rows: list[list[int]]) -> Optional[list[list[int]]]:
     nullity is below the number of zero diagonal entries.
     """
     n = len(rows)
-    return _kernel_basis(rows, range(n), [f for f in range(n) if not rows[f][f]], n)
+    return _kernel_basis(rows, range(n), [f for f in range(n) if f not in rows[f]], n)
 
 
 def _echelon_nullspace(matrix: RatMatrix) -> list[list[int]]:
-    rows, pivots = _bareiss_echelon(matrix.integer_form()[1])
+    rows, pivots = _bareiss_echelon([_dense(row, matrix.cols) for row in matrix.integer_form()[1]])
     free = sorted(set(range(matrix.cols)) - set(pivots))
     return _kernel_basis(rows, pivots, free, matrix.cols)
 
@@ -244,9 +243,11 @@ def _kernel_basis(rows, leads, free: list[int], n: int) -> Optional[list[list[in
     basis = []
     for f in free:
         k = bisect_left(leads, f)
-        v = [0] * f + [1]
+        v = {f: 1}
         if not _back_substitute(rows[:k], leads[:k], v):
             return None
-        v = _divide_content(v + [0] * (n - f - 1))  # coprime, positive first nonzero entry
-        basis.append([-x for x in v] if next(x for x in v if x) < 0 else v)
+        g = gcd(*v.values())
+        if v[min(v)] < 0:  # coprime, positive first nonzero entry
+            g = -g
+        basis.append(_dense({j: x // g for j, x in v.items()}, n))
     return basis

@@ -187,20 +187,21 @@ class MatrixResult(NamedTuple):
 
 
 def op_matrix(op: SecondOrderOp, basis) -> MatrixResult:
-    """Matrix of ``op`` on ``basis``; column j holds the image of monomial j.
-
-    Non-closure is reported, never raised: the flag is false and the
-    witness carries the lowest-grade basis monomial whose image escapes,
-    along with the escaping term.
+    """Matrix of ``op`` on ``basis``, filled from the images' terms: column j
+    holds the image of monomial j.  Non-closure is reported, never raised:
+    the flag is false and the witness carries the lowest-grade basis
+    monomial whose image escapes, along with the escaping term.
     """
     index = basis.index()
-    mat = RatMatrix.zero(len(index), len(index))
+    rows: list[dict[int, Fraction]] = [{} for _ in index]
     witness = None
     for j, m in enumerate(basis.monomials):
         for exp, coeff in op.image(m):
             i = index.get(exp)
             if i is not None:
-                mat.data[i][j] = coeff
+                rows[i][j] = coeff
             elif witness is None:
                 witness = (m, exp, coeff)
-    return MatrixResult(mat, witness is None, witness)
+    d = lcm(*(c.denominator for row in rows for c in row.values()))
+    ints = [{j: c.numerator * (d // c.denominator) for j, c in row.items()} for row in rows]
+    return MatrixResult(RatMatrix._sparse(len(index), d, ints), witness is None, witness)

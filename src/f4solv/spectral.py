@@ -95,19 +95,19 @@ def spectrum_from_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> Spectru
     if not verdict:
         raise ClosureError(f"flag {f} is not preserved: witness {verdict.witness}")
     if mat.is_upper_triangular():
-        lines = tuple(SpectralLine(m, mat.data[j][j]) for j, m in enumerate(basis.monomials))
+        lines = tuple(SpectralLine(m, mat[j, j]) for j, m in enumerate(basis.monomials))
         return SpectrumResult(lines, True, basis, mat)
     return _block_spectrum(basis, mat)
 
 
 def _block_spectrum(basis: GradedBasis, mat: RatMatrix) -> SpectrumResult:
-    # the preserved flag makes the matrix block triangular in the graded order
+    # the preserved flag makes the matrix block triangular: only diagonal blocks go dense
     lines: list[SpectralLine] = []
     irreducible = []
     stop = 0
     for g, run in groupby(basis.grades()):
         start, stop = stop, stop + len(list(run))
-        block = [row[start:stop] for row in mat.data[start:stop]]
+        block = [[mat[i, j] for j in range(start, stop)] for i in range(start, stop)]
         roots, leftover = _rational_eigenvalues(block)
         for lam, mult in roots:
             lines.extend(SpectralLine(None, lam) for _ in range(mult))

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from f4solv import flags
@@ -12,6 +12,7 @@ from f4solv.flags import (
     ambiguity_search,
     enumerate_basis,
     flag_dimension,
+    flag_matrix,
     is_triangular,
     preserves_flag,
     scan_characteristic_vectors,
@@ -111,6 +112,48 @@ class TestTriangularity:
         verdict = is_triangular(rational_op, (1, 1, 1, 1), 4)
         assert not verdict.strict and not verdict.preserved
         assert verdict.violation is not None
+
+
+def dense_violation(basis, data):
+    """The first nonzero entry below the diagonal of the dense rows, column
+    by column, each column top to bottom, as ``is_triangular`` reports it."""
+    n = len(data)
+    return next(
+        (
+            {
+                "row_monomial": list(basis.monomials[i]),
+                "col_monomial": list(basis.monomials[j]),
+                "value": str(data[i][j]),
+            }
+            for j in range(n)
+            for i in range(j + 1, n)
+            if data[i][j]
+        ),
+        None,
+    )
+
+
+class TestViolation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["rational", "tau", "rho", "moved"]),
+        st.sampled_from(list(_redefinitions())),
+        st.integers(0, 8),
+        st.data(),
+    )
+    def test_violation_is_the_dense_column_then_row_scan(
+        self, rational_op, trig_op, rho_op, source, values, n, data
+    ):
+        # the model operators, and the rational one moved by an invariant redefinition
+        models = {"rational": rational_op, "tau": trig_op, "rho": rho_op}
+        op = models.get(source) or rational_op.change_variables(*ambiguity_map(*values))
+        preserved = [f for f in KNOWN_CHARACTERISTIC_VECTORS if preserves_flag(op, f, n)]
+        assume(preserved)
+        f = data.draw(st.sampled_from(preserved))
+        _, basis, mat = flag_matrix(op, f, n)
+        verdict = is_triangular(op, f, n)
+        assert verdict.violation == dense_violation(basis, mat.data)
+        assert verdict.strict == (verdict.violation is None) == mat.is_upper_triangular()
 
 
 def structural_moves(op):
@@ -233,6 +276,16 @@ class TestAmbiguitySearch:
         report = ambiguity_search(rational_op, bound=4, n=4)
         assert report["searched"] > 1 and not report["not_found"]
         assert calls == []
+
+    def test_no_target_vector_tries_no_redefinition(self, rational_op, monkeypatch):
+        # every known alternative has a component of 4 or more
+        def refuse(*args):
+            raise AssertionError("change_variables ran")
+
+        monkeypatch.setattr(SecondOrderOp, "change_variables", refuse)
+        report = ambiguity_search(rational_op, bound=3, n=4)
+        assert report["searched"] == len(list(_redefinitions())) == 910
+        assert report["found"] == [] and report["not_found"]
 
     @pytest.mark.parametrize(
         "bound, n, message", [(2, 6, "bound"), (6, 3, "level")], ids=["bound", "level"]

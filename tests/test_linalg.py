@@ -43,18 +43,29 @@ def matrices(max_dim=5):
 
 @st.composite
 def upper_triangular(draw, max_dim=6):
-    """Diagonal from 2-3 values, so eigenvalues repeat and some are defective."""
-    n = draw(st.integers(min_value=1, max_value=max_dim))
+    """Diagonal from 2-3 values, so eigenvalues repeat and some are defective:
+    up to max_dim x max_dim, or up to 40 x 40 with at most 2 n nonzero
+    entries above the diagonal."""
     values = draw(st.lists(fractions(), min_size=2, max_size=3, unique=True))
-    above = st.one_of(st.just(F(0)), fractions())  # zeros keep some repeats whole
-    return RatMatrix(
-        [
-            [F(0)] * i
-            + [draw(st.sampled_from(values))]
-            + [draw(above) for _ in range(i + 1, n)]
-            for i in range(n)
-        ]
-    )
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=max_dim))
+        above = st.one_of(st.just(F(0)), fractions())  # zeros keep some repeats whole
+        return RatMatrix(
+            [
+                [F(0)] * i
+                + [draw(st.sampled_from(values))]
+                + [draw(above) for _ in range(i + 1, n)]
+                for i in range(n)
+            ]
+        )
+    n = draw(st.integers(min_value=max_dim + 1, max_value=40))
+    data = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        data[i][i] = draw(st.sampled_from(values))
+    position = st.integers(0, n - 2).flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1)))
+    for (i, j), x in draw(st.lists(st.tuples(position, fractions()), max_size=2 * n)):
+        data[i][j] = x
+    return RatMatrix(data)
 
 
 def gauss_jordan(data):
@@ -132,16 +143,17 @@ def test_identity_solve_returns_rhs():
 
 
 def test_zero_rows_are_independent():
-    z = RatMatrix.zero(3, 2)
+    z = RatMatrix([[0, 0]] * 3)
     assert (z.rows, z.cols) == (3, 2)
-    assert z == RatMatrix([[0, 0]] * 3)
-    z.data[0][1] = F(5)
-    assert [row[1] for row in z.data] == [5, 0, 0]
+    view = z.data  # a fresh dense view: writing to it leaves the matrix alone
+    view[0][1] = F(5)
+    assert [row[1] for row in view] == [5, 0, 0]
+    assert z == RatMatrix([[0, 0]] * 3) and z.data == [[0, 0]] * 3
     assert all(type(v) is F for row in z.data for v in row)
 
 
 def test_zero_matrix_nullspace_is_full():
-    basis = nullspace(RatMatrix.zero(3, 3))
+    basis = nullspace(RatMatrix([[0] * 3] * 3))
     assert len(basis) == 3
 
 
@@ -189,13 +201,19 @@ def test_nullspace_matches_gauss_jordan(m):
         assert g == 1
 
 
+def shifted_dense(m, lam):
+    """The rows of m - lam I, computed on the dense Fraction view."""
+    return [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m.data)]
+
+
 @settings(max_examples=150)
 @given(m=upper_triangular())
 def test_triangular_kernel_is_the_nullspace_or_reports_a_defect(m):
     diagonal = [m[i, i] for i in range(m.rows)]
     for lam in set(diagonal):
         shifted = m.minus_scalar_identity(lam)
-        kernel = _echelon_nullspace(shifted)
+        kernel = _echelon_nullspace(RatMatrix(shifted_dense(m, lam)))
+        assert _echelon_nullspace(shifted) == kernel
         got = _triangular_nullspace(shifted.integer_form()[1])
         if len(kernel) < diagonal.count(lam):
             assert got is None
@@ -208,14 +226,16 @@ def test_triangular_kernel_is_the_nullspace_or_reports_a_defect(m):
 @given(m=st.one_of(upper_triangular(), matrices(4).filter(lambda m: m.rows == m.cols)),
        lam=fractions())
 def test_shift_is_derived_over_the_integers(m, lam):
-    # the shift's integer form comes from m's; it must be that of M - lam I
+    # the shift's sparse integer rows come from m's; they must be those of M - lam I
     shifted = m.minus_scalar_identity(lam)
-    expected = [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m.data)]
+    expected = shifted_dense(m, lam)
     d, rows = shifted.integer_form()
-    assert all(type(x) is int for row in rows for x in row)
-    assert rows == [[d * x for x in row] for row in expected]
+    assert all(type(x) is int for row in rows for x in row.values())
+    assert rows == [{j: d * x for j, x in enumerate(row) if x} for row in expected]
     assert shifted.data == expected
-    assert shifted.is_upper_triangular() == m.is_upper_triangular()
+    assert shifted == RatMatrix(expected)
+    below = any(expected[i][j] for i in range(m.rows) for j in range(i))
+    assert shifted.is_upper_triangular() == m.is_upper_triangular() == (not below)
     assert nullspace(shifted) == nullspace(RatMatrix(expected))
 
 

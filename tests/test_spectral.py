@@ -641,17 +641,17 @@ class TestResidualCertificate:
         with pytest.raises(F4SolvError, match="not an integer"):
             eigenfunctions(op, MINIMAL, 2)
 
-    def test_matrix_is_converted_and_scanned_once(self, rho_op, monkeypatch):
-        calls = {"_integer_rows": 0, "_upper_triangular": 0}
-        for name in calls:
-            def counted(*args, _name=name, _original=getattr(linalg, name)):
-                calls[_name] += 1
-                return _original(*args)
+    def test_triangular_frames_never_read_the_dense_view(self, rational_op, rho_op, monkeypatch):
+        # spectra and eigenpairs read entries and sparse rows, never RatMatrix.data
+        def refuse(self):
+            raise AssertionError("RatMatrix.data was read")
 
-            monkeypatch.setattr(linalg, name, counted)
-        report = eigenfunctions(rho_op, MINIMAL, 6)
+        monkeypatch.setattr(RatMatrix, "data", property(refuse))
+        for op in (rational_op, rho_op):
+            assert spectrum_from_matrix(op, MINIMAL, 6).strict
+            report = eigenfunctions(op, MINIMAL, 6)
+            assert len(report.lines) == flag_dimension(MINIMAL, 6) and not report.defective
         assert len({line.eigenvalue for line in report.lines}) > 20
-        assert calls == {"_integer_rows": 1, "_upper_triangular": 1}
 
 
 
