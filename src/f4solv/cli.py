@@ -21,6 +21,7 @@ oracle sweeps compare rational values and the limit suite polynomials.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import warnings
@@ -127,9 +128,12 @@ def load_params(args) -> ModelParams:
         if "beta2" in data:
             beta2 = parse_fraction(data["beta2"])
         args.model = model
-    if model == RATIONAL:
-        if getattr(args, "frame", "native") == "rho":  # every command, ahead of any work
+    if getattr(args, "frame", "native") == "rho":  # every command, ahead of any work
+        if model == RATIONAL:
             raise ValueError("--frame rho applies to the trigonometric model only")
+        if beta2 == 0:
+            raise ValueError("--frame rho needs beta2 != 0: the rho shear is singular there")
+    if model == RATIONAL:
         return ModelParams(nu=nu, mu=mu, omega=omega)
     return ModelParams(nu=nu, mu=mu, beta2=beta2)
 
@@ -280,6 +284,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     try:
         args = parser.parse_args(argv)
+        if args.out:  # open() fails on a missing directory only after all the work
+            try:
+                os.stat(os.path.dirname(os.path.normpath(args.out)) or ".")
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, args.out) from None
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             warnings.showwarning = _show_warning

@@ -18,21 +18,19 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
+from operator import add, mul
 from typing import Sequence
 
 from .poly import MPoly, PowerTable, VarMap
 
 
 def elem_sym_values(vals: Sequence) -> list:
-    """The four elementary symmetric functions of four values."""
-    v1, v2, v3, v4 = vals
-    e1 = v1 + v2 + v3 + v4
-    e2 = v1 * v2 + v1 * v3 + v1 * v4 + v2 * v3 + v2 * v4 + v3 * v4
-    e3 = v1 * v2 * v3 + v1 * v2 * v4 + v1 * v3 * v4 + v2 * v3 * v4
-    e4 = v1 * v2 * v3 * v4
-    return [e1, e2, e3, e4]
+    """The four elementary symmetric functions of four values: the products
+    of k of them in ``combinations`` order, summed left to right (no 0 or 1
+    to start from, so floats, signed zeros included, and mpfs keep their bits)."""
+    return [reduce(add, (reduce(mul, c) for c in combinations(vals, k))) for k in range(1, 5)]
 
 
 def t_from_sigma(sig: Sequence):

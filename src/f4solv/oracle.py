@@ -104,8 +104,7 @@ class OraclePoint(NamedTuple):
     """One point's invariants y and weights, computed once: per drift sign
     the m_cd (``PAIRS`` order), then the n_c, as ints over one denominator."""
 
-    inv: tuple  # where P and its image are evaluated
-    table: PowerTable  # the powers of inv
+    table: PowerTable  # the powers of y, where P and its image are evaluated
     weights: dict  # drift sign -> the 14 weight numerators
     denominator: int
 
@@ -179,8 +178,8 @@ class PreparedOracle:
             en = [v.numerator * (den // v.denominator) for v in e]
             weights[sign] = m + [jet_den * sum(ak * h + ek * j for ak, h, ek, j
                                                in zip(an, hn[c], en, jn[c])) for c in range(4)]
-        inv = tuple(plan(cart_table) for plan in self.images)
-        return OraclePoint(inv, PowerTable(inv), weights, den * jet_den**2)
+        y = PowerTable(plan(cart_table) for plan in self.images)
+        return OraclePoint(y, weights, den * jet_den**2)
 
     def raw(self, poly: OraclePoly, point: OraclePoint, drift_sign: int = 1) -> Fraction:
         """Lap(P o map) + 2 grad(log Psi0) . grad(P o map) at the point."""
@@ -205,7 +204,8 @@ def calibrate_normalization(model: str, params: ModelParams, seed: int = 0) -> C
 
 
 def _calibrate(oracle: PreparedOracle, seed: int) -> Calibration:
-    """``calibrate_normalization`` with a prepared oracle, which the sweeps share."""
+    """``calibrate_normalization`` with a prepared oracle, which the sweeps
+    share: the images of 1 and t1, C and B_1 + C t1, against the weights."""
     model, params = oracle.model, oracle.params
     # built directly: the model builders would repeat their window warning
     if model == RATIONAL:
@@ -216,29 +216,23 @@ def _calibrate(oracle: PreparedOracle, seed: int) -> Calibration:
         drift_signs = (1,)
     sampler = SeededSampler(seed)
     points = [oracle.point(sampler.point(oracle.beta2)) for _ in range(8)]
-    one, p1 = MPoly.one(op.frame), MPoly.variable(op.frame, 0)
-
-    offset_poly = op.apply(one)
-    if not offset_poly.is_constant():
+    if not op.c.is_constant():  # the image of P = 1
         raise CalibrationError("operator image of 1 is not constant")
-    offset = offset_poly.constant_value()
-
-    image = EvalPlan(op.apply(p1))
-    alg = [image(PowerTable(pt.inv)) for pt in points]
-    tvals = [pt.inv[0] for pt in points]
-    prep_one, prep_p1 = oracle.poly(one), oracle.poly(p1)
-    for drift_sign in drift_signs:
-        raws = [oracle.raw(prep_p1, pt, drift_sign) for pt in points]
+    offset = op.c.constant_value()
+    # P = t1 has the one derivative P_1 = 1: its image is B_1 + C t1, raw is n_1 / D
+    b1 = EvalPlan(op.b.get(VAR_IDS[0], MPoly.zero(op.frame)))
+    alg = [b1(pt.table) for pt in points]
+    raws = {sign: [Fraction(pt.weights[sign][len(PAIRS)], pt.denominator) for pt in points]
+            for sign in drift_signs}
+    for drift_sign, raw in raws.items():
         for s in SCALE_CANDIDATES:
-            if all(s * raw + offset * tv == val for raw, tv, val in zip(raws, tvals, alg)):
-                # P = 1 consistency: raw vanishes on constants
-                assert all(oracle.raw(prep_one, pt, drift_sign) == 0 for pt in points[:3])
+            if all(s * r == val for r, val in zip(raw, alg)):
                 return Calibration(model, s, offset, drift_sign)
-    diag = ", ".join(f"raw({d:+d})={format_fraction(oracle.raw(prep_p1, points[0], d))}"
-                     for d in drift_signs)
+    diag = ", ".join(f"raw({d:+d})={format_fraction(raw[0])}" for d, raw in raws.items())
+    image = alg[0] + offset * points[0].table.point[0]
     raise CalibrationError(
         f"no admissible scale matches the {model} operator; "
-        f"first point diagnostics: alg={format_fraction(alg[0])}, {diag}"
+        f"first point diagnostics: alg={format_fraction(image)}, {diag}"
     )
 
 
@@ -373,7 +367,7 @@ def _comparisons(
     for pi, p in enumerate(polys):
         image, prep = EvalPlan(op.apply(p)), oracle.poly(p)
         for x, pt in points:
-            yield pi, x, image(PowerTable(pt.inv)), oracle.value(prep, pt, cal)
+            yield pi, x, image(pt.table), oracle.value(prep, pt, cal)
         del image, prep  # before the next polynomial's plans are built
 
 
@@ -394,10 +388,9 @@ def _entry_mismatches(op: SecondOrderOp, cal: Calibration, points: Sequence[tupl
     entries += [op.b.get(v, MPoly.zero(op.frame)) for v in VAR_IDS] + [op.c]
     plans, failures = [EvalPlan(p) for p in entries], []
     for x, pt in points:
-        table = PowerTable(pt.inv)
         weights = [cal.scale * Fraction(w, pt.denominator) for w in pt.weights[cal.drift_sign]]
         for name, plan, weight in zip(names, plans, weights + [cal.offset]):
-            if (value := plan(table)) != weight:
+            if (value := plan(pt.table)) != weight:
                 failures.append({"entry": name, "point": [format_fraction(v) for v in x],
                                  "algebraic": format_fraction(value),
                                  "oracle": format_fraction(weight)})

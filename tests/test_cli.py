@@ -348,6 +348,46 @@ class TestUsageErrors:
         assert code == 64
 
 
+    @staticmethod
+    def forbid_builds(monkeypatch):
+        def forbidden(params):
+            raise AssertionError("operator built before the usage check")
+
+        for module in (models, oracle):  # build_operator and the oracle sweeps
+            for name in ("build_rational_operator", "build_trig_operator"):
+                monkeypatch.setattr(module, name, forbidden)
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum",), ("eigenfunctions",), ("dump-operator",),
+        ("verify", "--suite", "flag"), ("verify", "--suite", "triangular"),
+        ("verify", "--suite", "oracle"),
+    ], ids=lambda argv: "-".join(argv))
+    def test_rho_frame_at_beta2_zero_is_refused_before_any_build(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        # it exited 3 from the singular shear, after the tau operator was built
+        self.forbid_builds(monkeypatch)
+        cfg = tmp_path / "params.json"
+        cfg.write_text('{"model": "trig", "nu": "1/3", "mu": "1/8", "beta2": "0"}')
+        message = "usage error: --frame rho needs beta2 != 0: the rho shear is singular there\n"
+        for flags in (["--model", "trig", "--beta2", "0"], ["--params", str(cfg)]):
+            assert run(capsys, *argv, "--frame", "rho", *flags) == (64, "", message)
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum",), ("eigenfunctions", "--model", "trig", "--frame", "rho", "--level", "12"),
+        ("verify", "--suite", "oracle"), ("scan-flags",), ("dump-operator",),
+    ], ids=lambda argv: argv[0])
+    def test_out_into_a_missing_directory_is_refused_before_any_build(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        # open() used to raise this only after all the work
+        self.forbid_builds(monkeypatch)
+        for path in (tmp_path / "missing" / "out.json", tmp_path / "a" / "b" / "out.json"):
+            message = f"usage error: [Errno 2] No such file or directory: {str(path)!r}\n"
+            assert run(capsys, *argv, "--out", str(path)) == (64, "", message)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestLayering:
     def test_only_the_cli_imports_the_cli(self):
         # the library decides operators and flags itself: no module below the

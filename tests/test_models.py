@@ -1,11 +1,15 @@
+import struct
 from fractions import Fraction as F
 from itertools import combinations
 
+import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from f4solv import oracle
 from f4solv.errors import SingularMapError
-from f4solv.invariants import sigma_polys, variables_rational, variables_trig
+from f4solv.invariants import elem_sym_values, sigma_polys, variables_rational, variables_trig
 from f4solv.models import (
     ModelParams,
     ambiguity_map,
@@ -125,6 +129,41 @@ class TestInvariantMaps:
             want = [tuple(int(s in combo) for s in range(4)) for combo in combinations(range(4), k)]
             assert list(sigma.terms) == want
             assert all(type(c) is F and c == 1 for c in sigma.terms.values())
+
+    @staticmethod
+    def written_out(vals):
+        """The four elementary symmetric functions, term by term."""
+        v1, v2, v3, v4 = vals
+        return [
+            v1 + v2 + v3 + v4,
+            v1 * v2 + v1 * v3 + v1 * v4 + v2 * v3 + v2 * v4 + v3 * v4,
+            v1 * v2 * v3 + v1 * v2 * v4 + v1 * v3 * v4 + v2 * v3 * v4,
+            v1 * v2 * v3 * v4,
+        ]
+
+    @given(st.lists(st.floats(), min_size=4, max_size=4))
+    @example([-0.0, -0.0, -0.0, -0.0])
+    @example([-0.0, 1.0, 2.0, 3.0])
+    @example([1e16, 1.0, -1e16, 1.0])
+    def test_elem_sym_floats_bit_for_bit(self, vals):
+        def bits(values):
+            return [struct.pack("<d", v) for v in values]
+
+        assert bits(elem_sym_values(vals)) == bits(self.written_out(vals))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
+    def test_elem_sym_mpf_bit_for_bit(self, vals):
+        ctx = mpmath.mp.clone()
+        ctx.prec = 70
+        vals = [ctx.mpf(v) / 3 for v in vals]
+        assert ([v._mpf_ for v in elem_sym_values(vals)]
+                == [v._mpf_ for v in self.written_out(vals)])
+
+    @pytest.mark.parametrize("frame", sorted(FRAME_VARS))
+    def test_elem_sym_mpoly_variables_term_for_term(self, frame):
+        xs = [MPoly.variable(frame, s) for s in range(4)]
+        for got, want in zip(elem_sym_values(xs), self.written_out(xs), strict=True):
+            assert (got.frame, list(got.terms.items())) == (want.frame, list(want.terms.items()))
 
     def test_trig_map_vanishes_at_origin(self):
         assert variables_trig((0.0, 0.0, 0.0, 0.0), 0.5) == (0, 0, 0, 0)

@@ -34,7 +34,7 @@ from f4solv.oracle import (
     oracle_sweep_trig,
 )
 from f4solv.operators import SecondOrderOp
-from f4solv.poly import DEGREE_WEIGHTS, EvalPlan, MPoly
+from f4solv.poly import DEGREE_WEIGHTS, EvalPlan, MPoly, PowerTable
 from f4solv.sampling import SeededSampler
 from tests.conftest import RATIONAL_SETS, TRIG_SETS
 
@@ -117,6 +117,52 @@ def exact_trig_invariants(params, x):
     return tau_from_sigma(elem_sym_values(s), params.beta2)
 
 
+def reference_calibration(model, params, seed):
+    """The calibration by ``apply``: the images of P = 1 and P = t1 at the
+    eight seeded points, each in a fresh power table, against
+    ``PreparedOracle.raw`` of both polynomials.  The tables and the operator
+    class are read through ``oracle``, so a patch there reaches both."""
+    orc = oracle.PreparedOracle(model, params)
+    if model == RATIONAL:
+        op = oracle.SecondOrderOp("t", oracle.rational_a_table(), oracle.rational_b_table(params))
+        drift_signs = (1, -1)
+    else:
+        op = oracle.SecondOrderOp("tau", oracle.trig_a_table(orc.beta2),
+                                  oracle.trig_b_table(params))
+        drift_signs = (1,)
+    sampler = SeededSampler(seed)
+    points = [orc.point(sampler.point(orc.beta2)) for _ in range(8)]
+    one, p1 = MPoly.one(op.frame), MPoly.variable(op.frame, 0)
+    offset_poly = op.apply(one)
+    if not offset_poly.is_constant():
+        raise CalibrationError("operator image of 1 is not constant")
+    offset = offset_poly.constant_value()
+    image = EvalPlan(op.apply(p1))
+    alg = [image(PowerTable(pt.table.point)) for pt in points]
+    tvals = [pt.table.point[0] for pt in points]
+    prep_one, prep_p1 = orc.poly(one), orc.poly(p1)
+    for drift_sign in drift_signs:
+        raws = [orc.raw(prep_p1, pt, drift_sign) for pt in points]
+        for s in oracle.SCALE_CANDIDATES:
+            if all(s * raw + offset * tv == val for raw, tv, val in zip(raws, tvals, alg)):
+                assert all(orc.raw(prep_one, pt, drift_sign) == 0 for pt in points)
+                return oracle.Calibration(model, s, offset, drift_sign)
+    diag = ", ".join(f"raw({d:+d})={oracle.format_fraction(orc.raw(prep_p1, points[0], d))}"
+                     for d in drift_signs)
+    raise CalibrationError(
+        f"no admissible scale matches the {model} operator; "
+        f"first point diagnostics: alg={oracle.format_fraction(alg[0])}, {diag}"
+    )
+
+
+def calibration_outcome(calibrate, model, params, seed):
+    """The ``Calibration``, or the text of the ``CalibrationError``."""
+    try:
+        return calibrate(model, params, seed)
+    except CalibrationError as exc:
+        return str(exc)
+
+
 def spy_on_comparisons(monkeypatch):
     """Record (polynomial, point, calibration, algebraic, oracle) per comparison."""
     seen = []
@@ -150,6 +196,66 @@ class TestCalibration:
     def test_trig_identical_across_parameter_sets(self):
         cals = [calibrate_normalization(TRIG, p) for p in TRIG_SETS]
         assert len({(c.scale, c.offset) for c in cals}) == 1
+
+
+    COUPLINGS = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from([RATIONAL, TRIG]),
+        nu=COUPLINGS,
+        mu=COUPLINGS,
+        omega=st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9),
+        beta2=st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(bool),
+        seed=st.integers(0, 5),
+    )
+    def test_weights_equal_the_apply_reference(self, model, nu, mu, omega, beta2, seed):
+        # B_1 and C read off the prepared weights give the Calibration that the
+        # images of 1 and t1 give, for any couplings and beta2 of either sign
+        params = (ModelParams(nu=nu, mu=mu, omega=omega) if model == RATIONAL
+                  else ModelParams(nu=nu, mu=mu, beta2=beta2))
+        got = calibration_outcome(calibrate_normalization, model, params, seed)
+        assert isinstance(got, oracle.Calibration)
+        assert got == calibration_outcome(reference_calibration, model, params, seed)
+
+    def scale_b1(self, monkeypatch, model, factor):
+        real = getattr(oracle, f"{model}_b_table")
+
+        def scaled(params):
+            table = real(params)
+            table[1] = table[1] * factor
+            return table
+
+        monkeypatch.setattr(oracle, f"{model}_b_table", scaled)
+
+    def add_c(self, monkeypatch, terms):
+        monkeypatch.setattr(oracle, "SecondOrderOp", lambda frame, a, b: SecondOrderOp(
+            frame, a, b, MPoly(frame, terms)))
+
+    @pytest.mark.parametrize("model", [RATIONAL, TRIG])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_scaled_b1_table_fails_as_the_reference(self, monkeypatch, model, seed):
+        params = RATIONAL_SETS[0] if model == RATIONAL else TRIG_SETS[0]
+        self.scale_b1(monkeypatch, model, 3)  # 3/2 and 3 lie outside the candidates
+        got = calibration_outcome(calibrate_normalization, model, params, seed)
+        assert got.startswith(f"no admissible scale matches the {model} operator; "
+                              "first point diagnostics: alg=")
+        assert got == calibration_outcome(reference_calibration, model, params, seed)
+
+    @pytest.mark.parametrize("model", [RATIONAL, TRIG])
+    def test_c_term_reads_as_the_reference(self, monkeypatch, model):
+        params = RATIONAL_SETS[0] if model == RATIONAL else TRIG_SETS[0]
+        self.add_c(monkeypatch, {(0, 0, 0, 0): F(1, 7)})  # a constant C is the offset
+        got = calibration_outcome(calibrate_normalization, model, params, 0)
+        assert got.offset == F(1, 7)
+        assert got == calibration_outcome(reference_calibration, model, params, 0)
+        self.scale_b1(monkeypatch, model, 3)  # the image of t1 is B_1 + C t1
+        got = calibration_outcome(calibrate_normalization, model, params, 0)
+        assert got == calibration_outcome(reference_calibration, model, params, 0)
+        self.add_c(monkeypatch, {(1, 0, 0, 0): F(1, 10**9)})
+        got = calibration_outcome(calibrate_normalization, model, params, 0)
+        assert got == "operator image of 1 is not constant"
+        assert got == calibration_outcome(reference_calibration, model, params, 0)
 
 
 class TestCartesianOracle:
