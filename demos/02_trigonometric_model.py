@@ -28,7 +28,7 @@ f = (1, 2, 2, 3)
 print("== tau frame: flag preserved, NOT triangular ==")
 verdict = is_triangular(op, f, 4)
 print(f"  strictly triangular: {verdict.strict}")
-print(f"  grade-non-increasing (block) form: {verdict.block}")
+print(f"  grade-non-increasing (block) form: {verdict.preserved}")
 print(f"  violating entry: {verdict.violation}")
 
 basis = enumerate_basis(f, 2, frame="tau")

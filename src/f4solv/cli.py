@@ -21,6 +21,7 @@ oracle sweeps compare rational values and the limit suite polynomials.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import re
 import sys
@@ -145,6 +146,20 @@ def parse_flag_request(args):
     if args.level < 0:
         raise ValueError("--level must be non-negative")
     return parse_charvec(args.charvec)
+
+
+def _check_out(path: str) -> None:
+    """Raise the ``OSError`` that ``open(path, "w")`` would, without creating or
+    truncating the file: a missing directory, a directory, no write permission."""
+    try:
+        parent = os.path.join(os.path.dirname(os.path.normpath(path)) or ".", "")
+        os.stat(parent)  # the trailing separator: a file in the directory's place fails too
+        if os.path.isdir(path) or path.endswith(os.sep):  # normpath drops the separator
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def emit(args, text: str) -> None:
@@ -284,11 +299,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     try:
         args = parser.parse_args(argv)
-        if args.out:  # open() fails on a missing directory only after all the work
-            try:
-                os.stat(os.path.dirname(os.path.normpath(args.out)) or ".")
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, args.out) from None
+        if args.out:  # open() would fail only after all the work
+            _check_out(args.out)
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             warnings.showwarning = _show_warning

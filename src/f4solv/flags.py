@@ -60,10 +60,10 @@ def parse_charvec(text: str) -> CharVector:
 class GradedBasis(Frozen):
     """Ordered monomial basis of a flag member; ``len`` is its dimension."""
 
-    __slots__ = ("f", "n", "monomials", "frame")
+    __slots__ = ("f", "monomials")
 
-    def __init__(self, f: CharVector, n: int, monomials: tuple[Exp, ...], frame: str = "t") -> None:
-        self._init(f, n, monomials, frame)
+    def __init__(self, f: CharVector, monomials: tuple[Exp, ...]) -> None:
+        self._init(f, monomials)
 
     __init__.__annotations__["return"] = None  # signature shows "-> None", not a postponed string
 
@@ -92,7 +92,7 @@ def enumerate_basis(f: Sequence[int], n: int, frame: str = "t") -> GradedBasis:
                 for p1 in range(r4 - f[1] * p3 + 1):
                     monos.append((p1, p3, p4, p6))
     monos.sort(key=lambda e: term_order_key(e, f, frame))
-    return GradedBasis(f, n, tuple(monos), frame)
+    return GradedBasis(f, tuple(monos))
 
 
 def grade_counts(f: Sequence[int], n: int) -> list[int]:
@@ -153,8 +153,7 @@ def _first_escape(
 
 class TriangularVerdict(NamedTuple):
     strict: bool
-    block: bool  # grade-non-increasing
-    preserved: bool
+    preserved: bool  # the flag; the matrix is then block triangular
     violation: Optional[dict] = None
 
     def __bool__(self) -> bool:
@@ -179,18 +178,18 @@ def is_triangular(op: SecondOrderOp, f: Sequence[int], n: int) -> TriangularVerd
     Requires flag preservation first; without it the verdict is
     vacuously false and the violation carries the closure witness.  A
     preserved flag never lets an entry raise the grade, so the matrix is
-    then block triangular, and ``block`` equals ``preserved``.
+    then block triangular.
     """
     flag, basis, mat = flag_matrix(op, f, n)
     if not flag:
-        return TriangularVerdict(False, False, False, flag.witness)
+        return TriangularVerdict(False, False, flag.witness)
     below = mat.first_below_diagonal()
     violation = below and {
         "row_monomial": list(basis.monomials[below[0]]),
         "col_monomial": list(basis.monomials[below[1]]),
         "value": format_fraction(mat[below]),
     }
-    return TriangularVerdict(violation is None, True, True, violation)
+    return TriangularVerdict(violation is None, True, violation)
 
 
 class ScanResult(NamedTuple):

@@ -16,16 +16,16 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import add, mul, sub
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple
 
-from .errors import FrameError, MapError
+from .errors import ClosureError, FrameError, MapError
 from .linalg import RatMatrix
 from .poly import SLOT, VAR_IDS, Exp, Frozen, MPoly, VarMap, is_inverse_pair, merge_terms
 
+#: slot pairs (i, j), i <= j: a shift multiplier's products p_i p_j, the oracle's P_ij
+PAIRS = tuple((i, j) for i in range(4) for j in range(i, 4))
 #: upper-triangle index pairs in canonical order
-A_PAIRS = tuple((a, b) for i, a in enumerate(VAR_IDS) for b in VAR_IDS[i:])
-#: slot pairs (i, j), i <= j, of the products p_i p_j in a shift multiplier
-_QUAD = tuple((i, j) for i in range(4) for j in range(i, 4))
+A_PAIRS = tuple((VAR_IDS[i], VAR_IDS[j]) for i, j in PAIRS)
 
 
 class SecondOrderOp(Frozen):
@@ -101,7 +101,7 @@ class SecondOrderOp(Frozen):
         terms = self._images.get(m)
         if terms is None:
             d, table = self._shift_table()
-            q = (1, *m, *[m[i] * m[j] for i, j in _QUAD])
+            q = (1, *m, *[m[i] * m[j] for i, j in PAIRS])
             found = []
             for s, row in table:
                 acc = sum(map(mul, row, q))
@@ -123,7 +123,7 @@ class SecondOrderOp(Frozen):
             parts += [(p, (SLOT[i],), ((1 + SLOT[i], 1),)) for i, p in scaled.b.items()]
             for (i, j), p in scaled.a.items():
                 i, j = SLOT[i], SLOT[j]
-                q = 5 + _QUAD.index((i, j))
+                q = 5 + PAIRS.index((i, j))
                 parts.append((p, (i, j), ((q, 1), (1 + i, -1)) if i == j else ((q, 2),)))
             rows: dict[Exp, list[int]] = {}
             for poly, slots, weights in parts:
@@ -179,29 +179,25 @@ class SecondOrderOp(Frozen):
 
 
 class MatrixResult(NamedTuple):
-    """Matrix of an operator on a graded basis, plus closure information."""
+    """Matrix of an operator on a graded basis."""
 
     matrix: RatMatrix
-    closed: bool
-    witness: Optional[tuple[Exp, Exp, Fraction]]  # (source monomial, escaping term, coeff)
 
 
 def op_matrix(op: SecondOrderOp, basis) -> MatrixResult:
     """Matrix of ``op`` on ``basis``, filled from the images' terms: column j
-    holds the image of monomial j.  Non-closure is reported, never raised:
-    the flag is false and the witness carries the lowest-grade basis
-    monomial whose image escapes, along with the escaping term.
+    holds the image of monomial j.  The basis must be closed under ``op``
+    (``flags.preserves_flag`` decides that): an image term outside it
+    raises ``ClosureError``, naming the monomial and the term's exponents.
     """
     index = basis.index()
     rows: list[dict[int, Fraction]] = [{} for _ in index]
-    witness = None
     for j, m in enumerate(basis.monomials):
         for exp, coeff in op.image(m):
             i = index.get(exp)
-            if i is not None:
-                rows[i][j] = coeff
-            elif witness is None:
-                witness = (m, exp, coeff)
+            if i is None:
+                raise ClosureError(f"the image of monomial {list(m)} leaves the basis: {list(exp)}")
+            rows[i][j] = coeff
     d = lcm(*(c.denominator for row in rows for c in row.values()))
     ints = [{j: c.numerator * (d // c.denominator) for j, c in row.items()} for row in rows]
-    return MatrixResult(RatMatrix._sparse(len(index), d, ints), witness is None, witness)
+    return MatrixResult(RatMatrix._sparse(len(index), d, ints))

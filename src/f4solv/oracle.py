@@ -69,7 +69,7 @@ from .models import (
     trig_a_table,
     trig_b_table,
 )
-from .operators import SecondOrderOp
+from .operators import PAIRS, SecondOrderOp
 from .poly import (DEGREE_WEIGHTS, MINIMAL_CHARVEC, VAR_IDS, EvalPlan, MPoly, PowerTable,
                    format_fraction)
 from .sampling import SeededSampler
@@ -81,14 +81,9 @@ SCALE_CANDIDATES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
 class Calibration(NamedTuple):
     """Empirically determined relation between an operator and its oracle."""
 
-    model: str
     scale: Fraction
     offset: Fraction
     drift_sign: int  # +1: drift -omega x (decaying gauge); -1: drift +omega x
-
-
-#: the pairs c <= d of P's second derivatives P_cd, in the order of the weights
-PAIRS = tuple((c, d) for c in range(4) for d in range(c, 4))
 
 
 class OraclePoly(NamedTuple):
@@ -210,10 +205,8 @@ def _calibrate(oracle: PreparedOracle, seed: int) -> Calibration:
     # built directly: the model builders would repeat their window warning
     if model == RATIONAL:
         op = SecondOrderOp("t", rational_a_table(), rational_b_table(params))
-        drift_signs = (1, -1)
     else:
         op = SecondOrderOp("tau", trig_a_table(oracle.beta2), trig_b_table(params))
-        drift_signs = (1,)
     sampler = SeededSampler(seed)
     points = [oracle.point(sampler.point(oracle.beta2)) for _ in range(8)]
     if not op.c.is_constant():  # the image of P = 1
@@ -223,11 +216,11 @@ def _calibrate(oracle: PreparedOracle, seed: int) -> Calibration:
     b1 = EvalPlan(op.b.get(VAR_IDS[0], MPoly.zero(op.frame)))
     alg = [b1(pt.table) for pt in points]
     raws = {sign: [Fraction(pt.weights[sign][len(PAIRS)], pt.denominator) for pt in points]
-            for sign in drift_signs}
+            for sign in points[0].weights}  # the model's drift orientations
     for drift_sign, raw in raws.items():
         for s in SCALE_CANDIDATES:
             if all(s * r == val for r, val in zip(raw, alg)):
-                return Calibration(model, s, offset, drift_sign)
+                return Calibration(s, offset, drift_sign)
     diag = ", ".join(f"raw({d:+d})={format_fraction(raw[0])}" for d, raw in raws.items())
     image = alg[0] + offset * points[0].table.point[0]
     raise CalibrationError(

@@ -249,7 +249,6 @@ def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
 class EigenReport(NamedTuple):
     lines: tuple[SpectralLine, ...]
     defective_blocks: tuple[dict, ...]
-    basis: GradedBasis
 
     @property
     def defective(self) -> bool:
@@ -299,7 +298,7 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
             if any(residual.values()):
                 raise F4SolvError(f"nonzero residual for eigenvalue {format_fraction(lam)}")
             out.append(SpectralLine(_leading_label(vec, basis), lam, eigenfunction=psi))
-    return EigenReport(tuple(out), tuple(defects), basis)
+    return EigenReport(tuple(out), tuple(defects))
 
 
 def _eigenspace(

@@ -75,7 +75,7 @@ def verify_triangular(args, params: ModelParams) -> dict:
             "trig operator (tau frame) is NOT strictly triangular",
             not verdict.strict,
             violating_entry=verdict.violation,
-            block_triangular=verdict.block,
+            block_triangular=verdict.preserved,
         )
         return _report("triangular", [check], model=args.model)
     verdict = is_triangular(op, f, n)

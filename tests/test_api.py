@@ -15,30 +15,24 @@ from f4solv import SecondOrderOp
 #: constant
 PUBLIC = {
     "Calibration": (
-        "(model: ForwardRef('str'), scale: ForwardRef('Fraction'), "
-        "offset: ForwardRef('Fraction'), drift_sign: ForwardRef('int'))"
+        "(scale: ForwardRef('Fraction'), offset: ForwardRef('Fraction'), "
+        "drift_sign: ForwardRef('int'))"
     ),
     "CalibrationError": "F4SolvError(*args)",
     "ClosureError": "F4SolvError(*args)",
     "DerivationError": "F4SolvError(*args)",
     "EigenReport": (
         "(lines: ForwardRef('tuple[SpectralLine, ...]'), "
-        "defective_blocks: ForwardRef('tuple[dict, ...]'), basis: ForwardRef('GradedBasis'))"
+        "defective_blocks: ForwardRef('tuple[dict, ...]'))"
     ),
     "F4SolvError": "Exception(*args)",
     "FrameError": "F4SolvError(*args)",
-    "GradedBasis": (
-        "(f: 'CharVector', n: 'int', monomials: 'tuple[Exp, ...]', "
-        "frame: 'str' = 't') -> None"
-    ),
+    "GradedBasis": "(f: 'CharVector', monomials: 'tuple[Exp, ...]') -> None",
     "KNOWN_CHARACTERISTIC_VECTORS": None,
     "MINIMAL_CHARVEC": None,
     "MPoly": "(frame: 'str', terms: 'Mapping[Exp, Scalar] | None' = None)",
     "MapError": "F4SolvError(*args)",
-    "MatrixResult": (
-        "(matrix: ForwardRef('RatMatrix'), closed: ForwardRef('bool'), "
-        "witness: ForwardRef('Optional[tuple[Exp, Exp, Fraction]]'))"
-    ),
+    "MatrixResult": "(matrix: ForwardRef('RatMatrix'))",
     "ModelParams": (
         "(nu: 'Fraction', mu: 'Fraction', omega: 'Optional[Fraction]' = None, "
         "beta2: 'Optional[Fraction]' = None) -> None"
@@ -183,17 +177,17 @@ def _records():
     return [
         basis,
         flags.FlagVerdict(False, {"monomial": [0, 0, 0, 1]}),
-        flags.TriangularVerdict(True, True, True),
+        flags.TriangularVerdict(True, True),
         flags.ScanResult((minimal,), (minimal,), {(1, 1, 1, 1): {"monomial": [0, 1, 0, 0]}}),
         flags.AmbiguityFinding((F(1, 2),) + (F(0),) * 6, ((1, 2, 3, 4),)),
         params,
-        operators.MatrixResult(RatMatrix([[F(1), F(2)], [F(0), F(3)]]), True, None),
-        oracle.Calibration("rational", F(1), F(-1, 2), 1),
+        operators.MatrixResult(RatMatrix([[F(1), F(2)], [F(0), F(3)]])),
+        oracle.Calibration(F(1), F(-1, 2), 1),
         prepared.poly(psi),
         prepared.point((F(1, 2), F(-4, 3), F(1), F(2, 3))),
         line,
         spectral.SpectrumResult((line,), True, basis, RatMatrix([[F(-2)]])),
-        spectral.EigenReport((line,), (), basis),
+        spectral.EigenReport((line,), ()),
         spectral.AffineFit(F(2), F(1, 3), True),
     ]
 

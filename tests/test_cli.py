@@ -387,6 +387,47 @@ class TestUsageErrors:
             assert run(capsys, *argv, "--out", str(path)) == (64, "", message)
         assert list(tmp_path.iterdir()) == []
 
+    @staticmethod
+    def open_error(path) -> str:
+        try:
+            open(path, "w").close()
+        except OSError as exc:
+            return f"usage error: {exc}\n"
+        raise AssertionError(f"{path} is writable")
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum",), ("eigenfunctions", "--model", "trig", "--frame", "rho", "--level", "12"),
+        ("verify", "--suite", "oracle"), ("scan-flags",), ("dump-operator",),
+    ], ids=lambda argv: argv[0])
+    def test_out_naming_a_directory_is_refused_before_any_build(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        # rho eigenfunctions at level 12 did its 0.8 s of work before open() raised
+        self.forbid_builds(monkeypatch)
+        (tmp_path / "file").write_text("kept")
+        # a directory, a name that ends in a separator, a file in a directory's place
+        for path in (str(tmp_path), f"{tmp_path}/new/", str(tmp_path / "file" / "out.json")):
+            message = self.open_error(path)
+            assert message.startswith(("usage error: [Errno 21]", "usage error: [Errno 20]"))
+            assert run(capsys, *argv, "--out", path) == (64, "", message)
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept"
+
+    def test_out_into_an_unwritable_directory_is_refused_before_any_build(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        self.forbid_builds(monkeypatch)
+        tmp_path.chmod(0o500)
+        try:
+            if os.access(tmp_path, os.W_OK):
+                pytest.skip("this process may write to a read-only directory (root)")
+            path = tmp_path / "out.json"
+            message = self.open_error(path)
+            assert message.startswith("usage error: [Errno 13]")
+            assert run(capsys, "spectrum", "--out", str(path)) == (64, "", message)
+        finally:
+            tmp_path.chmod(0o700)
+
 
 class TestLayering:
     def test_only_the_cli_imports_the_cli(self):

@@ -95,12 +95,12 @@ class TestPreservation:
 class TestTriangularity:
     def test_rational_strictly_triangular(self, rational_op):
         verdict = is_triangular(rational_op, MINIMAL, 6)
-        assert verdict.strict and verdict.block
+        assert verdict.strict and verdict.preserved
 
     def test_tau_frame_not_triangular_with_witness(self, trig_op):
         verdict = is_triangular(trig_op, MINIMAL, 4)
         assert not verdict.strict
-        assert verdict.block  # never raises the grade, mixes inside it
+        assert verdict.preserved  # never raises the grade, mixes inside it
         entry = verdict.violation
         assert entry is not None and F(entry["value"]) != 0
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f4solv.errors import FrameError, MapError
-from f4solv.flags import enumerate_basis
+from f4solv.errors import ClosureError, FrameError, MapError
+from f4solv.flags import KNOWN_CHARACTERISTIC_VECTORS, enumerate_basis, preserves_flag
 from f4solv.models import (
     ModelParams,
     ambiguity_map,
@@ -282,8 +282,8 @@ class TestImage:
                 return _original(self, *args)
 
             monkeypatch.setattr(SecondOrderOp, name, counted)
-        basis = enumerate_basis((1, 2, 2, 3), 4)
-        ops = [SecondOrderOp("t", {(1, 1): T1}, {3: T1 * T3}, MPoly.constant("t", 2))
+        basis = enumerate_basis((1, 2, 2, 3), 4)  # closed: no term raises the grade
+        ops = [SecondOrderOp("t", {(1, 1): T1}, {3: T1 * T1}, MPoly.constant("t", 2))
                for _ in range(2)]
         first = op_matrix(ops[0], basis)
         assert op_matrix(ops[0], basis) == first
@@ -335,29 +335,30 @@ class TestMatrix:
     def test_level_one_matrix(self, rational_op, rational_params):
         nu, mu, w = rational_params.nu, rational_params.mu, rational_params.omega
         basis = enumerate_basis((1, 2, 2, 3), 1)
-        result = op_matrix(rational_op, basis)
-        assert result.closed
-        m = result.matrix
+        m = op_matrix(rational_op, basis).matrix
         assert m.data == [[0, 24 * (nu + mu + F(1, 6))], [0, 2 * w]]
 
     def test_zero_operator_matrix(self):
         op = SecondOrderOp("t", {}, {})
         basis = enumerate_basis((1, 2, 2, 3), 3)
         result = op_matrix(op, basis)
-        assert result.closed
         assert all(v == 0 for row in result.matrix.data for v in row)
 
-    def test_non_closure_witnessed_not_raised(self, rational_op):
+    def test_non_closure_raises_naming_the_first_escape(self, rational_op):
         basis = enumerate_basis((1, 1, 1, 1), 2)
-        result = op_matrix(rational_op, basis)
-        assert not result.closed
-        source, escaped, coeff = result.witness
+        # the first escaping term in basis order, found through apply, not image
+        escapes = [
+            (m, exp, coeff)
+            for m in basis.monomials
+            for exp, coeff in sorted(rational_op.apply(MPoly.monomial("t", m)).terms.items())
+            if exp not in basis.index()
+        ]
+        m, exp, coeff = escapes[0]
         assert coeff != 0
-        # lowest-grade witness: every earlier basis monomial stays inside
-        idx = basis.monomials.index(source)
-        for m in basis.monomials[:idx]:
-            image = rational_op.apply(MPoly.monomial("t", m))
-            assert all(exp in basis.index() for exp in image.terms)
+        message = f"the image of monomial {list(m)} leaves the basis: {list(exp)}"
+        with pytest.raises(ClosureError) as caught:
+            op_matrix(rational_op, basis)
+        assert str(caught.value) == message
 
     def test_matrix_reconstructs_images(self, rational_op):
         basis = enumerate_basis((1, 2, 2, 3), 4)
@@ -372,15 +373,25 @@ class TestMatrix:
             )
             assert rebuilt == rational_op.apply(MPoly.monomial("t", mono))
 
+    @staticmethod
+    def fills_where_preserved(op, level):
+        """The flag check's verdict is the matrix's precondition: wherever
+        ``preserves_flag`` holds, ``op_matrix`` fills without raising."""
+        held = []
+        for f in ((1, 1, 1, 1), *KNOWN_CHARACTERISTIC_VECTORS):
+            if preserves_flag(op, f, level):
+                basis = enumerate_basis(f, level, op.frame)
+                assert len(op_matrix(op, basis).matrix.data) == len(basis)
+                held.append(f)
+        assert (1, 2, 2, 3) in held
+
     @pytest.mark.parametrize("level", range(9))
     def test_closure_on_every_level_rational(self, rational_op, level):
-        basis = enumerate_basis((1, 2, 2, 3), level)
-        assert op_matrix(rational_op, basis).closed
+        self.fills_where_preserved(rational_op, level)
 
     @pytest.mark.parametrize("level", range(9))
     def test_closure_on_every_level_trig(self, trig_op, level):
-        basis = enumerate_basis((1, 2, 2, 3), level, frame="tau")
-        assert op_matrix(trig_op, basis).closed
+        self.fills_where_preserved(trig_op, level)
 
 
 class TestChangeVariables:

@@ -146,7 +146,7 @@ def reference_calibration(model, params, seed):
         for s in oracle.SCALE_CANDIDATES:
             if all(s * raw + offset * tv == val for raw, tv, val in zip(raws, tvals, alg)):
                 assert all(orc.raw(prep_one, pt, drift_sign) == 0 for pt in points)
-                return oracle.Calibration(model, s, offset, drift_sign)
+                return oracle.Calibration(s, offset, drift_sign)
     diag = ", ".join(f"raw({d:+d})={oracle.format_fraction(orc.raw(prep_p1, points[0], d))}"
                      for d in drift_signs)
     raise CalibrationError(
@@ -397,7 +397,7 @@ class TestExactPeriodicSweep:
         x = tuple(-v if f and sign > 0 else v for v, f in zip(x, flips))
         params = ModelParams(nu=F(1, 3), mu=F(1, 8), beta2=sign * beta2)
         assume(not is_singular_point(x, params.beta2))
-        cal = oracle.Calibration(TRIG, F(1), F(0), 1)
+        cal = oracle.Calibration(F(1), F(0), 1)
         p = MPoly("tau", terms)
         value = cartesian_oracle(TRIG, params, p, x, cal)
         assert close(value, reference_trig(params, p, x, cal)[1])
@@ -410,7 +410,7 @@ def composition_raw(model, params, p, x, drift_sign=1):
     squares (``reference_rational`` at scale 1, offset 0) or at sin and cos
     of theta_k written out from the parameters t_k or r_k (periodic)."""
     if model == RATIONAL:
-        return reference_rational(params, p, x, oracle.Calibration(model, 1, 0, drift_sign))
+        return reference_rational(params, p, x, oracle.Calibration(1, 0, drift_sign))
     beta2 = params.beta2
     if beta2 > 0:  # cos, sin of theta = (1 - t^2, 2t) / (1 + t^2)
         cs = [((1 - F(t) ** 2) / (1 + F(t) ** 2), 2 * F(t) / (1 + F(t) ** 2)) for t in x]
