@@ -52,6 +52,16 @@ _ANY = ((RATIONAL, "native"), (TRIG, "native"), (TRIG, "rho"))
 _SUITES = {"flag": _ANY, "triangular": _ANY, "oracle": _ANY[:2], "limit": _ANY[:2],
            "a66": _ANY[:1], "scan": _ANY[:1]}
 
+#: the options only some subcommands read, with their argparse keywords
+_READ_BY_SOME = {
+    "--level": {"type": int, "default": 4, "help": "flag level n"},
+    "--charvec": {"default": "2,2,3", "help": "a3,a4,a6 of the characteristic vector"},
+    "--seed": {"type": int, "default": 0},
+    "--format": {"choices": ["table", "json", "csv"], "default": "table"},
+    "--frame": {"choices": ["native", "rho"], "default": "native",
+                "help": "operator frame (rho is trig-only)"},
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems must exit 64, not argparse's 2
@@ -62,39 +72,34 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="f4solv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, frame=True):
+    def add_common(p, *reads):
+        """The model, coupling and --out options, and the ``_READ_BY_SOME`` options
+        in ``reads``: a subcommand takes only what it reads, and argparse refuses the rest."""
         p.add_argument("--model", choices=MODELS, default=RATIONAL)
         p.add_argument("--nu", default="1/3", help="coupling parameter (num/den)")
         p.add_argument("--mu", help="coupling parameter (num/den; 1/5 rational, 1/8 trig)")
         p.add_argument("--omega", default="1", help="oscillator frequency (rational model)")
         p.add_argument("--beta2", default="1/4", help="squared inverse period (trig model)")
         p.add_argument("--params", help="JSON parameter file overriding the flags")
-        p.add_argument("--level", type=int, default=4, help="flag level n")
-        p.add_argument("--charvec", default="2,2,3", help="a3,a4,a6 of the characteristic vector")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=["table", "json", "csv"], default="table")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        if frame:
-            p.add_argument(
-                "--frame",
-                choices=["native", "rho"],
-                default="native",
-                help="operator frame (rho is trig-only)",
-            )
+        for name in reads:
+            p.add_argument(name, **_READ_BY_SOME[name])
 
     sp = sub.add_parser("spectrum", help="exact spectrum with closed-form comparison")
-    add_common(sp)
+    add_common(sp, "--level", "--charvec", "--format", "--frame")
 
     ep = sub.add_parser("eigenfunctions", help="exact eigenpairs as JSON")
-    add_common(ep)
+    add_common(ep, "--level", "--charvec", "--frame")
 
     vp = sub.add_parser("verify", help="run a named verification suite")
-    add_common(vp)
+    add_common(vp, "--level", "--charvec", "--seed", "--frame")
     vp.add_argument("--suite", required=True, choices=list(_SUITES))
     vp.add_argument("--points", type=int, default=20)
 
     fp = sub.add_parser("scan-flags", help="characteristic-vector scan")
-    add_common(fp, frame=False)
+    # the scan and its redefinition grid draw nothing at random, but --seed stays:
+    # the bench's certify workload (perfbench/workloads.py) passes it to every command
+    add_common(fp, "--level", "--seed")
     fp.add_argument("--bound", type=int, default=6)
     fp.add_argument(
         "--ambiguity-search",
@@ -103,7 +108,7 @@ def build_parser() -> _Parser:
     )
 
     dp = sub.add_parser("dump-operator", help="operator tables as JSON")
-    add_common(dp)
+    add_common(dp, "--frame")
     return parser
 
 

@@ -5,8 +5,9 @@ diagonal, labeled by the quantum numbers of their basis monomials.
 Block-triangular matrices (grade-non-increasing, with coupling inside a
 grade) are handled per diagonal block: each rational eigenvalue is k / d
 for an integer root k of the characteristic polynomial of ``d * block``,
-found modulo a prime and kept only on exact division; any irrational
-remainder is returned as data, never approximated.  Eigenfunctions come
+found modulo a prime and kept only on exact division.  The models are
+exactly solvable, so a block with an irrational eigenvalue raises
+``F4SolvError``: a spectrum is whole or an error.  Eigenfunctions come
 from exact nullspaces, found by back-substitution in a strictly
 triangular frame.  Every returned pair is re-verified to have an
 identically zero residual.  The characteristic polynomials, the root
@@ -85,7 +86,6 @@ class SpectrumResult(NamedTuple):
     strict: bool
     basis: GradedBasis
     matrix: RatMatrix
-    irreducible_blocks: tuple[dict, ...] = ()
 
 
 def spectrum_from_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> SpectrumResult:
@@ -103,25 +103,19 @@ def spectrum_from_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> Spectru
 def _block_spectrum(basis: GradedBasis, mat: RatMatrix) -> SpectrumResult:
     # the preserved flag makes the matrix block triangular: only diagonal blocks go dense
     lines: list[SpectralLine] = []
-    irreducible = []
     stop = 0
     for g, run in groupby(basis.grades()):
         start, stop = stop, stop + len(list(run))
         block = [[mat[i, j] for j in range(start, stop)] for i in range(start, stop)]
         roots, leftover = _rational_eigenvalues(block)
+        if leftover:
+            factor = ", ".join(map(format_fraction, leftover))
+            raise F4SolvError(f"the grade {g} block's characteristic factor [{factor}] "
+                              "has no rational root")
         for lam, mult in roots:
             lines.extend(SpectralLine(None, lam) for _ in range(mult))
-        if leftover:
-            irreducible.append(
-                {
-                    "grade": g,
-                    "monomials": [list(m) for m in basis.monomials[start:stop]],
-                    "matrix": [[format_fraction(v) for v in row] for row in block],
-                    "unfactored_characteristic": [format_fraction(c) for c in leftover],
-                }
-            )
     lines.sort(key=lambda line: line.eigenvalue)
-    return SpectrumResult(tuple(lines), False, basis, mat, tuple(irreducible))
+    return SpectrumResult(tuple(lines), False, basis, mat)
 
 
 def _char_poly(a: list[list[int]]) -> list[int]:
@@ -153,8 +147,8 @@ def _rational_eigenvalues(
     polynomial q; each rational eigenvalue is k / d for a root k of q with
     |k| at most the row-sum bound of ``d * block`` (Gershgorin).  Roots of
     q modulo a prime are accepted only by exact division.  Returns (roots,
-    leftover), leftover the unfactored remainder when some eigenvalues
-    are irrational, else None.
+    leftover), leftover the monic factor with no rational root (leading
+    coefficient first), which ``_block_spectrum`` refuses, or None.
     """
     d, a = _integer_rows(block)
     poly = _char_poly(a)
@@ -355,18 +349,25 @@ def compare_closed_form(
     return lines, match_energy_multisets([l.eigenvalue for l in lines], energies)
 
 
-def _two_point_fit(pairs: Sequence[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
-    """(scale, offset) of energy = scale * eigenvalue + offset through the
-    first pair and the first pair with another eigenvalue (scale 1 if none)."""
+class AffineFit(NamedTuple):
+    scale: Fraction
+    offset: Fraction
+    exact: bool
+
+
+def _affine_fit(pairs: Sequence[tuple[Fraction, Fraction]]) -> AffineFit:
+    """energy = scale * eigenvalue + offset through the first pair and the
+    first pair with another eigenvalue (scale 1 if none), checked on every pair."""
     g0, p0 = pairs[0]
     other = next(((g, p) for g, p in pairs if g != g0), None)
     scale = Fraction(1) if other is None else (other[1] - p0) / (other[0] - g0)
-    return scale, p0 - scale * g0
+    offset = p0 - scale * g0
+    return AffineFit(scale, offset, all(scale * g + offset == p for g, p in pairs))
 
 
 def match_energy_multisets(
     eigenvalues: Sequence[Fraction], energies: Sequence[Fraction]
-) -> "AffineFit":
+) -> AffineFit:
     """Match two spectra as multisets under one affine relation.
 
     Used when eigenvalues carry no labels (block-triangular frames):
@@ -376,21 +377,9 @@ def match_energy_multisets(
     """
     if len(eigenvalues) != len(energies):
         raise ValueError("spectra have different sizes")
-    got = sorted(eigenvalues)
-    ascending = sorted(energies)
-    for predicted in (ascending, ascending[::-1]):
-        pairs = list(zip(got, predicted))
-        scale, offset = _two_point_fit(pairs)
-        if all(scale * g + offset == p for g, p in pairs):
-            return AffineFit(scale, offset, True)
-    return AffineFit(scale, offset, False)
-
-
-class AffineFit(NamedTuple):
-    scale: Fraction
-    offset: Fraction
-    exact: bool
-    mismatches: tuple[dict, ...] = ()
+    got, ascending = sorted(eigenvalues), sorted(energies)
+    fit = _affine_fit(list(zip(got, ascending)))
+    return fit if fit.exact else _affine_fit(list(zip(got, ascending[::-1])))
 
 
 def fit_energy_affine(lines: Sequence[SpectralLine]) -> AffineFit:
@@ -398,17 +387,4 @@ def fit_energy_affine(lines: Sequence[SpectralLine]) -> AffineFit:
     labeled = [l for l in lines if l.closed_form_energy is not None]
     if not labeled:
         raise ValueError("no labeled lines to fit")
-    scale, offset = _two_point_fit([(l.eigenvalue, l.closed_form_energy) for l in labeled])
-    mismatches = []
-    for l in labeled:
-        predicted = scale * l.eigenvalue + offset
-        if predicted != l.closed_form_energy:
-            mismatches.append(
-                {
-                    "quantum_numbers": list(l.quantum_numbers),
-                    "eigenvalue": format_fraction(l.eigenvalue),
-                    "closed_form": format_fraction(l.closed_form_energy),
-                    "predicted": format_fraction(predicted),
-                }
-            )
-    return AffineFit(scale, offset, not mismatches, tuple(mismatches))
+    return _affine_fit([(l.eigenvalue, l.closed_form_energy) for l in labeled])

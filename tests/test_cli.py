@@ -87,7 +87,7 @@ class TestSpectrumCommand:
         assert header.startswith("p1,p3,p4,p6,level,eigenvalue,closed_form_energy")
 
     def test_byte_identical_reruns(self, capsys):
-        args = ("spectrum", "--level", "3", "--format", "json", "--seed", "0")
+        args = ("spectrum", "--level", "3", "--format", "json")
         code1, out1, _ = run(capsys, *args)
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
@@ -428,6 +428,44 @@ class TestUsageErrors:
         finally:
             tmp_path.chmod(0o700)
 
+    #: every subcommand's options: the model, couplings and --out, and only
+    #: those of the others that the subcommand reads
+    COMMON = ["--model", "--nu", "--mu", "--omega", "--beta2", "--params", "--out"]
+    OPTIONS = {
+        "spectrum": COMMON + ["--level", "--charvec", "--format", "--frame"],
+        "eigenfunctions": COMMON + ["--level", "--charvec", "--frame"],
+        "verify": COMMON + ["--level", "--charvec", "--seed", "--frame", "--suite", "--points"],
+        # --seed is read by no scan; the bench's certify workload passes it
+        "scan-flags": COMMON + ["--level", "--seed", "--bound", "--ambiguity-search"],
+        "dump-operator": COMMON + ["--frame"],
+    }
+
+    def test_each_subcommand_takes_only_the_options_it_reads(self):
+        (sub,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+        options = {
+            name: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+            for name, p in sub.choices.items()
+        }
+        assert options == self.OPTIONS
+        assert sum(map(len, options.values())) == 53
+
+    @pytest.mark.parametrize("argv", [
+        ("eigenfunctions", "--format", "json"),
+        ("verify", "--suite", "flag", "--format", "json"),
+        ("scan-flags", "--format", "json"),
+        ("dump-operator", "--format", "json"),
+        ("scan-flags", "--charvec", "2,2,3"),
+        ("dump-operator", "--charvec", "2,2,3"),
+        ("dump-operator", "--level", "4"),
+        ("spectrum", "--seed", "0"),
+        ("eigenfunctions", "--seed", "0"),
+        ("dump-operator", "--seed", "0"),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_an_option_the_subcommand_does_not_read_is_refused(self, capsys, monkeypatch, argv):
+        self.forbid_builds(monkeypatch)
+        message = f"usage error: unrecognized arguments: {argv[-2]} {argv[-1]}\n"
+        assert run(capsys, *argv) == (64, "", message)
+
 
 class TestLayering:
     def test_only_the_cli_imports_the_cli(self):
@@ -706,7 +744,7 @@ class TestParamsFile:
 
 class TestDumpOperator:
     def test_rational_tables(self, capsys):
-        code, out, _ = run(capsys, "dump-operator", "--format", "json")
+        code, out, _ = run(capsys, "dump-operator")
         assert code == 0
         payload = json.loads(out)
         assert payload["frame"] == "t"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from f4solv import linalg, spectral
 from f4solv.errors import ClosureError, F4SolvError
-from f4solv.flags import flag_dimension
+from f4solv.flags import GradedBasis, flag_dimension
 from f4solv.linalg import RatMatrix
 from f4solv.operators import SecondOrderOp
 from f4solv.poly import MPoly, build_triangular_map
@@ -214,23 +214,23 @@ class TestSpectrum:
             assert sorted(l.eigenvalue for l in blocks.lines) == sorted(
                 l.eigenvalue for l in strict.lines
             )
-            assert blocks.irreducible_blocks == ()
 
-    def test_a_block_without_rational_roots_is_recorded(self):
-        # t3 d/dt1 + 2 t1 d/dt3 swaps t1 and t3: the grade-1 block has the
-        # characteristic polynomial x^2 (x^2 - 2), whose x^2 - 2 has no rational root
+    # t3 d/dt1 + 2 t1 d/dt3 swaps t1 and t3: the grade-1 block has the
+    # characteristic polynomial x^2 (x^2 - 2), whose x^2 - 2 has no rational root
+    SWAP_MESSAGE = r"^the grade 1 block's characteristic factor \[1, 0, -2\] has no rational root$"
+
+    @staticmethod
+    def swap_op():
         t1, t3 = MPoly.variable("t", 0), MPoly.variable("t", 1)
-        op = SecondOrderOp("t", {}, {1: t3, 3: 2 * t1})
-        spectrum = spectrum_from_matrix(op, (1, 1, 1, 1), 1)
-        assert not spectrum.strict
-        assert [l.eigenvalue for l in spectrum.lines] == [0, 0, 0]
-        assert spectrum.irreducible_blocks == ({
-            "grade": 1,
-            "monomials": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-            "matrix": [["0", "2", "0", "0"], ["1", "0", "0", "0"],
-                       ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
-            "unfactored_characteristic": ["1", "0", "-2"],
-        },)
+        return SecondOrderOp("t", {}, {1: t3, 3: 2 * t1})
+
+    def test_a_block_without_rational_roots_raises(self):
+        with pytest.raises(F4SolvError, match=self.SWAP_MESSAGE):
+            spectrum_from_matrix(self.swap_op(), (1, 1, 1, 1), 1)
+
+    def test_eigenfunctions_raise_on_a_block_without_rational_roots(self):
+        with pytest.raises(F4SolvError, match=self.SWAP_MESSAGE):
+            eigenfunctions(self.swap_op(), (1, 1, 1, 1), 1)
 
     def test_unpreserved_flag_raises_closure_error(self, rational_op):
         with pytest.raises(ClosureError):
@@ -407,6 +407,12 @@ class TestBlockSolver:
         roots, leftover = _rational_eigenvalues([[F(1, 3), F(1)], [F(0), F(-7, 5)]])
         assert leftover is None
         assert sorted(roots) == [(F(-7, 5), 1), (F(1, 3), 1)]
+
+    def test_an_eigenvalue_past_every_entry_is_found(self):
+        # eigenvalues 0 and 10, past the largest entry 5: the row-sum bound 10
+        # gives the modulus 23; a bound of 5 would give 11, where 10 reads as -1
+        roots = [(F(0), 1), (F(10), 1)]
+        assert _rational_eigenvalues([[F(5), F(5)], [F(5), F(5)]]) == (roots, None)
 
     def test_zero_block(self):
         # row-sum bound 0: the modulus is 3
@@ -619,6 +625,43 @@ def test_roots_mod_p_are_the_brute_force_roots(case):
     assert [k for k in found if horner(q, k) == 0] == sorted(set(roots))
 
 
+@st.composite
+def planted_block_spectra(draw):
+    """(basis, matrix, g, eigenvalues, irreducible): a grade-0 block [r0] and, at
+    grade g, the companion block of the product of x - r over planted integer
+    roots (repeats allowed), optionally times an ``IRREDUCIBLE`` factor, all
+    over a denominator d, with the rows of the first block coupled to the second."""
+    roots = draw(st.lists(st.integers(-40, 40), max_size=6))
+    q = draw(st.one_of(st.just([1]), st.sampled_from(IRREDUCIBLE)))
+    for r in roots:
+        q = [u - r * v for u, v in zip(q + [0], [0] + q)]
+    r0, d, g = draw(st.integers(-40, 40)), draw(st.integers(1, 12)), draw(st.integers(2, 4))
+    n = len(q) - 1
+    assume(n > 0)
+    # companion matrix: ones below the diagonal, last column -q reversed
+    companion = [[F(int(i == j + 1)) for j in range(n - 1)] + [F(-q[n - i])] for i in range(n)]
+    coupling = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    data = [[F(r0)] + [F(c) for c in coupling]] + [[F(0)] + row for row in companion]
+    matrix = RatMatrix([[v / d for v in row] for row in data])
+    grade_g = [m for m in product(range(g + 1), repeat=4) if sum(m) == g][:n]
+    basis = GradedBasis((1, 1, 1, 1), ((0, 0, 0, 0), *grade_g))
+    planted = sorted(F(r, d) for r in [r0] + roots)
+    return basis, matrix, g, planted, len(q) - 1 > len(roots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=planted_block_spectra())
+def test_block_spectrum_recovers_planted_roots_or_names_the_grade(case):
+    basis, matrix, g, planted, irreducible = case
+    if irreducible:
+        with pytest.raises(F4SolvError, match=f"^the grade {g} block's characteristic factor"):
+            spectral._block_spectrum(basis, matrix)
+    else:
+        spectrum = spectral._block_spectrum(basis, matrix)
+        assert not spectrum.strict
+        assert [line.eigenvalue for line in spectrum.lines] == planted
+
+
 class TestResidualCertificate:
     # a fresh operator each time: the tests below corrupt its image memo
     def corrupt_diagonal(self, params, shift):
@@ -702,5 +745,6 @@ def test_affine_fit_flags_mismatches():
         SpectralLine((2, 0, 0, 0), F(4), F(6)),
     ]
     fit = fit_energy_affine(lines)
+    # through the first two lines: 1 * eigenvalue + 1, which predicts 5 at 4
+    assert (fit.scale, fit.offset) == (1, 1)
     assert not fit.exact
-    assert fit.mismatches
