@@ -175,10 +175,9 @@ def emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, params: ModelParams) -> int:
     from .spectral import compare_closed_form, spectrum_from_matrix
 
-    params = load_params(args)
     f = parse_flag_request(args)
     op = build_operator(args.model, args.frame, params)
     spectrum = spectrum_from_matrix(op, f, args.level)
@@ -229,10 +228,9 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def cmd_eigenfunctions(args) -> int:
+def cmd_eigenfunctions(args, params: ModelParams) -> int:
     from .spectral import eigenfunctions
 
-    params = load_params(args)
     f = parse_flag_request(args)
     op = build_operator(args.model, args.frame, params)
     report = eigenfunctions(op, f, args.level)
@@ -247,23 +245,22 @@ def cmd_eigenfunctions(args) -> int:
     return EXIT_ANOMALY if report.defective else EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, params: ModelParams) -> int:
     from . import verify as verify_mod
 
-    params = load_params(args)
     if (args.model, args.frame) not in _SUITES[args.suite]:
         raise ValueError(
             f"--suite {args.suite} certifies no {args.model} operator in the {args.frame} frame"
         )
+    parse_flag_request(args)  # every suite refuses a bad --level or --charvec, as spectrum does
     report = getattr(verify_mod, f"verify_{args.suite}")(args, params)
     emit(args, dumps(report))
     return EXIT_OK if report["passed"] else EXIT_MISMATCH
 
 
-def cmd_scan_flags(args) -> int:
+def cmd_scan_flags(args, params: ModelParams) -> int:
     from .flags import ambiguity_search, scan_characteristic_vectors
 
-    params = load_params(args)
     op = build_operator(args.model, "native", params)  # scan-flags has no --frame
     scan = scan_characteristic_vectors(op, args.bound, args.level)
     payload = scan.to_json()
@@ -275,8 +272,7 @@ def cmd_scan_flags(args) -> int:
     return EXIT_OK
 
 
-def cmd_dump_operator(args) -> int:
-    params = load_params(args)
+def cmd_dump_operator(args, params: ModelParams) -> int:
     op = build_operator(args.model, args.frame, params)
     emit(args, dumps(operator_to_json(op)))
     return EXIT_OK
@@ -309,7 +305,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             warnings.showwarning = _show_warning
-            return COMMANDS[args.command](args)
+            return COMMANDS[args.command](args, load_params(args))
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,8 @@ affine normalization that the sources leave ambiguous, so the relation
     algebraic value = scale * raw + offset * P
 
 is *calibrated*, never assumed: the scale must land in a small
-candidate set and must then hold at every subsequent test point.  For
+candidate set at eight points, a sweep's first eight, and the sweep then
+checks the relation at every one of its points.  For
 the rational model the calibration also has to decide the orientation
 of the Gaussian drift term (the tables correspond to a drift +omega x,
 the sign-flipped companion of the normalizable ground state; fitting
@@ -195,20 +196,25 @@ def calibrate_normalization(model: str, params: ModelParams, seed: int = 0) -> C
     points (for the rational model in either drift orientation).
     Otherwise the fit fails loudly.
     """
-    return _calibrate(PreparedOracle(model, params), seed)
+    oracle = PreparedOracle(model, params)
+    return _calibrate(oracle, _draw(oracle, SeededSampler(seed), 8))
 
 
-def _calibrate(oracle: PreparedOracle, seed: int) -> Calibration:
-    """``calibrate_normalization`` with a prepared oracle, which the sweeps
-    share: the images of 1 and t1, C and B_1 + C t1, against the weights."""
+def _draw(oracle: PreparedOracle, sampler: SeededSampler, n: int) -> list:
+    """n seeded points, each with its ``OraclePoint``, prepared once."""
+    return [(x, oracle.point(x)) for x in (sampler.point(oracle.beta2) for _ in range(n))]
+
+
+def _calibrate(oracle: PreparedOracle, points: Sequence[tuple]) -> Calibration:
+    """``calibrate_normalization`` at eight (point, ``OraclePoint``) pairs: the
+    images of 1 and t1, C and B_1 + C t1, against the weights."""
     model, params = oracle.model, oracle.params
     # built directly: the model builders would repeat their window warning
     if model == RATIONAL:
         op = SecondOrderOp("t", rational_a_table(), rational_b_table(params))
     else:
         op = SecondOrderOp("tau", trig_a_table(oracle.beta2), trig_b_table(params))
-    sampler = SeededSampler(seed)
-    points = [oracle.point(sampler.point(oracle.beta2)) for _ in range(8)]
+    points = [pt for _, pt in points]
     if not op.c.is_constant():  # the image of P = 1
         raise CalibrationError("operator image of 1 is not constant")
     offset = op.c.constant_value()
@@ -246,7 +252,7 @@ def cartesian_oracle(
     """
     oracle = PreparedOracle(model, params)
     if calibration is None:
-        calibration = _calibrate(oracle, 0)
+        calibration = _calibrate(oracle, _draw(oracle, SeededSampler(0), 8))
     return oracle.value(oracle.poly(p), oracle.point(x), calibration)
 
 
@@ -390,11 +396,6 @@ def _entry_mismatches(op: SecondOrderOp, cal: Calibration, points: Sequence[tupl
     return failures
 
 
-def _require_points(n_points: int) -> None:
-    if n_points < 1:  # a sweep without points would pass vacuously
-        raise ValueError(f"an oracle sweep needs at least one point, not {n_points}")
-
-
 def _sweep(
     model: str,
     params: ModelParams,
@@ -405,18 +406,19 @@ def _sweep(
 ) -> dict:
     """Both sweeps: random polynomials of the flag level at seeded points,
     compared exactly, then every table entry against the oracle's weights
-    at the same points; returns a JSON-ready report."""
-    _require_points(n_points)
+    at the same points; returns a JSON-ready report.  The calibration fits
+    at the first eight points, drawn past ``n_points`` if need be."""
+    if n_points < 1:  # a sweep without points would pass vacuously
+        raise ValueError(f"an oracle sweep needs at least one point, not {n_points}")
     op = build_rational_operator(params) if model == RATIONAL else build_trig_operator(params)
     oracle = PreparedOracle(model, params)
-    cal = _calibrate(oracle, seed)
     basis = enumerate_basis(MINIMAL_CHARVEC, SWEEP_LEVEL)
     sampler = SeededSampler(seed)
     polys = [
         sampler.polynomial(op.frame, basis.monomials) for _ in range(n_polys)
     ] + list(extra_polys)
-    drawn = [sampler.point(oracle.beta2) for _ in range(n_points)]
-    points = [(x, oracle.point(x)) for x in drawn]
+    points = _draw(oracle, sampler, max(n_points, 8))
+    cal, points = _calibrate(oracle, points[:8]), points[:n_points]
     failures = []
     for pi, x, lhs, rhs in _comparisons(oracle, op, cal, polys, points):
         if lhs != rhs:

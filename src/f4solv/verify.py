@@ -68,22 +68,15 @@ def verify_flag(args, params: ModelParams) -> dict:
 
 def verify_triangular(args, params: ModelParams) -> dict:
     f, op = _flag_request(args, params)
-    n = max(args.level, 6)
-    if op.frame == "tau":
-        verdict = is_triangular(op, f, min(n, 4))
-        check = _check(
-            "trig operator (tau frame) is NOT strictly triangular",
-            not verdict.strict,
-            violating_entry=verdict.violation,
-            block_triangular=verdict.preserved,
-        )
-        return _report("triangular", [check], model=args.model)
+    tau = op.frame == "tau"  # passes by finding the violation, at level 4 whatever --level
+    n = 4 if tau else max(args.level, 6)
     verdict = is_triangular(op, f, n)
-    check = _check(
-        f"{_OPERATOR[op.frame]} is strictly triangular at level {n}",
-        verdict.strict,
-        violation=verdict.violation,
-    )
+    if tau:
+        check = _check("trig operator (tau frame) is NOT strictly triangular", not verdict.strict,
+                       violating_entry=verdict.violation, block_triangular=verdict.preserved)
+    else:
+        check = _check(f"{_OPERATOR[op.frame]} is strictly triangular at level {n}",
+                       verdict.strict, violation=verdict.violation)
     return _report("triangular", [check], model=args.model)
 
 
@@ -181,14 +174,4 @@ def verify_scan(args, params: ModelParams) -> dict:
             preserved=[list(f) for f in scan.preserved],
         ),
     ]
-    search = ambiguity_search(op, bound=bound, n=n)
-    checks.append(
-        _check(
-            "redefinition search exhibits an alternative known flag or reports the grid",
-            True,
-            found=search["found"],
-            searched=search["searched"],
-            not_found=search["not_found"],
-        )
-    )
-    return _report("scan", checks, ambiguity_search=search)
+    return _report("scan", checks, ambiguity_search=ambiguity_search(op, bound=bound, n=n))

@@ -68,6 +68,26 @@ MUTANTS = (
            "reduce(add, (reduce(mul, c) for c in combinations(vals, k)))",
            "sum(map(__import__('math').prod, combinations(vals, k)))",
            ("tests/test_models.py::TestInvariantMaps::test_elem_sym_floats_bit_for_bit",)),
+    Mutant("calibration-on-seven-points", "oracle.py",
+           "_calibrate(oracle, points[:8])",
+           "_calibrate(oracle, points[:7])",
+           ("tests/test_oracle.py::TestPreparedPoints::test_a_sweep_calibrates_on_its_first_eight_points",)),
+    Mutant("sweep-draws-only-its-points", "oracle.py",
+           "_draw(oracle, sampler, max(n_points, 8))",
+           "_draw(oracle, sampler, n_points)",
+           ("tests/test_oracle.py::TestPreparedPoints::test_a_sweep_prepares_each_point_once",)),
+    Mutant("tau-triangular-passes-on-strict", "verify.py",
+           "not verdict.strict,",
+           "verdict.strict,",
+           ("tests/test_cli.py::TestVerifyCommand::test_tau_frame_suite_passes_by_finding_violation",)),
+    Mutant("tau-triangular-reads-the-level", "verify.py",
+           "n = 4 if tau else max(args.level, 6)",
+           "n = max(args.level, 6)",
+           ("tests/test_cli.py::TestVerifyCommand::test_tau_frame_check_runs_at_level_4_whatever_the_level",)),
+    Mutant("verify-skips-the-flag-request", "cli.py",
+           "    parse_flag_request(args)  # every suite",
+           "    # every suite",
+           ("tests/test_cli.py::TestUsageErrors::test_every_suite_refuses_a_bad_level_or_charvec",)),
     Mutant("limit-ratio-doubled", "verify.py",
            "zero, ratio = Fraction(0), _rational_to_trig_ratio()",
            "zero, ratio = Fraction(0), 2 * _rational_to_trig_ratio()",

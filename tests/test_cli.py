@@ -145,6 +145,35 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["passed"]
 
+    def test_tau_frame_check_runs_at_level_4_whatever_the_level(self, capsys, monkeypatch):
+        levels, real = [], verify.is_triangular
+
+        def spy(op, f, n):
+            levels.append((op.frame, n))
+            return real(op, f, n)
+
+        monkeypatch.setattr(verify, "is_triangular", spy)
+        outs = set()
+        for level in ("0", "4", "9"):
+            code, out, _ = run(capsys, "verify", "--suite", "triangular", "--model", "trig",
+                               "--level", level)
+            outs.add((code, out))
+        assert levels == [("tau", 4)] * 3 and len(outs) == 1
+        run(capsys, "verify", "--suite", "triangular", "--model", "trig", "--frame", "rho",
+            "--level", "7")
+        assert levels[-1] == ("rho", 7)
+
+    def test_scan_suite_reports_two_checks(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "scan")
+        report = json.loads(out)
+        assert (code, report["passed"]) == (0, True)
+        assert [c["name"] for c in report["checks"]] == [
+            "canonical operator preserves the minimal flag",
+            "no componentwise smaller vector is preserved",
+        ]
+        # what the search found and searched is its own record, not a check
+        assert {"found", "searched", "not_found"} <= report["ambiguity_search"].keys()
+
     def test_flag_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "flag")
         assert code == 0
@@ -320,6 +349,17 @@ class TestUsageErrors:
             for command in (["spectrum"], ["verify", "--suite", "flag"]):
                 code, out, err = run(capsys, *command, "--charvec", charvec)
                 assert (code, out, err) == (64, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("suite", list(cli._SUITES))
+    def test_every_suite_refuses_a_bad_level_or_charvec(self, capsys, monkeypatch, suite):
+        def no_work(*args):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(verify, f"verify_{suite}", no_work)
+        for bad in (["--level", "-1"], ["--charvec", "x"], ["--level", "-9", "--charvec", "zz"]):
+            refusal = run(capsys, "spectrum", *bad)
+            assert refusal[:2] == (64, "")
+            assert run(capsys, "verify", "--suite", suite, *bad) == refusal
 
     def test_bad_fraction(self, capsys):
         code, _, _ = run(capsys, "spectrum", "--nu", "one-third")

@@ -35,7 +35,7 @@ GOLDENS = [
     (("scan-flags", "--ambiguity-search", "--model", "rational"),
      "36a6f8cb5d379c66363c03a053bcf170265877e6e2aae0d5684f5cdcdfa8ed01"),
     (("verify", "--suite", "scan"),
-     "291d0a179accfc8ba0950189f51ca416f457a9504af508ff716d43816ef7a372"),
+     "d72917889c9ef8d614dde48de4fa1f67ed92ea4eb25203dc58c4205d7378336a"),
     (("verify", "--suite", "oracle", "--model", "trig", "--nu", "2", "--mu", "3", "--beta2", "3/7"),
      "d4f977383c36d214a341c2c20757b43d58afa998a6c97b8bb3009a35d381efd8"),
     (("verify", "--suite", "a66"),

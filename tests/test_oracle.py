@@ -368,6 +368,67 @@ class TestCartesianOracle:
         assert (report["scale"], report["offset"], report["failures"]) == ("1", "0", [])
 
 
+class TestPreparedPoints:
+    """A sweep prepares each point once and calibrates on the first eight it
+    compares at, drawing past ``n_points`` only when it asks for fewer;
+    ``calibrate_normalization`` draws eight of its own."""
+
+    def spy(self, monkeypatch):
+        """The points ``PreparedOracle.point`` prepares, and each calibration's."""
+        prepared, calibrated = [], []
+        real_point, real_calibrate = oracle.PreparedOracle.point, oracle._calibrate
+
+        def point(orc, x):
+            prepared.append(x)
+            return real_point(orc, x)
+
+        def calibrate(orc, points):
+            calibrated.append(list(points))
+            return real_calibrate(orc, points)
+
+        monkeypatch.setattr(oracle.PreparedOracle, "point", point)
+        monkeypatch.setattr(oracle, "_calibrate", calibrate)
+        return prepared, calibrated
+
+    @pytest.mark.parametrize("sweep, params", [
+        (oracle_sweep_rational, RATIONAL_SETS[0]), (oracle_sweep_trig, TRIG_SETS[0]),
+    ], ids=["rational", "trig"])
+    @pytest.mark.parametrize("n_points, prepared", [(None, 20), (3, 8), (1, 8), (8, 8), (9, 9)])
+    def test_a_sweep_prepares_each_point_once(self, monkeypatch, sweep, params, n_points,
+                                              prepared):
+        seen, _ = self.spy(monkeypatch)
+        report = sweep(params) if n_points is None else sweep(params, n_points=n_points)
+        assert report["passed"] and report["points"] == (n_points or 20)
+        assert len(seen) == prepared
+
+    @pytest.mark.parametrize("n_points", [3, 8, 20])
+    @pytest.mark.parametrize("model", [RATIONAL, TRIG])
+    def test_a_sweep_calibrates_on_its_first_eight_points(self, monkeypatch, model, n_points):
+        _, calibrated = self.spy(monkeypatch)
+        compared = spy_on_comparisons(monkeypatch)
+        sweep = oracle_sweep_rational if model == RATIONAL else oracle_sweep_trig
+        params = RATIONAL_SETS[1] if model == RATIONAL else TRIG_SETS[1]
+        assert sweep(params, n_points=n_points, n_polys=1, seed=2)["passed"]
+        (points,) = calibrated
+        assert len(points) == 8
+        sampler = SeededSampler(2)  # the sweep's sampler: its polynomial, then its points
+        sampler.polynomial("t", enumerate_basis((1, 2, 2, 3), oracle.SWEEP_LEVEL).monomials)
+        assert [x for x, _ in points] == [sampler.point(params.beta2) for _ in range(8)]
+        swept, first = [x for _, _, x, *_ in compared], min(n_points, 8)
+        assert len(swept) == n_points
+        assert swept[:first] == [x for x, _ in points[:first]]
+
+    def test_the_a66_suite_and_calibrate_normalization(self, monkeypatch, capsys):
+        seen, calibrated = self.spy(monkeypatch)
+        calibrate_normalization(TRIG, TRIG_SETS[0], seed=1)
+        assert len(seen) == 8 and [len(c) for c in calibrated] == [8]
+        seen.clear()
+        assert main(["verify", "--suite", "a66"]) == 0
+        capsys.readouterr()
+        # derive_missing_a66's calibration, then the suite's 10-point sweep
+        assert len(seen) == 8 + 10
+
+
 BETA2_GRID = [F(1, 8), F(3, 7), F(-1, 4), F(-3, 7)]
 SWEEP_SETS = TRIG_SETS + [ModelParams(nu=F(1, 3), mu=F(1, 8), beta2=b) for b in BETA2_GRID]
 
