@@ -143,6 +143,7 @@ def _first_escape(
         for exp, coeff in op.image(m):
             term_grade = weighted_grade(exp, f)
             if term_grade > g:
+                coeff = Fraction(coeff, op._shift_table()[0])  # image terms are ints over d
                 witness = {
                     "monomial": list(m),
                     "offending_term": {"exponents": list(exp), "coeff": format_fraction(coeff)},

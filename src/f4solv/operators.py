@@ -94,19 +94,19 @@ class SecondOrderOp(Frozen):
         merge_terms(acc, (self.c * p).terms)
         return MPoly._trusted(self.frame, acc)
 
-    def image(self, m: Exp) -> tuple[tuple[Exp, Fraction], ...]:
-        """Sorted ``(exponent, coefficient)`` terms of the image of monomial
-        ``m``, read off the shift table once per operator and shared."""
+    def image(self, m: Exp) -> tuple[tuple[Exp, int], ...]:
+        """Sorted ``(exponent, int)`` terms of the image of monomial ``m``
+        times d, the operator's denominator ``_shift_table()[0]``: read off
+        the shift table once per operator and shared."""
         m = tuple(m)
         terms = self._images.get(m)
         if terms is None:
-            d, table = self._shift_table()
             q = (1, *m, *[m[i] * m[j] for i, j in PAIRS])
             found = []
-            for s, row in table:
+            for s, row in self._shift_table()[1]:
                 acc = sum(map(mul, row, q))
                 if acc:  # a target with a negative exponent always sums to 0
-                    found.append((tuple(map(add, m, s)), Fraction(acc, d)))
+                    found.append((tuple(map(add, m, s)), acc))
             terms = self._images[m] = tuple(sorted(found))
         return terms
 
@@ -185,19 +185,18 @@ class MatrixResult(NamedTuple):
 
 
 def op_matrix(op: SecondOrderOp, basis) -> MatrixResult:
-    """Matrix of ``op`` on ``basis``, filled from the images' terms: column j
-    holds the image of monomial j.  The basis must be closed under ``op``
-    (``flags.preserves_flag`` decides that): an image term outside it
-    raises ``ClosureError``, naming the monomial and the term's exponents.
+    """Matrix of ``op`` on ``basis``, filled from the images' int terms over
+    the operator's denominator: column j holds the image of monomial j.
+    The basis must be closed under ``op`` (``flags.preserves_flag`` decides
+    that): an image term outside it raises ``ClosureError``, naming the
+    monomial and the term's exponents.
     """
     index = basis.index()
-    rows: list[dict[int, Fraction]] = [{} for _ in index]
+    rows: list[dict[int, int]] = [{} for _ in index]
     for j, m in enumerate(basis.monomials):
         for exp, coeff in op.image(m):
             i = index.get(exp)
             if i is None:
                 raise ClosureError(f"the image of monomial {list(m)} leaves the basis: {list(exp)}")
             rows[i][j] = coeff
-    d = lcm(*(c.denominator for row in rows for c in row.values()))
-    ints = [{j: c.numerator * (d // c.denominator) for j, c in row.items()} for row in rows]
-    return MatrixResult(RatMatrix._sparse(len(index), d, ints))
+    return MatrixResult(RatMatrix._sparse(len(index), op._shift_table()[0], rows))

@@ -310,9 +310,13 @@ def derive_missing_a66(params: ModelParams, seed: int = 0) -> MPoly:
     Neither route reads the tabulated (6,6) entry, so the result can be
     checked against it.
     """
-    cal = calibrate_normalization(RATIONAL, params.with_omega(), seed)
+    return _derive_a66(calibrate_normalization(RATIONAL, params.with_omega(), seed).scale)
+
+
+def _derive_a66(scale: Fraction) -> MPoly:
+    """``derive_missing_a66`` at a calibrated scale."""
     t6 = t_polys()[3]
-    target = cal.scale * sum(4 * MPoly.variable("x2", k) * t6.derivative(k) ** 2 for k in range(4))
+    target = scale * sum(4 * MPoly.variable("x2", k) * t6.derivative(k) ** 2 for k in range(4))
     route_reduce = invariant_reduce(target)
 
     route_limit = _limit_in_t(trig_a_table(Fraction(0)), _rational_to_trig_ratio())[(6, 6)]

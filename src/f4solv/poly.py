@@ -475,10 +475,6 @@ class VarMap(Frozen):
                 )
         self._init(source, target, images)
 
-    @classmethod
-    def identity(cls, frame: str) -> "VarMap":
-        return cls(frame, frame, [MPoly.variable(frame, s) for s in range(4)])
-
     def __repr__(self) -> str:
         return f"VarMap({self.source!r} -> {self.target!r})"
 

@@ -266,16 +266,13 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
     basis, mat = spectrum.basis, spectrum.matrix
     algebraic = Counter(line.eigenvalue for line in spectrum.lines)
 
-    # d * lam is an integer because d * mat is
+    # the matrix is over the operator's d, so every d * lam is an integer
     scale, scaled_op = op.scaled_to_integers()
     columns: dict[Exp, dict[Exp, int]] = {}  # monomial -> its image under d * op
     out: list[SpectralLine] = []
     defects = []
     for lam in sorted(algebraic):
-        scaled_lam = lam * scale
-        if scaled_lam.denominator != 1:
-            raise F4SolvError(f"eigenvalue {format_fraction(lam)} of the operator times "
-                              f"{format_fraction(scale)} is not an integer")
+        scaled_lam = (lam * scale).numerator
         kernel, defect = _eigenspace(mat, lam, algebraic[lam])
         if defect:
             defects.append(defect)
@@ -288,7 +285,7 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
                     columns[m] = scaled_op.apply(MPoly._trusted(op.frame, {m: 1})).terms
                 for e, v in columns[m].items():
                     residual[e] = residual.get(e, 0) + c * v
-                residual[m] = residual.get(m, 0) - scaled_lam.numerator * c
+                residual[m] = residual.get(m, 0) - scaled_lam * c
             if any(residual.values()):
                 raise F4SolvError(f"nonzero residual for eigenvalue {format_fraction(lam)}")
             out.append(SpectralLine(_leading_label(vec, basis), lam, eigenfunction=psi))

@@ -130,6 +130,59 @@ MUTANTS = (
            "all(scale * g + offset == p for g, p in pairs)",
            "all(scale * g + offset == p for g, p in pairs[:1] + [other or pairs[0]])",
            ("tests/test_spectral.py::test_affine_fit_flags_mismatches",)),
+    Mutant("multiset-match-one-orientation", "spectral.py",
+           "return fit if fit.exact else _affine_fit(list(zip(got, ascending[::-1])))",
+           "return fit",
+           ("tests/test_spectral.py::test_multiset_match_handles_negative_scale",)),
+    Mutant("roots-read-in-zero-to-p", "spectral.py",
+           "found.append((p // 2 - g[1]) % p - p // 2)",
+           "found.append(-g[1] % p)",
+           ("tests/test_spectral.py::TestBlockSolver::"
+            "test_roots_near_the_modulus_are_read_in_the_symmetric_range",)),
+    Mutant("defect-never-reported", "spectral.py",
+           "if len(kernel) < multiplicity:",
+           "if len(kernel) < 0:",
+           ("tests/test_spectral.py::TestEigenfunctions::test_defective_eigenvalue_is_reported",)),
+    Mutant("residual-at-the-unscaled-eigenvalue", "spectral.py",
+           "scaled_lam = (lam * scale).numerator",
+           "scaled_lam = lam.numerator",
+           ("tests/test_spectral.py::TestResidualCertificate::"
+            "test_triangular_frames_never_read_the_dense_view",)),
+    Mutant("trig-energy-p1-coefficient", "spectral.py",
+           "lin_nu = 5 * p1",
+           "lin_nu = 4 * p1",
+           ("tests/test_spectral.py::TestSpectrum::"
+            "test_trig_rho_diagonal_matches_closed_form_affinely",)),
+    # operator images and matrices
+    Mutant("shift-table-mixed-entry-once", "operators.py",
+           "((q, 1), (1 + i, -1)) if i == j else ((q, 2),)",
+           "((q, 1), (1 + i, -1)) if i == j else ((q, 1),)",
+           ("tests/test_operators.py::TestImage::test_image_is_the_sorted_apply",)),
+    Mutant("apply-mixed-entry-once", "operators.py",
+           "(coeff if i == j else coeff * 2)",
+           "coeff",
+           ("tests/test_operators.py::TestImage::test_image_is_the_sorted_apply",)),
+    Mutant("matrix-over-denominator-one", "operators.py",
+           "RatMatrix._sparse(len(index), op._shift_table()[0], rows)",
+           "RatMatrix._sparse(len(index), 1, rows)",
+           ("tests/test_operators.py::TestMatrix::test_level_one_matrix",)),
+    Mutant("witness-prints-the-scaled-int", "flags.py",
+           "                coeff = Fraction(coeff, op._shift_table()[0])  # image terms are ints over d\n",
+           "",
+           ("tests/test_flags.py::TestPreservation::test_witness_prints_the_image_coefficient",)),
+    # the oracle's points and the a66 suite
+    Mutant("hyperbolic-circle-as-trig", "invariants.py",
+           "out.append((p * p + q * q, p * p - q * q, 2 * p * q))",
+           "out.append((q * q - p * p, 2 * p * q, q * q + p * p))",
+           ("tests/test_models.py::TestInvariantMaps::test_circle_points_are_cos_sin_or_cosh_sinh",)),
+    Mutant("entry-check-dropped", "oracle.py",
+           "    failures += _entry_mismatches(op, cal, points)\n",
+           "",
+           ("tests/test_oracle.py::TestEntryMutationsFailTheSuite",)),
+    Mutant("a66-derived-at-scale-one", "verify.py",
+           '_derive_a66(parse_fraction(sweep["scale"]))',
+           "_derive_a66(Fraction(1))",
+           ("tests/test_cli.py::TestVerifyCommand::test_a66_suite_rederives_the_tabulated_entry",)),
 )
 
 

@@ -276,7 +276,8 @@ class TestFrozenValues:
         from f4solv.poly import MPoly, VarMap
 
         p = MPoly.variable("t", 0)
-        for value in (p, VarMap.identity("t"), SecondOrderOp("t", {}, {1: p})):
+        ident = VarMap("t", "t", [MPoly.variable("t", s) for s in range(4)])
+        for value in (p, ident, SecondOrderOp("t", {}, {1: p})):
             for name in type(value).__slots__:
                 with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                     setattr(value, name, getattr(value, name))

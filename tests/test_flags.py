@@ -87,6 +87,15 @@ class TestPreservation:
         exps = {tuple(rec) for rec in [w["offending_term"]["exponents"]]}
         assert exps & set(image.terms)
 
+    def test_witness_prints_the_image_coefficient(self, rational_op):
+        # at (1/3, 1/5) the image terms are ints over the operator's d = 30
+        assert rational_op.scaled_to_integers()[0] == 30
+        w = preserves_flag(rational_op, (1, 1, 1, 1), 4).witness
+        assert w["monomial"] == [0, 1, 0, 0]
+        assert w["offending_term"] == {"exponents": [2, 0, 0, 0], "coeff": "-41/30"}
+        image = rational_op.apply(MPoly.monomial("t", (0, 1, 0, 0)))
+        assert image.terms[(2, 0, 0, 0)] == F(-41, 30)
+
     @pytest.mark.parametrize("k", range(7))
     def test_preservation_is_downward_closed(self, rational_op, k):
         assert preserves_flag(rational_op, MINIMAL, k).preserved

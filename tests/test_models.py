@@ -1,3 +1,4 @@
+import math
 import struct
 from fractions import Fraction as F
 from itertools import combinations
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 
 from f4solv import oracle
 from f4solv.errors import SingularMapError
-from f4solv.invariants import elem_sym_values, sigma_polys, variables_rational, variables_trig
+from f4solv.invariants import (
+    circle_points,
+    elem_sym_values,
+    sigma_polys,
+    variables_rational,
+    variables_trig,
+)
 from f4solv.models import (
     ModelParams,
     ambiguity_map,
@@ -141,15 +148,31 @@ class TestInvariantMaps:
             v1 * v2 * v3 * v4,
         ]
 
+    @staticmethod
+    def same_floats(got, want) -> bool:
+        """Bit for bit, except that any two NaNs match: CPython does not fix
+        the sign of a NaN that + or * makes from NaNs of both signs."""
+        def bits(values):
+            return [None if math.isnan(v) else struct.pack("<d", v) for v in values]
+
+        return bits(got) == bits(want)
+
     @given(st.lists(st.floats(), min_size=4, max_size=4))
     @example([-0.0, -0.0, -0.0, -0.0])
     @example([-0.0, 1.0, 2.0, 3.0])
     @example([1e16, 1.0, -1e16, 1.0])
+    @example([float("inf"), -0.0, 1.0, float("-inf")])
     def test_elem_sym_floats_bit_for_bit(self, vals):
-        def bits(values):
-            return [struct.pack("<d", v) for v in values]
+        assert self.same_floats(elem_sym_values(vals), self.written_out(vals))
 
-        assert bits(elem_sym_values(vals)) == bits(self.written_out(vals))
+    def test_nans_of_both_signs_match_whatever_the_call(self):
+        # the written-out sum gives +nan on its first calls here and -nan once
+        # the interpreter has specialized its +; the library gives +nan
+        neg, pos = struct.unpack("<dd", bytes.fromhex("000000000000f8ff000000000000f87f"))
+        vals = [neg, pos, 1.0, 2.0]
+        for _ in range(20):
+            assert self.same_floats(elem_sym_values(vals), self.written_out(vals))
+        assert not self.same_floats([neg, 0.0], [pos, -0.0])  # signed zeros stay bitwise
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
     def test_elem_sym_mpf_bit_for_bit(self, vals):
@@ -164,6 +187,15 @@ class TestInvariantMaps:
         xs = [MPoly.variable(frame, s) for s in range(4)]
         for got, want in zip(elem_sym_values(xs), self.written_out(xs), strict=True):
             assert (got.frame, list(got.terms.items())) == (want.frame, list(want.terms.items()))
+
+    def test_circle_points_are_cos_sin_or_cosh_sinh(self):
+        # tan(theta / 2) = 1/2: (cos, sin) theta = (3, 4) / 5;
+        # r = e^phi = 2: (cosh, sinh) phi = (5, 3) / 4
+        assert circle_points([F(1, 2)], F(1, 4)) == [(3, 4, 5)]
+        assert circle_points([F(2)], F(-1, 4)) == [(5, 3, 4)]
+        for beta2, eps in ((F(1, 4), 1), (F(-1, 4), -1)):
+            for a, b, d in circle_points([F(2), F(1, 3), 5, F(7, 2)], beta2):
+                assert d > 0 and a * a + eps * b * b == d * d
 
     def test_trig_map_vanishes_at_origin(self):
         assert variables_trig((0.0, 0.0, 0.0, 0.0), 0.5) == (0, 0, 0, 0)

@@ -423,10 +423,11 @@ class TestPreparedPoints:
         calibrate_normalization(TRIG, TRIG_SETS[0], seed=1)
         assert len(seen) == 8 and [len(c) for c in calibrated] == [8]
         seen.clear()
+        calibrated.clear()
         assert main(["verify", "--suite", "a66"]) == 0
         capsys.readouterr()
-        # derive_missing_a66's calibration, then the suite's 10-point sweep
-        assert len(seen) == 8 + 10
+        # the suite's 10-point sweep, whose calibration the derivation reads
+        assert len(seen) == 10 and [len(c) for c in calibrated] == [8]
 
 
 BETA2_GRID = [F(1, 8), F(3, 7), F(-1, 4), F(-3, 7)]

@@ -663,25 +663,14 @@ def test_block_spectrum_recovers_planted_roots_or_names_the_grade(case):
 
 
 class TestResidualCertificate:
-    # a fresh operator each time: the tests below corrupt its image memo
-    def corrupt_diagonal(self, params, shift):
-        op = build_rational_operator(params)
-        m = (1, 0, 0, 0)  # t1, eigenvalue 2 omega
-        terms = op.image(m)
-        assert m in dict(terms)
-        op._images[m] = tuple((e, c + shift if e == m else c) for e, c in terms)
-        return op
-
     def test_residual_does_not_read_the_image_memo(self, rational_params):
         # the matrix comes from the corrupt memo, the residual from the operator
-        op = self.corrupt_diagonal(rational_params, F(1))
+        op = build_rational_operator(rational_params)
+        m = (1, 0, 0, 0)  # t1, eigenvalue 2 omega
+        terms = op.image(m)  # ints over the operator's denominator
+        assert m in dict(terms)
+        op._images[m] = tuple((e, c + 1 if e == m else c) for e, c in terms)
         with pytest.raises(F4SolvError, match="nonzero residual"):
-            eigenfunctions(op, MINIMAL, 2)
-
-    def test_eigenvalue_must_be_integral_over_the_operator(self, rational_params):
-        op = self.corrupt_diagonal(rational_params, F(1, 7))
-        assert op.scaled_to_integers()[0] % 7
-        with pytest.raises(F4SolvError, match="not an integer"):
             eigenfunctions(op, MINIMAL, 2)
 
     def test_triangular_frames_never_read_the_dense_view(self, rational_op, rho_op, monkeypatch):
