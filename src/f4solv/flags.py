@@ -46,8 +46,8 @@ def validate_charvec(f: Sequence[int]) -> None:
 
 def parse_charvec(text: str) -> CharVector:
     """The validated vector (1, a3, a4, a6) written "a3,a4,a6" (``--charvec``)."""
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != 3:
+    parts = text.split(",")
+    if len(parts) != 3 or not all(p.strip() for p in parts):
         raise ValueError("--charvec expects three comma-separated integers a3,a4,a6")
     try:
         f = (1, *(int(p) for p in parts))

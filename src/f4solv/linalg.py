@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals, on sparse integer rows.
 
-Every kernel runs over ``int``; ``Fraction`` is only taken and returned.
+Every kernel runs over ``int``, as do ``spectral``'s block products along
+the same rows; ``Fraction`` is only taken and returned.
 Systems are solved by fraction-free (Bareiss) elimination on rows scaled
 to coprime integers: the two-by-two cross elimination step divides
 exactly by the previous pivot, which keeps intermediate entries at
@@ -34,9 +35,10 @@ class RatMatrix:
         width = len(rows[0]) if rows else 0
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        d, ints = _integer_rows(rows)
+        d = lcm(*(c.denominator for row in rows for c in row))
         self.rows, self.cols, self._d = len(rows), width, d
-        self._ints = [{j: v for j, v in enumerate(row) if v} for row in ints]
+        self._ints = [{j: c.numerator * (d // c.denominator) for j, c in enumerate(row) if c}
+                      for row in rows]
 
     @classmethod
     def _sparse(cls, cols: int, d: int, ints: list[dict[int, int]]) -> "RatMatrix":
@@ -100,12 +102,6 @@ def _dense(row: dict[int, int], n: int, k: int = 1) -> list[int]:
     for j, v in row.items():
         out[j] = k * v
     return out
-
-
-def _integer_rows(data: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """``(d, d * data)`` as int rows, d the lcm of every denominator."""
-    d = lcm(*(c.denominator for row in data for c in row))
-    return d, [[c.numerator * (d // c.denominator) for c in row] for row in data]
 
 
 def _divide_content(v: list[int]) -> list[int]:

@@ -1,18 +1,18 @@
 """Spectra and eigenfunctions from the triangularized operators.
 
-In a strictly triangular frame the eigenvalues sit on the matrix
-diagonal, labeled by the quantum numbers of their basis monomials.
-Block-triangular matrices (grade-non-increasing, with coupling inside a
-grade) are handled per diagonal block: each rational eigenvalue is k / d
-for an integer root k of the characteristic polynomial of ``d * block``,
-found modulo a prime and kept only on exact division.  The models are
-exactly solvable, so a block with an irrational eigenvalue raises
-``F4SolvError``: a spectrum is whole or an error.  Eigenfunctions come
-from exact nullspaces, found by back-substitution in a strictly
-triangular frame.  Every returned pair is re-verified to have an
-identically zero residual.  The characteristic polynomials, the root
-search, the kernels and the residuals run over ``int``; ``Fraction``
-appears only in results.
+In a strictly triangular frame the eigenvalues sit on the matrix diagonal,
+labeled by the quantum numbers of their basis monomials.  Block-triangular
+matrices (grade-non-increasing, with coupling inside a grade) are handled
+per diagonal block, taken as sparse int rows over d: each rational
+eigenvalue is k / d for an integer root k of the block's characteristic
+polynomial (its products run along the rows), found modulo a prime and
+kept only on exact division.  The models are exactly solvable, so a block
+with an irrational eigenvalue raises ``F4SolvError``: a spectrum is whole
+or an error.  Eigenfunctions come from exact nullspaces, found by
+back-substitution in a strictly triangular frame.  Every returned pair is
+re-verified to have an identically zero residual.  The characteristic
+polynomials, the root search, the kernels and the residuals run over
+``int``; ``Fraction`` appears only in results.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, groupby
-from math import isqrt
-from operator import mul
+from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ClosureError, F4SolvError
 from .flags import GradedBasis, flag_matrix, grade_counts
-from .linalg import RatMatrix, _integer_rows, nullspace
+from .linalg import RatMatrix, _dense, nullspace
 from .models import RATIONAL, ModelParams
 from .operators import SecondOrderOp
 from .poly import DEGREE_WEIGHTS, Exp, MPoly, format_fraction, weighted_grade
@@ -101,13 +100,14 @@ def spectrum_from_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> Spectru
 
 
 def _block_spectrum(basis: GradedBasis, mat: RatMatrix) -> SpectrumResult:
-    # the preserved flag makes the matrix block triangular: only diagonal blocks go dense
+    # the preserved flag makes the matrix block triangular: read each diagonal block's int rows
+    d, ints = mat.integer_form()
     lines: list[SpectralLine] = []
     stop = 0
     for g, run in groupby(basis.grades()):
         start, stop = stop, stop + len(list(run))
-        block = [[mat[i, j] for j in range(start, stop)] for i in range(start, stop)]
-        roots, leftover = _rational_eigenvalues(block)
+        rows = [{j - start: v for j, v in r.items() if start <= j < stop} for r in ints[start:stop]]
+        roots, leftover = _rational_eigenvalues(d, rows)
         if leftover:
             factor = ", ".join(map(format_fraction, leftover))
             raise F4SolvError(f"the grade {g} block's characteristic factor [{factor}] "
@@ -118,12 +118,12 @@ def _block_spectrum(basis: GradedBasis, mat: RatMatrix) -> SpectrumResult:
     return SpectrumResult(tuple(lines), False, basis, mat)
 
 
-def _char_poly(a: list[list[int]]) -> list[int]:
-    """Characteristic polynomial of an integer matrix, leading coefficient
-    first (Faddeev-LeVerrier, whose traces divide exactly by k over int)."""
+def _char_poly(a: list[dict[int, int]]) -> list[int]:
+    """Characteristic polynomial of a square int matrix on sparse rows, leading
+    coefficient first (Faddeev-LeVerrier along the rows: its traces divide by k)."""
     n = len(a)
     coeffs = [1]
-    m = [row[:] for row in a]
+    m = [_dense(row, n) for row in a]
     for k in range(1, n + 1):
         ck, rem = divmod(-sum(m[i][i] for i in range(n)), k)
         if rem:  # integer Faddeev-LeVerrier divides exactly; anything else is a bug
@@ -134,26 +134,27 @@ def _char_poly(a: list[list[int]]) -> list[int]:
         for i in range(n):
             m[i][i] += ck
         cols = list(zip(*m))
-        m = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        m = [[sum([v * col[j] for j, v in row.items()]) for col in cols] for row in a]
     return coeffs
 
 
 def _rational_eigenvalues(
-    block: list[list[Fraction]],
+    d: int, block: list[dict[int, int]]
 ) -> tuple[list[tuple[Fraction, int]], Optional[list[Fraction]]]:
-    """Rational roots (with multiplicity) of the block's characteristic polynomial.
+    """Rational roots (with multiplicity) of the characteristic polynomial of
+    ``block / d``, its sparse int rows over d put in lowest terms first.
 
-    The integer matrix ``d * block`` has a monic integer characteristic
-    polynomial q; each rational eigenvalue is k / d for a root k of q with
-    |k| at most the row-sum bound of ``d * block`` (Gershgorin).  Roots of
-    q modulo a prime are accepted only by exact division.  Returns (roots,
-    leftover), leftover the monic factor with no rational root (leading
-    coefficient first), which ``_block_spectrum`` refuses, or None.
+    The int rows a then have a monic integer characteristic polynomial q;
+    each rational eigenvalue is k / d for a root k of q with |k| at most the
+    row-sum bound of a (Gershgorin), and roots of q modulo a prime are kept
+    only on exact division.  Returns (roots, leftover), leftover the monic
+    factor with no rational root (leading coefficient first), or None.
     """
-    d, a = _integer_rows(block)
+    g = gcd(d, *(v for row in block for v in row.values()))
+    d, a = d // g, [{j: v // g for j, v in row.items()} for row in block]
     poly = _char_poly(a)
     roots: list[tuple[Fraction, int]] = []
-    for k in _roots_mod_p(poly, max(sum(map(abs, row)) for row in a)):
+    for k in _roots_mod_p(poly, max(sum(map(abs, row.values())) for row in a)):
         mult = 0
         while len(poly) > 1:
             *quot, rem = accumulate(poly, lambda acc, c: acc * k + c)  # Horner

@@ -119,9 +119,22 @@ MUTANTS = (
            "            if rem is None:\n                break\n",
            ("tests/test_spectral.py::TestBlockSolver::test_coupled_block_with_rational_spectrum",)),
     Mutant("gershgorin-bound-by-largest-entry", "spectral.py",
-           "max(sum(map(abs, row)) for row in a)",
-           "max(max(map(abs, row)) for row in a)",
+           "max(sum(map(abs, row.values())) for row in a)",
+           "max(max(map(abs, row.values())) for row in a)",
            ("tests/test_spectral.py::TestBlockSolver::test_an_eigenvalue_past_every_entry_is_found",)),
+    Mutant("block-not-in-lowest-terms", "spectral.py",
+           "g = gcd(d, *(v for row in block for v in row.values()))",
+           "g = 1",
+           ("tests/test_spectral.py::TestBlockSolver::test_the_block_is_put_in_lowest_terms_first",)),
+    Mutant("block-slice-shifted-by-one-column", "spectral.py",
+           "{j - start: v for j, v in r.items()",
+           "{j - start + 1: v for j, v in r.items()",
+           ("tests/test_goldens.py::test_stdout_digest[spectrum --model trig --frame native "
+            "--nu 1/3 --mu 1/8 --beta2 1/4 --level 4]",)),
+    Mutant("char-poly-product-by-rows", "spectral.py",
+           "for col in cols] for row in a]",
+           "for col in m] for row in a]",
+           ("tests/test_spectral.py::test_integer_char_poly_matches_the_fraction_reference",)),
     Mutant("irrational-block-kept", "spectral.py",
            "        if leftover:\n            factor",
            "        if None:\n            factor",

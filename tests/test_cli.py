@@ -341,14 +341,25 @@ class TestUsageErrors:
         assert all(callable(getattr(verify, f"verify_{suite}")) for suite in cli._SUITES)
 
     def test_bad_charvec(self, capsys):
+        count = "--charvec expects three comma-separated integers a3,a4,a6"
         for charvec, message in [
-            ("1,2", "--charvec expects three comma-separated integers a3,a4,a6"),
+            ("1,2", count),
+            # every field counts as written: an empty one is not skipped
+            ("2,,2,3", count),
+            (",2,2,3", count),
+            ("2,2,3,", count),
+            ("2,2,,3,", count),
+            ("2, ,3", count),
             ("a,2,3", "bad --charvec: invalid literal for int() with base 10: 'a'"),
             ("0,2,3", "characteristic vector must be (1, a3, a4, a6) >= 1: (1, 0, 2, 3)"),
         ]:
             for command in (["spectrum"], ["verify", "--suite", "flag"]):
                 code, out, err = run(capsys, *command, "--charvec", charvec)
                 assert (code, out, err) == (64, "", f"usage error: {message}\n")
+        # spaces around a number leave its field non-empty
+        spaced = run(capsys, "spectrum", "--level", "2", "--charvec", " 2, 2 ,3")
+        assert spaced == run(capsys, "spectrum", "--level", "2", "--charvec", "2,2,3")
+        assert spaced[0] == 0
 
     @pytest.mark.parametrize("suite", list(cli._SUITES))
     def test_every_suite_refuses_a_bad_level_or_charvec(self, capsys, monkeypatch, suite):

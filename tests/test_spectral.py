@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -379,32 +380,42 @@ def test_nullspace_of_shifted_level_one_matrix(rational_op, rational_params):
     assert coeffs[1] != 0  # the t1 coordinate leads
 
 
+def integer_block(block):
+    """(d, sparse int rows over d) of a Fraction block, d the lcm of its
+    denominators: the form in which ``_block_spectrum`` passes a diagonal block."""
+    d = lcm(*(c.denominator for row in block for c in row))
+    return d, [{j: int(c * d) for j, c in enumerate(row) if c} for row in block]
+
+
 class TestBlockSolver:
     def test_rational_roots_of_small_block(self):
-        roots, leftover = _rational_eigenvalues([[F(2), F(1)], [F(0), F(3)]])
+        roots, leftover = _rational_eigenvalues(*integer_block([[F(2), F(1)], [F(0), F(3)]]))
         assert leftover is None
         assert sorted(roots) == [(F(2), 1), (F(3), 1)]
 
     def test_coupled_block_with_rational_spectrum(self):
         # eigenvalues 1 and 4
-        roots, leftover = _rational_eigenvalues([[F(2), F(1)], [F(2), F(3)]])
+        roots, leftover = _rational_eigenvalues(*integer_block([[F(2), F(1)], [F(2), F(3)]]))
         assert leftover is None
         assert sorted(roots) == [(F(1), 1), (F(4), 1)]
 
     def test_large_constant_term_is_solved_exactly(self):
         # trial division of the 61-bit constant term would not finish
-        roots, leftover = _rational_eigenvalues([[F(2**61 - 1), F(1)], [F(0), F(3)]])
+        block = [[F(2**61 - 1), F(1)], [F(0), F(3)]]
+        roots, leftover = _rational_eigenvalues(*integer_block(block))
         assert leftover is None
         assert sorted(roots) == [(F(3), 1), (F(2**61 - 1), 1)]
 
     def test_roots_near_the_modulus_are_read_in_the_symmetric_range(self):
         # row-sum bound 2^61 - 2: the modulus must exceed twice it, so not 2^61 - 1
-        assert _rational_eigenvalues([[F(2 - 2**61)]]) == ([(F(2 - 2**61), 1)], None)
+        roots = [(F(2 - 2**61), 1)]
+        assert _rational_eigenvalues(*integer_block([[F(2 - 2**61)]])) == (roots, None)
 
     def test_repeated_and_fractional_roots(self):
         jordan = [[F(3), F(1), F(0)], [F(0), F(3), F(1)], [F(0), F(0), F(3)]]
-        assert _rational_eigenvalues(jordan) == ([(F(3), 3)], None)
-        roots, leftover = _rational_eigenvalues([[F(1, 3), F(1)], [F(0), F(-7, 5)]])
+        assert _rational_eigenvalues(*integer_block(jordan)) == ([(F(3), 3)], None)
+        block = [[F(1, 3), F(1)], [F(0), F(-7, 5)]]
+        roots, leftover = _rational_eigenvalues(*integer_block(block))
         assert leftover is None
         assert sorted(roots) == [(F(-7, 5), 1), (F(1, 3), 1)]
 
@@ -412,14 +423,15 @@ class TestBlockSolver:
         # eigenvalues 0 and 10, past the largest entry 5: the row-sum bound 10
         # gives the modulus 23; a bound of 5 would give 11, where 10 reads as -1
         roots = [(F(0), 1), (F(10), 1)]
-        assert _rational_eigenvalues([[F(5), F(5)], [F(5), F(5)]]) == (roots, None)
+        assert _rational_eigenvalues(*integer_block([[F(5), F(5)], [F(5), F(5)]])) == (roots, None)
 
     def test_zero_block(self):
         # row-sum bound 0: the modulus is 3
-        assert _rational_eigenvalues([[F(0)] * 3 for _ in range(3)]) == ([(F(0), 3)], None)
+        zero = [[F(0)] * 3 for _ in range(3)]
+        assert _rational_eigenvalues(*integer_block(zero)) == ([(F(0), 3)], None)
 
     def test_irrational_block_reported_not_approximated(self):
-        roots, leftover = _rational_eigenvalues([[F(0), F(1)], [F(2), F(0)]])
+        roots, leftover = _rational_eigenvalues(*integer_block([[F(0), F(1)], [F(2), F(0)]]))
         assert roots == []
         assert leftover is not None  # x^2 - 2 has no rational roots
 
@@ -434,14 +446,19 @@ class TestBlockSolver:
             [0, -4000000000000000, -8, c - 2000000000000002, -2],
             [0, 0, 0, 0, c],
         ]
-        roots, leftover = _rational_eigenvalues([[F(v) for v in row] for row in block])
+        block = [[F(v) for v in row] for row in block]
+        roots, leftover = _rational_eigenvalues(*integer_block(block))
         assert leftover is None
         assert roots == [(F(k), 1) for k in (c - 2000000000000000, c - 3, c - 2, c, c + 1)]
 
     def test_eigenvalue_bound_past_the_largest_modulus_raises(self):
         # the moduli end at 2^4423 - 1, which must exceed twice the row-sum bound
         with pytest.raises(F4SolvError, match="bound of 4424 bits"):
-            _rational_eigenvalues([[F(2**4423), F(0)], [F(0), F(1)]])
+            _rational_eigenvalues(*integer_block([[F(2**4423), F(0)], [F(0), F(1)]]))
+
+    def test_the_block_is_put_in_lowest_terms_first(self):
+        # 3 * 2^4430 / 2^4430 is 3: unreduced, the row-sum bound would exceed every modulus
+        assert _rational_eigenvalues(2**4430, [{0: 3 * 2**4430}]) == ([(F(3), 1)], None)
 
 
 def fraction_char_poly(block):
@@ -473,7 +490,7 @@ def coupled_blocks(draw, max_dim=6, denominators=tuple(range(1, 13))):
 @settings(max_examples=80)
 @given(block=coupled_blocks())
 def test_integer_char_poly_matches_the_fraction_reference(block):
-    d, ints = linalg._integer_rows(block)
+    d, ints = integer_block(block)
     assert [F(c, d**k) for k, c in enumerate(_char_poly(ints))] == fraction_char_poly(block)
 
 
@@ -507,7 +524,7 @@ def conjugated_triangular_blocks(draw, max_dim=6):
 @given(case=conjugated_triangular_blocks())
 def test_block_roots_are_the_triangular_diagonal(case):
     block, diagonal = case
-    roots, leftover = _rational_eigenvalues(block)
+    roots, leftover = _rational_eigenvalues(*integer_block(block))
     assert leftover is None
     assert sorted(lam for lam, mult in roots for _ in range(mult)) == sorted(diagonal)
 
@@ -523,7 +540,7 @@ def poly_mul(a, b):
 @settings(max_examples=80, deadline=None)
 @given(block=coupled_blocks(max_dim=5, denominators=(1, 2, 3, 4)))
 def test_roots_times_leftover_is_the_char_poly(block):
-    roots, leftover = _rational_eigenvalues(block)
+    roots, leftover = _rational_eigenvalues(*integer_block(block))
     product = leftover or [F(1)]
     for lam, mult in roots:
         for _ in range(mult):
@@ -532,8 +549,8 @@ def test_roots_times_leftover_is_the_char_poly(block):
     if leftover:
         # no integer root k of d^i leftover_i, the polynomial of d * block,
         # lies within the row-sum bound of d * block
-        d, ints = linalg._integer_rows(block)
-        bound = max(sum(map(abs, row)) for row in ints)
+        d, ints = integer_block(block)
+        bound = max(sum(map(abs, row.values())) for row in ints)
         scaled = [c * d**i for i, c in enumerate(leftover)]
         assert all(c.denominator == 1 for c in scaled)
         scaled = [int(c) for c in scaled]
@@ -660,6 +677,21 @@ def test_block_spectrum_recovers_planted_roots_or_names_the_grade(case):
         spectrum = spectral._block_spectrum(basis, matrix)
         assert not spectrum.strict
         assert [line.eigenvalue for line in spectrum.lines] == planted
+
+
+def test_the_block_path_reads_only_the_sparse_int_rows(trig_op, monkeypatch):
+    # native-frame blocks go from integer_form() to the characteristic
+    # polynomial: no matrix entry becomes a Fraction on the way
+    want = spectrum_from_matrix(trig_op, MINIMAL, 6).lines
+
+    def refuse(*args):
+        raise AssertionError("a dense RatMatrix accessor was read")
+
+    monkeypatch.setattr(RatMatrix, "__getitem__", refuse)
+    monkeypatch.setattr(RatMatrix, "data", property(refuse))
+    spectrum = spectrum_from_matrix(trig_op, MINIMAL, 6)
+    assert not spectrum.strict and spectrum.lines == want
+    assert len(want) == flag_dimension(MINIMAL, 6)
 
 
 class TestResidualCertificate:
