@@ -21,6 +21,7 @@ oracle sweeps compare rational values and the limit suite polynomials.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import re
@@ -32,6 +33,7 @@ from .errors import F4SolvError
 from .models import MODELS, RATIONAL, TRIG, ModelParams, build_operator
 from .serialize import (
     dumps,
+    eigenfunctions_json,
     format_fraction,
     operator_to_json,
     parse_fraction,
@@ -167,12 +169,10 @@ def _check_out(path: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def emit(args, text: str | list[str]) -> None:
+    """Write the text, or its pieces in order, to --out or to stdout."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def cmd_spectrum(args, params: ModelParams) -> int:
@@ -233,15 +233,8 @@ def cmd_eigenfunctions(args, params: ModelParams) -> int:
 
     f = parse_flag_request(args)
     op = build_operator(args.model, args.frame, params)
-    report = eigenfunctions(op, f, args.level)
-    payload = {
-        "model": args.model,
-        "level": args.level,
-        "charvec": list(f),
-        "eigenpairs": [spectral_line_json(l) for l in report.lines],
-        "defective_blocks": list(report.defective_blocks),
-    }
-    emit(args, dumps(payload))
+    report = eigenfunctions(op, f, args.level)  # raises before any output on a nonzero residual
+    emit(args, eigenfunctions_json(report, args.model, args.level, f))
     return EXIT_ANOMALY if report.defective else EXIT_OK
 
 

@@ -74,7 +74,7 @@ class RatMatrix:
         d = self._d
         k = lam.denominator // gcd(d, lam.denominator)  # makes d * k * lam integral
         shift = lam.numerator * (d * k // lam.denominator)
-        ints = _times(self._ints, k)
+        ints = [row.copy() for row in self._ints] if k == 1 else _times(self._ints, k)
         for i, row in enumerate(ints):
             v = row.pop(i, 0) - shift
             if v:
@@ -88,7 +88,8 @@ class RatMatrix:
         return below and below[::-1]
 
     def is_upper_triangular(self) -> bool:
-        return self.first_below_diagonal() is None
+        # stops at the first entry below the diagonal; a per-row min() is slower on sparse rows
+        return not any(True for i, row in enumerate(self._ints) for j in row if j < i)
 
 
 def _times(ints: Sequence[dict[int, int]], k: int) -> list[dict[int, int]]:

@@ -11,10 +11,11 @@ except ImportError:  # an interpreter built without the accelerator
     from json.encoder import encode_basestring_ascii as _quote
 
 from .operators import A_PAIRS, SecondOrderOp
-from .poly import VAR_IDS, MPoly, format_fraction  # format_fraction: re-exported
+from .poly import MINIMAL_CHARVEC, VAR_IDS, MPoly, term_order_key
+from .poly import format_fraction  # re-exported, and used here
 
 if TYPE_CHECKING:  # spectral is loaded by the commands that compute spectra
-    from .spectral import SpectralLine
+    from .spectral import EigenReport, SpectralLine
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -85,10 +86,40 @@ def spectral_line_json(line: SpectralLine) -> dict:
         obj["level"] = line.level
     if line.closed_form_energy is not None:
         obj["closed_form_energy"] = format_fraction(line.closed_form_energy)
-    if line.eigenfunction is not None:
-        obj["eigenfunction"] = mpoly_to_json(line.eigenfunction)
-        obj["residual_zero"] = True
     return obj
+
+
+#: an eigenpair of the eigenfunctions document, a term's text after its coefficient,
+#: and a label, as ``dumps`` lays them out
+_PAIR = ('{\n      "eigenfunction": {\n        "frame": %s,\n        "terms": %s\n      },\n'
+         '      "eigenvalue": %s%s,\n      "residual_zero": true\n    }')
+_TERM = '",\n            "exponents": %s\n          }'
+_LABEL = ',\n      "level": %s,\n      "quantum_numbers": %s'
+
+
+def eigenfunctions_json(report: EigenReport, model: str, level: int,
+                        charvec: Sequence[int]) -> list[str]:
+    """The pieces of ``dumps`` of the eigenfunctions document (lines as ``spectral_line_json``
+    with ``"eigenfunction"`` and ``"residual_zero": true``), one per eigenpair, made straight
+    from the report.  Its eigenfunctions share one frame: each monomial's text is made once."""
+    frame = report.lines[0].eigenfunction.frame if report.lines else None
+    order = sorted(set().union(*(line.eigenfunction.terms for line in report.lines)),
+                   key=lambda m: term_order_key(m, MINIMAL_CHARVEC, frame))
+    rank = {m: k for k, m in enumerate(order)}
+    texts = [_TERM % _array([*map(str, m)], "\n            ") for m in order]
+    out = ['{\n  "charvec": ' + _array([*map(str, charvec)], "\n  ") + ',\n  "defective_blocks": ']
+    _write(list(report.defective_blocks), out, "\n  ")
+    out.append(',\n  "eigenpairs": [')
+    for i, line in enumerate(report.lines):  # a separator and one text per eigenpair
+        psi, qn = line.eigenfunction, line.quantum_numbers
+        terms = ['{\n            "coeff": "' + format_fraction(c) + texts[k]
+                 for k, c in sorted(zip(map(rank.__getitem__, psi.terms), psi.terms.values()))]
+        label = "" if qn is None else _LABEL % (_leaf(line.level), _array([*map(str, qn)], "\n      "))
+        out += [",\n    " if i else "\n    ", _PAIR % (_quote(psi.frame), _array(terms, "\n        "),
+                                                      _quote(format_fraction(line.eigenvalue)), label)]
+    out.append(("\n  ]" if report.lines else "]") + ',\n  "level": %s,\n  "model": %s\n}\n' % (
+        _leaf(level), _quote(model)))
+    return out
 
 
 def dumps(obj) -> str:
@@ -114,6 +145,12 @@ def _leaf(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+def _array(items: list[str], nl: str) -> str:
+    """A JSON array at the indent ``nl`` of items already encoded one indent deeper."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+
+
 def _write(o, out: list[str], nl: str) -> None:
     """Append the encoding of ``o``; ``nl`` is a newline and the current indent."""
     inner = nl + "  "
@@ -128,7 +165,7 @@ def _write(o, out: list[str], nl: str) -> None:
                 _write(v, out, inner)
         out.append(nl + "}")
     elif isinstance(o, (list, tuple)) and {*map(type, o)} == {int}:  # exponents: one join
-        out.append("[" + inner + comma.join(map(int.__repr__, o)) + nl + "]")
+        out.append(_array([*map(int.__repr__, o)], nl))
     elif isinstance(o, (list, tuple)) and o:
         for i, v in enumerate(o):
             out.append(comma if i else "[" + inner)

@@ -105,6 +105,14 @@ MUTANTS = (
            "for j in r if j < i)",
            "for j in r if j <= i)",
            ("tests/test_flags.py::TestTriangularity::test_rational_strictly_triangular",)),
+    Mutant("upper-triangular-refuses-the-diagonal", "linalg.py",
+           "for j in row if j < i)",
+           "for j in row if j <= i)",
+           ("tests/test_goldens.py::test_stdout_digest[spectrum --model rational --level 4]",)),
+    Mutant("shift-shares-the-rows", "linalg.py",
+           "[row.copy() for row in self._ints]",
+           "list(self._ints)",
+           ("tests/test_linalg.py::test_minus_scalar_identity_copies_rows",)),
     # flags and spectra
     Mutant("closure-refuses-its-own-grade", "flags.py",
            "if term_grade > g:",
@@ -196,6 +204,15 @@ MUTANTS = (
            '_derive_a66(parse_fraction(sweep["scale"]))',
            "_derive_a66(Fraction(1))",
            ("tests/test_cli.py::TestVerifyCommand::test_a66_suite_rederives_the_tabulated_entry",)),
+    # the eigenfunctions document
+    Mutant("terms-in-basis-order", "serialize.py",
+           "for k, c in sorted(zip(map(rank.__getitem__, psi.terms), psi.terms.values()))]",
+           "for k, c in zip(map(rank.__getitem__, psi.terms), psi.terms.values())]",
+           ("tests/test_serialize.py::test_terms_follow_the_canonical_order_not_the_basis_order",)),
+    Mutant("exponent-slots-swapped", "serialize.py",
+           "[*map(str, m)]",
+           "[*map(str, (m[1], m[0], m[2], m[3]))]",
+           ("tests/test_serialize.py::test_rho_and_tau_documents_match_the_per_term_payload",)),
 )
 
 

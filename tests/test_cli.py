@@ -123,6 +123,29 @@ class TestEigenfunctionsCommand:
         assert payload["defective_blocks"] == []
         assert all(p["residual_zero"] for p in payload["eigenpairs"])
 
+    # the block path in the t frame: the basis order is not the term order
+    BLOCK = ("eigenfunctions", "--model", "rational", "--charvec", "2,3,4", "--level", "6")
+
+    def test_out_file_holds_the_bytes_stdout_would(self, capsys, tmp_path):
+        code, out, _ = run(capsys, *self.BLOCK)
+        target = tmp_path / "eigen.json"
+        assert run(capsys, *self.BLOCK, "--out", str(target)) == (code, "", "")
+        assert code == 0 and target.read_bytes() == out.encode()
+
+    def test_a_failing_residual_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        from f4solv import spectral
+
+        def wrong(mat, lam, multiplicity):
+            return [[F(1)] * mat.rows], None  # not an eigenvector
+
+        monkeypatch.setattr(spectral, "_eigenspace", wrong)
+        code, out, err = run(capsys, *self.BLOCK)
+        assert (code, out) == (3, "") and "nonzero residual" in err
+        target = tmp_path / "eigen.json"
+        code, out, err = run(capsys, *self.BLOCK, "--out", str(target))
+        assert (code, out) == (3, "") and "nonzero residual" in err
+        assert not target.exists()
+
 
 class TestVerifyCommand:
     def test_tau_frame_suite_passes_by_finding_violation(self, capsys):

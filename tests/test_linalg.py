@@ -244,6 +244,15 @@ def test_minus_scalar_identity_copies_rows():
     shifted = m.minus_scalar_identity(F(1, 2))
     assert shifted == RatMatrix([[F(1, 2), 2], [0, F(5, 2)]])
     assert m == RatMatrix([[1, 2], [0, 3]])
+    # d * lam an integer, as for every eigenvalue of a matrix over d: the rows keep
+    # their scale, and are still copied
+    for rows, lam in ([[1, 2], [0, 3]], F(3)), ([[F(1, 2), 1], [0, F(3, 2)]], F(1, 2)):
+        m = RatMatrix(rows)
+        shifted = m.minus_scalar_identity(lam)
+        assert shifted.integer_form()[0] == m.integer_form()[0]
+        assert shifted == RatMatrix([[x - lam * (i == j) for j, x in enumerate(r)]
+                                     for i, r in enumerate(rows)])
+        assert m == RatMatrix(rows)
 
 
 @settings(max_examples=60)

@@ -1,4 +1,5 @@
-"""The one-pass JSON writer against the json module's indented layout."""
+"""The one-pass JSON writer against the json module's indented layout, and the
+eigenfunctions document against ``dumps`` of its per-term payload."""
 
 import enum
 import json
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f4solv.serialize import dumps
+from f4solv.poly import MPoly
+from f4solv.serialize import dumps, eigenfunctions_json, mpoly_to_json, spectral_line_json
+from f4solv.spectral import EigenReport, SpectralLine, eigenfunctions
+from tests.conftest import MINIMAL
 
 #: every code point: non-ASCII, control characters and lone surrogates.  The
 #: second alphabet keeps lone surrogates frequent and puts them next to the
@@ -96,3 +100,68 @@ def test_values_json_cannot_encode_raise_type_error(value):
         reference(value)
     with pytest.raises(TypeError):
         dumps(value)
+
+
+# -- the eigenfunctions document, written straight from the report --------------
+
+def reference_document(report, model, level, charvec) -> str:
+    """The document as ``dumps`` writes it from the per-term dicts of ``mpoly_to_json``."""
+    pairs = [{**spectral_line_json(line), "eigenfunction": mpoly_to_json(line.eigenfunction),
+              "residual_zero": True} for line in report.lines]
+    return dumps({"model": model, "level": level, "charvec": list(charvec),
+                  "eigenpairs": pairs, "defective_blocks": list(report.defective_blocks)})
+
+
+#: past Python's int-to-str limit of 4300 digits, which format_fraction lifts
+HUGE = 10**4400 + 7
+EXPONENT = st.tuples(*[st.integers(0, 6)] * 4)
+COEFF = (st.fractions().filter(bool)
+         | st.builds(lambda k, d: F(k * HUGE, d), st.integers(-3, 3).filter(bool), st.integers(1, 9)))
+
+
+@st.composite
+def reports(draw):
+    """A report in one frame: labeled and unlabeled lines, terms in any order."""
+    frame = draw(st.sampled_from(["t", "rho", "tau"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        terms = draw(st.dictionaries(EXPONENT, COEFF, max_size=6))
+        label = draw(st.none() | EXPONENT)
+        lines.append(SpectralLine(label, draw(COEFF | st.just(F(0))), None, MPoly(frame, terms)))
+    blocks = draw(st.lists(st.fixed_dictionaries({
+        "eigenvalue": st.fractions().map(str),
+        "algebraic_multiplicity": st.integers(2, 9),
+        "geometric_multiplicity": st.integers(1, 8),
+    }), max_size=2))
+    return EigenReport(tuple(lines), tuple(blocks))
+
+
+@settings(max_examples=200)
+@given(reports(), st.sampled_from(["rational", "trig"]), st.integers(0, 20),
+       st.tuples(*[st.integers(1, 6)] * 4))
+def test_eigenfunctions_document_is_dumps_of_the_per_term_payload(report, model, level, charvec):
+    assert "".join(eigenfunctions_json(report, model, level, charvec)) == reference_document(
+        report, model, level, charvec)
+
+
+def test_an_empty_report_is_written_as_dumps_writes_it():
+    report = EigenReport((), ())
+    assert "".join(eigenfunctions_json(report, "trig", 3, (1, 2, 2, 3))) == reference_document(
+        report, "trig", 3, (1, 2, 2, 3))
+
+
+@pytest.mark.parametrize("f, n", [((1, 2, 3, 4), 6), ((1, 2, 3, 5), 8)])
+def test_terms_follow_the_canonical_order_not_the_basis_order(rational_op, f, n):
+    # on these flags the basis order differs from MINIMAL_CHARVEC's term order
+    report = eigenfunctions(rational_op, f, n)
+    assert any(list(line.eigenfunction.terms) != [m for m, _ in line.eigenfunction.sorted_terms()]
+               for line in report.lines)
+    assert "".join(eigenfunctions_json(report, "rational", n, f)) == reference_document(
+        report, "rational", n, f)
+
+
+def test_rho_and_tau_documents_match_the_per_term_payload(trig_op, rho_op):
+    for op, n in ((rho_op, 6), (trig_op, 3)):
+        report = eigenfunctions(op, MINIMAL, n)
+        assert "".join(eigenfunctions_json(report, "trig", n, MINIMAL)) == reference_document(
+            report, "trig", n, MINIMAL)
