@@ -6,7 +6,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f4solv.poly import MPoly
@@ -139,15 +139,10 @@ def reports(draw):
 @settings(max_examples=200)
 @given(reports(), st.sampled_from(["rational", "trig"]), st.integers(0, 20),
        st.tuples(*[st.integers(1, 6)] * 4))
+@example(EigenReport((), ()), "trig", 3, (1, 2, 2, 3))  # the empty report
 def test_eigenfunctions_document_is_dumps_of_the_per_term_payload(report, model, level, charvec):
     assert "".join(eigenfunctions_json(report, model, level, charvec)) == reference_document(
         report, model, level, charvec)
-
-
-def test_an_empty_report_is_written_as_dumps_writes_it():
-    report = EigenReport((), ())
-    assert "".join(eigenfunctions_json(report, "trig", 3, (1, 2, 2, 3))) == reference_document(
-        report, "trig", 3, (1, 2, 2, 3))
 
 
 @pytest.mark.parametrize("f, n", [((1, 2, 3, 4), 6), ((1, 2, 3, 5), 8)])
