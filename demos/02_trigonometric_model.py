@@ -11,11 +11,13 @@ diagonal.
 from fractions import Fraction as F
 
 from f4solv import (
+    F4SolvError,
     ModelParams,
     build_rho_map,
     build_trig_operator,
     enumerate_basis,
     is_triangular,
+    nullspace,
     op_matrix,
     spectrum_from_matrix,
 )
@@ -57,9 +59,14 @@ for line in lines[:7]:
         f"  closed_form={line.closed_form_energy}"
     )
 
-print("\n== cross-check: the tau-frame block spectrum is the same multiset ==")
-blocks = spectrum_from_matrix(op, f, 4)
-same = sorted(l.eigenvalue for l in blocks.lines) == sorted(
-    l.eigenvalue for l in spectrum.lines
-)
-print(f"  block eigenvalues (exact rational roots) match rho diagonal: {same}")
+print("\n== cross-check: the tau matrix has the rho diagonal as its spectrum ==")
+try:
+    spectrum_from_matrix(op, f, 4)
+except F4SolvError as exc:
+    print(f"  tau frame alone: {exc}")
+tau = op_matrix(op, enumerate_basis(f, 4, frame="tau")).matrix
+dims = {lam: len(nullspace(tau.minus_scalar_identity(lam)))
+        for lam in sorted({l.eigenvalue for l in spectrum.lines})}
+print(f"  a tau eigenvector at each of the {len(dims)} rho-diagonal eigenvalues: {all(dims.values())}")
+print(f"  tau eigenspace dimensions sum to dim P_4 = {len(spectrum.lines)}: "
+      f"{sum(dims.values()) == len(spectrum.lines)}")

@@ -1,7 +1,6 @@
 """Exact linear algebra over the rationals, on sparse integer rows.
 
-Every kernel runs over ``int``, as do ``spectral``'s block products along
-the same rows; ``Fraction`` is only taken and returned.
+Every kernel runs over ``int``; ``Fraction`` is only taken and returned.
 Systems are solved by fraction-free (Bareiss) elimination on rows scaled
 to coprime integers: the two-by-two cross elimination step divides
 exactly by the previous pivot, which keeps intermediate entries at

@@ -1,35 +1,33 @@
 """Spectra and eigenfunctions from the triangularized operators.
 
-In a strictly triangular frame the eigenvalues sit on the matrix diagonal,
-labeled by the quantum numbers of their basis monomials.  Block-triangular
-matrices (grade-non-increasing, with coupling inside a grade) are handled
-per diagonal block, taken as sparse int rows over d: each rational
-eigenvalue is k / d for an integer root k of the block's characteristic
-polynomial (its products run along the rows), found modulo a prime and
-kept only on exact division.  The models are exactly solvable, so a block
-with an irrational eigenvalue raises ``F4SolvError``: a spectrum is whole
-or an error.  Eigenfunctions come from exact nullspaces, found by
-back-substitution in a strictly triangular frame.  Every returned pair is
-re-verified to have an identically zero residual.  The characteristic
-polynomials, the root search, the kernels and the residuals run over
-``int``; ``Fraction`` appears only in results.
+Both model operators are triangular in invariant variables, so every
+eigenvalue is a diagonal entry of the operator's matrix on a flag member.
+In a strictly triangular frame the entries are labelled by the quantum
+numbers of their basis monomials.  A matrix whose off-diagonal nonzeros
+form an acyclic graph (Kahn's test), as the rational operator's on its
+non-minimal flags, is triangular in another order of the basis: its
+diagonal is the spectrum, unlabelled.  A cyclic diagonal block raises
+``F4SolvError``; the trigonometric operator's tau frame has one from
+level 2 on, and its spectrum is read in the rho frame, whose shear maps
+each P_n onto itself.  Eigenfunctions come from exact nullspaces, found by
+back-substitution in a strictly triangular frame and by elimination
+otherwise.  Every returned pair is re-verified to have an identically
+zero residual.  The kernels and the residuals run over ``int``;
+``Fraction`` appears only in results.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, groupby
-from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ClosureError, F4SolvError
 from .flags import GradedBasis, flag_matrix, grade_counts
-from .linalg import RatMatrix, _dense, nullspace
+from .linalg import RatMatrix, nullspace
 from .models import RATIONAL, ModelParams
 from .operators import SecondOrderOp
-from .poly import DEGREE_WEIGHTS, Exp, MPoly, format_fraction, weighted_grade
+from .poly import DEGREE_WEIGHTS, Exp, MPoly, VarMap, format_fraction, weighted_grade
 
 QuantumNumbers = Exp
 
@@ -88,157 +86,70 @@ class SpectrumResult(NamedTuple):
 
 
 def spectrum_from_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> SpectrumResult:
-    """Exact spectrum of the operator restricted to the flag member P_n."""
+    """Exact spectrum of the operator restricted to the flag member P_n: the
+    diagonal of its matrix, which some order of the basis must make
+    triangular; a cyclic diagonal block raises ``F4SolvError``."""
+    return _spectrum(op, f, n)
+
+
+def _spectrum(
+    op: SecondOrderOp, f: Sequence[int], n: int, shear: Optional[tuple[VarMap, VarMap]] = None
+) -> SpectrumResult:
+    """The spectrum of ``op`` on P_n, labelled when its matrix is upper triangular.
+
+    Otherwise the eigenvalues are the diagonal of the matrix or, given a
+    ``shear`` (a substitution pair) that maps each P_n onto itself, of the
+    matrix of ``op`` in the shear's variables: the same operator on the same
+    space.  The tau frame's cyclic blocks are read through the rho shear.
+    """
+    basis, mat = _flag_matrix(op, f, n)
+    if mat.is_upper_triangular():
+        lines = tuple(SpectralLine(m, mat[j, j]) for j, m in enumerate(basis.monomials))
+        return SpectrumResult(lines, True, basis, mat)
+    moved = (basis, mat)
+    # each image of f-grade at most its variable's: the shear maps P_n into, so onto, P_n
+    if shear and all(weighted_grade(e, f) <= w
+                     for w, phi in zip(f, shear[0].images) for e in phi.terms):
+        moved = _flag_matrix(op.change_variables(*shear), f, n)
+    lines = tuple(SpectralLine(None, lam) for lam in sorted(_diagonal(*moved)))
+    return SpectrumResult(lines, False, basis, mat)
+
+
+def _flag_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> tuple[GradedBasis, RatMatrix]:
     f = tuple(int(c) for c in f)
     verdict, basis, mat = flag_matrix(op, f, n)
     if not verdict:
         raise ClosureError(f"flag {f} is not preserved: witness {verdict.witness}")
-    if mat.is_upper_triangular():
-        lines = tuple(SpectralLine(m, mat[j, j]) for j, m in enumerate(basis.monomials))
-        return SpectrumResult(lines, True, basis, mat)
-    return _block_spectrum(basis, mat)
+    return basis, mat
 
 
-def _block_spectrum(basis: GradedBasis, mat: RatMatrix) -> SpectrumResult:
-    # the preserved flag makes the matrix block triangular: read each diagonal block's int rows
-    d, ints = mat.integer_form()
-    lines: list[SpectralLine] = []
-    stop = 0
-    for g, run in groupby(basis.grades()):
-        start, stop = stop, stop + len(list(run))
-        rows = [{j - start: v for j, v in r.items() if start <= j < stop} for r in ints[start:stop]]
-        roots, leftover = _rational_eigenvalues(d, rows)
-        if leftover:
-            factor = ", ".join(map(format_fraction, leftover))
-            raise F4SolvError(f"the grade {g} block's characteristic factor [{factor}] "
-                              "has no rational root")
-        for lam, mult in roots:
-            lines.extend(SpectralLine(None, lam) for _ in range(mult))
-    lines.sort(key=lambda line: line.eigenvalue)
-    return SpectrumResult(tuple(lines), False, basis, mat)
+def _diagonal(basis: GradedBasis, mat: RatMatrix) -> list[Fraction]:
+    """The diagonal of a block triangular matrix whose off-diagonal nonzeros
+    form an acyclic graph, so that some order of the basis makes it triangular:
+    its eigenvalues, with multiplicity.
 
-
-def _char_poly(a: list[dict[int, int]]) -> list[int]:
-    """Characteristic polynomial of a square int matrix on sparse rows, leading
-    coefficient first (Faddeev-LeVerrier along the rows: its traces divide by k)."""
-    n = len(a)
-    coeffs = [1]
-    m = [_dense(row, n) for row in a]
-    for k in range(1, n + 1):
-        ck, rem = divmod(-sum(m[i][i] for i in range(n)), k)
-        if rem:  # integer Faddeev-LeVerrier divides exactly; anything else is a bug
-            raise ArithmeticError("characteristic polynomial lost exactness")
-        coeffs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            m[i][i] += ck
-        cols = list(zip(*m))
-        m = [[sum([v * col[j] for j, v in row.items()]) for col in cols] for row in a]
-    return coeffs
-
-
-def _rational_eigenvalues(
-    d: int, block: list[dict[int, int]]
-) -> tuple[list[tuple[Fraction, int]], Optional[list[Fraction]]]:
-    """Rational roots (with multiplicity) of the characteristic polynomial of
-    ``block / d``, its sparse int rows over d put in lowest terms first.
-
-    The int rows a then have a monic integer characteristic polynomial q;
-    each rational eigenvalue is k / d for a root k of q with |k| at most the
-    row-sum bound of a (Gershgorin), and roots of q modulo a prime are kept
-    only on exact division.  Returns (roots, leftover), leftover the monic
-    factor with no rational root (leading coefficient first), or None.
+    Kahn's test: index j leaves once no index left holds an off-diagonal
+    entry in column j.  An index that never leaves lies on a cycle or is
+    reached from one at an equal or higher grade, so the lowest grade among
+    them holds a cycle, and ``F4SolvError`` names it.
     """
-    g = gcd(d, *(v for row in block for v in row.values()))
-    d, a = d // g, [{j: v // g for j, v in row.items()} for row in block]
-    poly = _char_poly(a)
-    roots: list[tuple[Fraction, int]] = []
-    for k in _roots_mod_p(poly, max(sum(map(abs, row.values())) for row in a)):
-        mult = 0
-        while len(poly) > 1:
-            *quot, rem = accumulate(poly, lambda acc, c: acc * k + c)  # Horner
-            if rem:
-                break
-            poly, mult = quot, mult + 1
-        if mult:
-            roots.append((Fraction(k, d), mult))
-    leftover = [Fraction(c, d**i) for i, c in enumerate(poly)] if len(poly) > 1 else None
-    return roots, leftover
-
-
-#: exponents e of the Mersenne primes 2^e - 1 that serve as moduli past 2^32
-_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
-
-
-def _modulus(bound: int) -> int:
-    """The first prime above max(2 * bound, 2), certified by trial division,
-    if 2 * bound < 2^32; else the first listed Mersenne prime above 2 * bound."""
-    if 2 * bound < 2**32:
-        p = max(2 * bound, 2) + 1
-        while not all(p % k for k in range(2, isqrt(p) + 1)):
-            p += 1
-        return p
-    p = next((2**e - 1 for e in _MERSENNE_EXPONENTS if 2**e - 1 > 2 * bound), None)
-    if p is None:
-        raise F4SolvError(f"eigenvalue bound of {bound.bit_length()} bits exceeds every modulus")
-    return p
-
-
-def _roots_mod_p(q: list[int], bound: int) -> list[int]:
-    """Sorted roots in (-p/2, p/2) of the monic q modulo the prime p =
-    ``_modulus(bound)``: gcd(q, x^p - x) over GF(p), split by Cantor-Zassenhaus
-    with a fixed seed.  Every integer root k with |k| <= bound is among them."""
-    p = _modulus(bound)
-    xp = [0, 0] + _pow_mod(0, p, q, p)
-    xp[-2] -= 1
-    rng, found, pending = random.Random(0), [], [_gcd_mod(q, xp, p)]
-    while pending:
-        g = pending.pop()
-        if len(g) == 2:
-            found.append((p // 2 - g[1]) % p - p // 2)
-        elif len(g) > 2:
-            h = _pow_mod(rng.randrange(p), p // 2, g, p)
-            h[-1] -= 1
-            f = _gcd_mod(g, h, p)
-            pending += [f, _divmod_mod(g, f, p)[0]] if 1 < len(f) < len(g) else [g]
-    return sorted(found)
-
-
-def _divmod_mod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the monic m over GF(p), leading
-    coefficients first; the remainder keeps any leading zeros."""
-    a = list(a)
-    for i in range(len(a) - len(m) + 1):
-        a[i] %= p
-        for j in range(1, len(m)):
-            a[i + j] -= a[i] * m[j]
-    split = max(len(a) - len(m) + 1, 0)
-    return a[:split], [c % p for c in a[split:]]
-
-
-def _pow_mod(c: int, e: int, m: list[int], p: int) -> list[int]:
-    """(x + c)^e modulo the monic m over GF(p), by left-to-right squaring."""
-    out = [1]
-    for bit in bin(e)[2:]:
-        prod = [0] * (2 * len(out) - 1)
-        for i, u in enumerate(out):
-            for j, v in enumerate(out):
-                prod[i + j] += u * v
-        if bit == "1":  # times x + c
-            prod = [u + c * v for u, v in zip(prod + [0], [0] + prod)]
-        out = _divmod_mod(prod, m, p)[1]
-    return out
-
-
-def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of the monic a and of b over GF(p)."""
-    while any(c % p for c in b):
-        b = [c % p for c in b[next(i for i, c in enumerate(b) if c % p):]]
-        inv = pow(b[0], -1, p)
-        a, b = [c * inv % p for c in b], a
-        b = _divmod_mod(b, a, p)[1]
-    return a
+    ints = mat.integer_form()[1]
+    entering = [0] * len(ints)  # off-diagonal entries in each column, from rows not yet left
+    for i, row in enumerate(ints):
+        for j in row:
+            entering[j] += j != i
+    left = [j for j, k in enumerate(entering) if not k]
+    for i in left:  # grows while it is read
+        for j in ints[i]:
+            if j != i:
+                entering[j] -= 1
+                if not entering[j]:
+                    left.append(j)
+    if len(left) < len(ints):
+        g = min(g for g, k in zip(basis.grades(), entering) if k)
+        raise F4SolvError(f"the grade {g} diagonal block is cyclic, so its eigenvalues are not "
+                          "on the diagonal; the trig operator is triangular in the rho frame")
+    return [mat[j, j] for j in range(len(ints))]
 
 
 class EigenReport(NamedTuple):
@@ -255,15 +166,19 @@ def eigenfunctions(op: SecondOrderOp, f: Sequence[int], n: int) -> EigenReport:
 
     Every eigenvalue's full eigenspace is returned (degenerate spaces as
     whole nullspaces, no preferred basis).  In a strictly triangular
-    frame ``nullspace`` finds each space by back-substitution; the
-    block path eliminates.  Residuals are exact and in column form: each
+    frame ``nullspace`` finds each space by back-substitution; any other
+    matrix is eliminated.  Residuals are exact and in column form: each
     support monomial m goes once through ``apply`` of ``d * op`` (not the
     shift table that built the matrix), and sum_m c_m (d op)(t^m) - d lam
     psi is summed over int; a nonzero entry is a library bug and raises.
     Defective eigenvalues (geometric < algebraic multiplicity) are
     reported per value, not fatal.
     """
-    spectrum = spectrum_from_matrix(op, f, n)
+    return _eigenpairs(op, spectrum_from_matrix(op, f, n))
+
+
+def _eigenpairs(op: SecondOrderOp, spectrum: SpectrumResult) -> EigenReport:
+    """The certified eigenpairs of ``op`` on the basis of its ``spectrum``."""
     basis, mat = spectrum.basis, spectrum.matrix
     algebraic = Counter(line.eigenvalue for line in spectrum.lines)
 

@@ -122,31 +122,23 @@ MUTANTS = (
            "if any(residual.values()):",
            "if False:",
            ("tests/test_spectral.py::TestResidualCertificate::test_residual_does_not_read_the_image_memo",)),
-    Mutant("horner-accepts-without-division", "spectral.py",
-           "            if rem:\n                break\n",
-           "            if rem is None:\n                break\n",
-           ("tests/test_spectral.py::TestBlockSolver::test_coupled_block_with_rational_spectrum",)),
-    Mutant("gershgorin-bound-by-largest-entry", "spectral.py",
-           "max(sum(map(abs, row.values())) for row in a)",
-           "max(max(map(abs, row.values())) for row in a)",
-           ("tests/test_spectral.py::TestBlockSolver::test_an_eigenvalue_past_every_entry_is_found",)),
-    Mutant("block-not-in-lowest-terms", "spectral.py",
-           "g = gcd(d, *(v for row in block for v in row.values()))",
-           "g = 1",
-           ("tests/test_spectral.py::TestBlockSolver::test_the_block_is_put_in_lowest_terms_first",)),
-    Mutant("block-slice-shifted-by-one-column", "spectral.py",
-           "{j - start: v for j, v in r.items()",
-           "{j - start + 1: v for j, v in r.items()",
-           ("tests/test_goldens.py::test_stdout_digest[spectrum --model trig --frame native "
-            "--nu 1/3 --mu 1/8 --beta2 1/4 --level 4]",)),
-    Mutant("char-poly-product-by-rows", "spectral.py",
-           "for col in cols] for row in a]",
-           "for col in m] for row in a]",
-           ("tests/test_spectral.py::test_integer_char_poly_matches_the_fraction_reference",)),
-    Mutant("irrational-block-kept", "spectral.py",
-           "        if leftover:\n            factor",
-           "        if None:\n            factor",
-           ("tests/test_spectral.py::TestSpectrum::test_a_block_without_rational_roots_raises",)),
+    Mutant("cyclic-block-kept", "spectral.py",
+           "    if len(left) < len(ints):\n",
+           "    if None:\n",
+           ("tests/test_spectral.py::TestSpectrum::test_a_cyclic_block_raises_naming_its_grade",)),
+    Mutant("acyclicity-misses-an-edge", "spectral.py",
+           "entering[j] += j != i",
+           "entering[j] += j > i",
+           ("tests/test_spectral.py::test_a_planted_two_cycle_raises_naming_its_grade",)),
+    Mutant("shear-used-off-its-flag", "spectral.py",
+           "weighted_grade(e, f) <= w",
+           "weighted_grade(e, f) <= w + 1",
+           ("tests/test_spectral.py::TestSpectrum::test_a_shear_that_leaves_the_flag_is_not_used",)),
+    Mutant("native-spectrum-off-the-tau-diagonal", "spectral.py",
+           "sorted(_diagonal(*moved))",
+           "sorted(mat[j, j] for j in range(mat.rows))",
+           ("tests/test_spectral.py::TestSpectrum::"
+            "test_tau_spectrum_through_the_rho_shear_is_the_rho_diagonal",)),
     Mutant("affine-fit-checks-its-two-pairs", "spectral.py",
            "all(scale * g + offset == p for g, p in pairs)",
            "all(scale * g + offset == p for g, p in pairs[:1] + [other or pairs[0]])",
@@ -155,11 +147,6 @@ MUTANTS = (
            "return fit if fit.exact else _affine_fit(list(zip(got, ascending[::-1])))",
            "return fit",
            ("tests/test_spectral.py::test_multiset_match_handles_negative_scale",)),
-    Mutant("roots-read-in-zero-to-p", "spectral.py",
-           "found.append((p // 2 - g[1]) % p - p // 2)",
-           "found.append(-g[1] % p)",
-           ("tests/test_spectral.py::TestBlockSolver::"
-            "test_roots_near_the_modulus_are_read_in_the_symmetric_range",)),
     Mutant("defect-never-reported", "spectral.py",
            "if len(kernel) < multiplicity:",
            "if len(kernel) < 0:",
@@ -179,6 +166,10 @@ MUTANTS = (
            "((q, 1), (1 + i, -1)) if i == j else ((q, 2),)",
            "((q, 1), (1 + i, -1)) if i == j else ((q, 1),)",
            ("tests/test_operators.py::TestImage::test_image_is_the_sorted_apply",)),
+    Mutant("carre-du-champ-mixed-entry-once", "operators.py",
+           "((i, j),) if i == j else ((i, j), (j, i))",
+           "((i, j),)",
+           ("tests/test_operators.py::TestChangeVariables::test_rho_maps_follow_the_chain_rule",)),
     Mutant("apply-mixed-entry-once", "operators.py",
            "(coeff if i == j else coeff * 2)",
            "coeff",

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DEMOS = [
     ("01_rational_model.py", "9742933666972a2830b7503ae77555dc7e37cd52b88a2b2687bed73cc8d9a49a"),
-    ("02_trigonometric_model.py", "045e423dedb1c7fa3be4e5334b12bd69207588dbf00ce0f9e2132708aa6d3926"),
+    ("02_trigonometric_model.py", "177e20eac215fb1f95c8868d888a558fa0a4b2520fd580bc99a378f70b00301b"),
     ("03_cartesian_oracle.py", "9301d7e5f9b49ed51ab40b46f881b061e5f9691ffb0af536147a307649a83d2b"),
     ("04_flag_scan.py", "f9b84da3aad8647e9734d66ad4071bcf6595c9778dc4435c5fd83e507e9fb810"),
 ]

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from f4solv.models import build_rho_map
 from f4solv.poly import MPoly
 from f4solv.serialize import dumps, eigenfunctions_json, mpoly_to_json, spectral_line_json
-from f4solv.spectral import EigenReport, SpectralLine, eigenfunctions
+from f4solv.spectral import EigenReport, SpectralLine, _eigenpairs, _spectrum, eigenfunctions
 from tests.conftest import MINIMAL
 
 #: every code point: non-ASCII, control characters and lone surrogates.  The
@@ -155,8 +156,9 @@ def test_terms_follow_the_canonical_order_not_the_basis_order(rational_op, f, n)
         report, "rational", n, f)
 
 
-def test_rho_and_tau_documents_match_the_per_term_payload(trig_op, rho_op):
-    for op, n in ((rho_op, 6), (trig_op, 3)):
-        report = eigenfunctions(op, MINIMAL, n)
+def test_rho_and_tau_documents_match_the_per_term_payload(trig_op, rho_op, trig_params):
+    # the tau eigenpairs at the eigenvalues read off the rho diagonal, as the CLI finds them
+    tau = _spectrum(trig_op, MINIMAL, 3, build_rho_map(trig_params.beta2))
+    for report, n in ((eigenfunctions(rho_op, MINIMAL, 6), 6), (_eigenpairs(trig_op, tau), 3)):
         assert "".join(eigenfunctions_json(report, "trig", n, MINIMAL)) == reference_document(
             report, "trig", n, MINIMAL)

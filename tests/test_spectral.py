@@ -1,24 +1,24 @@
 from collections import Counter
 from fractions import Fraction as F
-from functools import reduce
 from itertools import product
-from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f4solv import linalg, spectral
 from f4solv.errors import ClosureError, F4SolvError
-from f4solv.flags import GradedBasis, flag_dimension
+from f4solv.flags import GradedBasis, enumerate_basis, flag_dimension, preserves_flag
 from f4solv.linalg import RatMatrix
 from f4solv.operators import SecondOrderOp
-from f4solv.poly import MPoly, build_triangular_map
+from f4solv.poly import MPoly, build_triangular_map, format_fraction
 from f4solv.models import (
     ModelParams,
     build_rational_operator,
     build_rho_map,
     build_trig_operator,
+    trig_a_table,
+    trig_b_table,
 )
 from f4solv.spectral import (
     SpectralLine,
@@ -30,11 +30,10 @@ from f4solv.spectral import (
     fit_energy_affine,
     spectrum_from_matrix,
     weighted_level,
-    _char_poly,
+    _diagonal,
+    _eigenpairs,
     _eigenspace,
-    _modulus,
-    _rational_eigenvalues,
-    _roots_mod_p,
+    _spectrum,
 )
 from tests.conftest import RATIONAL_SETS, TRIG_SETS
 
@@ -207,31 +206,62 @@ class TestSpectrum:
             assert fit.scale == F(-1, 2)
             assert fit.offset == closed_form_energy_trig((0, 0, 0, 0), params)
 
-    def test_block_spectrum_of_tau_frame_matches_rho_diagonal(self, trig_op, rho_op):
+    def test_tau_spectrum_through_the_rho_shear_is_the_rho_diagonal(
+        self, trig_op, rho_op, trig_params
+    ):
+        shear = build_rho_map(trig_params.beta2)
         for level in (4, 5, 6, 8):
-            blocks = spectrum_from_matrix(trig_op, MINIMAL, level)
+            tau = _spectrum(trig_op, MINIMAL, level, shear)
             strict = spectrum_from_matrix(rho_op, MINIMAL, level)
-            assert not blocks.strict
-            assert sorted(l.eigenvalue for l in blocks.lines) == sorted(
-                l.eigenvalue for l in strict.lines
-            )
+            assert not tau.strict and strict.strict
+            assert tau.basis.monomials == enumerate_basis(MINIMAL, level, "tau").monomials
+            assert [l.eigenvalue for l in tau.lines] == sorted(l.eigenvalue for l in strict.lines)
+            assert all(l.quantum_numbers is None for l in tau.lines)
 
-    # t3 d/dt1 + 2 t1 d/dt3 swaps t1 and t3: the grade-1 block has the
-    # characteristic polynomial x^2 (x^2 - 2), whose x^2 - 2 has no rational root
-    SWAP_MESSAGE = r"^the grade 1 block's characteristic factor \[1, 0, -2\] has no rational root$"
+    def test_the_tau_frame_alone_raises_at_its_grade_2_block(self, trig_op):
+        # tau1^2 and tau3 feed each other from level 2 on; levels 0 and 1 are triangular
+        assert spectrum_from_matrix(trig_op, MINIMAL, 1).strict
+        for level in (2, 4):
+            with pytest.raises(F4SolvError, match=r"^the grade 2 diagonal block is cyclic.*rho frame$"):
+                spectrum_from_matrix(trig_op, MINIMAL, level)
+
+    def test_a_shear_that_leaves_the_flag_is_not_used(self):
+        # at nu = -2/3 the tau operator keeps (1,2,2,2) at level 2, where the rho
+        # image of tau6 has the grade-3 term tau1 tau4: the rho matrix on P_2 is
+        # not similar to the tau one, so the tau frame's cyclic block raises
+        params = ModelParams(F(-2, 3), F(1, 8), beta2=F(1, 4))
+        op = build_trig_operator(params)
+        assert preserves_flag(op, (1, 2, 2, 2), 2)
+        with pytest.raises(F4SolvError, match=r"^the grade 2 diagonal block is cyclic"):
+            _spectrum(op, (1, 2, 2, 2), 2, build_rho_map(params.beta2))
+
+    # t3 d/dt1 + 2 t1 d/dt3 swaps t1 and t3: a cycle in the grade-1 block,
+    # whose eigenvalues (0, 0 and the irrational +-sqrt(2)) are not on its diagonal
+    SWAP_MESSAGE = r"^the grade 1 diagonal block is cyclic, so its eigenvalues are not on the diagonal"
 
     @staticmethod
     def swap_op():
         t1, t3 = MPoly.variable("t", 0), MPoly.variable("t", 1)
         return SecondOrderOp("t", {}, {1: t3, 3: 2 * t1})
 
-    def test_a_block_without_rational_roots_raises(self):
+    def test_a_cyclic_block_raises_naming_its_grade(self):
         with pytest.raises(F4SolvError, match=self.SWAP_MESSAGE):
             spectrum_from_matrix(self.swap_op(), (1, 1, 1, 1), 1)
 
-    def test_eigenfunctions_raise_on_a_block_without_rational_roots(self):
+    def test_eigenfunctions_raise_on_a_cyclic_block(self):
         with pytest.raises(F4SolvError, match=self.SWAP_MESSAGE):
             eigenfunctions(self.swap_op(), (1, 1, 1, 1), 1)
+
+    def test_the_rational_non_minimal_flags_are_acyclic_not_triangular(self):
+        # (1,2,3,4) and (1,2,3,5) from level 6, (1,3,4,5) at level 8: the diagonal, unlabelled
+        for params in RATIONAL_SETS + [ModelParams(F(1, 3), F(1, 5), omega=F(0))]:
+            op = build_rational_operator(params)
+            for f, level in (((1, 2, 3, 4), 6), ((1, 2, 3, 5), 8), ((1, 3, 4, 5), 8)):
+                spectrum = spectrum_from_matrix(op, f, level)
+                assert not spectrum.strict
+                w = params.omega
+                want = sorted(2 * w * weighted_level(m) for m in spectrum.basis.monomials)
+                assert [l.eigenvalue for l in spectrum.lines] == want
 
     def test_unpreserved_flag_raises_closure_error(self, rational_op):
         with pytest.raises(ClosureError):
@@ -256,16 +286,25 @@ def flag_shear(frame, a, b, c, d, e, f):
         *[st.builds(F, st.integers(min_value=-3, max_value=3), st.integers(1, 3))] * 6
     ),
 )
-def test_flag_preserving_shears_keep_the_spectrum(rational_op, trig_op, model, coeffs):
-    # P_6 holds every level up to 6
+def test_flag_preserving_shears_keep_the_spectrum(
+    rational_op, trig_op, trig_params, model, coeffs
+):
+    # P_6 holds every level up to 6.  The moved matrix may be cyclic, so the
+    # spectrum is certified by eigenspaces: the moved operator's kernels at the
+    # eigenvalues of op span P_6, and every pair passes the residual certificate
     op = rational_op if model == "rational" else trig_op
     level = 6
     fwd, inv = flag_shear(op.frame, *coeffs)
     moved = op.change_variables(fwd, inv)
-    before = spectrum_from_matrix(op, MINIMAL, level)
-    after = spectrum_from_matrix(moved, MINIMAL, level)
-    assert len(after.lines) == flag_dimension(MINIMAL, level)
-    assert Counter(l.eigenvalue for l in after.lines) == Counter(
+    if model == "rational":
+        before = spectrum_from_matrix(op, MINIMAL, level)
+    else:
+        before = _spectrum(op, MINIMAL, level, build_rho_map(trig_params.beta2))
+    basis, mat = spectral._flag_matrix(moved, MINIMAL, level)
+    report = _eigenpairs(moved, before._replace(basis=basis, matrix=mat))
+    assert not report.defective
+    assert len(report.lines) == flag_dimension(MINIMAL, level)
+    assert Counter(l.eigenvalue for l in report.lines) == Counter(
         l.eigenvalue for l in before.lines
     )
 
@@ -320,7 +359,7 @@ class TestEigenfunctions:
         with pytest.raises(F4SolvError, match="nonzero residual"):
             eigenfunctions(rational_op, MINIMAL, 2)
 
-    def test_tau_frame_goes_through_elimination(self, trig_op, monkeypatch):
+    def test_tau_frame_goes_through_elimination(self, trig_op, trig_params, monkeypatch):
         calls = []
         eliminate = linalg._bareiss_echelon
 
@@ -331,7 +370,8 @@ class TestEigenfunctions:
         # the block-triangular matrix is not upper triangular: every
         # eigenspace goes through elimination
         monkeypatch.setattr(linalg, "_bareiss_echelon", counted)
-        report = eigenfunctions(trig_op, MINIMAL, 4)
+        spectrum = _spectrum(trig_op, MINIMAL, 4, build_rho_map(trig_params.beta2))
+        report = _eigenpairs(trig_op, spectrum)
         assert not report.defective
         assert len(report.lines) == flag_dimension(MINIMAL, 4)
         assert len(calls) == len({l.eigenvalue for l in report.lines})
@@ -380,316 +420,94 @@ def test_nullspace_of_shifted_level_one_matrix(rational_op, rational_params):
     assert coeffs[1] != 0  # the t1 coordinate leads
 
 
-def integer_block(block):
-    """(d, sparse int rows over d) of a Fraction block, d the lcm of its
-    denominators: the form in which ``_block_spectrum`` passes a diagonal block."""
-    d = lcm(*(c.denominator for row in block for c in row))
-    return d, [{j: int(c * d) for j, c in enumerate(row) if c} for row in block]
-
-
-class TestBlockSolver:
-    def test_rational_roots_of_small_block(self):
-        roots, leftover = _rational_eigenvalues(*integer_block([[F(2), F(1)], [F(0), F(3)]]))
-        assert leftover is None
-        assert sorted(roots) == [(F(2), 1), (F(3), 1)]
-
-    def test_coupled_block_with_rational_spectrum(self):
-        # eigenvalues 1 and 4
-        roots, leftover = _rational_eigenvalues(*integer_block([[F(2), F(1)], [F(2), F(3)]]))
-        assert leftover is None
-        assert sorted(roots) == [(F(1), 1), (F(4), 1)]
-
-    def test_large_constant_term_is_solved_exactly(self):
-        # trial division of the 61-bit constant term would not finish
-        block = [[F(2**61 - 1), F(1)], [F(0), F(3)]]
-        roots, leftover = _rational_eigenvalues(*integer_block(block))
-        assert leftover is None
-        assert sorted(roots) == [(F(3), 1), (F(2**61 - 1), 1)]
-
-    def test_roots_near_the_modulus_are_read_in_the_symmetric_range(self):
-        # row-sum bound 2^61 - 2: the modulus must exceed twice it, so not 2^61 - 1
-        roots = [(F(2 - 2**61), 1)]
-        assert _rational_eigenvalues(*integer_block([[F(2 - 2**61)]])) == (roots, None)
-
-    def test_repeated_and_fractional_roots(self):
-        jordan = [[F(3), F(1), F(0)], [F(0), F(3), F(1)], [F(0), F(0), F(3)]]
-        assert _rational_eigenvalues(*integer_block(jordan)) == ([(F(3), 3)], None)
-        block = [[F(1, 3), F(1)], [F(0), F(-7, 5)]]
-        roots, leftover = _rational_eigenvalues(*integer_block(block))
-        assert leftover is None
-        assert sorted(roots) == [(F(-7, 5), 1), (F(1, 3), 1)]
-
-    def test_an_eigenvalue_past_every_entry_is_found(self):
-        # eigenvalues 0 and 10, past the largest entry 5: the row-sum bound 10
-        # gives the modulus 23; a bound of 5 would give 11, where 10 reads as -1
-        roots = [(F(0), 1), (F(10), 1)]
-        assert _rational_eigenvalues(*integer_block([[F(5), F(5)], [F(5), F(5)]])) == (roots, None)
-
-    def test_zero_block(self):
-        # row-sum bound 0: the modulus is 3
-        zero = [[F(0)] * 3 for _ in range(3)]
-        assert _rational_eigenvalues(*integer_block(zero)) == ([(F(0), 3)], None)
-
-    def test_irrational_block_reported_not_approximated(self):
-        roots, leftover = _rational_eigenvalues(*integer_block([[F(0), F(1)], [F(2), F(0)]]))
-        assert roots == []
-        assert leftover is not None  # x^2 - 2 has no rational roots
-
-    def test_far_off_cluster_is_solved_exactly(self):
-        # four close roots near 7.6e14 and one near -1.2e15; a numerical
-        # root isolation left all five in an unfactored quintic
-        c = 755153512521398
-        block = [
-            [c + 1, 8, 4, 3, -4],
-            [0, c, 4, 1, 2],
-            [0, -2, c - 3, -1, 0],
-            [0, -4000000000000000, -8, c - 2000000000000002, -2],
-            [0, 0, 0, 0, c],
-        ]
-        block = [[F(v) for v in row] for row in block]
-        roots, leftover = _rational_eigenvalues(*integer_block(block))
-        assert leftover is None
-        assert roots == [(F(k), 1) for k in (c - 2000000000000000, c - 3, c - 2, c, c + 1)]
-
-    def test_eigenvalue_bound_past_the_largest_modulus_raises(self):
-        # the moduli end at 2^4423 - 1, which must exceed twice the row-sum bound
-        with pytest.raises(F4SolvError, match="bound of 4424 bits"):
-            _rational_eigenvalues(*integer_block([[F(2**4423), F(0)], [F(0), F(1)]]))
-
-    def test_the_block_is_put_in_lowest_terms_first(self):
-        # 3 * 2^4430 / 2^4430 is 3: unreduced, the row-sum bound would exceed every modulus
-        assert _rational_eigenvalues(2**4430, [{0: 3 * 2**4430}]) == ([(F(3), 1)], None)
-
-
-def fraction_char_poly(block):
-    """Reference: Faddeev-LeVerrier over Fraction, the former implementation."""
-    n = len(block)
-    coeffs = [F(1)]
-    m = [row[:] for row in block]
-    for k in range(1, n + 1):
-        ck = -sum(m[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            m[i][i] += ck
-        m = [[sum(block[i][r] * m[r][j] for r in range(n)) for j in range(n)] for i in range(n)]
-    return coeffs
-
-
 @st.composite
-def coupled_blocks(draw, max_dim=6, denominators=tuple(range(1, 13))):
-    """Square blocks with fractional entries and a nonzero entry below the diagonal."""
-    n = draw(st.integers(min_value=2, max_value=max_dim))
-    entry = st.builds(F, st.integers(-9, 9), st.sampled_from(denominators))
-    block = [[draw(entry) for _ in range(n)] for _ in range(n)]
-    assume(any(block[i][j] for i in range(n) for j in range(i)))
-    return block
-
-
-@settings(max_examples=80)
-@given(block=coupled_blocks())
-def test_integer_char_poly_matches_the_fraction_reference(block):
-    d, ints = integer_block(block)
-    assert [F(c, d**k) for k, c in enumerate(_char_poly(ints))] == fraction_char_poly(block)
-
-
-@st.composite
-def conjugated_triangular_blocks(draw, max_dim=6):
-    """(E T E^-1, diagonal of T): T upper triangular, its rational diagonal
-    a tight cluster at 10^k, outliers offset by 10^j and repeats; E a
-    product of integer shears."""
-    small = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
-    centre = draw(st.integers(-1, 1)) * 10 ** draw(st.integers(0, 16))
-    offset = draw(st.integers(-2, 2)) * 10 ** draw(st.integers(0, 16))
-    cluster = draw(st.lists(small, min_size=1, max_size=5, unique=True))
-    values = [centre + v for v in cluster]
-    values += [centre + offset + v for v in draw(st.lists(small, max_size=2))]
-    repeats = draw(st.lists(st.sampled_from(values), max_size=2))
-    diagonal = draw(st.permutations(values + repeats))[:max_dim]
-    n = len(diagonal)
-    block = [[diagonal[i] if i == j else draw(small) if i < j else F(0) for j in range(n)]
+def permuted_triangular(draw, max_dim=8):
+    """(P T P^-1, diagonal of T): T upper triangular with int entries over a
+    denominator, its diagonal with repeats, and P a permutation matrix."""
+    n = draw(st.integers(1, max_dim))
+    d = draw(st.integers(1, 12))
+    entry = st.integers(-9, 9)
+    diagonal = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    upper = [[diagonal[i] if i == j else draw(entry) if i < j else 0 for j in range(n)]
              for i in range(n)]
-    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
-        i, j = draw(st.permutations(range(n)))[:2]
-        c = draw(st.integers(-3, 3))
-        # E = I + c e_ij: row i gains c row j, then column j loses c column i
-        block[i] = [u + c * v for u, v in zip(block[i], block[j])]
-        for row in block:
-            row[j] -= c * row[i]
-    return block, diagonal
+    sigma = draw(st.permutations(range(n)))
+    data = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            data[sigma[i]][sigma[j]] = F(upper[i][j], d)
+    return RatMatrix(data), [F(v, d) for v in diagonal]
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=conjugated_triangular_blocks())
-def test_block_roots_are_the_triangular_diagonal(case):
-    block, diagonal = case
-    roots, leftover = _rational_eigenvalues(*integer_block(block))
-    assert leftover is None
-    assert sorted(lam for lam, mult in roots for _ in range(mult)) == sorted(diagonal)
-
-
-def poly_mul(a, b):
-    out = [F(0)] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            out[i + j] += u * v
-    return out
-
-
-@settings(max_examples=80, deadline=None)
-@given(block=coupled_blocks(max_dim=5, denominators=(1, 2, 3, 4)))
-def test_roots_times_leftover_is_the_char_poly(block):
-    roots, leftover = _rational_eigenvalues(*integer_block(block))
-    product = leftover or [F(1)]
-    for lam, mult in roots:
-        for _ in range(mult):
-            product = poly_mul(product, [F(1), -lam])
-    assert product == fraction_char_poly(block)
-    if leftover:
-        # no integer root k of d^i leftover_i, the polynomial of d * block,
-        # lies within the row-sum bound of d * block
-        d, ints = integer_block(block)
-        bound = max(sum(map(abs, row.values())) for row in ints)
-        scaled = [c * d**i for i, c in enumerate(leftover)]
-        assert all(c.denominator == 1 for c in scaled)
-        scaled = [int(c) for c in scaled]
-        for k in range(-bound, bound + 1):
-            assert reduce(lambda acc, c: acc * k + c, scaled) != 0
-
-
-def is_prime(n):
-    """Lucas-Lehmer for Mersenne numbers, deterministic Miller-Rabin (the
-    first 12 prime bases, proven below 3.3e24) otherwise."""
-    if n < 2:
-        return False
-    e = (n + 1).bit_length() - 1
-    if n == 2**e - 1 and e > 2:
-        if any(e % k == 0 for k in range(2, e)):
-            return False
-        s = 4
-        for _ in range(e - 2):
-            s = (s * s - 2) % n
-        return s == 0
-    assert n < 3 * 10**24
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in bases:
-        return True
-    if any(n % b == 0 for b in bases):
-        return False
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-#: bounds at the edges: the zero block, 1, and both sides of the 2^32 switch
-EDGE_BOUNDS = (0, 1, 2, 3, 2**31 - 1, 2**31, 2**61, 2**4422 - 1)
-
-
-@pytest.mark.parametrize("bound", EDGE_BOUNDS + tuple(range(4, 200, 7)) + (28772, 10**6))
-def test_modulus_is_the_first_prime_above_twice_the_bound(bound):
-    p = _modulus(bound)
-    assert is_prime(p) and p > 2 * bound
-    if 2 * bound < 2**32:
-        assert not any(is_prime(k) for k in range(max(2 * bound, 2) + 1, p))
-    else:
-        assert p.bit_length() in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
-
-
-#: irreducible over Q of degree 2 or 3: no integer roots
-IRREDUCIBLE = ([1, 0, 1], [1, 0, -2], [1, 1, 1], [1, 0, 0, -2], [1, -3, 0, 5])
-
-
-def horner(q, k):
-    return reduce(lambda acc, c: acc * k + c, q)
-
-
-@st.composite
-def split_times_irreducible(draw):
-    """(q, bound, roots): q monic, the product of x - r over the roots, each
-    |r| <= bound (repeats and the ends included), times an irreducible factor."""
-    bound = draw(st.one_of(st.integers(0, 60), st.sampled_from(EDGE_BOUNDS[:6])))
-    root = st.one_of(st.sampled_from([-bound, bound, 0]), st.integers(-bound, bound))
-    roots = draw(st.lists(root, max_size=6))
-    q = draw(st.sampled_from(IRREDUCIBLE))
-    for r in roots:
-        q = [u - r * v for u, v in zip(q + [0], [0] + q)]
-    return q, bound, roots
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=split_times_irreducible())
-def test_roots_mod_p_are_the_brute_force_roots(case):
-    q, bound, roots = case
-    p = _modulus(bound)
-    found = _roots_mod_p(q, bound)
-    assert found == sorted(set(found)) and all(-p < 2 * k < p for k in found)
-    if p < 10**4:  # every residue: the roots of q modulo p, exactly
-        assert found == [k for k in range(-(p // 2), p // 2 + 1) if horner(q, k) % p == 0]
-        assert [k for k in range(-bound, bound + 1) if horner(q, k) == 0] == sorted(set(roots))
-    # the integer roots in [-bound, bound] are the linear factors' roots
-    assert [k for k in found if horner(q, k) == 0] == sorted(set(roots))
-
-
-@st.composite
-def planted_block_spectra(draw):
-    """(basis, matrix, g, eigenvalues, irreducible): a grade-0 block [r0] and, at
-    grade g, the companion block of the product of x - r over planted integer
-    roots (repeats allowed), optionally times an ``IRREDUCIBLE`` factor, all
-    over a denominator d, with the rows of the first block coupled to the second."""
-    roots = draw(st.lists(st.integers(-40, 40), max_size=6))
-    q = draw(st.one_of(st.just([1]), st.sampled_from(IRREDUCIBLE)))
-    for r in roots:
-        q = [u - r * v for u, v in zip(q + [0], [0] + q)]
-    r0, d, g = draw(st.integers(-40, 40)), draw(st.integers(1, 12)), draw(st.integers(2, 4))
-    n = len(q) - 1
-    assume(n > 0)
-    # companion matrix: ones below the diagonal, last column -q reversed
-    companion = [[F(int(i == j + 1)) for j in range(n - 1)] + [F(-q[n - i])] for i in range(n)]
-    coupling = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
-    data = [[F(r0)] + [F(c) for c in coupling]] + [[F(0)] + row for row in companion]
-    matrix = RatMatrix([[v / d for v in row] for row in data])
-    grade_g = [m for m in product(range(g + 1), repeat=4) if sum(m) == g][:n]
-    basis = GradedBasis((1, 1, 1, 1), ((0, 0, 0, 0), *grade_g))
-    planted = sorted(F(r, d) for r in [r0] + roots)
-    return basis, matrix, g, planted, len(q) - 1 > len(roots)
+def one_grade_basis(n):
+    """n monomials of (1,1,1,1)-grade 3, so any matrix on them is block triangular."""
+    return GradedBasis((1, 1, 1, 1), tuple(m for m in product(range(4), repeat=4) if sum(m) == 3)[:n])
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=planted_block_spectra())
-def test_block_spectrum_recovers_planted_roots_or_names_the_grade(case):
-    basis, matrix, g, planted, irreducible = case
-    if irreducible:
-        with pytest.raises(F4SolvError, match=f"^the grade {g} block's characteristic factor"):
-            spectral._block_spectrum(basis, matrix)
-    else:
-        spectrum = spectral._block_spectrum(basis, matrix)
-        assert not spectrum.strict
-        assert [line.eigenvalue for line in spectrum.lines] == planted
+@given(case=permuted_triangular())
+def test_a_permuted_triangular_matrix_gives_its_diagonal(case):
+    matrix, diagonal = case
+    assert Counter(_diagonal(one_grade_basis(matrix.rows), matrix)) == Counter(diagonal)
 
 
-def test_the_block_path_reads_only_the_sparse_int_rows(trig_op, monkeypatch):
-    # native-frame blocks go from integer_form() to the characteristic
-    # polynomial: no matrix entry becomes a Fraction on the way
-    want = spectrum_from_matrix(trig_op, MINIMAL, 6).lines
+@st.composite
+def planted_two_cycles(draw):
+    """(basis, matrix, g): the (1,1,1,1) basis of P_2 and an upper triangular
+    int matrix on it, plus a 2-cycle planted in the grade-g block: a nonzero
+    (i, j) and (j, i), i < j, both of grade g."""
+    basis = enumerate_basis((1, 1, 1, 1), 2)
+    grades, n = basis.grades(), len(basis)
+    entry = st.integers(-3, 3)
+    data = [[F(draw(entry)) if i <= j else F(0) for j in range(n)] for i in range(n)]
+    g = draw(st.integers(1, 2))
+    i, j = sorted(draw(st.permutations([k for k in range(n) if grades[k] == g]))[:2])
+    data[i][j] = F(draw(st.sampled_from([-2, -1, 1, 2])))
+    data[j][i] = F(draw(st.sampled_from([-2, -1, 1, 2])))
+    return basis, RatMatrix(data), g
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=planted_two_cycles())
+def test_a_planted_two_cycle_raises_naming_its_grade(case):
+    basis, matrix, g = case
+    with pytest.raises(F4SolvError, match=f"^the grade {g} diagonal block is cyclic"):
+        _diagonal(basis, matrix)
+
+
+couplings = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@settings(max_examples=15, deadline=None)
+@given(level=st.integers(2, 6), nu=couplings, mu=couplings,
+       beta2=couplings.filter(bool))
+def test_rho_diagonal_eigenvalues_have_tau_eigenspaces(level, nu, mu, beta2):
+    # each eigenvalue read off the rho diagonal has a tau eigenvector, and the
+    # multiplicities sum to dim P_n; a shortfall is a reported defect (outside
+    # the physical windows, nu = 0, mu = -1, beta2 = 1 has a Jordan block at level 2)
+    params = ModelParams(nu=nu, mu=mu, beta2=beta2)
+    op = SecondOrderOp("tau", trig_a_table(beta2), trig_b_table(params))  # no window warning
+    spectrum = _spectrum(op, MINIMAL, level, build_rho_map(beta2))
+    report = _eigenpairs(op, spectrum)  # raises on a nonzero residual
+    algebraic = Counter(l.eigenvalue for l in spectrum.lines)
+    geometric = Counter(l.eigenvalue for l in report.lines)
+    assert sum(algebraic.values()) == flag_dimension(MINIMAL, level)
+    assert geometric.keys() == algebraic.keys()
+    defects = {d["eigenvalue"]: d for d in report.defective_blocks}
+    for lam, m in algebraic.items():
+        assert 1 <= geometric[lam] <= m
+        assert (geometric[lam] < m) == (format_fraction(lam) in defects)
+
+
+def test_the_rho_route_reads_no_dense_view(trig_op, trig_params, monkeypatch):
+    # the tau and rho matrices are read by entries and sparse rows, never RatMatrix.data
+    shear = build_rho_map(trig_params.beta2)
+    want = _spectrum(trig_op, MINIMAL, 6, shear).lines
 
     def refuse(*args):
-        raise AssertionError("a dense RatMatrix accessor was read")
+        raise AssertionError("RatMatrix.data was read")
 
-    monkeypatch.setattr(RatMatrix, "__getitem__", refuse)
     monkeypatch.setattr(RatMatrix, "data", property(refuse))
-    spectrum = spectrum_from_matrix(trig_op, MINIMAL, 6)
+    spectrum = _spectrum(trig_op, MINIMAL, 6, shear)
     assert not spectrum.strict and spectrum.lines == want
     assert len(want) == flag_dimension(MINIMAL, 6)
 
