@@ -25,6 +25,7 @@ from f4solv.spectral import (
     attach_closed_form,
     closed_form_energy_rational,
     closed_form_energy_trig,
+    compare_closed_form,
     degeneracy_count,
     eigenfunctions,
     fit_energy_affine,
@@ -443,6 +444,90 @@ def one_grade_basis(n):
     return GradedBasis((1, 1, 1, 1), tuple(m for m in product(range(4), repeat=4) if sum(m) == 3)[:n])
 
 
+def one_grade_diagonal(rows):
+    """``_diagonal`` of the Fraction matrix ``rows`` on ``one_grade_basis``."""
+    return _diagonal(one_grade_basis(len(rows)), RatMatrix([[F(v) for v in row] for row in rows]))
+
+
+#: the grade-3 block of ``one_grade_basis`` is cyclic
+GRADE_3_CYCLE = r"^the grade 3 diagonal block is cyclic, so its eigenvalues are not on the diagonal"
+
+
+class TestDiagonal:
+    def test_small_triangular_block(self):
+        assert one_grade_diagonal([[2, 1], [0, 3]]) == [2, 3]
+
+    def test_lower_triangular_block_is_acyclic(self):
+        # triangular in the reversed order of the basis
+        assert one_grade_diagonal([[1, 0, 0], [5, 2, 0], [7, 8, 3]]) == [1, 2, 3]
+
+    def test_repeated_and_fractional_entries(self):
+        jordan = [[3, 1, 0], [0, 3, 1], [0, 0, 3]]
+        assert one_grade_diagonal(jordan) == [3, 3, 3]
+        assert one_grade_diagonal([[F(1, 3), 1], [0, F(-7, 5)]]) == [F(1, 3), F(-7, 5)]
+
+    def test_zero_block(self):
+        assert one_grade_diagonal([[0] * 3 for _ in range(3)]) == [0, 0, 0]
+
+    def test_entries_of_any_size_are_read_exactly(self):
+        # 2^61 - 1 and 2^4423 are past a trial division and past the largest
+        # Mersenne modulus of a root search; the diagonal needs neither
+        assert one_grade_diagonal([[2**61 - 1, 1], [0, 3]]) == [2**61 - 1, 3]
+        assert one_grade_diagonal([[2 - 2**61]]) == [2 - 2**61]
+        assert one_grade_diagonal([[2**4423, 0], [0, 1]]) == [2**4423, 1]
+        assert one_grade_diagonal([[F(3, 2**4430), 1], [0, F(1, 2**4430)]]) == [
+            F(3, 2**4430), F(1, 2**4430)]
+
+    def test_a_far_off_cluster_in_a_permuted_order_is_read_exactly(self):
+        # four close diagonal entries near 7.6e14 and one near -1.2e15, triangular
+        # in the order 1, 3, 4, 0, 2 of the basis
+        c = 755153512521398
+        diagonal = [c + 1, c, c - 3, c - 2000000000000000, c - 2]
+        order = [1, 3, 4, 0, 2]
+        upper = [[8, 4, 3, -4], [4, 1, 2], [-1, -4000000000000000], [-2]]
+        rows = [[0] * 5 for _ in range(5)]
+        for i, a in enumerate(order):
+            rows[a][a] = diagonal[i]
+            for j, v in enumerate(upper[i] if i < 4 else (), start=i + 1):
+                rows[a][order[j]] = v
+        assert Counter(one_grade_diagonal(rows)) == Counter(diagonal)
+
+    @pytest.mark.parametrize("rows", [
+        [[2, 1], [2, 3]],  # eigenvalues 1 and 4, not its diagonal 2 and 3
+        [[5, 5], [5, 5]],  # eigenvalues 0 and 10
+        [[0, 1], [2, 0]],  # eigenvalues +-sqrt(2)
+        [[1, 1, 0], [0, 1, 1], [1, 0, 1]],  # a 3-cycle through every index
+    ], ids=["rational-spectrum", "full", "irrational", "three-cycle"])
+    def test_a_coupled_block_raises(self, rows):
+        with pytest.raises(F4SolvError, match=GRADE_3_CYCLE):
+            one_grade_diagonal(rows)
+
+    def test_the_far_off_coupled_cluster_raises(self):
+        # the same cluster with 1 and 2 feeding each other
+        c = 755153512521398
+        rows = [
+            [c + 1, 8, 4, 3, -4],
+            [0, c, 4, 1, 2],
+            [0, -2, c - 3, -1, 0],
+            [0, -4000000000000000, -8, c - 2000000000000002, -2],
+            [0, 0, 0, 0, c],
+        ]
+        with pytest.raises(F4SolvError, match=GRADE_3_CYCLE):
+            one_grade_diagonal(rows)
+
+    def test_the_lowest_cyclic_grade_is_named(self):
+        # a grade-1 index feeds a 2-cycle at grade 2, which feeds a grade-3
+        # index: neither the cycle nor the index it feeds leaves, and the
+        # message names the cycle's grade, not the higher one
+        basis = enumerate_basis((1, 1, 1, 1), 3)
+        grades = basis.grades()
+        g1, (a, b), g3 = grades.index(1), [k for k, g in enumerate(grades) if g == 2][:2], grades.index(3)
+        data = [[F(0)] * len(basis) for _ in range(len(basis))]
+        data[g1][a] = data[a][b] = data[b][a] = data[b][g3] = F(1)
+        with pytest.raises(F4SolvError, match=r"^the grade 2 diagonal block is cyclic"):
+            _diagonal(basis, RatMatrix(data))
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=permuted_triangular())
 def test_a_permuted_triangular_matrix_gives_its_diagonal(case):
@@ -510,6 +595,61 @@ def test_the_rho_route_reads_no_dense_view(trig_op, trig_params, monkeypatch):
     spectrum = _spectrum(trig_op, MINIMAL, 6, shear)
     assert not spectrum.strict and spectrum.lines == want
     assert len(want) == flag_dimension(MINIMAL, 6)
+
+
+#: bit sizes of nu = (2^k + 1) / 3 on both sides of the word, the 2^32
+#: switch and every Mersenne modulus a characteristic-polynomial root search
+#: would need, and past the largest of them (2^4423 - 1)
+COUPLING_BITS = (1, 2, 31, 32, 61, 62, 89, 127, 521, 1024, 2203, 4423, 4424, 4500, 8000)
+
+
+@pytest.mark.parametrize("bits", COUPLING_BITS)
+@pytest.mark.parametrize("model", ["rational", "trig"])
+def test_a_coupling_of_any_size_gives_the_exact_spectrum(model, bits):
+    # the non-triangular matrices hold entries of about `bits` bits; their
+    # eigenvalues are the closed-form multiset, through no modulus
+    nu = F(2**bits + 1, 3)
+    if model == "rational":
+        params = ModelParams(nu, F(1, 5), omega=F(1))
+        op, f, level = build_rational_operator(params), (1, 2, 3, 4), 6
+        spectrum = spectrum_from_matrix(op, f, level)
+        want = sorted(2 * params.omega * weighted_level(m) for m in spectrum.basis.monomials)
+        assert [l.eigenvalue for l in spectrum.lines] == want
+    else:
+        params = ModelParams(nu, F(1, 8), beta2=F(1, 4))
+        op, f, level = build_trig_operator(params), MINIMAL, 4
+        spectrum = _spectrum(op, f, level, build_rho_map(params.beta2))
+        fit = compare_closed_form(spectrum, "trig", params)[1]
+        assert fit.exact and fit.scale == F(-1, 2)
+    assert not spectrum.strict
+    ints = spectrum.matrix.integer_form()[1]
+    assert max(abs(v).bit_length() for row in ints for v in row.values()) >= bits
+
+
+@pytest.mark.parametrize("params", RATIONAL_SETS + [ModelParams(F(1, 3), F(1, 5), omega=F(0))],
+                         ids=["set0", "set1", "set2", "omega0"])
+@pytest.mark.parametrize("f, level", [((1, 2, 3, 4), 6), ((1, 2, 3, 5), 8), ((1, 3, 4, 5), 8)],
+                         ids=["1234-6", "1235-8", "1345-8"])
+def test_rational_non_minimal_flags_have_certified_eigenspaces(params, f, level):
+    # the unlabelled diagonal is the spectrum: each of its eigenvalues has an
+    # eigenspace, found by elimination and certified by its residuals.  They
+    # span P_n for omega != 0; at omega = 0 the operator is nilpotent on P_n
+    # and its one eigenvalue 0 is reported defective
+    op = build_rational_operator(params)
+    spectrum = spectrum_from_matrix(op, f, level)
+    report = eigenfunctions(op, f, level)
+    algebraic = Counter(l.eigenvalue for l in spectrum.lines)
+    geometric = Counter(l.eigenvalue for l in report.lines)
+    assert sum(algebraic.values()) == flag_dimension(f, level)
+    assert geometric.keys() == algebraic.keys()
+    if params.omega:
+        assert not report.defective and geometric == algebraic
+    else:
+        [defect] = report.defective_blocks
+        assert algebraic == {0: flag_dimension(f, level)}
+        assert defect == {"eigenvalue": "0", "algebraic_multiplicity": algebraic[0],
+                          "geometric_multiplicity": geometric[0]}
+        assert geometric[0] < algebraic[0]
 
 
 class TestResidualCertificate:
