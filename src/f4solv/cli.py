@@ -30,7 +30,7 @@ import warnings
 from typing import Optional, Sequence
 
 from .errors import F4SolvError
-from .models import MODELS, RATIONAL, TRIG, ModelParams, build_operator, build_rho_map
+from .models import MODELS, RATIONAL, TRIG, ModelParams, build_operator
 from .serialize import (
     dumps,
     eigenfunctions_json,
@@ -175,24 +175,12 @@ def emit(args, text: str | list[str]) -> None:
         fh.writelines([text] if isinstance(text, str) else text)
 
 
-def _spectrum(op, f, level: int, params: ModelParams):
-    """The operator's spectrum on P_n.  From level 2 on the native trig matrix
-    (beta2 != 0) has a cyclic diagonal block, so its eigenvalues are read off
-    the rho-frame diagonal, where the rho shear maps P_n onto itself (on the
-    (1,2,2,3) flag at every level)."""
-    from . import spectral
-
-    if op.frame == "tau" and params.beta2:
-        return spectral._spectrum(op, f, level, build_rho_map(params.beta2))
-    return spectral.spectrum_from_matrix(op, f, level)
-
-
 def cmd_spectrum(args, params: ModelParams) -> int:
-    from .spectral import compare_closed_form
+    from .spectral import _read, compare_closed_form
 
     f = parse_flag_request(args)
     op = build_operator(args.model, args.frame, params)
-    spectrum = _spectrum(op, f, args.level, params)
+    spectrum = _read(op, f, args.level, params)
     lines, fit = compare_closed_form(spectrum, args.model, params)
     ok, scale, offset = fit.exact, fit.scale, fit.offset
 
@@ -241,15 +229,12 @@ def cmd_spectrum(args, params: ModelParams) -> int:
 
 
 def cmd_eigenfunctions(args, params: ModelParams) -> int:
-    from .spectral import _eigenpairs, eigenfunctions
+    from .spectral import _read
 
     f = parse_flag_request(args)
     op = build_operator(args.model, args.frame, params)
-    # each raises before any output on a nonzero residual
-    if op.frame == "tau" and params.beta2:  # the eigenvalues as in spectrum, the pairs in tau
-        report = _eigenpairs(op, _spectrum(op, f, args.level, params))
-    else:
-        report = eigenfunctions(op, f, args.level)
+    # the eigenvalues as spectrum reads them; raises before any output on a nonzero residual
+    report = _read(op, f, args.level, params, pairs=True)
     emit(args, eigenfunctions_json(report, args.model, args.level, f))
     return EXIT_ANOMALY if report.defective else EXIT_OK
 

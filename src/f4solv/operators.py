@@ -151,11 +151,12 @@ class SecondOrderOp(Frozen):
         """Rewrite the operator in the variables defined by ``fwd``.
 
         ``fwd`` sends each new variable to its expression phi_c in the
-        current frame and ``inv`` is its exact inverse (checked).  With L0
-        the operator without its C term, the new first-order coefficients
-        are L0(phi_c), through ``apply``, and the new second-order ones the
-        carre du champ sum_ab S_ab (d_a phi_c)(d_b phi_d), by the chain rule
-        from the map's first derivatives: a stored mixed entry acts twice,
+        current frame and ``inv`` is its exact inverse (checked).  The
+        operator transports itself through ``apply``: with L0 the operator
+        without its C term, the new first-order coefficients are L0(phi_c)
+        and the new second-order ones the carre du champ
+        (L0(phi_c phi_d) - phi_c L0(phi_d) - phi_d L0(phi_c)) / 2, in which
+        the first-order parts cancel and a stored mixed entry acts twice,
         as in ``apply``.  Each is rewritten through ``inv``, as is C; the
         result stays polynomial for shear maps.
         """
@@ -163,18 +164,14 @@ class SecondOrderOp(Frozen):
             raise FrameError("forward map must land in the operator frame")
         if not is_inverse_pair(fwd, inv):
             raise MapError("substitution pair is not mutually inverse")
-        grads = [[p.derivative(s) for s in range(4)] for p in fwd.images]
-        new_a = {}
-        for (c, d), (x, y) in zip(A_PAIRS, PAIRS):
-            gamma: dict[Exp, Fraction] = {}
-            for (i, j), coeff in self.a.items():
-                i, j = SLOT[i], SLOT[j]
-                for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
-                    if grads[x][a].terms and grads[y][b].terms:
-                        merge_terms(gamma, (coeff * grads[x][a] * grads[y][b]).terms)
-            new_a[(c, d)] = MPoly._trusted(self.frame, gamma).substitute(inv)
         l0 = SecondOrderOp(self.frame, self.a, self.b)
-        new_b = {c: l0.apply(p).substitute(inv) for c, p in zip(VAR_IDS, fwd.images)}
+        phi = dict(zip(VAR_IDS, fwd.images))
+        l0_phi = {i: l0.apply(p) for i, p in phi.items()}
+        new_a = {}
+        for i, j in A_PAIRS:
+            gamma = l0.apply(phi[i] * phi[j]) - phi[i] * l0_phi[j] - phi[j] * l0_phi[i]
+            new_a[(i, j)] = (gamma * Fraction(1, 2)).substitute(inv)
+        new_b = {i: p.substitute(inv) for i, p in l0_phi.items()}
         return SecondOrderOp(fwd.source, new_a, new_b, self.c.substitute(inv))
 
     def __repr__(self) -> str:

@@ -8,8 +8,10 @@ form an acyclic graph (Kahn's test), as the rational operator's on its
 non-minimal flags, is triangular in another order of the basis: its
 diagonal is the spectrum, unlabelled.  A cyclic diagonal block raises
 ``F4SolvError``; the trigonometric operator's tau frame has one from
-level 2 on, and its spectrum is read in the rho frame, whose shear maps
-each P_n onto itself.  Eigenfunctions come from exact nullspaces, found by
+level 2 on, so the CLI reads its spectrum in the rho frame, whose shear
+maps each P_n of the flags it keeps onto itself, while the public
+``spectrum_from_matrix`` and ``eigenfunctions`` refuse it.  Eigenfunctions
+come from exact nullspaces, found by
 back-substitution in a strictly triangular frame and by elimination
 otherwise.  Every returned pair is re-verified to have an identically
 zero residual.  The kernels and the residuals run over ``int``;
@@ -25,9 +27,9 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import ClosureError, F4SolvError
 from .flags import GradedBasis, flag_matrix, grade_counts
 from .linalg import RatMatrix, nullspace
-from .models import RATIONAL, ModelParams
+from .models import RATIONAL, ModelParams, build_rho_map
 from .operators import SecondOrderOp
-from .poly import DEGREE_WEIGHTS, Exp, MPoly, VarMap, format_fraction, weighted_grade
+from .poly import DEGREE_WEIGHTS, Exp, MPoly, format_fraction, weighted_grade
 
 QuantumNumbers = Exp
 
@@ -93,26 +95,48 @@ def spectrum_from_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> Spectru
 
 
 def _spectrum(
-    op: SecondOrderOp, f: Sequence[int], n: int, shear: Optional[tuple[VarMap, VarMap]] = None
+    op: SecondOrderOp, f: Sequence[int], n: int, params: Optional[ModelParams] = None
 ) -> SpectrumResult:
     """The spectrum of ``op`` on P_n, labelled when its matrix is upper triangular.
 
-    Otherwise the eigenvalues are the diagonal of the matrix or, given a
-    ``shear`` (a substitution pair) that maps each P_n onto itself, of the
-    matrix of ``op`` in the shear's variables: the same operator on the same
-    space.  The tau frame's cyclic blocks are read through the rho shear.
+    Otherwise the eigenvalues are the diagonal of the matrix.  Given the
+    trig ``params`` (beta2 != 0), the tau frame's are read off the diagonal
+    of its matrix in the rho variables instead, where the rho shear maps
+    P_n onto itself: the same operator on the same space.  A tau frame's
+    cyclic block is reported with the reason the shear was not used.
     """
     basis, mat = _flag_matrix(op, f, n)
     if mat.is_upper_triangular():
         lines = tuple(SpectralLine(m, mat[j, j]) for j, m in enumerate(basis.monomials))
         return SpectrumResult(lines, True, basis, mat)
-    moved = (basis, mat)
-    # each image of f-grade at most its variable's: the shear maps P_n into, so onto, P_n
-    if shear and all(weighted_grade(e, f) <= w
-                     for w, phi in zip(f, shear[0].images) for e in phi.terms):
-        moved = _flag_matrix(op.change_variables(*shear), f, n)
-    lines = tuple(SpectralLine(None, lam) for lam in sorted(_diagonal(*moved)))
+    moved, hint = (basis, mat), ""
+    if op.frame == "tau":
+        beta2 = None if params is None else params.beta2
+        fwd, inv = build_rho_map(beta2 or 1)  # its images have the same terms at every beta2 != 0
+        # each image of f-grade at most its variable's: the shear maps P_n into, so onto, P_n
+        if not all(weighted_grade(e, f) <= w for w, phi in zip(f, fwd.images) for e in phi.terms):
+            hint = f"; the rho shear does not keep the flag {tuple(f)}"
+        elif beta2:
+            moved = _flag_matrix(op.change_variables(fwd, inv), f, n)
+        elif beta2 is None:
+            hint = "; the trig operator is triangular in the rho frame"
+    lines = tuple(SpectralLine(None, lam) for lam in sorted(_diagonal(*moved, hint)))
     return SpectrumResult(lines, False, basis, mat)
+
+
+def _read(op: SecondOrderOp, f: Sequence[int], n: int, params: ModelParams, pairs: bool = False):
+    """The CLI's spectrum of ``op`` on P_n or, with ``pairs``, its certified eigenpairs.
+
+    A tau-frame operator is read by ``_spectrum`` with the couplings, which
+    give it the rho shear.  Any other goes through the public
+    ``spectrum_from_matrix`` and ``eigenfunctions``, the functions the
+    bench's tracer times (``perfbench/test_perfbench.py`` asserts the
+    eigenfunctions span of a rho-frame command).
+    """
+    if op.frame != "tau":
+        return (eigenfunctions if pairs else spectrum_from_matrix)(op, f, n)
+    spectrum = _spectrum(op, f, n, params)
+    return _eigenpairs(op, spectrum) if pairs else spectrum
 
 
 def _flag_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> tuple[GradedBasis, RatMatrix]:
@@ -123,7 +147,7 @@ def _flag_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> tuple[GradedBas
     return basis, mat
 
 
-def _diagonal(basis: GradedBasis, mat: RatMatrix) -> list[Fraction]:
+def _diagonal(basis: GradedBasis, mat: RatMatrix, hint: str = "") -> list[Fraction]:
     """The diagonal of a block triangular matrix whose off-diagonal nonzeros
     form an acyclic graph, so that some order of the basis makes it triangular:
     its eigenvalues, with multiplicity.
@@ -131,7 +155,7 @@ def _diagonal(basis: GradedBasis, mat: RatMatrix) -> list[Fraction]:
     Kahn's test: index j leaves once no index left holds an off-diagonal
     entry in column j.  An index that never leaves lies on a cycle or is
     reached from one at an equal or higher grade, so the lowest grade among
-    them holds a cycle, and ``F4SolvError`` names it.
+    them holds a cycle, and ``F4SolvError`` names it, followed by ``hint``.
     """
     ints = mat.integer_form()[1]
     entering = [0] * len(ints)  # off-diagonal entries in each column, from rows not yet left
@@ -148,7 +172,7 @@ def _diagonal(basis: GradedBasis, mat: RatMatrix) -> list[Fraction]:
     if len(left) < len(ints):
         g = min(g for g, k in zip(basis.grades(), entering) if k)
         raise F4SolvError(f"the grade {g} diagonal block is cyclic, so its eigenvalues are not "
-                          "on the diagonal; the trig operator is triangular in the rho frame")
+                          f"on the diagonal{hint}")
     return [mat[j, j] for j in range(len(ints))]
 
 

@@ -135,10 +135,15 @@ MUTANTS = (
            "weighted_grade(e, f) <= w + 1",
            ("tests/test_spectral.py::TestSpectrum::test_a_shear_that_leaves_the_flag_is_not_used",)),
     Mutant("native-spectrum-off-the-tau-diagonal", "spectral.py",
-           "sorted(_diagonal(*moved))",
+           "sorted(_diagonal(*moved, hint))",
            "sorted(mat[j, j] for j in range(mat.rows))",
            ("tests/test_spectral.py::TestSpectrum::"
             "test_tau_spectrum_through_the_rho_shear_is_the_rho_diagonal",)),
+    Mutant("tau-read-without-its-couplings", "spectral.py",
+           "spectrum = _spectrum(op, f, n, params)",
+           "spectrum = _spectrum(op, f, n)",
+           ("tests/test_goldens.py::test_stdout_digest[spectrum --model trig --frame native "
+            "--nu 1/3 --mu 1/8 --beta2 1/4 --level 4]",)),
     Mutant("affine-fit-checks-its-two-pairs", "spectral.py",
            "all(scale * g + offset == p for g, p in pairs)",
            "all(scale * g + offset == p for g, p in pairs[:1] + [other or pairs[0]])",
@@ -166,10 +171,6 @@ MUTANTS = (
            "((q, 1), (1 + i, -1)) if i == j else ((q, 2),)",
            "((q, 1), (1 + i, -1)) if i == j else ((q, 1),)",
            ("tests/test_operators.py::TestImage::test_image_is_the_sorted_apply",)),
-    Mutant("carre-du-champ-mixed-entry-once", "operators.py",
-           "((i, j),) if i == j else ((i, j), (j, i))",
-           "((i, j),)",
-           ("tests/test_operators.py::TestChangeVariables::test_rho_maps_follow_the_chain_rule",)),
     Mutant("apply-mixed-entry-once", "operators.py",
            "(coeff if i == j else coeff * 2)",
            "coeff",

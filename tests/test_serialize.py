@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from f4solv.models import build_rho_map
 from f4solv.poly import MPoly
 from f4solv.serialize import dumps, eigenfunctions_json, mpoly_to_json, spectral_line_json
 from f4solv.spectral import EigenReport, SpectralLine, _eigenpairs, _spectrum, eigenfunctions
@@ -158,7 +157,7 @@ def test_terms_follow_the_canonical_order_not_the_basis_order(rational_op, f, n)
 
 def test_rho_and_tau_documents_match_the_per_term_payload(trig_op, rho_op, trig_params):
     # the tau eigenpairs at the eigenvalues read off the rho diagonal, as the CLI finds them
-    tau = _spectrum(trig_op, MINIMAL, 3, build_rho_map(trig_params.beta2))
+    tau = _spectrum(trig_op, MINIMAL, 3, trig_params)
     for report, n in ((eigenfunctions(rho_op, MINIMAL, 6), 6), (_eigenpairs(trig_op, tau), 3)):
         assert "".join(eigenfunctions_json(report, "trig", n, MINIMAL)) == reference_document(
             report, "trig", n, MINIMAL)

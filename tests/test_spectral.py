@@ -210,9 +210,8 @@ class TestSpectrum:
     def test_tau_spectrum_through_the_rho_shear_is_the_rho_diagonal(
         self, trig_op, rho_op, trig_params
     ):
-        shear = build_rho_map(trig_params.beta2)
         for level in (4, 5, 6, 8):
-            tau = _spectrum(trig_op, MINIMAL, level, shear)
+            tau = _spectrum(trig_op, MINIMAL, level, trig_params)
             strict = spectrum_from_matrix(rho_op, MINIMAL, level)
             assert not tau.strict and strict.strict
             assert tau.basis.monomials == enumerate_basis(MINIMAL, level, "tau").monomials
@@ -229,12 +228,26 @@ class TestSpectrum:
     def test_a_shear_that_leaves_the_flag_is_not_used(self):
         # at nu = -2/3 the tau operator keeps (1,2,2,2) at level 2, where the rho
         # image of tau6 has the grade-3 term tau1 tau4: the rho matrix on P_2 is
-        # not similar to the tau one, so the tau frame's cyclic block raises
+        # not similar to the tau one, so the tau frame's cyclic block raises, and
+        # with or without the couplings no hint points to the rho frame
         params = ModelParams(F(-2, 3), F(1, 8), beta2=F(1, 4))
         op = build_trig_operator(params)
         assert preserves_flag(op, (1, 2, 2, 2), 2)
-        with pytest.raises(F4SolvError, match=r"^the grade 2 diagonal block is cyclic"):
-            _spectrum(op, (1, 2, 2, 2), 2, build_rho_map(params.beta2))
+        for given in (params, None):
+            with pytest.raises(F4SolvError, match=r"^the grade 2 diagonal block is cyclic, so its "
+                               r"eigenvalues are not on the diagonal; the rho shear does not keep "
+                               r"the flag \(1, 2, 2, 2\)$"):
+                _spectrum(op, (1, 2, 2, 2), 2, given)
+
+    def test_the_rho_hint_needs_a_rho_shear(self):
+        # the rational frame has no shear to point to; at beta2 = 0 the rho shear is singular
+        with pytest.raises(F4SolvError, match=self.SWAP_MESSAGE + "$"):
+            _spectrum(self.swap_op(), (1, 1, 1, 1), 1, ModelParams(F(1, 3), F(1, 5), omega=F(1)))
+        t3, t4 = MPoly.variable("tau", 1), MPoly.variable("tau", 2)
+        swap = SecondOrderOp("tau", {}, {3: t4, 4: 2 * t3})  # tau3 and tau4 share grade 2
+        with pytest.raises(F4SolvError, match=r"^the grade 2 diagonal block is cyclic, so its "
+                           r"eigenvalues are not on the diagonal$"):
+            _spectrum(swap, MINIMAL, 2, ModelParams(F(1, 3), F(1, 8), beta2=F(0)))
 
     # t3 d/dt1 + 2 t1 d/dt3 swaps t1 and t3: a cycle in the grade-1 block,
     # whose eigenvalues (0, 0 and the irrational +-sqrt(2)) are not on its diagonal
@@ -300,7 +313,7 @@ def test_flag_preserving_shears_keep_the_spectrum(
     if model == "rational":
         before = spectrum_from_matrix(op, MINIMAL, level)
     else:
-        before = _spectrum(op, MINIMAL, level, build_rho_map(trig_params.beta2))
+        before = _spectrum(op, MINIMAL, level, trig_params)
     basis, mat = spectral._flag_matrix(moved, MINIMAL, level)
     report = _eigenpairs(moved, before._replace(basis=basis, matrix=mat))
     assert not report.defective
@@ -371,7 +384,7 @@ class TestEigenfunctions:
         # the block-triangular matrix is not upper triangular: every
         # eigenspace goes through elimination
         monkeypatch.setattr(linalg, "_bareiss_echelon", counted)
-        spectrum = _spectrum(trig_op, MINIMAL, 4, build_rho_map(trig_params.beta2))
+        spectrum = _spectrum(trig_op, MINIMAL, 4, trig_params)
         report = _eigenpairs(trig_op, spectrum)
         assert not report.defective
         assert len(report.lines) == flag_dimension(MINIMAL, 4)
@@ -571,7 +584,7 @@ def test_rho_diagonal_eigenvalues_have_tau_eigenspaces(level, nu, mu, beta2):
     # the physical windows, nu = 0, mu = -1, beta2 = 1 has a Jordan block at level 2)
     params = ModelParams(nu=nu, mu=mu, beta2=beta2)
     op = SecondOrderOp("tau", trig_a_table(beta2), trig_b_table(params))  # no window warning
-    spectrum = _spectrum(op, MINIMAL, level, build_rho_map(beta2))
+    spectrum = _spectrum(op, MINIMAL, level, params)
     report = _eigenpairs(op, spectrum)  # raises on a nonzero residual
     algebraic = Counter(l.eigenvalue for l in spectrum.lines)
     geometric = Counter(l.eigenvalue for l in report.lines)
@@ -585,14 +598,13 @@ def test_rho_diagonal_eigenvalues_have_tau_eigenspaces(level, nu, mu, beta2):
 
 def test_the_rho_route_reads_no_dense_view(trig_op, trig_params, monkeypatch):
     # the tau and rho matrices are read by entries and sparse rows, never RatMatrix.data
-    shear = build_rho_map(trig_params.beta2)
-    want = _spectrum(trig_op, MINIMAL, 6, shear).lines
+    want = _spectrum(trig_op, MINIMAL, 6, trig_params).lines
 
     def refuse(*args):
         raise AssertionError("RatMatrix.data was read")
 
     monkeypatch.setattr(RatMatrix, "data", property(refuse))
-    spectrum = _spectrum(trig_op, MINIMAL, 6, shear)
+    spectrum = _spectrum(trig_op, MINIMAL, 6, trig_params)
     assert not spectrum.strict and spectrum.lines == want
     assert len(want) == flag_dimension(MINIMAL, 6)
 
@@ -618,7 +630,7 @@ def test_a_coupling_of_any_size_gives_the_exact_spectrum(model, bits):
     else:
         params = ModelParams(nu, F(1, 8), beta2=F(1, 4))
         op, f, level = build_trig_operator(params), MINIMAL, 4
-        spectrum = _spectrum(op, f, level, build_rho_map(params.beta2))
+        spectrum = _spectrum(op, f, level, params)
         fit = compare_closed_form(spectrum, "trig", params)[1]
         assert fit.exact and fit.scale == F(-1, 2)
     assert not spectrum.strict
