@@ -11,7 +11,6 @@ diagonal.
 from fractions import Fraction as F
 
 from f4solv import (
-    F4SolvError,
     ModelParams,
     build_rho_map,
     build_trig_operator,
@@ -60,13 +59,13 @@ for line in lines[:7]:
     )
 
 print("\n== cross-check: the tau matrix has the rho diagonal as its spectrum ==")
-try:
-    spectrum_from_matrix(op, f, 4)
-except F4SolvError as exc:
-    print(f"  tau frame alone: {exc}")
+tau_spectrum = spectrum_from_matrix(op, f, 4)  # read through the rho shear at the op's own beta2
+rho_diagonal = sorted(l.eigenvalue for l in spectrum.lines)
+print(f"  tau spectrum (strictly triangular: {tau_spectrum.strict}) is the sorted rho diagonal: "
+      f"{[l.eigenvalue for l in tau_spectrum.lines] == rho_diagonal}")
 tau = op_matrix(op, enumerate_basis(f, 4, frame="tau")).matrix
 dims = {lam: len(nullspace(tau.minus_scalar_identity(lam)))
-        for lam in sorted({l.eigenvalue for l in spectrum.lines})}
+        for lam in sorted(set(rho_diagonal))}
 print(f"  a tau eigenvector at each of the {len(dims)} rho-diagonal eigenvalues: {all(dims.values())}")
 print(f"  tau eigenspace dimensions sum to dim P_4 = {len(spectrum.lines)}: "
       f"{sum(dims.values()) == len(spectrum.lines)}")

@@ -176,11 +176,11 @@ def emit(args, text: str | list[str]) -> None:
 
 
 def cmd_spectrum(args, params: ModelParams) -> int:
-    from .spectral import _read, compare_closed_form
+    from .spectral import compare_closed_form, spectrum_from_matrix
 
     f = parse_flag_request(args)
     op = build_operator(args.model, args.frame, params)
-    spectrum = _read(op, f, args.level, params)
+    spectrum = spectrum_from_matrix(op, f, args.level)
     lines, fit = compare_closed_form(spectrum, args.model, params)
     ok, scale, offset = fit.exact, fit.scale, fit.offset
 
@@ -229,12 +229,12 @@ def cmd_spectrum(args, params: ModelParams) -> int:
 
 
 def cmd_eigenfunctions(args, params: ModelParams) -> int:
-    from .spectral import _read
+    from .spectral import eigenfunctions
 
     f = parse_flag_request(args)
     op = build_operator(args.model, args.frame, params)
     # the eigenvalues as spectrum reads them; raises before any output on a nonzero residual
-    report = _read(op, f, args.level, params, pairs=True)
+    report = eigenfunctions(op, f, args.level)
     emit(args, eigenfunctions_json(report, args.model, args.level, f))
     return EXIT_ANOMALY if report.defective else EXIT_OK
 

@@ -8,14 +8,12 @@ form an acyclic graph (Kahn's test), as the rational operator's on its
 non-minimal flags, is triangular in another order of the basis: its
 diagonal is the spectrum, unlabelled.  A cyclic diagonal block raises
 ``F4SolvError``; the trigonometric operator's tau frame has one from
-level 2 on, so the CLI reads its spectrum in the rho frame, whose shear
-maps each P_n of the flags it keeps onto itself, while the public
-``spectrum_from_matrix`` and ``eigenfunctions`` refuse it.  Eigenfunctions
-come from exact nullspaces, found by
-back-substitution in a strictly triangular frame and by elimination
-otherwise.  Every returned pair is re-verified to have an identically
-zero residual.  The kernels and the residuals run over ``int``;
-``Fraction`` appears only in results.
+level 2 on, so its spectrum is read in the rho frame, whose shear at the
+operator's own beta2 maps each P_n of the flags it keeps onto itself.
+Eigenfunctions come from exact nullspaces, found by back-substitution in
+a strictly triangular frame and by elimination otherwise.  Every returned
+pair is re-verified to have an identically zero residual.  The kernels
+and the residuals run over ``int``; ``Fraction`` appears only in results.
 """
 
 from __future__ import annotations
@@ -88,22 +86,15 @@ class SpectrumResult(NamedTuple):
 
 
 def spectrum_from_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> SpectrumResult:
-    """Exact spectrum of the operator restricted to the flag member P_n: the
-    diagonal of its matrix, which some order of the basis must make
-    triangular; a cyclic diagonal block raises ``F4SolvError``."""
-    return _spectrum(op, f, n)
+    """Exact spectrum of the operator restricted to the flag member P_n.
 
-
-def _spectrum(
-    op: SecondOrderOp, f: Sequence[int], n: int, params: Optional[ModelParams] = None
-) -> SpectrumResult:
-    """The spectrum of ``op`` on P_n, labelled when its matrix is upper triangular.
-
-    Otherwise the eigenvalues are the diagonal of the matrix.  Given the
-    trig ``params`` (beta2 != 0), the tau frame's are read off the diagonal
-    of its matrix in the rho variables instead, where the rho shear maps
-    P_n onto itself: the same operator on the same space.  A tau frame's
-    cyclic block is reported with the reason the shear was not used.
+    Labelled when its matrix is upper triangular; otherwise the eigenvalues
+    are the diagonal of the matrix, which some order of the basis must make
+    triangular.  A tau-frame operator's are read off the diagonal of its
+    matrix in the rho variables instead, at the beta2 of its A[1,1] (whose
+    tau1^2 term is -4 beta2): where the rho shear maps P_n onto itself, it
+    is the same operator on the same space.  A cyclic diagonal block raises
+    ``F4SolvError``, with the reason a tau frame's shear was not used.
     """
     basis, mat = _flag_matrix(op, f, n)
     if mat.is_upper_triangular():
@@ -111,32 +102,15 @@ def _spectrum(
         return SpectrumResult(lines, True, basis, mat)
     moved, hint = (basis, mat), ""
     if op.frame == "tau":
-        beta2 = None if params is None else params.beta2
+        beta2 = op.a_entry(1, 1).coefficient((2, 0, 0, 0)) / -4
         fwd, inv = build_rho_map(beta2 or 1)  # its images have the same terms at every beta2 != 0
         # each image of f-grade at most its variable's: the shear maps P_n into, so onto, P_n
         if not all(weighted_grade(e, f) <= w for w, phi in zip(f, fwd.images) for e in phi.terms):
             hint = f"; the rho shear does not keep the flag {tuple(f)}"
-        elif beta2:
+        elif beta2:  # a similarity at any beta2 != 0: a wrong one leaves a cycle, not a wrong value
             moved = _flag_matrix(op.change_variables(fwd, inv), f, n)
-        elif beta2 is None:
-            hint = "; the trig operator is triangular in the rho frame"
     lines = tuple(SpectralLine(None, lam) for lam in sorted(_diagonal(*moved, hint)))
     return SpectrumResult(lines, False, basis, mat)
-
-
-def _read(op: SecondOrderOp, f: Sequence[int], n: int, params: ModelParams, pairs: bool = False):
-    """The CLI's spectrum of ``op`` on P_n or, with ``pairs``, its certified eigenpairs.
-
-    A tau-frame operator is read by ``_spectrum`` with the couplings, which
-    give it the rho shear.  Any other goes through the public
-    ``spectrum_from_matrix`` and ``eigenfunctions``, the functions the
-    bench's tracer times (``perfbench/test_perfbench.py`` asserts the
-    eigenfunctions span of a rho-frame command).
-    """
-    if op.frame != "tau":
-        return (eigenfunctions if pairs else spectrum_from_matrix)(op, f, n)
-    spectrum = _spectrum(op, f, n, params)
-    return _eigenpairs(op, spectrum) if pairs else spectrum
 
 
 def _flag_matrix(op: SecondOrderOp, f: Sequence[int], n: int) -> tuple[GradedBasis, RatMatrix]:

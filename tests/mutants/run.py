@@ -139,11 +139,17 @@ MUTANTS = (
            "sorted(mat[j, j] for j in range(mat.rows))",
            ("tests/test_spectral.py::TestSpectrum::"
             "test_tau_spectrum_through_the_rho_shear_is_the_rho_diagonal",)),
-    Mutant("tau-read-without-its-couplings", "spectral.py",
-           "spectrum = _spectrum(op, f, n, params)",
-           "spectrum = _spectrum(op, f, n)",
+    Mutant("tau-shear-at-the-wrong-beta2", "spectral.py",
+           "coefficient((2, 0, 0, 0)) / -4",
+           "coefficient((2, 0, 0, 0)) / -2",
            ("tests/test_goldens.py::test_stdout_digest[spectrum --model trig --frame native "
             "--nu 1/3 --mu 1/8 --beta2 1/4 --level 4]",)),
+    Mutant("cli-eigenpairs-round-the-public-function", "cli.py",
+           "    from .spectral import eigenfunctions\n",
+           "    from .spectral import _eigenpairs, spectrum_from_matrix\n"
+           "    eigenfunctions = lambda op, f, n: _eigenpairs(op, spectrum_from_matrix(op, f, n))\n",
+           ("tests/test_cli.py::TestOneRoute::"
+            "test_a_native_trig_command_calls_each_public_function_once",)),
     Mutant("affine-fit-checks-its-two-pairs", "spectral.py",
            "all(scale * g + offset == p for g, p in pairs)",
            "all(scale * g + offset == p for g, p in pairs[:1] + [other or pairs[0]])",

@@ -4,22 +4,25 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from f4solv import cli, invariants, models, oracle, verify
+from f4solv import cli, invariants, models, oracle, spectral, verify
 from f4solv.cli import main
-from f4solv.models import rational_a_table
+from f4solv.models import ModelParams, build_trig_operator, rational_a_table
 from f4solv.poly import MPoly
 from f4solv.serialize import (
+    eigenfunctions_json,
     format_fraction,
     mpoly_from_json,
     mpoly_to_json,
     parse_fraction,
+    spectral_line_json,
 )
-from tests.conftest import RATIONAL_SETS
+from tests.conftest import MINIMAL, RATIONAL_SETS
 
 
 def run(capsys, *argv):
@@ -145,6 +148,47 @@ class TestEigenfunctionsCommand:
         code, out, err = run(capsys, *self.BLOCK, "--out", str(target))
         assert (code, out) == (3, "") and "nonzero residual" in err
         assert not target.exists()
+
+
+class TestOneRoute:
+    # the CLI reads every spectrum and eigenpair list through the public functions
+    # that library callers and the bench's tracer call
+    TRIG = ("--model", "trig", "--frame", "native", "--nu", "1/3", "--mu", "1/8")
+
+    @pytest.mark.parametrize("command, level, want", [
+        ("spectrum", 4, {"spectrum_from_matrix": 1}),
+        ("eigenfunctions", 3, {"spectrum_from_matrix": 1, "eigenfunctions": 1}),
+    ])
+    def test_a_native_trig_command_calls_each_public_function_once(
+        self, capsys, monkeypatch, command, level, want
+    ):
+        calls = []
+        for name in want:
+            def counted(op, f, n, name=name, original=getattr(spectral, name)):
+                calls.append((name, op, tuple(f), n))
+                return original(op, f, n)
+
+            monkeypatch.setattr(spectral, name, counted)
+        code, out, _ = run(capsys, command, *self.TRIG, "--beta2", "1/4", "--level", str(level))
+        assert code == 0 and out
+        assert Counter(name for name, *_ in calls) == want
+        tau = build_trig_operator(ModelParams(F(1, 3), F(1, 8), beta2=F(1, 4)))
+        assert all((op, f, n) == (tau, MINIMAL, level) for _, op, f, n in calls)
+
+    @pytest.mark.parametrize("beta2", ["1/4", "-3/7"])
+    def test_the_public_functions_print_what_the_cli_prints(self, capsys, beta2):
+        params = ModelParams(F(1, 3), F(1, 8), beta2=parse_fraction(beta2))
+        op = build_trig_operator(params)
+        code, out, _ = run(capsys, "spectrum", *self.TRIG, f"--beta2={beta2}", "--level", "4",
+                           "--format", "json")
+        lines = spectral.compare_closed_form(spectral.spectrum_from_matrix(op, MINIMAL, 4),
+                                             "trig", params)[0]
+        assert code == 0
+        assert json.loads(out)["lines"] == [spectral_line_json(l) for l in lines]
+        code, out, _ = run(capsys, "eigenfunctions", *self.TRIG, f"--beta2={beta2}", "--level", "3")
+        report = spectral.eigenfunctions(op, MINIMAL, 3)
+        assert code == 0 and not report.defective
+        assert out == "".join(eigenfunctions_json(report, "trig", 3, MINIMAL))
 
 
 class TestVerifyCommand:
@@ -557,6 +601,12 @@ class TestLayering:
                     if any(alias.name == "f4solv.cli" for alias in node.names):
                         importers.append(path.name)
         assert set(importers) <= {"cli.py"}
+
+    def test_the_cli_imports_no_private_name(self):
+        private = [alias.name for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+                   if isinstance(node, ast.ImportFrom) for alias in node.names
+                   if alias.name.startswith("_")]
+        assert private == []
 
     def test_bad_input_has_one_exception_type(self):
         assert not hasattr(cli, "UsageError")

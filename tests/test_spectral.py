@@ -34,7 +34,6 @@ from f4solv.spectral import (
     _diagonal,
     _eigenpairs,
     _eigenspace,
-    _spectrum,
 )
 from tests.conftest import RATIONAL_SETS, TRIG_SETS
 
@@ -207,47 +206,49 @@ class TestSpectrum:
             assert fit.scale == F(-1, 2)
             assert fit.offset == closed_form_energy_trig((0, 0, 0, 0), params)
 
-    def test_tau_spectrum_through_the_rho_shear_is_the_rho_diagonal(
-        self, trig_op, rho_op, trig_params
-    ):
+    def test_tau_spectrum_through_the_rho_shear_is_the_rho_diagonal(self, trig_op, rho_op):
         for level in (4, 5, 6, 8):
-            tau = _spectrum(trig_op, MINIMAL, level, trig_params)
+            tau = spectrum_from_matrix(trig_op, MINIMAL, level)
             strict = spectrum_from_matrix(rho_op, MINIMAL, level)
             assert not tau.strict and strict.strict
             assert tau.basis.monomials == enumerate_basis(MINIMAL, level, "tau").monomials
             assert [l.eigenvalue for l in tau.lines] == sorted(l.eigenvalue for l in strict.lines)
             assert all(l.quantum_numbers is None for l in tau.lines)
 
-    def test_the_tau_frame_alone_raises_at_its_grade_2_block(self, trig_op):
-        # tau1^2 and tau3 feed each other from level 2 on; levels 0 and 1 are triangular
-        assert spectrum_from_matrix(trig_op, MINIMAL, 1).strict
+    @pytest.mark.parametrize("beta2", ["1/4", "-3/7", "1", "4"])
+    def test_the_tau_frame_is_read_at_the_beta2_of_its_own_a11(self, beta2):
+        # tau1^2 and tau3 feed each other from level 2 on; levels 0 and 1 are
+        # triangular, and the cyclic levels read the rho diagonal at this beta2
+        op = build_trig_operator(ModelParams(F(1, 3), F(1, 8), beta2=F(beta2)))
+        level_one = spectrum_from_matrix(op, MINIMAL, 1)
+        assert level_one.strict and all(l.quantum_numbers for l in level_one.lines)
+        rho = op.change_variables(*build_rho_map(F(beta2)))
         for level in (2, 4):
-            with pytest.raises(F4SolvError, match=r"^the grade 2 diagonal block is cyclic.*rho frame$"):
-                spectrum_from_matrix(trig_op, MINIMAL, level)
+            tau = spectrum_from_matrix(op, MINIMAL, level)
+            assert not tau.strict and all(l.quantum_numbers is None for l in tau.lines)
+            want = sorted(l.eigenvalue for l in spectrum_from_matrix(rho, MINIMAL, level).lines)
+            assert [l.eigenvalue for l in tau.lines] == want
 
     def test_a_shear_that_leaves_the_flag_is_not_used(self):
         # at nu = -2/3 the tau operator keeps (1,2,2,2) at level 2, where the rho
         # image of tau6 has the grade-3 term tau1 tau4: the rho matrix on P_2 is
-        # not similar to the tau one, so the tau frame's cyclic block raises, and
-        # with or without the couplings no hint points to the rho frame
-        params = ModelParams(F(-2, 3), F(1, 8), beta2=F(1, 4))
-        op = build_trig_operator(params)
+        # not similar to the tau one, so the tau frame's cyclic block raises,
+        # naming the flag the shear leaves
+        op = build_trig_operator(ModelParams(F(-2, 3), F(1, 8), beta2=F(1, 4)))
         assert preserves_flag(op, (1, 2, 2, 2), 2)
-        for given in (params, None):
-            with pytest.raises(F4SolvError, match=r"^the grade 2 diagonal block is cyclic, so its "
-                               r"eigenvalues are not on the diagonal; the rho shear does not keep "
-                               r"the flag \(1, 2, 2, 2\)$"):
-                _spectrum(op, (1, 2, 2, 2), 2, given)
+        with pytest.raises(F4SolvError, match=r"^the grade 2 diagonal block is cyclic, so its "
+                           r"eigenvalues are not on the diagonal; the rho shear does not keep "
+                           r"the flag \(1, 2, 2, 2\)$"):
+            spectrum_from_matrix(op, (1, 2, 2, 2), 2)
 
-    def test_the_rho_hint_needs_a_rho_shear(self):
-        # the rational frame has no shear to point to; at beta2 = 0 the rho shear is singular
-        with pytest.raises(F4SolvError, match=self.SWAP_MESSAGE + "$"):
-            _spectrum(self.swap_op(), (1, 1, 1, 1), 1, ModelParams(F(1, 3), F(1, 5), omega=F(1)))
+    def test_a_tau_operator_at_beta2_zero_is_not_sheared(self):
+        # no tau1^2 term in A[1,1] reads as beta2 = 0, where the rho shear is singular:
+        # the cyclic block raises with no hint
         t3, t4 = MPoly.variable("tau", 1), MPoly.variable("tau", 2)
         swap = SecondOrderOp("tau", {}, {3: t4, 4: 2 * t3})  # tau3 and tau4 share grade 2
         with pytest.raises(F4SolvError, match=r"^the grade 2 diagonal block is cyclic, so its "
                            r"eigenvalues are not on the diagonal$"):
-            _spectrum(swap, MINIMAL, 2, ModelParams(F(1, 3), F(1, 8), beta2=F(0)))
+            spectrum_from_matrix(swap, MINIMAL, 2)
 
     # t3 d/dt1 + 2 t1 d/dt3 swaps t1 and t3: a cycle in the grade-1 block,
     # whose eigenvalues (0, 0 and the irrational +-sqrt(2)) are not on its diagonal
@@ -300,9 +301,7 @@ def flag_shear(frame, a, b, c, d, e, f):
         *[st.builds(F, st.integers(min_value=-3, max_value=3), st.integers(1, 3))] * 6
     ),
 )
-def test_flag_preserving_shears_keep_the_spectrum(
-    rational_op, trig_op, trig_params, model, coeffs
-):
+def test_flag_preserving_shears_keep_the_spectrum(rational_op, trig_op, model, coeffs):
     # P_6 holds every level up to 6.  The moved matrix may be cyclic, so the
     # spectrum is certified by eigenspaces: the moved operator's kernels at the
     # eigenvalues of op span P_6, and every pair passes the residual certificate
@@ -310,10 +309,7 @@ def test_flag_preserving_shears_keep_the_spectrum(
     level = 6
     fwd, inv = flag_shear(op.frame, *coeffs)
     moved = op.change_variables(fwd, inv)
-    if model == "rational":
-        before = spectrum_from_matrix(op, MINIMAL, level)
-    else:
-        before = _spectrum(op, MINIMAL, level, trig_params)
+    before = spectrum_from_matrix(op, MINIMAL, level)
     basis, mat = spectral._flag_matrix(moved, MINIMAL, level)
     report = _eigenpairs(moved, before._replace(basis=basis, matrix=mat))
     assert not report.defective
@@ -373,7 +369,7 @@ class TestEigenfunctions:
         with pytest.raises(F4SolvError, match="nonzero residual"):
             eigenfunctions(rational_op, MINIMAL, 2)
 
-    def test_tau_frame_goes_through_elimination(self, trig_op, trig_params, monkeypatch):
+    def test_tau_frame_goes_through_elimination(self, trig_op, monkeypatch):
         calls = []
         eliminate = linalg._bareiss_echelon
 
@@ -384,8 +380,7 @@ class TestEigenfunctions:
         # the block-triangular matrix is not upper triangular: every
         # eigenspace goes through elimination
         monkeypatch.setattr(linalg, "_bareiss_echelon", counted)
-        spectrum = _spectrum(trig_op, MINIMAL, 4, trig_params)
-        report = _eigenpairs(trig_op, spectrum)
+        report = eigenfunctions(trig_op, MINIMAL, 4)
         assert not report.defective
         assert len(report.lines) == flag_dimension(MINIMAL, 4)
         assert len(calls) == len({l.eigenvalue for l in report.lines})
@@ -584,7 +579,7 @@ def test_rho_diagonal_eigenvalues_have_tau_eigenspaces(level, nu, mu, beta2):
     # the physical windows, nu = 0, mu = -1, beta2 = 1 has a Jordan block at level 2)
     params = ModelParams(nu=nu, mu=mu, beta2=beta2)
     op = SecondOrderOp("tau", trig_a_table(beta2), trig_b_table(params))  # no window warning
-    spectrum = _spectrum(op, MINIMAL, level, params)
+    spectrum = spectrum_from_matrix(op, MINIMAL, level)
     report = _eigenpairs(op, spectrum)  # raises on a nonzero residual
     algebraic = Counter(l.eigenvalue for l in spectrum.lines)
     geometric = Counter(l.eigenvalue for l in report.lines)
@@ -596,15 +591,15 @@ def test_rho_diagonal_eigenvalues_have_tau_eigenspaces(level, nu, mu, beta2):
         assert (geometric[lam] < m) == (format_fraction(lam) in defects)
 
 
-def test_the_rho_route_reads_no_dense_view(trig_op, trig_params, monkeypatch):
+def test_the_rho_route_reads_no_dense_view(trig_op, monkeypatch):
     # the tau and rho matrices are read by entries and sparse rows, never RatMatrix.data
-    want = _spectrum(trig_op, MINIMAL, 6, trig_params).lines
+    want = spectrum_from_matrix(trig_op, MINIMAL, 6).lines
 
     def refuse(*args):
         raise AssertionError("RatMatrix.data was read")
 
     monkeypatch.setattr(RatMatrix, "data", property(refuse))
-    spectrum = _spectrum(trig_op, MINIMAL, 6, trig_params)
+    spectrum = spectrum_from_matrix(trig_op, MINIMAL, 6)
     assert not spectrum.strict and spectrum.lines == want
     assert len(want) == flag_dimension(MINIMAL, 6)
 
@@ -630,7 +625,7 @@ def test_a_coupling_of_any_size_gives_the_exact_spectrum(model, bits):
     else:
         params = ModelParams(nu, F(1, 8), beta2=F(1, 4))
         op, f, level = build_trig_operator(params), MINIMAL, 4
-        spectrum = _spectrum(op, f, level, params)
+        spectrum = spectrum_from_matrix(op, f, level)
         fit = compare_closed_form(spectrum, "trig", params)[1]
         assert fit.exact and fit.scale == F(-1, 2)
     assert not spectrum.strict
